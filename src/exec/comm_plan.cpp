@@ -32,7 +32,9 @@ constexpr size_t kMaxCopyLevels = 8;
 /// Baked storage geometry of one distributed array piece: everything a plan
 /// needs to turn (global indices, iteration values) into flat byte offsets.
 /// Storage pointers are stable for the whole run (DistArray::data_ is
-/// allocated once); invalidate_array covers the redistribute escape hatch.
+/// allocated once); statement plans are dropped with their cache entry and
+/// executor entries re-check the base, covering the redistribute escape
+/// hatch.
 struct ArrayView {
   char* base = nullptr;
   ElemTy ty = ElemTy::kReal;
@@ -82,6 +84,15 @@ bool resolve_view(Env& env, const std::string& name, ArrayView& v) {
     fill_view(it->second, v);
   }
   return true;
+}
+
+/// Current storage base of a REAL or INTEGER array, null otherwise.
+char* storage_base(Env& env, const std::string& name) {
+  if (auto it = env.dar.find(name); it != env.dar.end())
+    return reinterpret_cast<char*>(it->second.storage().data());
+  if (auto it = env.iar.find(name); it != env.iar.end())
+    return reinterpret_cast<char*>(it->second.storage().data());
+  return nullptr;
 }
 
 /// Can this expression be evaluated once at plan-build time and baked?
@@ -560,8 +571,8 @@ void CommPlans::run_slab(SlabPlan& p) {
 
 // --- statement orchestration -------------------------------------------------
 
-CommPlans::StmtPlan CommPlans::build_stmt(
-    const SpmdStmt& s, std::span<const std::string> key_names) {
+CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
+                                     std::span<const std::string> key_names) {
   StmtPlan plan;
   std::vector<const CommAction*> order;
   for (const CommAction& a : s.pre)
@@ -632,16 +643,8 @@ CommPlans::StmtPlan CommPlans::build_stmt(
   return plan;
 }
 
-void CommPlans::run_pre(const SpmdStmt& s, const std::string& key,
-                        std::span<const std::string> key_names) {
-  auto it = stmts_.find(key);
-  if (it == stmts_.end()) {
-    ++stats_.misses;
-    it = stmts_.emplace(key, build_stmt(s, key_names)).first;
-  } else {
-    ++stats_.hits;
-  }
-  for (Slot& slot : it->second.slots) run_slot(s, slot);
+void CommPlans::run(const SpmdStmt& s, StmtPlan& plan) {
+  for (Slot& slot : plan.slots) run_slot(s, slot);
 }
 
 void CommPlans::run_slot(const SpmdStmt& s, Slot& slot) {
@@ -662,6 +665,13 @@ CommPlans::SchedEntry* CommPlans::sched_entry(const parti::SchedulePtr& sched,
                                               bool write) {
   auto it = scheds_.find(sched.get());
   if (it != scheds_.end() && it->second.array != array) {
+    scheds_.erase(it);
+    it = scheds_.end();
+  }
+  // Baked offsets address the storage the entry was built against; an
+  // array whose storage moved (redistribute/remap escape hatch) rebuilds.
+  if (it != scheds_.end() && it->second.base != storage_base(*env_, array)) {
+    ++stats_.invalidations;
     scheds_.erase(it);
     it = scheds_.end();
   }
@@ -891,28 +901,6 @@ bool CommPlans::execute_write(const parti::SchedulePtr& sched,
   else
     write_impl<double>(*sched, *e, values, [](double v) { return v; });
   return true;
-}
-
-// --- invalidation ------------------------------------------------------------
-
-void CommPlans::invalidate_array(const std::string& name) {
-  for (auto it = stmts_.begin(); it != stmts_.end();) {
-    const auto& arrays = it->second.arrays;
-    if (std::find(arrays.begin(), arrays.end(), name) != arrays.end()) {
-      ++stats_.invalidations;
-      it = stmts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = scheds_.begin(); it != scheds_.end();) {
-    if (it->second.array == name) {
-      ++stats_.invalidations;
-      it = scheds_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace f90d::exec

@@ -31,11 +31,13 @@
 // cannot bake faithfully is declined slot-by-slot and runs the legacy
 // action through a callback.
 //
-// Cache key and invalidation contract: statement plans are keyed by the
-// exact plan_key() string of the execution plan they accompany (same baked
-// runtime scalars), and invalidate_array(name) drops every plan touching
-// `name` — called from the same redistribute/remap sites that invalidate
-// the ExecPlan/Schedule caches (docs/EXECUTION.md).
+// Ownership: a statement's compiled pre-communication (StmtPlan) is built
+// together with its execution plan and lives in the same statement-cache
+// entry (exec/statement_plan.hpp) — same key, same baked runtime scalars,
+// dropped together when any part binds a redistributed array.  CommPlans
+// itself only keeps the PARTI executor state, keyed by schedule identity;
+// those entries re-check the array's storage base on every lookup, so they
+// need no invalidation call of their own (docs/EXECUTION.md).
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -51,10 +53,12 @@
 
 namespace f90d::exec {
 
+/// PARTI executor counters (statement plans are counted by the statement
+/// cache that owns them).
 struct CommPlanStats {
-  long long hits = 0;           ///< run_pre / executor served from a plan
-  long long misses = 0;         ///< plans built
-  long long invalidations = 0;  ///< plans dropped by invalidate_array
+  long long hits = 0;           ///< executor calls served from a compiled entry
+  long long misses = 0;         ///< executor entries compiled
+  long long invalidations = 0;  ///< entries rebuilt: array storage moved
   /// Bytes moved through coalesced contiguous memcpy runs (pack+unpack
   /// fast path; strided element copies are not counted).
   long long bytes_memcpy_fast_path = 0;
@@ -111,18 +115,29 @@ struct CopyDesc {
 enum class ElemTy { kReal, kInt, kLogical };
 
 class CommPlans {
+  struct Slot;
+
  public:
+  /// One statement's compiled pre-communication: a slot per non-eliminated
+  /// action in the tree walk's order, each a baked plan or a legacy slot.
+  struct StmtPlan {
+    std::vector<Slot> slots;
+    std::vector<std::string> arrays;  ///< storage the slots bake (invalidation)
+  };
+
   CommPlans(Env& env, CommHooks hooks, bool use_native)
       : env_(&env), hooks_(std::move(hooks)), use_native_(use_native) {}
 
-  /// Run every non-eliminated pre-communication action of `s` in the tree
-  /// walk's order, through compiled plans where possible.  `key` is the
-  /// statement's execution-plan key and `key_names` the scalar names that
-  /// key covers — a plan only bakes values derived from covered scalars
-  /// (anything else is declined to the legacy action, so a stale bake is
-  /// impossible by construction).
-  void run_pre(const compile::SpmdStmt& s, const std::string& key,
-               std::span<const std::string> key_names);
+  /// Compile `s`'s pre-communication.  `key_names` are the scalar names
+  /// the statement's cache key covers — a plan only bakes values derived
+  /// from covered scalars (anything else is declined to the legacy action,
+  /// so a stale bake is impossible by construction).
+  [[nodiscard]] StmtPlan build(const compile::SpmdStmt& s,
+                               std::span<const std::string> key_names);
+
+  /// Run every slot of `plan` (built from `s`): bit-identical messages,
+  /// tags and charges to the tree walk's pre actions.
+  void run(const compile::SpmdStmt& s, StmtPlan& plan);
 
   /// Compiled PARTI read executor into `b` (dvals or ivals by element
   /// type).  Returns false when the schedule/array cannot be compiled —
@@ -137,9 +152,6 @@ class CommPlans {
   /// fall back.
   bool execute_write(const parti::SchedulePtr& sched, const std::string& array,
                      std::span<const double> values);
-
-  /// Drop every plan bound to `array` (redistribute/remap contract).
-  void invalidate_array(const std::string& name);
 
   [[nodiscard]] const CommPlanStats& stats() const { return stats_; }
 
@@ -190,11 +202,6 @@ class CommPlans {
     std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan> plan;
   };
 
-  struct StmtPlan {
-    std::vector<Slot> slots;  ///< in run_pre_actions order
-    std::vector<std::string> arrays;  ///< invalidation scope
-  };
-
   /// Compiled executor state for one PARTI schedule.  Keyed by schedule
   /// identity; `owner` keeps the Schedule alive so the key cannot be
   /// recycled (no ABA) while the entry exists.
@@ -217,8 +224,6 @@ class CommPlans {
   };
 
   // --- build ---------------------------------------------------------------
-  StmtPlan build_stmt(const compile::SpmdStmt& s,
-                      std::span<const std::string> key_names);
   bool build_shift(const compile::CommAction& a, const compile::RefInfo& ref,
                    ShiftPlan& out);
   bool build_bcast(const compile::CommAction& a, const compile::RefInfo& ref,
@@ -251,7 +256,6 @@ class CommPlans {
   CommHooks hooks_;
   bool use_native_ = false;
   CommPlanStats stats_;
-  std::map<std::string, StmtPlan> stmts_;
   std::map<const parti::Schedule*, SchedEntry> scheds_;
   // Index-copy kernels shared by every schedule entry (8-byte elements).
   native::KernelFn gather8_ = nullptr;

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "compile/affine.hpp"
 #include "exec/irregular_plan.hpp"
@@ -1110,13 +1109,6 @@ void plan_key_into(const SpmdStmt& s, const Env& env,
   }
 }
 
-std::string plan_key(const SpmdStmt& s, const Env& env,
-                     const std::vector<std::string>& scalars) {
-  std::string out;
-  plan_key_into(s, env, scalars, out);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // SharedPlanMeta
 
@@ -1187,76 +1179,6 @@ void SharedPlanMeta::clear() {
   }
   std::lock_guard slk(stats_mu_);
   stats_ = Stats{};
-}
-
-// ---------------------------------------------------------------------------
-// PlanCache
-
-const PlanEntry& PlanCache::get_or_build(
-    int stmt_id, const std::string& key,
-    const std::function<PlanEntry()>& build) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  PlanEntry e = build();
-  if (!e.plan && e.structural && stmt_id >= 0) {
-    structural_declines_.insert(stmt_id);
-    if (shared_) shared_->record_structural_decline(shared_ns_, stmt_id);
-  }
-  return map_.emplace(key, std::move(e)).first->second;
-}
-
-bool PlanCache::declined_structurally(int stmt_id) const {
-  if (structural_declines_.count(stmt_id) > 0) return true;
-  if (shared_ && shared_->declined_structurally(shared_ns_, stmt_id)) {
-    structural_declines_.insert(stmt_id);
-    ++shared_hits_;
-    return true;
-  }
-  return false;
-}
-
-const std::vector<std::string>& PlanCache::key_scalars(
-    int stmt_id, const std::function<std::vector<std::string>()>& collect) {
-  auto it = key_scalars_.find(stmt_id);
-  if (it != key_scalars_.end()) return it->second;
-  if (shared_) {
-    std::vector<std::string> names;
-    if (shared_->lookup_key_scalars(shared_ns_, stmt_id, names)) {
-      ++shared_hits_;
-      return key_scalars_.emplace(stmt_id, std::move(names)).first->second;
-    }
-  }
-  auto& entry = key_scalars_.emplace(stmt_id, collect()).first->second;
-  if (shared_) shared_->install_key_scalars(shared_ns_, stmt_id, entry);
-  return entry;
-}
-
-void PlanCache::invalidate_array(const std::string& array) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    const PlanEntry& e = it->second;
-    const bool bound =
-        e.plan != nullptr &&
-        std::find(e.plan->arrays.begin(), e.plan->arrays.end(), array) !=
-            e.plan->arrays.end();
-    if (bound) {
-      it = map_.erase(it);
-      ++invalidations_;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void PlanCache::clear() {
-  map_.clear();
-  structural_declines_.clear();
-  key_scalars_.clear();
-  hits_ = misses_ = invalidations_ = 0;
-  shared_hits_ = 0;
 }
 
 }  // namespace f90d::exec

@@ -20,12 +20,12 @@
 //     stack machine — zero Expr-tree walks, zero DAD calls, zero map
 //     lookups per element.
 //
-// Plans are cached per processor in a PlanCache keyed on the statement id
-// plus the runtime scalars the plan bakes in (loop bounds, guard and
-// subscript scalars), mirroring the PARTI ScheduleCache.  Statements the
-// planner declines — PARTI gather/scatter, buffered writes, non-affine
-// subscripts — fall back to the tree walk; the decline itself is cached.
-#include <functional>
+// Plans are cached per processor in the statement plan cache
+// (exec/statement_plan.hpp) keyed on the statement id plus the runtime
+// scalars the plan bakes in (loop bounds, guard and subscript scalars),
+// mirroring the PARTI ScheduleCache.  Statements the planner declines —
+// PARTI gather/scatter, buffered writes, non-affine subscripts — go to the
+// irregular planner or the tree walk; the decline itself is cached.
 #include <memory>
 #include <mutex>
 #include <set>
@@ -158,7 +158,7 @@ struct ExecPlan {
   RefPlan lhs;
   Tape mask;                  ///< empty = unconditional
   Tape rhs;
-  /// Arrays whose storage the plan binds (PlanCache invalidation).
+  /// Arrays whose storage the plan binds (statement-cache invalidation).
   std::vector<std::string> arrays;
 };
 
@@ -176,22 +176,18 @@ struct PlanEntry {
 /// The names of every runtime scalar a statement's plan bakes in (loop
 /// bounds, guard subscripts, subscript runtime terms).  Static per
 /// statement — only the values change between executions — so callers
-/// memoize it (PlanCache::key_scalars).  Scalars that only appear in the
-/// mask/rhs are loaded through Value* slots at run time and do not key
-/// the plan.
+/// memoize it (StatementPlanCache::key_scalars).  Scalars that only appear
+/// in the mask/rhs are loaded through Value* slots at run time and do not
+/// key the plan.
 [[nodiscard]] std::vector<std::string> plan_key_scalars(
     const compile::SpmdStmt& s, const Env& env);
 
-/// Cache key: statement id plus the current values of `scalars`.  Values
-/// are recorded exactly as the planner bakes them (as_i), so equal keys
-/// imply equal plans.
-[[nodiscard]] std::string plan_key(const compile::SpmdStmt& s, const Env& env,
-                                   const std::vector<std::string>& scalars);
-
-/// Allocation-free twin: formats the same key into `out` (cleared first).
-/// Hot callers keep one scratch string per node — once its capacity has
-/// grown past the key length, warm DO-loop trips build their cache keys
-/// without touching the heap at all.
+/// The statement plan cache key: statement id plus the current values of
+/// `scalars`, formatted into `out` (cleared first).  Values are recorded
+/// exactly as the planner bakes them (as_i), so equal keys imply equal
+/// plans.  Allocation-free once `out`'s capacity has grown past the key
+/// length: hot callers keep one scratch string per node, so warm DO-loop
+/// trips build their keys without touching the heap.
 void plan_key_into(const compile::SpmdStmt& s, const Env& env,
                    const std::vector<std::string>& scalars, std::string& out);
 
@@ -221,9 +217,9 @@ struct PlanScratch {
 /// for every run of the same compiled artifact: structural declines (skip
 /// planning for good) and key-scalar name lists (skip plan_key_scalars).
 /// Entries are namespaced by a caller-chosen prefix — the artifact content
-/// hash plus a cache-family tag — so statement ids from different programs
-/// (and from the regular vs irregular planner) never collide.  Thread-safe
-/// with a shared-lock read path.
+/// hash — so statement ids from different programs never collide; one
+/// statement cache per node covers both planners, so one namespace per
+/// artifact suffices.  Thread-safe with a shared-lock read path.
 class SharedPlanMeta {
  public:
   struct Stats {
@@ -253,57 +249,6 @@ class SharedPlanMeta {
   std::unordered_map<std::string, std::vector<std::string>> scalars_;
   mutable std::mutex stats_mu_;
   mutable Stats stats_;
-};
-
-/// Per-processor plan cache, keyed like the PARTI ScheduleCache.  Also
-/// memoizes declines; structural declines are additionally indexed by
-/// statement id so the driver can bypass key construction entirely.
-class PlanCache {
- public:
-  const PlanEntry& get_or_build(int stmt_id, const std::string& key,
-                                const std::function<PlanEntry()>& build);
-
-  /// True when `stmt_id` was declined for reasons independent of runtime
-  /// scalar values (PARTI path, non-affine subscripts, ...).  Consults the
-  /// attached SharedPlanMeta on a local miss and pulls hits local.
-  [[nodiscard]] bool declined_structurally(int stmt_id) const;
-
-  /// Memoized plan_key_scalars result for `stmt_id` (the name list is
-  /// static per statement; only the formatted values change per call).
-  const std::vector<std::string>& key_scalars(
-      int stmt_id, const std::function<std::vector<std::string>()>& collect);
-
-  /// Drop every plan that binds `array`'s storage.  Must be called by any
-  /// operation that may replace the array's descriptor or storage
-  /// (redistribution / remapping); see docs/EXECUTION.md.
-  void invalidate_array(const std::string& array);
-
-  [[nodiscard]] int hits() const { return hits_; }
-  [[nodiscard]] int misses() const { return misses_; }
-  [[nodiscard]] int invalidations() const { return invalidations_; }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-  void clear();
-
-  /// Attach the cross-run metadata store (service mode).  `ns` namespaces
-  /// this cache's statement ids inside the store — pass the artifact hash
-  /// plus a family tag (e.g. "<hash>|plan").  Null detaches.
-  void set_shared(SharedPlanMeta* meta, std::string ns) {
-    shared_ = meta;
-    shared_ns_ = std::move(ns);
-  }
-  /// Lookups answered by the shared store instead of local analysis.
-  [[nodiscard]] int shared_hits() const { return shared_hits_; }
-
- private:
-  std::unordered_map<std::string, PlanEntry> map_;
-  mutable std::set<int> structural_declines_;
-  std::unordered_map<int, std::vector<std::string>> key_scalars_;
-  SharedPlanMeta* shared_ = nullptr;
-  std::string shared_ns_;
-  mutable int shared_hits_ = 0;
-  int hits_ = 0;
-  int misses_ = 0;
-  int invalidations_ = 0;
 };
 
 }  // namespace f90d::exec

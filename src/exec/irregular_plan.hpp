@@ -28,11 +28,8 @@
 // behaviour (a collective property) is identical no matter which path
 // runs the statement.  See docs/EXECUTION.md for the invalidation
 // contract.
-#include <functional>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/exec_plan.hpp"
@@ -81,17 +78,12 @@ struct IrregularPlan {
 using IrrPlanPtr = std::shared_ptr<const IrregularPlan>;
 
 /// Build outcome; mirrors PlanEntry.  A null plan falls back to the tree
-/// walk, `structural` declines are cached per statement id.
+/// walk; the statement plan cache memoizes the decline.
 struct IrrPlanEntry {
   IrrPlanPtr plan;
   std::string decline;
   bool structural = false;
 };
-
-/// Cache key: like plan_key but in the irregular cache's namespace.
-[[nodiscard]] std::string irregular_plan_key(
-    const compile::SpmdStmt& s, const Env& env,
-    const std::vector<std::string>& scalars);
 
 /// Lower one schedule-bearing kForall into an irregular plan, or decline
 /// (no schedule actions at all, schedule1-style reads, masked scatters).
@@ -113,48 +105,5 @@ void run_irregular_needs(const IrregularPlan& p, const IrrRead& read,
                                           PlanScratch& scratch,
                                           std::vector<double>& values,
                                           std::vector<Index>& dest_ids);
-
-/// Per-processor irregular-plan cache; method-for-method the PlanCache
-/// contract (memoized declines, structural-decline index, invalidation by
-/// bound array).
-class IrregularPlanCache {
- public:
-  const IrrPlanEntry& get_or_build(int stmt_id, const std::string& key,
-                                   const std::function<IrrPlanEntry()>& build);
-
-  [[nodiscard]] bool declined_structurally(int stmt_id) const;
-
-  const std::vector<std::string>& key_scalars(
-      int stmt_id, const std::function<std::vector<std::string>()>& collect);
-
-  /// Drop every plan that binds `array`'s storage or indexes through it.
-  void invalidate_array(const std::string& array);
-
-  [[nodiscard]] int hits() const { return hits_; }
-  [[nodiscard]] int misses() const { return misses_; }
-  [[nodiscard]] int invalidations() const { return invalidations_; }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-  void clear();
-
-  /// Attach the cross-run metadata store; use a distinct family tag from
-  /// the regular PlanCache (e.g. "<hash>|irr") — the two caches share the
-  /// statement-id space.
-  void set_shared(SharedPlanMeta* meta, std::string ns) {
-    shared_ = meta;
-    shared_ns_ = std::move(ns);
-  }
-  [[nodiscard]] int shared_hits() const { return shared_hits_; }
-
- private:
-  std::unordered_map<std::string, IrrPlanEntry> map_;
-  mutable std::set<int> structural_declines_;
-  std::unordered_map<int, std::vector<std::string>> key_scalars_;
-  SharedPlanMeta* shared_ = nullptr;
-  std::string shared_ns_;
-  mutable int shared_hits_ = 0;
-  int hits_ = 0;
-  int misses_ = 0;
-  int invalidations_ = 0;
-};
 
 }  // namespace f90d::exec

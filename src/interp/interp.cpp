@@ -8,12 +8,10 @@
 #include <sstream>
 
 #include "comm/grid_comm.hpp"
-#include "exec/comm_plan.hpp"
 #include "exec/exec_env.hpp"
 #include "exec/exec_plan.hpp"
-#include "exec/irregular_plan.hpp"
+#include "exec/statement_plan.hpp"
 #include "native/jit.hpp"
-#include "native/native_exec.hpp"
 #include "parti/schedule.hpp"
 #include "parti/schedule_cache.hpp"
 #include "rts/dist_array.hpp"
@@ -89,10 +87,11 @@ exec::MapResolver map_resolver(const Init& init) {
 
 // --- node program -------------------------------------------------------------
 // The node program is a thin driver over the exec layer: every FORALL is
-// first offered to the execution planner (exec/exec_plan.hpp) whose cached
-// plans run the strength-reduced loop nest; statements the planner declines
-// (PARTI gather/scatter, buffered writes, non-affine subscripts) fall back
-// to the tree walk below, which operates on the same exec::Env state.
+// first looked up in the statement plan cache (exec/statement_plan.hpp),
+// whose entries run the strength-reduced loop nest or the planned PARTI
+// inspector/executor; statements both planners decline (buffered concat
+// writes, schedule1 reads, non-affine subscripts) fall back to the tree
+// walk below, which operates on the same exec::Env state.
 
 class Node {
  public:
@@ -109,11 +108,8 @@ class Node {
     cache_.set_enabled(opt_.schedule_cache);
     if (opt_.schedule_session != nullptr)
       cache_.set_session(opt_.schedule_session, gc_.my_logical());
-    if (opt_.plan_meta != nullptr) {
-      // Distinct family tags: the two caches share the statement-id space.
-      plans_.set_shared(opt_.plan_meta, opt_.cache_prefix + "|plan");
-      irr_plans_.set_shared(opt_.plan_meta, opt_.cache_prefix + "|irr");
-    }
+    if (opt_.plan_meta != nullptr)
+      stmt_plans_.set_shared(opt_.plan_meta, opt_.cache_prefix);
     apply_init();
   }
 
@@ -530,64 +526,65 @@ class Node {
     return nullptr;
   }
 
-  /// Planned fast path: look up (or lazily build) this statement's
-  /// execution plan for the current runtime-scalar values and run it.
-  /// Returns false when the planner declined — the caller falls back to
-  /// the tree walk.  Structural declines are remembered per statement so
-  /// fallback statements skip key construction entirely.
+  /// Planned fast path: one statement-cache lookup per FORALL finds (or
+  /// lazily builds) this statement's plan for the current runtime-scalar
+  /// values and runs it.  Returns false when both planners declined — the
+  /// caller falls back to the tree walk.  Structural declines are
+  /// remembered per statement so fallback statements skip key
+  /// construction entirely.
   bool try_planned_forall(const SpmdStmt& s) {
     if (opt_.skeleton || !opt_.exec_plans) return false;
     // Unnumbered statements (hand-built programs that bypassed the driver)
     // have no stable cache identity: run them on the tree walk.
     if (s.stmt_id < 0) return false;
-    if (plans_.declined_structurally(s.stmt_id)) return false;
-    const std::vector<std::string>& key_names = plans_.key_scalars(
-        s.stmt_id, [&] { return exec::plan_key_scalars(s, env_); });
-    exec::plan_key_into(s, env_, key_names, key_scratch_);
-    const std::string& key = key_scratch_;
-    const exec::PlanEntry& entry = plans_.get_or_build(
-        s.stmt_id, key, [&] { return exec::build_exec_plan(s, env_); });
-    if (!entry.plan) return false;
-    // Pre-communication is collective and statement-scoped, not
-    // per-element: it runs through the same machinery as the tree walk —
-    // or, when comm plans are on, through cached compiled descriptors
-    // keyed by the same plan key (bit-identical messages and charges).
-    // (The planner admits no schedule-based read buffers, so the guarded
-    // iteration ranges those would need are not required here.)
-    if (opt_.comm_plans)
-      comm_plans_.run_pre(s, key, key_names);
-    else
-      run_pre_actions(s, {});
+    if (stmt_plans_.declined_structurally(s.stmt_id)) return false;
+    exec::plan_key_into(s, env_, key_names(s), key_scratch_);
+    exec::StatementPlan& entry = stmt_plans_.get_or_build(
+        s.stmt_id, key_scratch_, [this, &s] {
+          return exec::build_statement_plan(s, env_, comm_plans_,
+                                            key_names(s));
+        });
+    if (entry.plan) {
+      run_regular(s, entry);
+      return true;
+    }
+    if (entry.irregular) {
+      run_irregular(s, *entry.irregular);
+      return true;
+    }
+    return false;
+  }
+
+  const std::vector<std::string>& key_names(const SpmdStmt& s) {
+    return stmt_plans_.key_scalars(
+        s.stmt_id, [this, &s] { return exec::plan_key_scalars(s, env_); });
+  }
+
+  /// Regular entry: pre-communication through the entry's compiled comm
+  /// slots (bit-identical messages and charges to the tree walk's pre
+  /// actions), then the loop nest.  The planner admits no schedule-based
+  /// read buffers, so no guarded iteration ranges are needed here.
+  void run_regular(const SpmdStmt& s, exec::StatementPlan& entry) {
+    comm_plans_.run(s, entry.comm);
     // Backend ladder: native kernel when enabled and attachable, tape
     // interpreter otherwise.  Both return the same iteration count, so the
     // simulated cost charged below is identical either way.
     Index iters = -1;
-    if (opt_.native_backend) iters = native_.try_run(entry.plan);
+    if (opt_.native_backend)
+      iters = native_.try_run(*entry.plan, entry.native);
     if (iters < 0) iters = exec::run_exec_plan(*entry.plan, plan_scratch_);
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
-    return true;
   }
 
-  /// Planned PARTI inspector/executor: schedule-bearing foralls the
-  /// regular planner declines.  The plan replays the local iteration
-  /// space through compiled subscript tapes; the needs enumeration (the
-  /// inspector) only runs when the shared ScheduleCache misses, so
-  /// steady-state DO trips skip the subscript walk entirely.  Schedules,
-  /// gathers and scatters go through the exact same machinery as the
-  /// tree walk — same keys, same messages, same simulated cost.
-  bool try_irregular_forall(const SpmdStmt& s) {
-    if (opt_.skeleton || !opt_.exec_plans) return false;
-    if (s.stmt_id < 0) return false;
-    if (irr_plans_.declined_structurally(s.stmt_id)) return false;
-    const std::vector<std::string>& key_names = irr_plans_.key_scalars(
-        s.stmt_id, [&] { return exec::plan_key_scalars(s, env_); });
-    const exec::IrrPlanEntry& entry = irr_plans_.get_or_build(
-        s.stmt_id, exec::irregular_plan_key(s, env_, key_names),
-        [&] { return exec::build_irregular_plan(s, env_); });
-    if (!entry.plan) return false;
-    const exec::IrregularPlan& plan = *entry.plan;
-
+  /// Irregular entry: the planned PARTI inspector/executor.  The plan
+  /// replays the local iteration space through compiled subscript tapes;
+  /// the needs enumeration (the inspector) only runs when the shared
+  /// ScheduleCache misses, so steady-state DO trips skip the subscript
+  /// walk entirely.  Schedules, gathers and scatters go through the exact
+  /// same machinery as the tree walk — same keys, same messages, same
+  /// simulated cost.
+  void run_irregular(const SpmdStmt& s, const exec::IrregularPlan& plan) {
     // Non-schedule pre actions (ghost fills, broadcasts, slabs) run
     // through the tree walk's machinery in the tree walk's order: they
     // sort ahead of the schedule class, preserving source order among
@@ -615,7 +612,6 @@ class Node {
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
     run_post_actions(s, values, dest_ids);
-    return true;
   }
 
   /// Collective zero-trip test: FORALL bounds are replicated scalar
@@ -642,7 +638,6 @@ class Node {
     if (!s.refs.empty()) env_.bump_version(s.refs[0].array);
     if (globally_zero_trip(s)) return;
     if (try_planned_forall(s)) return;
-    if (try_irregular_forall(s)) return;
 
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
 
@@ -982,8 +977,7 @@ class Node {
     // Compiled executor first (pre-resolved offsets, pooled payloads);
     // falls back to the generic executor when the entry declines.  Both
     // produce identical buffers, messages and charges.
-    const bool compiled =
-        opt_.comm_plans && comm_plans_.execute_read(sched, ref.array, b);
+    const bool compiled = comm_plans_.execute_read(sched, ref.array, b);
     if (sm.type == ast::BaseType::kInteger) {
       if (!compiled)
         b.ivals = parti::execute_read(gc_, *sched, env_.iar.at(ref.array));
@@ -1137,10 +1131,8 @@ class Node {
             sched = build();
           }
           const Symbol& sm = env_.sym(lhs.array);
-          const bool compiled =
-              opt_.comm_plans &&
-              comm_plans_.execute_write(sched, lhs.array,
-                                        std::span<const double>(values));
+          const bool compiled = comm_plans_.execute_write(
+              sched, lhs.array, std::span<const double>(values));
           if (sm.type == ast::BaseType::kInteger) {
             if (!compiled) {
               std::vector<long long> iv(values.size());
@@ -1357,11 +1349,8 @@ class Node {
     // plans bound to it — and the PARTI schedules whose send/receive lists
     // were derived from it, whether as the data array or as an indirection
     // array feeding another statement's subscripts.
-    plans_.invalidate_array(s.dest_array);
-    irr_plans_.invalidate_array(s.dest_array);
-    native_.invalidate_array(s.dest_array);
+    stmt_plans_.invalidate_array(s.dest_array);
     cache_.invalidate_array(s.dest_array);
-    comm_plans_.invalidate_array(s.dest_array);
     env_.bump_version(s.dest_array);
   }
 
@@ -1371,26 +1360,29 @@ class Node {
     shared_.result.schedule_misses = cache_.misses();
     shared_.result.schedule_invalidations = cache_.invalidations();
     shared_.result.shared_schedule_hits = cache_.shared_hits();
-    shared_.result.shared_plan_hits =
-        plans_.shared_hits() + irr_plans_.shared_hits();
     shared_.result.schedules_built = schedules_built_;
     shared_.result.gather_bytes = gather_bytes_;
     shared_.result.scatter_bytes = scatter_bytes_;
-    shared_.result.plan_hits = plans_.hits();
-    shared_.result.plan_misses = plans_.misses();
-    shared_.result.plan_invalidations = plans_.invalidations();
-    shared_.result.irregular_hits = irr_plans_.hits();
-    shared_.result.irregular_misses = irr_plans_.misses();
-    shared_.result.irregular_invalidations = irr_plans_.invalidations();
+    // Statement-cache counters by entry kind.  Every regular entry owns
+    // its comm slots, so its hits/misses/drops are also comm-plan ones.
+    const exec::StatementPlanStats& ps = stmt_plans_.stats();
+    shared_.result.shared_plan_hits = ps.shared_hits;
+    shared_.result.plan_hits = ps.regular.hits;
+    shared_.result.plan_misses = ps.regular.misses;
+    shared_.result.plan_invalidations = ps.regular.invalidations;
+    shared_.result.irregular_hits = ps.irregular.hits;
+    shared_.result.irregular_misses = ps.irregular.misses;
+    shared_.result.irregular_invalidations = ps.irregular.invalidations;
     const native::NodeStats& ns = native_.stats();
     shared_.result.native_runs = ns.runs;
     shared_.result.native_attaches = ns.attaches;
     shared_.result.native_fallbacks = ns.fallbacks;
-    shared_.result.native_invalidations = ns.invalidations;
+    shared_.result.native_invalidations = ps.native_invalidations;
     const exec::CommPlanStats& cs = comm_plans_.stats();
-    shared_.result.comm_plan_hits = cs.hits;
-    shared_.result.comm_plan_misses = cs.misses;
-    shared_.result.comm_plan_invalidations = cs.invalidations;
+    shared_.result.comm_plan_hits = ps.regular.hits + cs.hits;
+    shared_.result.comm_plan_misses = ps.regular.misses + cs.misses;
+    shared_.result.comm_plan_invalidations =
+        ps.regular.invalidations + cs.invalidations;
     shared_.result.comm_plan_fast_bytes = cs.bytes_memcpy_fast_path;
     shared_.result.pool_reuses = proc_.stats().pool_reuses;
   }
@@ -1440,8 +1432,7 @@ class Node {
 
   exec::Env env_;
   exec::CommPlans comm_plans_;
-  exec::PlanCache plans_;
-  exec::IrregularPlanCache irr_plans_;
+  exec::StatementPlanCache stmt_plans_;
   exec::PlanScratch plan_scratch_;
   native::NativeExec native_;
   parti::ScheduleCache cache_;

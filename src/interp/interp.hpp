@@ -35,22 +35,17 @@ using rts::Index;
 struct RunOptions {
   bool skeleton = false;
   bool schedule_cache = true;
-  /// Compile FORALLs to cached execution plans (exec/exec_plan.hpp) before
-  /// running them; off forces the tree-walking fallback everywhere
-  /// (differential testing, ablation benches).  Skeleton mode never plans.
+  /// Compile FORALLs to cached statement plans (exec/statement_plan.hpp:
+  /// execution plan or irregular plan, plus compiled pre-communication)
+  /// before running them; off forces the tree-walking fallback everywhere,
+  /// the reference semantics for differential testing and ablation
+  /// benches.  Skeleton mode never plans.
   bool exec_plans = true;
   /// Lower cached plans further to JIT-compiled C++ node functions
   /// (src/native/) and run those; plans the lowerer declines — or every
   /// plan, when no toolchain is available — run on the tape interpreter
   /// exactly as with the flag off.  Requires exec_plans.
   bool native_backend = false;
-  /// Compile pre-communication actions and PARTI executors to cached
-  /// communication plans (exec/comm_plan.hpp): baked peers/offsets, strided
-  /// memcpy pack/unpack, pooled zero-copy payloads.  Message sizes, tags,
-  /// time charges and element values are identical either way; off forces
-  /// the tree-walking comm path (ablation, differential testing).  Only
-  /// active on planned statements (requires exec_plans).
-  bool comm_plans = true;
   /// Service mode: this run's collective view of the process-wide schedule
   /// store (src/parti/schedule_cache.hpp).  Per-run object owned by the
   /// caller; run_compiled calls finish() on it after the machine run so
@@ -98,20 +93,22 @@ struct ProgramResult {
   long long schedules_built = 0;
   long long gather_bytes = 0;
   long long scatter_bytes = 0;
-  /// Irregular-plan cache statistics (processor 0): planned-inspector
-  /// reuse across DO trips.
+  /// Statement-plan cache statistics (processor 0's cache; the caches are
+  /// per-processor but see the same statement sequence), split by entry
+  /// kind.  Irregular entries: planned-inspector reuse across DO trips.
   int irregular_hits = 0;
   int irregular_misses = 0;
   int irregular_invalidations = 0;
-  /// Execution-plan cache statistics (processor 0's cache; the caches are
-  /// per-processor but see the same statement sequence).
+  /// Regular entries (execution plans).  Memoized declines count in
+  /// neither family.
   int plan_hits = 0;
   int plan_misses = 0;
   int plan_invalidations = 0;
-  /// Native-backend statistics: processor 0's per-node counters, plus this
-  /// run's deltas of the process-global JIT cache (codegen-cache hits,
-  /// compiler invocations and wall time, dlopen count).  All zero unless
-  /// RunOptions::native_backend is set.
+  /// Native-backend statistics: processor 0's per-node counters (the
+  /// invalidations are dropped statement-cache entries that carried a
+  /// kernel attachment), plus this run's deltas of the process-global JIT
+  /// cache (codegen-cache hits, compiler invocations and wall time, dlopen
+  /// count).  All zero unless RunOptions::native_backend is set.
   long long native_runs = 0;
   long long native_attaches = 0;
   long long native_fallbacks = 0;
@@ -120,11 +117,12 @@ struct ProgramResult {
   long long native_compiles = 0;
   long long native_dlopens = 0;
   double native_compile_ms = 0;
-  /// Communication-plan statistics (processor 0): compiled comm actions and
-  /// PARTI executors served from / added to the CommPlans cache, plans
-  /// dropped by redistribute/remap invalidation, and payload bytes moved
-  /// through coalesced contiguous-memcpy pack/unpack runs.  All zero when
-  /// RunOptions::comm_plans is off (or no statement was planned).
+  /// Communication-plan statistics (processor 0): regular statement-cache
+  /// entries (each owns its compiled pre-communication) plus compiled
+  /// PARTI executors, served / built / dropped or rebuilt after a
+  /// redistribute/remap, and payload bytes moved through coalesced
+  /// contiguous-memcpy pack/unpack runs.  Tree-walk runs only count the
+  /// executors, which serve both paths.
   long long comm_plan_hits = 0;
   long long comm_plan_misses = 0;
   long long comm_plan_invalidations = 0;

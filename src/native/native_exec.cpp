@@ -1,7 +1,5 @@
 #include "native/native_exec.hpp"
 
-#include <algorithm>
-
 #include "native/jit.hpp"
 
 namespace f90d::native {
@@ -10,15 +8,19 @@ using exec::ExecPlan;
 using exec::RefPlan;
 using exec::Value;
 
-Index NativeExec::try_run(const exec::PlanPtr& plan) {
+Index NativeExec::try_run(const ExecPlan& plan,
+                          std::unique_ptr<Attachment>& slot) {
   // Degenerate plans (guarded out, empty nest, zero-trip level) are cheap
-  // on the interpreter and would only pollute the attachment map.
-  if (plan->masked_out || plan->loops.empty()) return -1;
-  for (const exec::PlanLoop& l : plan->loops)
+  // on the interpreter and never worth a compile.
+  if (plan.masked_out || plan.loops.empty()) return -1;
+  for (const exec::PlanLoop& l : plan.loops)
     if (l.count == 0) return -1;
 
-  auto it = map_.find(plan.get());
-  Attached& at = it != map_.end() ? it->second : attach(plan);
+  if (!slot) {
+    slot = std::make_unique<Attachment>();
+    attach(plan, *slot);
+  }
+  Attachment& at = *slot;
   if (at.fn == nullptr) {
     ++stats_.fallbacks;
     return -1;
@@ -50,20 +52,16 @@ Index NativeExec::try_run(const exec::PlanPtr& plan) {
   return at.iters;
 }
 
-NativeExec::Attached& NativeExec::attach(const exec::PlanPtr& plan) {
+void NativeExec::attach(const ExecPlan& p, Attachment& at) {
   ++stats_.attaches;
-  Attached& at = map_[plan.get()];
-  at.plan = plan;
-
   NativeCache& cache = NativeCache::instance();
-  if (!cache.available()) return at;  // fn stays null: permanent fallback
+  if (!cache.available()) return;  // fn stays null: permanent fallback
   std::string why;
-  std::optional<Lowered> low = lower_plan(*plan, &why);
-  if (!low) return at;
+  std::optional<Lowered> low = lower_plan(p, &why);
+  if (!low) return;
   at.fn = cache.get_or_compile(low->source);
-  if (at.fn == nullptr) return at;
+  if (at.fn == nullptr) return;
 
-  const ExecPlan& p = *plan;
   const size_t nv = p.loops.size();
   const size_t nr = p.refs.size();
   at.binds = std::move(low->scalars);
@@ -117,19 +115,6 @@ NativeExec::Attached& NativeExec::attach(const exec::PlanPtr& plan) {
 
   at.iters = 1;
   for (const exec::PlanLoop& l : p.loops) at.iters *= l.count;
-  return at;
-}
-
-void NativeExec::invalidate_array(const std::string& array) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    const std::vector<std::string>& arrays = it->second.plan->arrays;
-    if (std::find(arrays.begin(), arrays.end(), array) != arrays.end()) {
-      it = map_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace f90d::native

@@ -2,22 +2,24 @@
 // Per-node native execution: attach compiled kernels to cached ExecPlans
 // and run them through the parameterized KernelFn ABI.
 //
-// One NativeExec lives inside each simulated processor's node program,
-// mirroring its PlanCache.  Attachment happens lazily on the first run of
-// a plan: the plan is lowered (native/lower.hpp), compiled or fetched from
-// the process-global NativeCache (native/jit.hpp), and the call-time
-// argument vectors — loop parameters, strides, offset tables, storage
-// pointers, scalar slots — are packed once and reused every trip.
+// One NativeExec lives inside each simulated processor's node program.
+// The attachment itself is stored in the plan's statement-cache entry
+// (exec/statement_plan.hpp), so it lives and dies with the plan it binds.
+// Attachment happens lazily on the first native run of a plan: the plan
+// is lowered (native/lower.hpp), compiled or fetched from the
+// process-global NativeCache (native/jit.hpp), and the call-time argument
+// vectors — loop parameters, strides, offset tables, storage pointers,
+// scalar slots — are packed once and reused every trip.
 //
 // try_run() returns the iteration count exactly as run_exec_plan() would
 // (the caller charges simulated cost from it, which is what keeps native
 // and interpreted runs at equal simulated times), or -1 when the caller
 // must fall back to the tape interpreter: lowering declined, the
-// toolchain is unavailable, the compile failed (all memoized per plan),
-// or a runtime scalar changed kind since the kernel was compiled
-// (re-verified every call — bit-identity is never traded for speed).
-#include <map>
-#include <string>
+// toolchain is unavailable, the compile failed (all memoized in the
+// attachment), or a runtime scalar changed kind since the kernel was
+// compiled (re-verified every call — bit-identity is never traded for
+// speed).
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -33,48 +35,44 @@ struct NodeStats {
   long long runs = 0;         ///< kernel invocations
   long long attaches = 0;     ///< plans lowered+compiled (or declined) once
   long long fallbacks = 0;    ///< try_run calls answered with -1
-  long long invalidations = 0;///< attachments dropped by invalidate_array
+};
+
+/// A kernel attached to one ExecPlan: the compiled function and its packed
+/// call-time arguments.  Owned by the plan's statement-cache entry.
+struct Attachment {
+  KernelFn fn = nullptr; ///< nullptr = this plan permanently falls back
+  std::vector<ScalarBind> binds;
+  // Packed kernel arguments (see KernelFn in native/lower.hpp).
+  std::vector<long long> lp;
+  std::vector<const long long*> lv;
+  std::vector<void*> base;
+  std::vector<long long> rb;
+  std::vector<long long> st;
+  std::vector<const long long*> tb;
+  std::vector<double> ds;
+  std::vector<long long> is;
+  std::vector<unsigned char> ls;
+  /// Slab references: base[index] must be re-resolved from the Buf's
+  /// current payload every call — communication actions replace the
+  /// vector (and therefore the data pointer) between trips.
+  std::vector<std::pair<size_t, exec::Buf*>> slabs;
+  Index iters = 0;       ///< product of loop counts
 };
 
 class NativeExec {
  public:
-  /// Run `plan` natively if possible.  Returns the executed iteration
-  /// count (mask-rejected iterations included, like run_exec_plan), or
-  /// -1 when the caller must use the tape interpreter instead.
-  Index try_run(const exec::PlanPtr& plan);
-
-  /// Drop every attachment whose plan binds `array`'s storage.  Must
-  /// mirror PlanCache::invalidate_array: a redistributed or remapped
-  /// array invalidates the baked base pointers and offset recurrences.
-  void invalidate_array(const std::string& array);
+  /// Run `plan` natively if possible, attaching it into `slot` on first
+  /// use.  Returns the executed iteration count (mask-rejected iterations
+  /// included, like run_exec_plan), or -1 when the caller must use the
+  /// tape interpreter instead.  `slot` must live exactly as long as the
+  /// plan: it holds pointers into the plan's loop and offset tables.
+  Index try_run(const exec::ExecPlan& plan, std::unique_ptr<Attachment>& slot);
 
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
 
  private:
-  struct Attached {
-    exec::PlanPtr plan;    ///< keeps the keying raw pointer alive
-    KernelFn fn = nullptr; ///< nullptr = this plan permanently falls back
-    std::vector<ScalarBind> binds;
-    // Packed kernel arguments (see KernelFn in native/lower.hpp).
-    std::vector<long long> lp;
-    std::vector<const long long*> lv;
-    std::vector<void*> base;
-    std::vector<long long> rb;
-    std::vector<long long> st;
-    std::vector<const long long*> tb;
-    std::vector<double> ds;
-    std::vector<long long> is;
-    std::vector<unsigned char> ls;
-    /// Slab references: base[index] must be re-resolved from the Buf's
-    /// current payload every call — communication actions replace the
-    /// vector (and therefore the data pointer) between trips.
-    std::vector<std::pair<size_t, exec::Buf*>> slabs;
-    Index iters = 0;       ///< product of loop counts
-  };
+  void attach(const exec::ExecPlan& plan, Attachment& at);
 
-  Attached& attach(const exec::PlanPtr& plan);
-
-  std::map<const exec::ExecPlan*, Attached> map_;
   NodeStats stats_;
 };
 

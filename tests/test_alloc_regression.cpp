@@ -1,9 +1,11 @@
 // Steady-state allocation regression guard: warm DO-loop trips of the
-// planned jacobi path must not allocate at all.  Message payloads are
-// pooled (machine::PayloadPool), communication plans bake their descriptors
-// on the first trip, plan keys format into a reused buffer, and the
-// interpreted copy odometer runs on a stack array — so the per-trip
-// heap-allocation slope of a warm loop is exactly zero.  A regression that
+// planned jacobi path — tape interpreter and native kernels alike — must
+// not allocate at all.  Message payloads are pooled (machine::PayloadPool),
+// communication plans bake their descriptors on the first trip, plan keys
+// format into a reused buffer, native kernels are found through their
+// statement-cache entry, and the interpreted copy odometer runs on a stack
+// array — so the per-trip heap-allocation slope of a warm loop is exactly
+// zero.  A regression that
 // re-introduces per-message (or even per-statement) allocation shows up as
 // a positive slope and trips this test.
 //
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "harness.hpp"
+#include "native/jit.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define F90D_ALLOC_COUNTING 0
@@ -74,18 +77,19 @@ using interp::Index;
 struct Measured {
   long long allocs = 0;
   long long messages = 0;
+  long long native_runs = 0;
 };
 
-Measured run_jacobi_counted(int iters) {
+Measured run_jacobi_counted(int iters, const interp::RunOptions& ro = {}) {
   interp::Init init;
   init.real["A"] = [](std::span<const Index> g) {
     return harness::jacobi_entry(g[0], g[1]);
   };
   const std::string src = apps::jacobi_source(16, 2, 2, iters, "BLOCK");
   const long long a0 = g_allocs.load();
-  auto r = harness::run_source(src, init);
+  auto r = harness::run_source(src, init, ro);
   return {g_allocs.load() - a0,
-          static_cast<long long>(r.machine.total_messages())};
+          static_cast<long long>(r.machine.total_messages()), r.native_runs};
 }
 
 TEST(AllocRegression, WarmJacobiTripsDoNotAllocatePerMessage) {
@@ -106,6 +110,28 @@ TEST(AllocRegression, WarmJacobiTripsDoNotAllocatePerMessage) {
   // the two runs, so the slope can dip a few allocations negative; any
   // positive slope means the warm path allocates again.
   EXPECT_LE(allocs_per_trip, 0) << "warm trips allocate again";
+}
+
+TEST(AllocRegression, WarmNativeJacobiTripsDoNotAllocate) {
+  if (!native::NativeCache::instance().available())
+    GTEST_SKIP() << "no native toolchain: every plan runs on the tape";
+  interp::RunOptions ro;
+  ro.native_backend = true;
+  const int kCold = 2, kHot = 12, kExtra = kHot - kCold;
+  // Prime the process-global JIT cache so neither measured run compiles.
+  (void)run_jacobi_counted(kCold, ro);
+  const Measured cold = run_jacobi_counted(kCold, ro);
+  const Measured hot = run_jacobi_counted(kHot, ro);
+
+  const long long msgs_per_trip = (hot.messages - cold.messages) / kExtra;
+  const long long allocs_per_trip = (hot.allocs - cold.allocs) / kExtra;
+  RecordProperty("allocs_per_trip", std::to_string(allocs_per_trip));
+
+  ASSERT_GT(msgs_per_trip, 0);
+  ASSERT_GT(hot.native_runs, cold.native_runs);
+  // Warm trips find the kernel attachment in the statement's cache entry
+  // and reuse its packed argument vectors.
+  EXPECT_LE(allocs_per_trip, 0) << "warm native trips allocate again";
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // plan-off (tree walk) sweeps that must be bit-identical, edge cases
 // (zero-trip DO, P > N, enumerated CYCLIC(k) bounds, masked FORALL),
 // plan-cache reuse across DO-loop trips, the redistribution invalidation
-// contract, and the PARTI fallback.
+// contract, the PARTI fallback, and the statement plan cache's entry,
+// decline and shared-namespace rules.
 #include <gtest/gtest.h>
 
 #include "exec/exec_plan.hpp"
+#include "exec/statement_plan.hpp"
 #include "harness.hpp"
 
 namespace f90d {
@@ -120,39 +122,6 @@ TEST(ExecPlanCache, DisabledRunsCollectNoPlanStats) {
   auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", plans_off());
   EXPECT_EQ(r.plan_hits, 0);
   EXPECT_EQ(r.plan_misses, 0);
-}
-
-TEST(ExecPlanCache, InvalidateArrayDropsBoundPlans) {
-  exec::PlanCache cache;
-  auto entry_for = [](std::vector<std::string> arrays) {
-    auto plan = std::make_shared<exec::ExecPlan>();
-    plan->arrays = std::move(arrays);
-    return exec::PlanEntry{plan, {}, false};
-  };
-  (void)cache.get_or_build(1, "k1", [&] { return entry_for({"A", "B"}); });
-  (void)cache.get_or_build(2, "k2", [&] { return entry_for({"C"}); });
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.size(), 2u);
-
-  (void)cache.get_or_build(1, "k1", [&] { return entry_for({}); });
-  EXPECT_EQ(cache.hits(), 1);
-
-  cache.invalidate_array("B");
-  EXPECT_EQ(cache.invalidations(), 1);
-  EXPECT_EQ(cache.size(), 1u);  // k1 dropped, k2 (binds only C) survives
-
-  // Re-lookup of the invalidated key rebuilds.
-  (void)cache.get_or_build(1, "k1", [&] { return entry_for({"A", "B"}); });
-  EXPECT_EQ(cache.misses(), 3);
-}
-
-TEST(ExecPlanCache, StructuralDeclineRemembered) {
-  exec::PlanCache cache;
-  (void)cache.get_or_build(7, "k7", [] {
-    return exec::PlanEntry{nullptr, "buffered lhs", /*structural=*/true};
-  });
-  EXPECT_TRUE(cache.declined_structurally(7));
-  EXPECT_FALSE(cache.declined_structurally(8));
 }
 
 TEST(ExecPlanCache, ArrayIntrinsicInvalidatesEndToEnd) {
@@ -313,6 +282,164 @@ TEST(ExecPlanEdges, JacobiPlansAreUsed) {
   EXPECT_GT(r.plan_hits, 0);
   auto g = harness::run_gauss(16, 4, "BLOCK", plans_on());
   EXPECT_GT(g.plan_misses, 0);
+}
+
+// --- the statement plan cache (exec/statement_plan.hpp) ----------------------
+
+exec::StatementPlan regular_entry(std::vector<std::string> plan_arrays,
+                                  std::vector<std::string> comm_arrays = {}) {
+  exec::StatementPlan e;
+  auto plan = std::make_shared<exec::ExecPlan>();
+  plan->arrays = std::move(plan_arrays);
+  e.plan = plan;
+  e.comm.arrays = std::move(comm_arrays);
+  return e;
+}
+
+TEST(StatementPlanCache, InvalidateArrayDropsWholeEntry) {
+  exec::StatementPlanCache cache;
+  // k1: the exec plan binds A, only the comm slots bind B.
+  exec::StatementPlan& e1 = cache.get_or_build(
+      1, "k1", [] { return regular_entry({"A"}, {"B"}); });
+  e1.native = std::make_unique<native::Attachment>();  // a first native run
+  const std::weak_ptr<const exec::ExecPlan> plan1 = e1.plan;
+  (void)cache.get_or_build(2, "k2", [] { return regular_entry({"C"}); });
+  (void)cache.get_or_build(3, "k3", [] {
+    exec::StatementPlan e;
+    auto irr = std::make_shared<exec::IrregularPlan>();
+    irr->core.arrays = {"D"};
+    e.irregular = irr;
+    return e;
+  });
+  (void)cache.get_or_build(1, "k1", [] { return regular_entry({}); });
+  EXPECT_EQ(cache.stats().regular.misses, 2);
+  EXPECT_EQ(cache.stats().regular.hits, 1);
+  EXPECT_EQ(cache.stats().irregular.misses, 1);
+  EXPECT_EQ(cache.size(), 3u);
+
+  // An array bound only by the comm slots drops the whole entry — plan,
+  // comm slots and native attachment — and counts it once.
+  cache.invalidate_array("B");
+  EXPECT_EQ(cache.stats().regular.invalidations, 1);
+  EXPECT_EQ(cache.stats().native_invalidations, 1);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_TRUE(plan1.expired());
+
+  // Re-lookup rebuilds; an array bound only by the exec plan drops it too.
+  (void)cache.get_or_build(1, "k1", [] { return regular_entry({"A"}); });
+  EXPECT_EQ(cache.stats().regular.misses, 3);
+  cache.invalidate_array("A");
+  EXPECT_EQ(cache.stats().regular.invalidations, 2);
+  EXPECT_EQ(cache.stats().native_invalidations, 1);  // no attachment this time
+  EXPECT_EQ(cache.size(), 2u);
+
+  // Irregular entries follow the same rule through their core plan.
+  cache.invalidate_array("D");
+  EXPECT_EQ(cache.stats().irregular.invalidations, 1);
+  EXPECT_EQ(cache.size(), 1u);  // k2 (binds only C) survives
+}
+
+TEST(StatementPlanCache, StructuralDeclineRecordedOnce) {
+  // B(2*I+1) is a schedule1 read: the regular planner declines it
+  // (schedule-based read buffer) and so does the irregular one (peer-range
+  // enumeration), both independently of runtime scalars.
+  const std::string src = edge_prelude(16, 4, "BLOCK") +
+                          R"(      DO IT = 1, 3
+        FORALL (I = 1:7) A(I) = B(2*I + 1)
+      END DO
+      END PROGRAM EDGE
+)";
+  auto compiled = compile::compile_source(src);
+  const compile::SpmdStmt* forall = nullptr;
+  auto find = [&](const compile::SpmdStmt& s, auto&& self) -> void {
+    if (s.kind == compile::SpmdKind::kForall) forall = &s;
+    for (const compile::SpmdStmtPtr& b : s.body) self(*b, self);
+  };
+  for (const compile::SpmdStmtPtr& s : compiled.program.body) find(*s, find);
+  ASSERT_NE(forall, nullptr);
+  const compile::SpmdStmt& s = *forall;
+
+  struct Counts {
+    int builds = 0, collects = 0, skipped = 0;
+    exec::StatementPlanStats stats;
+    std::string decline;
+  };
+  std::vector<Counts> per_rank(4);
+  machine::SimMachine m = harness::make_machine(4);
+  (void)m.run([&](machine::Proc& proc) {
+    comm::GridComm gc(proc, compiled.mapping.grid);
+    exec::Env env(compiled, gc);
+    exec::CommPlans comm(env, {}, false);
+    exec::StatementPlanCache cache;
+    Counts& c = per_rank[static_cast<size_t>(proc.rank())];
+    // The interpreter's lookup sequence, one pass per DO trip.
+    for (int trip = 0; trip < 3; ++trip) {
+      if (cache.declined_structurally(s.stmt_id)) {
+        ++c.skipped;
+        continue;
+      }
+      const std::vector<std::string>& names =
+          cache.key_scalars(s.stmt_id, [&] {
+            ++c.collects;
+            return exec::plan_key_scalars(s, env);
+          });
+      std::string key;
+      exec::plan_key_into(s, env, names, key);
+      const exec::StatementPlan& e = cache.get_or_build(s.stmt_id, key, [&] {
+        ++c.builds;
+        return exec::build_statement_plan(s, env, comm, names);
+      });
+      c.decline = e.decline;
+    }
+    c.stats = cache.stats();
+  });
+  for (const Counts& c : per_rank) {
+    EXPECT_EQ(c.builds, 1) << c.decline;
+    EXPECT_EQ(c.collects, 1);
+    EXPECT_EQ(c.skipped, 2);  // later trips skip key construction entirely
+    EXPECT_EQ(c.stats.declined.misses, 1);
+    EXPECT_EQ(c.stats.declined.hits, 0);
+    EXPECT_EQ(c.stats.regular.misses + c.stats.irregular.misses, 0);
+  }
+}
+
+TEST(StatementPlanCache, SharedMetaUsesOneNamespacePerArtifact) {
+  exec::SharedPlanMeta meta;
+  int collects = 0;
+  auto collect = [&] {
+    ++collects;
+    return std::vector<std::string>{"K", "N"};
+  };
+  {
+    exec::StatementPlanCache cache;
+    cache.set_shared(&meta, "artifact-1");
+    (void)cache.key_scalars(4, collect);
+    (void)cache.get_or_build(7, "k7", [] {
+      exec::StatementPlan e;
+      e.decline = "both planners";
+      e.structural = true;
+      return e;
+    });
+  }
+  // One record per statement under the artifact's single namespace.
+  EXPECT_EQ(meta.size(), 2u);
+  EXPECT_EQ(meta.stats().installs, 2);
+
+  // A later run of the same artifact answers both from the store.
+  exec::StatementPlanCache warm;
+  warm.set_shared(&meta, "artifact-1");
+  EXPECT_TRUE(warm.declined_structurally(7));
+  EXPECT_EQ(warm.key_scalars(4, collect),
+            (std::vector<std::string>{"K", "N"}));
+  EXPECT_EQ(collects, 1);
+  EXPECT_EQ(warm.stats().shared_hits, 2);
+
+  // Another artifact's statement ids never collide with them.
+  exec::StatementPlanCache other;
+  other.set_shared(&meta, "artifact-2");
+  EXPECT_FALSE(other.declined_structurally(7));
+  (void)other.key_scalars(4, collect);
+  EXPECT_EQ(collects, 2);
 }
 
 }  // namespace
