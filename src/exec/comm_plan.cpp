@@ -218,11 +218,18 @@ void call_index_kernel(native::KernelFn f, Index n, void* storage, void* buf,
 
 }  // namespace
 
-native::KernelFn CommPlans::kernel(const std::string& source) const {
+native::KernelFn CommPlans::copy_kernel(int levels, bool pack) const {
   if (!use_native_) return nullptr;
-  native::NativeCache& cache = native::NativeCache::instance();
-  if (!cache.available()) return nullptr;
-  return cache.get_or_compile(source);
+  return native::NativeCache::instance().get_or_compile(
+      native::copy_kernel_key(levels, pack),
+      [=] { return native::lower_copy_kernel(levels, pack); });
+}
+
+native::KernelFn CommPlans::index_kernel(bool gather, bool cast_d2i) const {
+  if (!use_native_) return nullptr;
+  return native::NativeCache::instance().get_or_compile(
+      native::index_kernel_key(gather, cast_d2i),
+      [=] { return native::lower_index_kernel(gather, cast_d2i); });
 }
 
 void CommPlans::run_copy(const CopyDesc& d, char* storage, std::byte* buf,
@@ -315,10 +322,10 @@ bool CommPlans::build_shift(const CommAction& a, const RefInfo& ref,
   const int src = gc.coord(out.grid_dim) - out.offset;
   out.expect_recv = n > 1 && src >= 0 && src < n;
 
-  out.pack_kernel = kernel(native::lower_copy_kernel(
-      static_cast<int>(out.pack.counts.size()), /*pack=*/true));
-  out.unpack_kernel = kernel(native::lower_copy_kernel(
-      static_cast<int>(out.unpack.counts.size()), /*pack=*/false));
+  out.pack_kernel =
+      copy_kernel(static_cast<int>(out.pack.counts.size()), /*pack=*/true);
+  out.unpack_kernel =
+      copy_kernel(static_cast<int>(out.unpack.counts.size()), /*pack=*/false);
   return true;
 }
 
@@ -690,9 +697,9 @@ CommPlans::SchedEntry* CommPlans::sched_entry(const parti::SchedulePtr& sched,
 
   if (!index_kernels_ready_) {
     index_kernels_ready_ = true;
-    gather8_ = kernel(native::lower_index_kernel(/*gather=*/true, false));
-    scatter8_ = kernel(native::lower_index_kernel(/*gather=*/false, false));
-    gather_d2i_ = kernel(native::lower_index_kernel(/*gather=*/true, true));
+    gather8_ = index_kernel(/*gather=*/true, false);
+    scatter8_ = index_kernel(/*gather=*/false, false);
+    gather_d2i_ = index_kernel(/*gather=*/true, true);
   }
 
   const bool ready = write ? e.write_ready : e.read_ready;

@@ -125,6 +125,8 @@ class CommPlans {
     std::vector<std::string> arrays;  ///< storage the slots bake (invalidation)
   };
 
+  /// `use_native`: run copies through native kernels.  The caller checks
+  /// NativeCache::available() (once per run) before passing true.
   CommPlans(Env& env, CommHooks hooks, bool use_native)
       : env_(&env), hooks_(std::move(hooks)), use_native_(use_native) {}
 
@@ -248,9 +250,11 @@ class CommPlans {
   /// otherwise unpacks buf->storage.
   void run_copy(const CopyDesc& d, char* storage, std::byte* buf,
                 bool to_buffer, native::KernelFn kernel);
-  /// Compile a comm kernel through the process-global NativeCache, or null
-  /// when the native backend is off / unavailable / declined the source.
-  native::KernelFn kernel(const std::string& source) const;
+  /// A comm kernel from the process-global NativeCache (its text is only
+  /// generated the first time the process sees its key), or null when the
+  /// native backend is off for this run or the compile failed.
+  native::KernelFn copy_kernel(int levels, bool pack) const;
+  native::KernelFn index_kernel(bool gather, bool cast_d2i) const;
 
   Env* env_;
   CommHooks hooks_;

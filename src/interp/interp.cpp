@@ -58,6 +58,9 @@ struct VarRange {
 
 struct Shared {
   std::mutex mu;
+  /// Native kernels usable this run: RunOptions::native_backend and a
+  /// working toolchain, checked once per run rather than per attach.
+  bool native = false;
   ProgramResult result;
   /// Program-only clock/stats snapshots, taken before the (instrumentation)
   /// result-gathering phase so timings exclude it.
@@ -104,7 +107,8 @@ class Node {
         opt_(opt),
         shared_(shared),
         env_(c, gc_, map_resolver(init)),
-        comm_plans_(env_, make_comm_hooks(), opt.native_backend) {
+        comm_plans_(env_, make_comm_hooks(), shared.native),
+        native_(shared.native) {
     cache_.set_enabled(opt_.schedule_cache);
     if (opt_.schedule_session != nullptr)
       cache_.set_session(opt_.schedule_session, gc_.my_logical());
@@ -1085,22 +1089,37 @@ class Node {
             if (values.empty()) blk.clear();  // nothing to contribute
           }
           gc_.concat_tree<double>(blk);
+          // Resolve the destination's typed storage once per action; each
+          // element keeps write_element's as_d/as_i/as_b conversion.
+          rts::DistArray<double>* dst_d = nullptr;
+          rts::DistArray<long long>* dst_i = nullptr;
+          rts::DistArray<unsigned char>* dst_l = nullptr;
+          switch (env_.sym(lhs.array).type) {
+            case ast::BaseType::kReal: dst_d = &env_.dar.at(lhs.array); break;
+            case ast::BaseType::kInteger: dst_i = &env_.iar.at(lhs.array); break;
+            case ast::BaseType::kLogical: dst_l = &env_.lar.at(lhs.array); break;
+          }
           std::vector<Index> g;
           size_t pos = 0;
           while (pos < blk.size()) {
             const size_t nruns = static_cast<size_t>(blk[pos++]);
-            std::vector<std::pair<Index, Index>> runs(nruns);
-            for (size_t rr = 0; rr < nruns; ++rr) {
-              runs[rr].first = static_cast<Index>(blk[pos]);
-              runs[rr].second = static_cast<Index>(blk[pos + 1]);
-              pos += 2;
-            }
-            for (const auto& [start, count] : runs) {
+            size_t vpos = pos + 2 * nruns;  // values follow the run table
+            for (size_t rr = 0; rr < nruns; ++rr, pos += 2) {
+              const Index start = static_cast<Index>(blk[pos]);
+              const Index count = static_cast<Index>(blk[pos + 1]);
               for (Index k = 0; k < count; ++k) {
                 rts::unflatten_global(dad, start + k, g);
-                env_.write_element(lhs.array, g, Value::real(blk[pos++]));
+                const Value v = Value::real(blk[vpos++]);
+                if (dst_d != nullptr)
+                  dst_d->at_global(g) = v.as_d();
+                else if (dst_i != nullptr)
+                  dst_i->at_global(g) = v.as_i();
+                else
+                  dst_l->at_global(g) =
+                      static_cast<unsigned char>(v.as_b() ? 1 : 0);
               }
             }
+            pos = vpos;
           }
           break;
         }
@@ -1462,8 +1481,11 @@ ProgramResult run_compiled(const compile::Compiled& compiled,
   shared.clock_snapshot.assign(static_cast<size_t>(machine.nprocs()), 0.0);
   shared.stats_snapshot.assign(static_cast<size_t>(machine.nprocs()),
                                machine::ProcStats{});
-  // The JIT cache is process-global; report this run's share as deltas.
+  // The JIT cache is process-global; report this run's share as deltas
+  // (the first run's share includes the one-time toolchain probe).
   const native::JitStats jit0 = native::NativeCache::instance().stats();
+  shared.native =
+      options.native_backend && native::NativeCache::instance().available();
   machine::RunResult mr = machine.run([&](machine::Proc& proc) {
     Node node(compiled, proc, init, options, shared);
     node.run();

@@ -13,7 +13,7 @@ namespace f90d::native {
 namespace {
 
 /// FNV-1a over the source: names the scratch files only (the cache map is
-/// keyed by the full text, so collisions here are harmless).
+/// keyed by the structural key, so collisions here are harmless).
 unsigned long long fnv1a(const std::string& s) {
   unsigned long long h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -50,34 +50,29 @@ bool NativeCache::available() {
   return ensure_probe();
 }
 
-KernelFn NativeCache::get_or_compile(const std::string& source) {
-  if (!ensure_probe()) return nullptr;
+KernelFn NativeCache::get_or_compile(const std::string& key,
+                                     const SourceFn& generate) {
   {
     std::shared_lock lk(mu_);
-    auto it = map_.find(source);
+    auto it = map_.find(key);
     if (it != map_.end()) {
-      const KernelFn fn = it->second;
-      lk.unlock();
-      std::lock_guard slk(stats_mu_);
-      ++stats_.cache_hits;
-      return fn;
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
     }
   }
-  // Cold path: register (or join) the in-flight record for this source,
-  // then compile with no cache lock held so distinct sources overlap.
+  if (!ensure_probe()) return nullptr;
+  // Cold path: register (or join) the in-flight record for this key, then
+  // generate and compile with no cache lock held so distinct keys overlap.
   std::shared_ptr<Inflight> fl;
   bool owner = false;
   {
     std::unique_lock lk(mu_);
-    auto it = map_.find(source);
+    auto it = map_.find(key);
     if (it != map_.end()) {
-      const KernelFn fn = it->second;
-      lk.unlock();
-      std::lock_guard slk(stats_mu_);
-      ++stats_.cache_hits;
-      return fn;
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
     }
-    auto [fit, inserted] = inflight_.try_emplace(source);
+    auto [fit, inserted] = inflight_.try_emplace(key);
     if (inserted) {
       fit->second = std::make_shared<Inflight>();
       owner = true;
@@ -93,11 +88,16 @@ KernelFn NativeCache::get_or_compile(const std::string& source) {
     ++stats_.coalesced;
     return fn;
   }
-  const KernelFn fn = compile(source);
+  const std::string source = generate();
+  {
+    std::lock_guard slk(stats_mu_);
+    ++stats_.lowerings;
+  }
+  const KernelFn fn = source.empty() ? nullptr : compile(source);
   {
     std::unique_lock lk(mu_);
-    map_.emplace(source, fn);
-    inflight_.erase(source);
+    map_.emplace(key, fn);
+    inflight_.erase(key);
   }
   {
     std::lock_guard wl(fl->m);
@@ -110,7 +110,9 @@ KernelFn NativeCache::get_or_compile(const std::string& source) {
 
 JitStats NativeCache::stats() {
   std::lock_guard lk(stats_mu_);
-  return stats_;
+  JitStats s = stats_;
+  s.cache_hits = hits_.load(std::memory_order_relaxed);
+  return s;
 }
 
 std::size_t NativeCache::handle_count() {

@@ -1,27 +1,31 @@
 #pragma once
-// NativeCache: turn lowered kernel sources into callable function pointers.
+// NativeCache: turn kernel keys into callable function pointers.
 //
 // The cache is process-global (one compiler invocation serves every
 // simulated processor, every DO trip, and every run in the process) and
-// keyed by the complete source text — lower_plan() emits byte-identical
-// text for structurally identical plans, so the key needs no hashing and
-// cannot collide.  A content hash is used only to name the scratch files.
+// holds one map: structural kernel key -> KernelFn.  Plan kernels are keyed
+// by plan_shape() (native/lower.hpp), the comm copy/index kernels by tiny
+// keys such as "copy/2/1".  The caller passes a generator with the key and
+// the C++ text is produced only when the key misses — once per key per
+// process (JitStats::lowerings) — so a warm lookup never prints source.
+// A content hash of the text is used only to name the scratch files.
 //
-// Failures are memoized too: a source that failed to compile (or a probe
-// that showed no usable toolchain) never retries, so a broken environment
-// costs one attempt and then behaves exactly like F90D_NATIVE=OFF.
+// Failures are memoized too: a key whose generator declined (empty text) or
+// whose text failed to compile never retries, and a probe that showed no
+// usable toolchain makes the backend behave exactly like F90D_NATIVE=OFF.
 //
 // Thread-safety (service mode: many worker threads attach concurrently):
-//   * the memo map is read under a shared lock — warm requests never
-//     serialize on each other;
-//   * a cold source registers an in-flight record under the exclusive
-//     lock and compiles OUTSIDE any cache lock, so two distinct sources
-//     compile concurrently; a second thread asking for the same source
-//     while it compiles blocks on that record and reuses the one result
+//   * the map is read under a shared lock, and a hit only bumps an atomic
+//     counter — warm requests never serialize on each other;
+//   * a cold key registers an in-flight record under the exclusive lock
+//     and generates + compiles OUTSIDE any cache lock, so two distinct keys
+//     compile concurrently; a second thread asking for the same key while
+//     it compiles blocks on that record and reuses the one result
 //     (JitStats::coalesced counts these);
 //   * dlopen handles are kept in a table (never dlclose'd — cached
 //     KernelFn pointers live for the process, like the cache itself);
-//   * statistics live behind their own mutex and are snapshotted whole.
+//   * the miss-path statistics live behind their own mutex and are
+//     snapshotted whole.
 //
 // Requirements and switches:
 //   * CMake bakes the configure-time compiler path in as F90D_NATIVE_CXX;
@@ -32,6 +36,7 @@
 //     kill-switch; generated objects are built uninstrumented).
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -47,6 +52,7 @@ namespace f90d::native {
 /// layer snapshots deltas around each machine run for per-run reporting).
 struct JitStats {
   long long cache_hits = 0;  ///< get_or_compile served from the map
+  long long lowerings = 0;   ///< kernel texts generated (one per key)
   long long compiles = 0;    ///< compiler invocations that produced a .so
   long long failures = 0;    ///< compiler invocations that did not
   long long dlopens = 0;
@@ -63,8 +69,14 @@ class NativeCache {
   /// of the system compiler succeeded.
   bool available();
 
-  /// The compiled kernel for `source`, or nullptr (memoized) on failure.
-  KernelFn get_or_compile(const std::string& source);
+  /// Generates a missed key's kernel source; an empty string declines.
+  using SourceFn = std::function<std::string()>;
+
+  /// The compiled kernel for `key`, or nullptr (memoized) when the
+  /// generator declined or the compile failed.  `generate` runs only when
+  /// the key is not cached yet (and not being compiled by another thread).
+  /// Callers check available() first; a hit does not re-check it.
+  KernelFn get_or_compile(const std::string& key, const SourceFn& generate);
 
   JitStats stats();
 
@@ -90,11 +102,12 @@ class NativeCache {
   bool ensure_dir();
 
   std::shared_mutex mu_;  ///< guards map_ and inflight_
-  std::unordered_map<std::string, KernelFn> map_;
+  std::unordered_map<std::string, KernelFn> map_;  ///< key -> kernel
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
 
+  std::atomic<long long> hits_{0};  ///< warm path: no mutex
   std::mutex stats_mu_;
-  JitStats stats_;
+  JitStats stats_;  ///< everything but cache_hits
 
   std::mutex handles_mu_;
   std::vector<void*> handles_;  ///< intentionally never dlclose'd

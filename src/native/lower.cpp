@@ -1,8 +1,9 @@
 #include "native/lower.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <map>
+#include <cstring>
 #include <sstream>
 
 namespace f90d::native {
@@ -47,9 +48,152 @@ struct Tmp {
   K k = K::kD;
 };
 
+// --- structural key ----------------------------------------------------------
+// Fixed-width fields in a fixed order: each field's width follows from the
+// fields before it, so two different structures never encode alike.
+
+void put8(std::string& k, unsigned v) { k.push_back(static_cast<char>(v)); }
+
+void put32(std::string& k, long long v) {
+  const auto u = static_cast<std::uint32_t>(v);
+  char b[4];
+  std::memcpy(b, &u, 4);
+  k.append(b, 4);
+}
+
+void put64(std::string& k, std::uint64_t v) {
+  char b[8];
+  std::memcpy(b, &v, 8);
+  k.append(b, 8);
+}
+
+/// A reference's storage class as the Lowerer sees it: real slabs read
+/// exactly like real storage (only the call-time pointer differs).
+char ref_class(RefPlan::Kind k) {
+  switch (k) {
+    case RefPlan::Kind::kRealDirect:
+    case RefPlan::Kind::kRealSlab: return 'd';
+    case RefPlan::Kind::kIntDirect: return 'i';
+    case RefPlan::Kind::kLogicalDirect: return 'l';
+    case RefPlan::Kind::kScalarSlot: return 's';
+    case RefPlan::Kind::kRealIterBuf:
+    case RefPlan::Kind::kIntIterBuf: return 'x';
+  }
+  return 'x';
+}
+
+bool tape_reads_var(const Tape& t, size_t level) {
+  for (const Ins& ins : t.ins)
+    if (ins.op == Op::kVar && static_cast<size_t>(ins.a) == level) return true;
+  return false;
+}
+
+class ShapeWalk {
+ public:
+  ShapeWalk(const ExecPlan& p, KernelShape& out) : p_(p), out_(out) {}
+
+  void run() {
+    std::string& k = out_.key;
+    k.clear();
+    out_.binds.clear();
+    out_.n_ds = out_.n_is = out_.n_ls = 0;
+    const size_t nv = p_.loops.size();
+    const size_t nr = p_.refs.size();
+    put8(k, 'P');
+    put32(k, static_cast<long long>(nv));
+    put8(k, static_cast<unsigned>(p_.lhs.kind));
+    put32(k, static_cast<long long>(nr));
+    for (size_t r = 0; r <= nr; ++r) {
+      const RefPlan& rp = r < nr ? p_.refs[r] : p_.lhs;
+      const char c = ref_class(rp.kind);
+      put8(k, static_cast<unsigned char>(c));
+      if (c == 's' || c == 'x') continue;  // no offset recurrence emitted
+      for (size_t l = 0; l < nv; ++l)
+        put8(k, l < rp.terms.size() && !rp.terms[l].table.empty() ? 1 : 0);
+    }
+    tape(p_.mask);
+    tape(p_.rhs);
+    // A level's enumeration only shows in the text when its value is read.
+    for (size_t l = 0; l < nv; ++l) {
+      const bool used = tape_reads_var(p_.mask, l) || tape_reads_var(p_.rhs, l);
+      put8(k, !used ? 0 : p_.loops[l].values.empty() ? 1 : 2);
+    }
+  }
+
+ private:
+  void tape(const Tape& t) {
+    std::string& k = out_.key;
+    put32(k, static_cast<long long>(t.ins.size()));
+    for (const Ins& ins : t.ins) {
+      switch (ins.op) {
+        case Op::kConst:
+          put8(k, static_cast<unsigned>(Op::kConst));
+          put8(k, static_cast<unsigned>(ins.cst.k));
+          switch (ins.cst.k) {
+            case K::kD: {
+              std::uint64_t bits = 0;
+              std::memcpy(&bits, &ins.cst.d, 8);
+              put64(k, bits);
+              break;
+            }
+            case K::kI: put64(k, static_cast<std::uint64_t>(ins.cst.i)); break;
+            case K::kB: put8(k, ins.cst.b ? 1 : 0); break;
+          }
+          break;
+        case Op::kScalar: scalar(ins.scalar); break;
+        case Op::kRef: {
+          const size_t r = static_cast<size_t>(ins.a);
+          if (r < p_.refs.size() &&
+              p_.refs[r].kind == RefPlan::Kind::kScalarSlot) {
+            // Printed exactly like a kScalar load of the same slot.
+            scalar(&p_.refs[r].buf->scalar);
+            break;
+          }
+          [[fallthrough]];
+        }
+        default:
+          put8(k, static_cast<unsigned>(ins.op));
+          // kVar reads its loop level, kRef its reference id, and every
+          // intrinsic (the ops from kAbs on) its argument count; the
+          // fixed-arity operators and kElem (always declined) read none.
+          if (ins.op == Op::kVar || ins.op == Op::kRef || ins.op >= Op::kAbs)
+            put32(k, ins.a);
+          break;
+      }
+    }
+  }
+
+  /// A runtime scalar operand: its first-occurrence slot (assigned here,
+  /// per static kind) and that kind — never its address.
+  void scalar(const Value* src) {
+    const ScalarBind* b = nullptr;
+    for (const ScalarBind& x : out_.binds)
+      if (x.src == src) b = &x;
+    if (b == nullptr) {
+      ScalarBind nb;
+      nb.src = src;
+      nb.kind = src->k;
+      switch (src->k) {
+        case K::kD: nb.slot = out_.n_ds++; break;
+        case K::kI: nb.slot = out_.n_is++; break;
+        case K::kB: nb.slot = out_.n_ls++; break;
+      }
+      out_.binds.push_back(nb);
+      b = &out_.binds.back();
+    }
+    put8(out_.key, static_cast<unsigned>(Op::kScalar));
+    put32(out_.key, b->slot);
+    put8(out_.key, static_cast<unsigned>(b->kind));
+  }
+
+  const ExecPlan& p_;
+  KernelShape& out_;
+};
+
 class Lowerer {
  public:
-  explicit Lowerer(const ExecPlan& p) : p_(p), nv_(p.loops.size()) {}
+  Lowerer(const ExecPlan& p, const KernelShape& shape)
+      : p_(p), shape_(shape), nv_(p.loops.size()) {}
 
   Lowered run() {
     if (nv_ == 0) fail("empty loop nest");
@@ -150,10 +294,7 @@ class Lowerer {
 
     Lowered out;
     out.source = os.str();
-    out.scalars = std::move(binds_);
-    out.n_ds = n_ds_;
-    out.n_is = n_is_;
-    out.n_ls = n_ls_;
+    out.scalars = std::move(used_);
     return out;
   }
 
@@ -208,28 +349,21 @@ class Lowerer {
     fail("non-direct lhs");
   }
 
-  /// Allocate (or reuse) the ds/is/ls slot feeding from `src`, whose kind
-  /// is baked into the source and re-verified by the wrapper every call.
+  /// The ds/is/ls slot plan_shape() assigned to `src`; its kind is baked
+  /// into the source and re-verified by the wrapper every call.
   std::string scalar_slot(const Value* src) {
-    auto it = slot_of_.find(src);
-    if (it == slot_of_.end()) {
-      ScalarBind b;
-      b.src = src;
-      b.kind = src->k;
-      switch (src->k) {
-        case K::kD: b.slot = n_ds_++; break;
-        case K::kI: b.slot = n_is_++; break;
-        case K::kB: b.slot = n_ls_++; break;
-      }
-      it = slot_of_.emplace(src, b).first;
-      binds_.push_back(b);
-    }
-    const ScalarBind& b = it->second;
-    switch (b.kind) {
-      case K::kD: return std::string("ds[") + std::to_string(b.slot) + "]";
-      case K::kI: return std::string("is[") + std::to_string(b.slot) + "]";
+    const ScalarBind* b = nullptr;
+    for (const ScalarBind& x : shape_.binds)
+      if (x.src == src) b = &x;
+    if (b == nullptr) fail("scalar operand missing from the plan shape");
+    bool seen = false;
+    for (const ScalarBind& x : used_) seen = seen || x.src == src;
+    if (!seen) used_.push_back(*b);
+    switch (b->kind) {
+      case K::kD: return std::string("ds[") + std::to_string(b->slot) + "]";
+      case K::kI: return std::string("is[") + std::to_string(b->slot) + "]";
       case K::kB:
-        return std::string("(ls[") + std::to_string(b.slot) + "] != 0)";
+        return std::string("(ls[") + std::to_string(b->slot) + "] != 0)";
     }
     return "ds[0]";
   }
@@ -450,21 +584,24 @@ class Lowerer {
   }
 
   const ExecPlan& p_;
+  const KernelShape& shape_;
   const size_t nv_;
   int tmp_ = 0;
   std::vector<bool> used_var_;
-  std::map<const Value*, ScalarBind> slot_of_;
-  std::vector<ScalarBind> binds_;
-  int n_ds_ = 0;
-  int n_is_ = 0;
-  int n_ls_ = 0;
+  std::vector<ScalarBind> used_;  ///< binds the text reads, first use first
 };
 
 }  // namespace
 
+void plan_shape(const exec::ExecPlan& p, KernelShape& out) {
+  ShapeWalk(p, out).run();
+}
+
 std::optional<Lowered> lower_plan(const exec::ExecPlan& p, std::string* why) {
+  KernelShape shape;
+  plan_shape(p, shape);
   try {
-    return Lowerer(p).run();
+    return Lowerer(p, shape).run();
   } catch (const Fail& f) {
     if (why != nullptr) *why = f.reason;
     return std::nullopt;
@@ -519,6 +656,14 @@ std::string lower_copy_kernel(int levels, bool pack) {
   for (int k = levels - 1; k >= 0; --k) os << std::string(2 + 2 * k, ' ') << "}\n";
   os << "}\n";
   return os.str();
+}
+
+std::string copy_kernel_key(int levels, bool pack) {
+  return "copy/" + std::to_string(levels) + (pack ? "/1" : "/0");
+}
+
+std::string index_kernel_key(bool gather, bool cast_d2i) {
+  return std::string("index/") + (gather ? "1" : "0") + (cast_d2i ? "/1" : "/0");
 }
 
 std::string lower_index_kernel(bool gather, bool cast_d2i) {

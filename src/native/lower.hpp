@@ -17,8 +17,27 @@
 // stride-vs-table term kinds, the tapes themselves with their constants and
 // static value kinds) is baked into the text.  Two processors — or two
 // plans of the same statement across DO trips or whole runs — that share a
-// structure therefore lower to byte-identical source and share one compiled
-// kernel (the NativeCache in native/jit.hpp keys on the source text).
+// structure therefore share one compiled kernel.
+//
+// plan_shape() captures exactly that structure as a compact byte string,
+// the *structural key*, without printing any source: the NativeCache in
+// native/jit.hpp is keyed by it, so a plan whose structure was seen before
+// finds its kernel with one short walk and one map lookup, and lower_plan()
+// only runs — once per key per process — when the key misses.  The key
+// holds exactly what the Lowerer reads:
+//   * nest depth; for each level whose loop variable the tapes read,
+//     whether its values are enumerated;
+//   * the lhs kind, and per reference its storage class (real, int or
+//     logical pointer, scalar slot, iteration buffer) and, per level,
+//     whether its offset term is a stride or a table;
+//   * the mask and rhs tapes instruction by instruction: op, the operand
+//     the Lowerer reads (loop level, reference id, argument count), each
+//     constant's kind and exact bit pattern, and each scalar operand as its
+//     first-occurrence slot number plus static kind.
+// Keys never contain addresses, so they are shared safely across runs and
+// service workers.  The same walk assigns the scalar slots (ScalarBind):
+// the Lowerer prints the slots the walk assigned, so slot assignment lives
+// in one place and key and text agree on it by construction.
 //
 // Statements whose tape cannot be statically typed (today: MIN/MAX over
 // mixed integer/real arguments, whose result kind is data-dependent) are
@@ -60,14 +79,29 @@ struct ScalarBind {
   const exec::Value* src = nullptr;
   exec::Value::K kind = exec::Value::K::kD;
   int slot = 0;
+
+  friend bool operator==(const ScalarBind&, const ScalarBind&) = default;
 };
+
+/// A plan's structural key and its call-time scalar packing recipe.
+/// Reused as scratch: plan_shape() clears it and keeps its capacity.
+struct KernelShape {
+  std::string key;                ///< exact structural key (no addresses)
+  std::vector<ScalarBind> binds;  ///< in first-occurrence order
+  int n_ds = 0;                   ///< slots per kind (array sizes)
+  int n_is = 0;
+  int n_ls = 0;
+};
+
+/// Walk `p`'s structure into `out`.  Never declines: plans the Lowerer
+/// declines get keys too, and the NativeCache memoizes the decline.
+void plan_shape(const exec::ExecPlan& p, KernelShape& out);
 
 struct Lowered {
   std::string source;               ///< complete translation unit text
-  std::vector<ScalarBind> scalars;  ///< call-time scalar packing recipe
-  int n_ds = 0;                     ///< slots per kind (array sizes)
-  int n_is = 0;
-  int n_ls = 0;
+  /// The scalar binds the text reads, in the order it first reads them —
+  /// equal to plan_shape()'s binds (the slots are taken from it).
+  std::vector<ScalarBind> scalars;
 };
 
 /// Lower one plan to a compilable kernel, or decline (reason in *why).
@@ -78,7 +112,9 @@ struct Lowered {
 // Same KernelFn ABI, different argument convention.  Like lower_plan, only
 // the structure (loop depth, direction) is baked into the text; counts,
 // strides, offsets and tables arrive per call — so every same-shape copy in
-// the process shares one compiled kernel.
+// the process shares one compiled kernel.  The *_key functions give each
+// kernel's NativeCache key ("copy/<levels>/<pack>", "index/<gather>/<cast>");
+// the text is only generated when that key misses.
 
 /// Strided pack/unpack: `levels` outer loops around a contiguous memcpy run.
 ///   lp      level trip counts            st   level strides (bytes)
@@ -86,6 +122,7 @@ struct Lowered {
 ///   rb[0]   storage byte offset          rb[1]   run length (bytes)
 /// `pack` copies storage->buffer; otherwise buffer->storage.
 [[nodiscard]] std::string lower_copy_kernel(int levels, bool pack);
+[[nodiscard]] std::string copy_kernel_key(int levels, bool pack);
 
 /// Indexed gather/scatter of 8-byte elements through a byte-offset table:
 ///   lp[0]   element count                tb[0] per-element storage offsets
@@ -94,5 +131,6 @@ struct Lowered {
 /// `cast_d2i` (gather only) converts each double to long long on the way
 /// out — the integer-destination write executor's value conversion.
 [[nodiscard]] std::string lower_index_kernel(bool gather, bool cast_d2i);
+[[nodiscard]] std::string index_kernel_key(bool gather, bool cast_d2i);
 
 }  // namespace f90d::native

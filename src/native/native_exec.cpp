@@ -54,20 +54,20 @@ Index NativeExec::try_run(const ExecPlan& plan,
 
 void NativeExec::attach(const ExecPlan& p, Attachment& at) {
   ++stats_.attaches;
-  NativeCache& cache = NativeCache::instance();
-  if (!cache.available()) return;  // fn stays null: permanent fallback
-  std::string why;
-  std::optional<Lowered> low = lower_plan(p, &why);
-  if (!low) return;
-  at.fn = cache.get_or_compile(low->source);
+  if (!available_) return;  // fn stays null: permanent fallback
+  plan_shape(p, shape_);
+  at.fn = NativeCache::instance().get_or_compile(shape_.key, [&p] {
+    std::optional<Lowered> low = lower_plan(p, nullptr);
+    return low ? std::move(low->source) : std::string();
+  });
   if (at.fn == nullptr) return;
 
   const size_t nv = p.loops.size();
   const size_t nr = p.refs.size();
-  at.binds = std::move(low->scalars);
-  at.ds.assign(static_cast<size_t>(low->n_ds), 0.0);
-  at.is.assign(static_cast<size_t>(low->n_is), 0);
-  at.ls.assign(static_cast<size_t>(low->n_ls), 0);
+  at.binds = shape_.binds;
+  at.ds.assign(static_cast<size_t>(shape_.n_ds), 0.0);
+  at.is.assign(static_cast<size_t>(shape_.n_is), 0);
+  at.ls.assign(static_cast<size_t>(shape_.n_ls), 0);
 
   at.lp.resize(3 * nv);
   at.lv.resize(nv);

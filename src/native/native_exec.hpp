@@ -5,11 +5,12 @@
 // One NativeExec lives inside each simulated processor's node program.
 // The attachment itself is stored in the plan's statement-cache entry
 // (exec/statement_plan.hpp), so it lives and dies with the plan it binds.
-// Attachment happens lazily on the first native run of a plan: the plan
-// is lowered (native/lower.hpp), compiled or fetched from the
-// process-global NativeCache (native/jit.hpp), and the call-time argument
-// vectors — loop parameters, strides, offset tables, storage pointers,
-// scalar slots — are packed once and reused every trip.
+// Attachment happens lazily on the first native run of a plan: the plan's
+// structural key is built (plan_shape, native/lower.hpp), its kernel is
+// fetched from the process-global NativeCache (native/jit.hpp) — lowered
+// and compiled only the first time the process sees that key — and the
+// call-time argument vectors — loop parameters, strides, offset tables,
+// storage pointers, scalar slots — are packed once and reused every trip.
 //
 // try_run() returns the iteration count exactly as run_exec_plan() would
 // (the caller charges simulated cost from it, which is what keeps native
@@ -61,6 +62,10 @@ struct Attachment {
 
 class NativeExec {
  public:
+  /// `available`: NativeCache::available(), checked once per run by the
+  /// caller; false makes every plan fall back without a lookup.
+  explicit NativeExec(bool available) : available_(available) {}
+
   /// Run `plan` natively if possible, attaching it into `slot` on first
   /// use.  Returns the executed iteration count (mask-rejected iterations
   /// included, like run_exec_plan), or -1 when the caller must use the
@@ -73,6 +78,8 @@ class NativeExec {
  private:
   void attach(const exec::ExecPlan& plan, Attachment& at);
 
+  bool available_;
+  KernelShape shape_;  ///< attach scratch: key and binds of the last plan
   NodeStats stats_;
 };
 

@@ -32,16 +32,19 @@ inline machine::SimMachine make_machine(int p,
 
 /// The one compile-and-run path every workload helper below shares: the
 /// service core's free function (src/service/service.hpp) with the
-/// harness's canonical machine (ideal cost model, hypercube) and no
-/// cross-run cache sharing, so all counter assertions in the tests keep
-/// their exact single-run semantics.
+/// harness's canonical machine (hypercube; ideal cost model unless the
+/// caller passes a charging one) and no cross-run cache sharing, so all
+/// counter assertions in the tests keep their exact single-run semantics.
+/// Differential tests that compare simulated times pass a charging model
+/// (CostModel::ipsc860()): on the ideal one every clock is zero.
 inline interp::ProgramResult run_source(
     const std::string& source, interp::Init init,
     const interp::RunOptions& ro = {}, machine::MachineOptions mo = {},
-    const compile::CodegenOptions& codegen = {}) {
+    const compile::CodegenOptions& codegen = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   service::RunSpec spec;
   spec.codegen = codegen;
-  spec.cost = machine::CostModel::ideal();
+  spec.cost = cost;
   spec.machine = mo;
   spec.init = std::move(init);
   spec.run = ro;
@@ -164,16 +167,17 @@ inline std::vector<double> jacobi_oracle(int n, int iters) {
   return a;
 }
 
-inline DiffRun run_jacobi(int n, int iters, int p, int q,
-                          const char* dist = "BLOCK",
-                          const interp::RunOptions& ro = {},
-                          machine::MachineOptions mo = {}) {
+inline DiffRun run_jacobi(
+    int n, int iters, int p, int q, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {}, machine::MachineOptions mo = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.real["A"] = [](std::span<const Index> g) {
     return jacobi_entry(g[0], g[1]);
   };
   auto result =
-      run_source(apps::jacobi_source(n, p, q, iters, dist), init, ro, mo);
+      run_source(apps::jacobi_source(n, p, q, iters, dist), init, ro, mo, {},
+                 cost);
   DiffRun d{"A", result.real_arrays.at("A"), jacobi_oracle(n, iters)};
   fill_counters(d, result);
   return d;
@@ -287,14 +291,16 @@ inline auto gauss_defined_region(int n) {
   };
 }
 
-inline DiffRun run_gauss(int n, int p, const char* dist = "BLOCK",
-                         const interp::RunOptions& ro = {},
-                         machine::MachineOptions mo = {}) {
+inline DiffRun run_gauss(
+    int n, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {}, machine::MachineOptions mo = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.real["A"] = [n](std::span<const Index> g) {
     return apps::gauss_matrix_entry(n, g[0], g[1]);
   };
-  auto result = run_source(apps::gauss_source(n, p, dist), init, ro, mo);
+  auto result =
+      run_source(apps::gauss_source(n, p, dist), init, ro, mo, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), gauss_oracle(n)};
   fill_counters(d, result);
   return d;
@@ -330,8 +336,9 @@ inline std::vector<double> irregular_oracle(int n) {
   return a;
 }
 
-inline DiffRun run_irregular(int n, int steps, int p,
-                             const interp::RunOptions& ro = {}) {
+inline DiffRun run_irregular(
+    int n, int steps, int p, const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.ints["U"] = [n](std::span<const Index> g) {
     return irregular_u(n, g[0]) + 1;  // Fortran arrays are 1-based
@@ -341,7 +348,8 @@ inline DiffRun run_irregular(int n, int steps, int p,
   };
   init.real["B"] = [](std::span<const Index> g) { return g[0] * 2.0; };
   init.real["C"] = [](std::span<const Index> g) { return g[0] * 100.0; };
-  auto result = run_source(apps::irregular_source(n, p, steps), init, ro);
+  auto result =
+      run_source(apps::irregular_source(n, p, steps), init, ro, {}, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), irregular_oracle(n)};
   fill_counters(d, result);
   return d;
@@ -490,12 +498,14 @@ inline std::vector<double> fft_oracle(int nx, int stages) {
   return x;
 }
 
-inline DiffRun run_fft(int nx, int stages, int p,
-                       const interp::RunOptions& ro = {}) {
+inline DiffRun run_fft(
+    int nx, int stages, int p, const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.real["X"] = [](std::span<const Index> g) { return g[0] + 1.0; };
   init.real["TERM2"] = [](std::span<const Index> g) { return g[0] * 0.5; };
-  auto result = run_source(apps::fft_source(nx, p, stages), init, ro);
+  auto result =
+      run_source(apps::fft_source(nx, p, stages), init, ro, {}, {}, cost);
   DiffRun d{"X", result.real_arrays.at("X"), fft_oracle(nx, stages)};
   fill_counters(d, result);
   return d;

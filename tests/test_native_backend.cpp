@@ -1,7 +1,9 @@
 // Native node-program backend (src/native/): differential sweeps of
-// native vs plan-interpreter vs tree-walk over the paper workloads, the
-// invalidation contract on the native path, graceful fallback when the
-// toolchain is disabled, and NativeCache unit behaviour.
+// native vs plan-interpreter vs tree-walk over the paper workloads (on the
+// charging iPSC/860 cost model, so equal simulated times are a real check),
+// the invalidation contract on the native path, graceful fallback when the
+// toolchain is disabled, NativeCache unit behaviour, and the structural
+// kernel key (plan_shape) against the text lower_plan prints.
 //
 // Every differential test tolerates a missing toolchain by construction:
 // when kernels cannot be built the native run degrades to the plan
@@ -11,6 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <deque>
+#include <map>
+#include <random>
 
 #include "harness.hpp"
 #include "native/jit.hpp"
@@ -40,6 +46,13 @@ bool native_available() {
   return native::NativeCache::instance().available();
 }
 
+/// The sweeps charge on the paper's machine: with the ideal model every
+/// simulated clock is zero and the sim_time equalities would be vacuous.
+const machine::CostModel& charging() {
+  static const machine::CostModel cm = machine::CostModel::ipsc860();
+  return cm;
+}
+
 /// Bit-identical arrays and identical simulated clocks across two
 /// backends, plus the reference run against the oracle.
 void expect_same_run(const DiffRun& a, const DiffRun& b, double oracle_tol,
@@ -47,6 +60,7 @@ void expect_same_run(const DiffRun& a, const DiffRun& b, double oracle_tol,
   ASSERT_EQ(a.got.size(), b.got.size()) << what;
   for (size_t k = 0; k < a.got.size(); ++k)
     ASSERT_EQ(a.got[k], b.got[k]) << what << " element " << k;
+  EXPECT_GT(a.sim_time, 0.0) << what << " simulated time is charged";
   EXPECT_EQ(a.sim_time, b.sim_time) << what << " simulated time";
   EXPECT_LE(harness::max_abs_diff(b), oracle_tol) << what;
 }
@@ -65,9 +79,12 @@ class NativeBackendSweep : public ::testing::TestWithParam<GridShape> {
 
 TEST_P(NativeBackendSweep, Jacobi) {
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(3)"}) {
-    auto nat = harness::run_jacobi(12, 3, p(), q(), dist, backend_native());
-    auto plan = harness::run_jacobi(12, 3, p(), q(), dist, backend_plan());
-    auto tree = harness::run_jacobi(12, 3, p(), q(), dist, backend_tree());
+    auto nat = harness::run_jacobi(12, 3, p(), q(), dist, backend_native(),
+                                   {}, charging());
+    auto plan = harness::run_jacobi(12, 3, p(), q(), dist, backend_plan(), {},
+                                    charging());
+    auto tree = harness::run_jacobi(12, 3, p(), q(), dist, backend_tree(), {},
+                                    charging());
     expect_same_run(nat, plan, 1e-9, std::string("jacobi ") + dist);
     expect_same_run(nat, tree, 1e-9, std::string("jacobi ") + dist);
   }
@@ -76,15 +93,19 @@ TEST_P(NativeBackendSweep, Jacobi) {
 TEST_P(NativeBackendSweep, Gauss) {
   const int n = 12;
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)"}) {
-    auto nat = harness::run_gauss(n, nprocs(), dist, backend_native());
-    auto plan = harness::run_gauss(n, nprocs(), dist, backend_plan());
-    auto tree = harness::run_gauss(n, nprocs(), dist, backend_tree());
+    auto nat =
+        harness::run_gauss(n, nprocs(), dist, backend_native(), {}, charging());
+    auto plan =
+        harness::run_gauss(n, nprocs(), dist, backend_plan(), {}, charging());
+    auto tree =
+        harness::run_gauss(n, nprocs(), dist, backend_tree(), {}, charging());
     ASSERT_EQ(nat.got.size(), plan.got.size());
     ASSERT_EQ(nat.got.size(), tree.got.size());
     for (size_t k = 0; k < nat.got.size(); ++k) {
       ASSERT_EQ(nat.got[k], plan.got[k]) << "gauss " << dist << " elem " << k;
       ASSERT_EQ(nat.got[k], tree.got[k]) << "gauss " << dist << " elem " << k;
     }
+    EXPECT_GT(nat.sim_time, 0.0) << "gauss " << dist;
     EXPECT_EQ(nat.sim_time, plan.sim_time) << "gauss " << dist;
     EXPECT_EQ(nat.sim_time, tree.sim_time) << "gauss " << dist;
     EXPECT_LE(harness::max_abs_diff(tree, harness::gauss_defined_region(n)),
@@ -93,9 +114,9 @@ TEST_P(NativeBackendSweep, Gauss) {
 }
 
 TEST_P(NativeBackendSweep, FftButterfly) {
-  auto nat = harness::run_fft(16, 3, nprocs(), backend_native());
-  auto plan = harness::run_fft(16, 3, nprocs(), backend_plan());
-  auto tree = harness::run_fft(16, 3, nprocs(), backend_tree());
+  auto nat = harness::run_fft(16, 3, nprocs(), backend_native(), charging());
+  auto plan = harness::run_fft(16, 3, nprocs(), backend_plan(), charging());
+  auto tree = harness::run_fft(16, 3, nprocs(), backend_tree(), charging());
   expect_same_run(nat, plan, 1e-9, "fft");
   expect_same_run(nat, tree, 1e-9, "fft");
 }
@@ -103,11 +124,14 @@ TEST_P(NativeBackendSweep, FftButterfly) {
 TEST_P(NativeBackendSweep, IrregularStaysOnParti) {
   // The vector-subscript kernel is structurally outside the planner, so
   // the native backend never even sees a plan for it.
-  auto nat = harness::run_irregular(24, 2, nprocs(), backend_native());
-  auto tree = harness::run_irregular(24, 2, nprocs(), backend_tree());
+  auto nat =
+      harness::run_irregular(24, 2, nprocs(), backend_native(), charging());
+  auto tree =
+      harness::run_irregular(24, 2, nprocs(), backend_tree(), charging());
   ASSERT_EQ(nat.got.size(), tree.got.size());
   for (size_t k = 0; k < nat.got.size(); ++k)
     ASSERT_EQ(nat.got[k], tree.got[k]) << "irregular element " << k;
+  EXPECT_EQ(nat.sim_time, tree.sim_time);
   EXPECT_LE(harness::max_abs_diff(tree), 1e-9);
   EXPECT_EQ(nat.native_runs, 0);
 }
@@ -200,9 +224,11 @@ TEST(NativeBackend, EnvKillSwitchFallsBackCleanly) {
   // a native-backend run must degrade to the plan interpreter without
   // running a single kernel — and without erroring.
   ::setenv("F90D_NATIVE", "0", 1);
-  auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native());
+  auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+                                 charging());
   ::unsetenv("F90D_NATIVE");
-  auto plan = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_plan());
+  auto plan = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_plan(), {},
+                                  charging());
   expect_same_run(nat, plan, 1e-9, "jacobi kill-switch");
   EXPECT_EQ(nat.native_runs, 0);
 }
@@ -231,7 +257,13 @@ TEST(NativeJit, CompilesCachesAndRunsAKernel) {
                           "}\n";
   native::NativeCache& cache = native::NativeCache::instance();
   const native::JitStats before = cache.stats();
-  native::KernelFn fn = cache.get_or_compile(src);
+  const std::string key = "test/affine-2x-plus-ds0";
+  int generated = 0;
+  auto generate = [&] {
+    ++generated;
+    return src;
+  };
+  native::KernelFn fn = cache.get_or_compile(key, generate);
   ASSERT_NE(fn, nullptr);
 
   double in[4] = {1.0, 2.0, 3.0, 4.0};
@@ -242,10 +274,13 @@ TEST(NativeJit, CompilesCachesAndRunsAKernel) {
   fn(lp, nullptr, base, nullptr, nullptr, nullptr, ds, nullptr, nullptr);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], 2.0 * in[i] + 0.5);
 
-  // Second request with the same source is a pure cache hit.
-  EXPECT_EQ(cache.get_or_compile(src), fn);
+  // Second request with the same key is a pure cache hit: the source is
+  // not generated again.
+  EXPECT_EQ(cache.get_or_compile(key, generate), fn);
+  EXPECT_EQ(generated, 1);
   const native::JitStats after = cache.stats();
   EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.lowerings, before.lowerings + 1);
   EXPECT_GE(after.cache_hits, before.cache_hits + 1);
   EXPECT_GT(after.compile_ms, before.compile_ms);
 }
@@ -259,6 +294,368 @@ TEST(NativeJit, LowerDeclinesGracefully) {
   std::string why;
   EXPECT_FALSE(native::lower_plan(p, &why).has_value());
   EXPECT_FALSE(why.empty());
+}
+
+
+// --- structural kernel key ---------------------------------------------------
+// plan_shape() must hold exactly what the Lowerer reads: plans that differ
+// only in numbers share a key and a text, every structural difference
+// changes both, and the walk's scalar slots are the ones the text uses.
+
+using exec::Ins;
+using exec::Op;
+using exec::RefPlan;
+using exec::Value;
+
+Ins op(Op o, int a = 0) {
+  Ins i;
+  i.op = o;
+  i.a = a;
+  return i;
+}
+
+Ins cst(Value v) {
+  Ins i;
+  i.op = Op::kConst;
+  i.cst = v;
+  return i;
+}
+
+Ins scalar(const Value* v) {
+  Ins i;
+  i.op = Op::kScalar;
+  i.scalar = v;
+  return i;
+}
+
+exec::OffsetTerm stride(long long st) { return exec::OffsetTerm{st, {}}; }
+
+/// A hand-built two-level plan and the storage it points at:
+///   B(i,j) = A(i,j) * S1 + I + 0.0 - BCAST * S2
+/// with A read through a real pointer, BCAST a broadcast scalar slot, and
+/// S1, S2 two runtime scalars of the same kind.  A second broadcast slot
+/// (reference 2) is bound but unread.
+struct HandPlan {
+  std::vector<double> a = std::vector<double>(64, 1.0);
+  std::vector<double> b = std::vector<double>(64, 0.0);
+  std::vector<long long> ia = std::vector<long long>(64, 1);
+  Value s1 = Value::real(2.5);
+  Value s2 = Value::real(-1.0);
+  exec::Buf bcast;
+  exec::Buf bcast2;
+  exec::ExecPlan p;
+
+  HandPlan() {
+    bcast.scalar = Value::real(4.0);
+    bcast2.scalar = Value::real(8.0);
+    p.loops.push_back(exec::PlanLoop{"I", 4, 1, 1, {}});
+    p.loops.push_back(exec::PlanLoop{"J", 3, 2, 2, {}});
+    RefPlan ra;
+    ra.kind = RefPlan::Kind::kRealDirect;
+    ra.dbase = a.data();
+    ra.base = 5;
+    ra.terms = {stride(8), stride(1)};
+    RefPlan rs;
+    rs.kind = RefPlan::Kind::kScalarSlot;
+    rs.buf = &bcast;
+    rs.terms = {stride(0), stride(0)};
+    RefPlan rs2 = rs;
+    rs2.buf = &bcast2;
+    p.refs = {ra, rs, rs2};
+    p.lhs.kind = RefPlan::Kind::kRealDirect;
+    p.lhs.dbase = b.data();
+    p.lhs.base = 9;
+    p.lhs.terms = {stride(8), stride(1)};
+    p.rhs.ins = {op(Op::kRef, 0),          op(Op::kScalar),
+                 op(Op::kMul),             op(Op::kVar, 0),
+                 op(Op::kAdd),             cst(Value::real(0.0)),
+                 op(Op::kAdd),             op(Op::kRef, 1),
+                 op(Op::kScalar),          op(Op::kMul),
+                 op(Op::kSub)};
+    p.rhs.ins[1].scalar = &s1;
+    p.rhs.ins[8].scalar = &s2;
+  }
+  HandPlan(const HandPlan&) = delete;
+};
+
+struct KeyAndText {
+  native::KernelShape shape;
+  std::string text;
+  std::vector<native::ScalarBind> lowered_binds;
+};
+
+KeyAndText key_and_text(const exec::ExecPlan& p) {
+  KeyAndText out;
+  native::plan_shape(p, out.shape);
+  std::string why;
+  std::optional<native::Lowered> low = native::lower_plan(p, &why);
+  EXPECT_TRUE(low.has_value()) << why;
+  if (low) {
+    out.text = low->source;
+    out.lowered_binds = low->scalars;
+  }
+  return out;
+}
+
+TEST(NativeKey, NumbersKeepTheKeyAndTheText) {
+  HandPlan base;
+  const KeyAndText ref = key_and_text(base.p);
+  EXPECT_EQ(ref.shape.binds, ref.lowered_binds);
+
+  HandPlan h;
+  h.p.loops[0].count = 7;
+  h.p.loops[0].val0 = -3;
+  h.p.loops[1].step = 5;
+  h.p.refs[0].base = 40;
+  h.p.refs[0].terms[0].stride = 17;
+  h.p.lhs.base = 0;
+  h.p.lhs.terms[1].stride = 2;
+  h.p.refs[0].dbase = h.b.data();
+  h.s1.d = 99.0;
+  h.s2.d = 0.125;
+  h.bcast.scalar.d = -7.0;
+  h.p.rhs.ins[7].a = 2;  // the other broadcast slot: same kind, same slot
+  const KeyAndText got = key_and_text(h.p);
+  EXPECT_EQ(got.shape.key, ref.shape.key);
+  EXPECT_EQ(got.text, ref.text);
+  EXPECT_EQ(got.shape.binds, got.lowered_binds);
+  // Same slots and kinds; only the addresses they read differ.
+  ASSERT_EQ(got.shape.binds.size(), ref.shape.binds.size());
+  for (size_t k = 0; k < got.shape.binds.size(); ++k) {
+    EXPECT_EQ(got.shape.binds[k].slot, ref.shape.binds[k].slot);
+    EXPECT_EQ(got.shape.binds[k].kind, ref.shape.binds[k].kind);
+  }
+}
+
+TEST(NativeKey, EveryStructuralFieldChangesKeyAndText) {
+  HandPlan base;
+  const KeyAndText ref = key_and_text(base.p);
+  const std::map<std::string, void (*)(HandPlan&)> flips = {
+      {"enumerated level",
+       [](HandPlan& h) { h.p.loops[0].values = {1, 2, 4, 8}; }},
+      {"table term",
+       [](HandPlan& h) { h.p.refs[0].terms[1].table = {0, 1, 3}; }},
+      {"ref class",
+       [](HandPlan& h) {
+         h.p.refs[0].kind = RefPlan::Kind::kIntDirect;
+         h.p.refs[0].ibase = h.ia.data();
+       }},
+      {"mask",
+       [](HandPlan& h) {
+         h.p.mask.ins = {op(Op::kRef, 0), cst(Value::real(0.0)),
+                         op(Op::kGt)};
+       }},
+      {"scalar kind", [](HandPlan& h) { h.s1 = Value::integer(3); }},
+      {"one scalar used twice",
+       [](HandPlan& h) { h.p.rhs.ins[8].scalar = &h.s1; }},
+      {"negative zero constant",
+       [](HandPlan& h) { h.p.rhs.ins[5].cst = Value::real(-0.0); }},
+  };
+  for (const auto& [what, flip] : flips) {
+    HandPlan h;
+    flip(h);
+    const KeyAndText got = key_and_text(h.p);
+    EXPECT_NE(got.shape.key, ref.shape.key) << what;
+    EXPECT_NE(got.text, ref.text) << what;
+    EXPECT_EQ(got.shape.binds, got.lowered_binds) << what;
+  }
+}
+
+TEST(NativeKey, DeclinedPlansStillGetKeys) {
+  // The walk never declines; the cache memoizes the Lowerer's decline
+  // under the key.  Non-direct lhs vs direct lhs must not share a key.
+  HandPlan h;
+  native::KernelShape ok;
+  native::plan_shape(h.p, ok);
+  h.p.lhs.kind = RefPlan::Kind::kRealSlab;
+  native::KernelShape slab;
+  native::plan_shape(h.p, slab);
+  EXPECT_NE(ok.key, slab.key);
+  EXPECT_FALSE(native::lower_plan(h.p, nullptr).has_value());
+}
+
+/// A random plan.  `structure` draws the skeleton from a small space, so
+/// skeletons repeat across draws; `noise` draws the numbers and perturbs
+/// the skeleton — enumerated levels, offset tables on scalar slots, stray
+/// operands on fixed-arity ops, an aliased scalar, a retargeted reference.
+/// Some perturbations change the kernel text and some do not; the property
+/// below holds either way.  Scalars and broadcast slots live in `values`
+/// and `bufs`, so every plan reads distinct addresses.
+exec::ExecPlan random_plan(std::mt19937& structure, std::mt19937& noise,
+                           std::deque<Value>& values,
+                           std::deque<exec::Buf>& bufs) {
+  auto pick = [&](int n) {
+    return static_cast<int>(structure() % static_cast<unsigned>(n));
+  };
+  auto num = [&](int lo, int hi) {
+    return lo + static_cast<int>(noise() % static_cast<unsigned>(hi - lo + 1));
+  };
+  auto maybe = [&](int one_in) { return num(1, one_in) == 1; };
+  exec::ExecPlan p;
+  const int nv = 1 + pick(2);
+  for (int l = 0; l < nv; ++l) {
+    exec::PlanLoop loop{"V", num(1, 4), num(-2, 2), num(1, 3), {}};
+    if (maybe(3))
+      for (Index k = 0; k < loop.count; ++k) loop.values.push_back(num(0, 9));
+    p.loops.push_back(loop);
+  }
+  auto make_terms = [&](RefPlan& r, bool table) {
+    for (int l = 0; l < nv; ++l) {
+      exec::OffsetTerm t = stride(num(0, 9));
+      if (table)
+        for (Index k = 0; k < p.loops[static_cast<size_t>(l)].count; ++k)
+          t.table.push_back(num(0, 9));
+      r.terms.push_back(t);
+    }
+  };
+  const int nr = pick(3);
+  for (int r = 0; r < nr; ++r) {
+    RefPlan rp;
+    switch (pick(5)) {
+      case 0: rp.kind = RefPlan::Kind::kRealDirect; break;
+      case 1: rp.kind = RefPlan::Kind::kRealSlab; break;
+      case 2: rp.kind = RefPlan::Kind::kIntDirect; break;
+      case 3: rp.kind = RefPlan::Kind::kLogicalDirect; break;
+      default:
+        rp.kind = RefPlan::Kind::kScalarSlot;
+        bufs.emplace_back();
+        bufs.back().scalar =
+            pick(2) == 0 ? Value::real(num(0, 5)) : Value::integer(num(0, 5));
+        rp.buf = &bufs.back();
+        break;
+    }
+    rp.base = num(0, 20);
+    make_terms(rp, rp.kind == RefPlan::Kind::kScalarSlot ? maybe(2)
+                                                         : pick(4) == 0);
+    p.refs.push_back(rp);
+  }
+  p.lhs.kind = pick(2) == 0 ? RefPlan::Kind::kRealDirect
+                            : RefPlan::Kind::kIntDirect;
+  p.lhs.base = num(0, 20);
+  make_terms(p.lhs, pick(4) == 0);
+  // Two scalar variables; the skeleton decides their kinds and which one
+  // each load reads, the noise sometimes makes them one variable.
+  values.push_back(pick(2) == 0 ? Value::real(num(-3, 3) * 0.5)
+                                : Value::integer(num(-3, 3)));
+  const Value* sv0 = &values.back();
+  values.push_back(pick(2) == 0 ? Value::real(num(-3, 3) * 0.5)
+                                : Value::integer(num(-3, 3)));
+  const Value* sv1 = maybe(4) ? sv0 : &values.back();
+  auto leaf = [&](exec::Tape& t) {
+    switch (pick(4)) {
+      case 0:
+        if (nr > 0) {
+          t.ins.push_back(op(Op::kRef, maybe(3) ? num(0, nr - 1) : pick(nr)));
+          break;
+        }
+        [[fallthrough]];
+      case 1: t.ins.push_back(op(Op::kVar, pick(nv))); break;
+      case 2: t.ins.push_back(scalar(pick(2) == 0 ? sv0 : sv1)); break;
+      default: {
+        static const double kConsts[] = {0.0, -0.0, 1.5};
+        t.ins.push_back(pick(4) == 0 ? cst(Value::integer(2))
+                                     : cst(Value::real(kConsts[pick(3)])));
+        break;
+      }
+    }
+  };
+  auto fixed = [&](Op o) { return op(o, maybe(3) ? num(1, 3) : 0); };
+  auto expr = [&](exec::Tape& t) {
+    leaf(t);
+    const int n_ops = pick(3);
+    for (int k = 0; k < n_ops; ++k) {
+      switch (pick(4)) {
+        case 0: t.ins.push_back(fixed(Op::kNeg)); break;
+        case 1: leaf(t); t.ins.push_back(fixed(Op::kAdd)); break;
+        case 2: leaf(t); t.ins.push_back(fixed(Op::kMul)); break;
+        default: leaf(t); t.ins.push_back(op(Op::kMax, 2)); break;
+      }
+    }
+  };
+  if (pick(3) == 0) {
+    expr(p.mask);
+    leaf(p.mask);
+    p.mask.ins.push_back(fixed(Op::kGt));
+  }
+  expr(p.rhs);
+  return p;
+}
+
+TEST(NativeKey, EqualKeysIffEqualTexts) {
+  // Property: over a few hundred random plans, two plans share a key
+  // exactly when their lowered texts are equal — the key never merges two
+  // kernels and never splits one kernel into two compiles.  Plans the
+  // Lowerer declines must share keys only with other declines.
+  std::mt19937 noise(20240517);
+  std::deque<Value> values;
+  std::deque<exec::Buf> bufs;
+  struct Sample {
+    std::string key;
+    std::optional<std::string> text;
+  };
+  std::vector<Sample> samples;
+  for (int i = 0; i < 400; ++i) {
+    // Few distinct skeleton seeds: skeletons repeat with fresh noise.
+    std::mt19937 structure(static_cast<unsigned>(i % 60));
+    const exec::ExecPlan p = random_plan(structure, noise, values, bufs);
+    native::KernelShape shape;
+    native::plan_shape(p, shape);
+    std::optional<native::Lowered> low = native::lower_plan(p, nullptr);
+    if (low) {
+      EXPECT_EQ(shape.binds, low->scalars) << "plan " << i;
+    }
+    samples.push_back(
+        {shape.key, low ? std::optional<std::string>(low->source)
+                        : std::nullopt});
+  }
+  int lowered = 0;
+  int shared = 0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    lowered += samples[i].text.has_value() ? 1 : 0;
+    for (size_t j = i + 1; j < samples.size(); ++j) {
+      const bool same_key = samples[i].key == samples[j].key;
+      if (same_key) ++shared;
+      if (samples[i].text && samples[j].text) {
+        EXPECT_EQ(same_key, *samples[i].text == *samples[j].text)
+            << "plans " << i << " and " << j;
+      } else if (same_key) {
+        EXPECT_EQ(samples[i].text.has_value(), samples[j].text.has_value())
+            << "plans " << i << " and " << j;
+      }
+    }
+  }
+  // The sample must actually exercise both directions.
+  EXPECT_GT(lowered, 200);
+  EXPECT_GT(shared, 100);
+}
+
+TEST(NativeKey, CommKernelKeysAreTinyAndDistinct) {
+  EXPECT_EQ(native::copy_kernel_key(2, true), "copy/2/1");
+  EXPECT_NE(native::copy_kernel_key(2, true), native::copy_kernel_key(2, false));
+  EXPECT_NE(native::copy_kernel_key(1, true), native::copy_kernel_key(2, true));
+  EXPECT_NE(native::index_kernel_key(true, false),
+            native::index_kernel_key(true, true));
+  EXPECT_NE(native::index_kernel_key(true, false),
+            native::index_kernel_key(false, false));
+}
+
+TEST(NativeBackend, SecondGaussRunLowersAndCompilesNothing) {
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  // Gauss misses the plan cache on every elimination step (the pivot
+  // column is baked into every plan), so every step attaches afresh.  The
+  // structural key finds the kernels the first run compiled without
+  // printing a line of source.
+  native::NativeCache& cache = native::NativeCache::instance();
+  harness::run_gauss(16, 4, "CYCLIC", backend_native());
+  const native::JitStats before = cache.stats();
+  auto r = harness::run_gauss(16, 4, "CYCLIC", backend_native());
+  const native::JitStats after = cache.stats();
+  EXPECT_GT(r.native_runs, 0);
+  EXPECT_GT(r.native_attaches, 1);
+  EXPECT_EQ(after.lowerings, before.lowerings);
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_GE(after.cache_hits - before.cache_hits, r.native_attaches);
 }
 
 }  // namespace

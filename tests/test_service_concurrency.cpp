@@ -2,7 +2,7 @@
 // worker threads pushing programs through one ServiceCore must produce
 // bit-identical results to single-threaded runs, warm passes must be
 // served entirely from the shared caches, and the process-global
-// NativeCache must coalesce concurrent compiles of one source.  These
+// NativeCache must coalesce concurrent compiles of one key.  These
 // tests are in the TSan leg's target list on purpose.
 #include <gtest/gtest.h>
 
@@ -170,12 +170,14 @@ TEST(ServiceConcurrency, NativeCacheCoalescesConcurrentCompilesOfOneSource) {
   const native::JitStats before = jit.stats();
   std::vector<native::KernelFn> got(kThreads);
   fan_out(kThreads, kThreads, [&](int i) {
-    got[static_cast<std::size_t>(i)] = jit.get_or_compile(bad_kernel);
+    got[static_cast<std::size_t>(i)] = jit.get_or_compile(
+        "test/service-concurrency-coalesce-probe", [&] { return bad_kernel; });
   });
   const native::JitStats after = jit.stats();
   for (native::KernelFn fn : got) EXPECT_EQ(fn, nullptr);
   EXPECT_EQ(after.failures - before.failures, 1);
   EXPECT_EQ(after.compiles - before.compiles, 0);
+  EXPECT_EQ(after.lowerings - before.lowerings, 1);
   EXPECT_EQ((after.cache_hits - before.cache_hits) +
                 (after.coalesced - before.coalesced),
             kThreads - 1);
