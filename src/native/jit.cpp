@@ -1,12 +1,19 @@
 #include "native/jit.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+
+extern char** environ;
 
 namespace f90d::native {
 
@@ -38,11 +45,47 @@ bool disabled_by_env() {
   return env != nullptr && std::string(env) == "0";
 }
 
+/// Runs argv[0] (searched on PATH, no shell) with stdout and stderr sent
+/// to `log`; true when it exits with status 0.  A program that cannot be
+/// started leaves the reason in the log instead.
+bool run_logged(const std::vector<std::string>& args, const std::string& log) {
+  std::vector<char*> argv;
+  for (const std::string& a : args)
+    argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t fa;
+  if (::posix_spawn_file_actions_init(&fa) != 0) return false;
+  int err = ::posix_spawn_file_actions_addopen(
+      &fa, STDOUT_FILENO, log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (err == 0)
+    err = ::posix_spawn_file_actions_adddup2(&fa, STDOUT_FILENO,
+                                             STDERR_FILENO);
+  pid_t pid = 0;
+  if (err == 0)
+    err = ::posix_spawnp(&pid, argv[0], &fa, nullptr, argv.data(), environ);
+  ::posix_spawn_file_actions_destroy(&fa);
+  if (err != 0) {
+    std::ofstream(log, std::ios::app)
+        << "cannot run " << args[0] << ": " << std::strerror(err) << "\n";
+    return false;
+  }
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0)
+    if (errno != EINTR) return false;
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
 }  // namespace
 
 NativeCache& NativeCache::instance() {
   static NativeCache cache;
   return cache;
+}
+
+NativeCache::~NativeCache() {
+  // rmdir only removes an empty directory: a failed compile's .cpp and
+  // .log stay behind (with it) so its compiler error can still be read.
+  if (!dir_.empty()) ::rmdir(dir_.c_str());
 }
 
 bool NativeCache::available() {
@@ -120,6 +163,10 @@ std::size_t NativeCache::handle_count() {
   return handles_.size();
 }
 
+std::string NativeCache::scratch_dir() {
+  return ensure_dir() ? dir_ : std::string();
+}
+
 bool NativeCache::ensure_probe() {
   if (compiler_path() == nullptr || disabled_by_env()) return false;
   std::lock_guard lk(probe_mu_);
@@ -137,8 +184,10 @@ bool NativeCache::ensure_probe() {
 
 bool NativeCache::ensure_dir() {
   std::call_once(dir_once_, [this] {
-    char tmpl[] = "/tmp/f90d-native-XXXXXX";
-    const char* d = ::mkdtemp(tmpl);
+    const char* base = std::getenv("TMPDIR");
+    std::string tmpl = base != nullptr && *base != '\0' ? base : "/tmp";
+    tmpl += "/f90d-native-XXXXXX";
+    const char* d = ::mkdtemp(tmpl.data());
     if (d != nullptr) dir_ = d;
   });
   return !dir_.empty();
@@ -169,25 +218,31 @@ KernelFn NativeCache::compile(const std::string& source) {
   }
   // -ffp-contract=off: the host library was built without FMA contraction
   // of a*b+c; allowing it here would change roundings and break the
-  // bit-identity contract with the tape interpreter.
-  const std::string cmd = std::string("\"") + cxx +
-                          "\" -O2 -fPIC -shared -std=c++17 -ffp-contract=off"
-                          " -o \"" +
-                          so + "\" \"" + cpp + "\" > \"" + log + "\" 2>&1";
+  // bit-identity contract with the tape interpreter.  -nostdlib with libm
+  // and libc named after the source: a kernel needs no start files,
+  // libstdc++ or libgcc, and libm stays a DT_NEEDED entry so its symbols
+  // resolve at RTLD_NOW.
+  const std::vector<std::string> argv = {
+      cxx, "-O2", "-fPIC", "-shared", "-std=c++17", "-ffp-contract=off",
+      "-nostdlib", "-o", so, cpp, "-lm", "-lc"};
   const auto t0 = std::chrono::steady_clock::now();
-  const int rc = std::system(cmd.c_str());
+  const bool ok = run_logged(argv, log);
   const auto t1 = std::chrono::steady_clock::now();
   const double ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  if (rc != 0) {
+  if (!ok) {
     std::lock_guard slk(stats_mu_);
     stats_.compile_ms += ms;
     ++stats_.failures;
     return nullptr;
   }
+  ::unlink(cpp.c_str());
+  ::unlink(log.c_str());
   // RTLD_LOCAL: every object exports the same kKernelSymbol; keeping each
-  // object's symbols private makes the dlsym below unambiguous.
+  // object's symbols private makes the dlsym below unambiguous.  The
+  // mapping outlives the file, so the .so is unlinked straight away.
   void* handle = ::dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ::unlink(so.c_str());
   if (handle == nullptr) {
     std::lock_guard slk(stats_mu_);
     stats_.compile_ms += ms;

@@ -27,6 +27,18 @@
 //   * the miss-path statistics live behind their own mutex and are
 //     snapshotted whole.
 //
+// Scratch files and the compiler:
+//   * each process makes one mkdtemp directory, $TMPDIR/f90d-native-XXXXXX
+//     (/tmp when TMPDIR is unset or empty), on its first compile;
+//   * a kernel's .cpp is compiled by running the compiler directly with
+//     posix_spawn (an argv vector, no shell, so no path is ever re-parsed),
+//     its stdout and stderr going to the kernel's .log;
+//   * a successful compile unlinks its .cpp and .log, and the .so as soon
+//     as dlopen has mapped it; a failed compile keeps its .cpp and .log,
+//     the only record of its compiler error;
+//   * the directory is removed at normal process exit when it is empty,
+//     i.e. when no compile failed.
+//
 // Requirements and switches:
 //   * CMake bakes the configure-time compiler path in as F90D_NATIVE_CXX;
 //     without the definition (-DF90D_NATIVE=OFF) available() is false and
@@ -83,6 +95,10 @@ class NativeCache {
   /// Number of live dlopen handles (the kernels loaded so far).
   std::size_t handle_count();
 
+  /// The scratch directory, created if need be (empty if mkdtemp failed).
+  /// Only a failed compile leaves files in it: its .cpp and .log.
+  std::string scratch_dir();
+
  private:
   /// One cold compile in progress; waiters block on cv until done.
   struct Inflight {
@@ -93,6 +109,7 @@ class NativeCache {
   };
 
   NativeCache() = default;
+  ~NativeCache();
 
   /// Compile + dlopen with no cache lock held.  Only touches per-call
   /// scratch files (unique names via counter_) and the stats/handles

@@ -217,9 +217,12 @@ class Lowerer {
     const std::string rhs_ind = has_mask ? body_ind + "  " : body_ind;
     const Tmp res = lower_tape(p_.rhs, ros, rhs_ind);
 
+    // No #include: the intrinsics are emitted as the GCC/Clang builtins
+    // that libstdc++'s std:: overloads for double forward to, so the text
+    // rounds exactly like the tape runner while the compiler skips parsing
+    // <cmath> — most of a kernel's compile time otherwise.
     std::ostringstream os;
     os << "// generated by the f90d native node-program backend\n"
-       << "#include <cmath>\n"
        << "static inline long long f90d_idiv(long long a, long long b) "
           "{ return b == 0 ? 0 : a / b; }\n"
        << "static inline long long f90d_imod(long long a, long long b) "
@@ -517,7 +520,7 @@ class Lowerer {
                    ? mk(os, ind, K::kI,
                         "f90d_ipow(" + l.name + ", " + r.name + ")")
                    : mk(os, ind, K::kD,
-                        std::string("std::pow(") + cvt(l, K::kD) + ", " +
+                        std::string("__builtin_pow(") + cvt(l, K::kD) + ", " +
                             cvt(r, K::kD) + ")");
       case Op::kEq: return mk(os, ind, K::kB, dd("=="));
       case Op::kNe: return mk(os, ind, K::kB, dd("!="));
@@ -544,18 +547,18 @@ class Lowerer {
       case Op::kAbs:
         if (args[0].k == K::kI)
           return mk(os, ind, K::kI, "f90d_iabs(" + args[0].name + ")");
-        return d1("std::fabs");
-      case Op::kSqrt: return d1("std::sqrt");
-      case Op::kExp: return d1("std::exp");
-      case Op::kLog: return d1("std::log");
-      case Op::kSin: return d1("std::sin");
-      case Op::kCos: return d1("std::cos");
+        return d1("__builtin_fabs");
+      case Op::kSqrt: return d1("__builtin_sqrt");
+      case Op::kExp: return d1("__builtin_exp");
+      case Op::kLog: return d1("__builtin_log");
+      case Op::kSin: return d1("__builtin_sin");
+      case Op::kCos: return d1("__builtin_cos");
       case Op::kMod:
         if (args[0].k == K::kI && args[1].k == K::kI)
           return mk(os, ind, K::kI,
                     "f90d_imod(" + args[0].name + ", " + args[1].name + ")");
         return mk(os, ind, K::kD,
-                  std::string("std::fmod(") + cvt(args[0], K::kD) + ", " +
+                  std::string("__builtin_fmod(") + cvt(args[0], K::kD) + ", " +
                       cvt(args[1], K::kD) + ")");
       case Op::kMin:
       case Op::kMax: {
@@ -577,7 +580,8 @@ class Lowerer {
       case Op::kToInt: return mk(os, ind, K::kI, cvt(args[0], K::kI));
       case Op::kNint:
         return mk(os, ind, K::kI,
-                  std::string("std::llround(") + cvt(args[0], K::kD) + ")");
+                  std::string("__builtin_llround(") + cvt(args[0], K::kD) +
+                      ")");
       default: break;
     }
     fail("unexpected intrinsic op");
@@ -610,10 +614,10 @@ std::optional<Lowered> lower_plan(const exec::ExecPlan& p, std::string* why) {
 
 namespace {
 
+/// Header-free like the plan prelude: copies use __builtin_memcpy.
 std::string comm_kernel_head() {
   std::ostringstream os;
   os << "// generated by the f90d comm-plan backend\n"
-     << "#include <cstring>\n"
      << "extern \"C\" void " << kKernelSymbol
      << "(const long long* lp, const long long* const* lv,\n"
      << "    void* const* base, const long long* rb, const long long* st,\n"
@@ -647,10 +651,10 @@ std::string lower_copy_kernel(int levels, bool pack) {
   for (int k = 0; k < levels; ++k)
     off += " + c" + std::to_string(k) + "*st[" + std::to_string(k) + "]";
   if (pack) {
-    os << ind << "std::memcpy(d, s0" << off << ", (size_t)ch);\n"
+    os << ind << "__builtin_memcpy(d, s0" << off << ", (unsigned long)ch);\n"
        << ind << "d += ch;\n";
   } else {
-    os << ind << "std::memcpy(d0" << off << ", s, (size_t)ch);\n"
+    os << ind << "__builtin_memcpy(d0" << off << ", s, (unsigned long)ch);\n"
        << ind << "s += ch;\n";
   }
   for (int k = levels - 1; k >= 0; --k) os << std::string(2 + 2 * k, ' ') << "}\n";
@@ -675,20 +679,20 @@ std::string lower_index_kernel(bool gather, bool cast_d2i) {
     os << "  const char* s = (const char*)base[0];\n"
        << "  char* d = (char*)base[1];\n"
        << "  for (long long k = 0; k < n; ++k) {\n"
-       << "    double v; std::memcpy(&v, s + off[k], 8);\n"
+       << "    double v; __builtin_memcpy(&v, s + off[k], 8);\n"
        << "    const long long w = (long long)v;\n"
-       << "    std::memcpy(d + 8*k, &w, 8);\n"
+       << "    __builtin_memcpy(d + 8*k, &w, 8);\n"
        << "  }\n";
   } else if (gather) {
     os << "  const char* s = (const char*)base[0];\n"
        << "  char* d = (char*)base[1];\n"
        << "  for (long long k = 0; k < n; ++k)\n"
-       << "    std::memcpy(d + 8*k, s + off[k], 8);\n";
+       << "    __builtin_memcpy(d + 8*k, s + off[k], 8);\n";
   } else {
     os << "  const char* s = (const char*)base[1];\n"
        << "  char* d = (char*)base[0];\n"
        << "  for (long long k = 0; k < n; ++k)\n"
-       << "    std::memcpy(d + off[k], s + 8*k, 8);\n";
+       << "    __builtin_memcpy(d + off[k], s + 8*k, 8);\n";
   }
   os << "}\n";
   return os.str();

@@ -1,9 +1,11 @@
 // Native node-program backend (src/native/): differential sweeps of
 // native vs plan-interpreter vs tree-walk over the paper workloads (on the
 // charging iPSC/860 cost model, so equal simulated times are a real check),
-// the invalidation contract on the native path, graceful fallback when the
-// toolchain is disabled, NativeCache unit behaviour, and the structural
-// kernel key (plan_shape) against the text lower_plan prints.
+// the invalidation contract on the native path, every intrinsic the
+// lowering emits as a compiler builtin, graceful fallback when the
+// toolchain is disabled, NativeCache unit behaviour (including a scratch
+// directory whose path a shell would mangle), and the structural kernel
+// key (plan_shape) against the header-free text lower_plan prints.
 //
 // Every differential test tolerates a missing toolchain by construction:
 // when kernels cannot be built the native run degrades to the plan
@@ -11,10 +13,15 @@
 // assertions still hold.  Tests that require kernels to actually execute
 // GTEST_SKIP on NativeCache::available() instead.
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <random>
 
@@ -233,6 +240,95 @@ TEST(NativeBackend, EnvKillSwitchFallsBackCleanly) {
   EXPECT_EQ(nat.native_runs, 0);
 }
 
+// --- intrinsics --------------------------------------------------------------
+
+/// Every intrinsic and operator the lowering emits as a compiler builtin or
+/// helper call, one or two per FORALL so each statement stays a planned,
+/// lowerable kernel.  X is positive (SQRT, LOG, real**real); Y crosses zero
+/// and hits the .5 ties NINT rounds away from zero; K goes negative for
+/// integer MOD and ABS.
+std::string intrinsics_source(const char* dist) {
+  std::string src = R"(PROGRAM INTRIN
+      INTEGER N
+      PARAMETER (N = 32)
+      REAL X(N)
+      REAL Y(N)
+      INTEGER K(N)
+      REAL R1(N)
+      REAL R2(N)
+      REAL R3(N)
+      REAL R4(N)
+      REAL R5(N)
+      INTEGER J1(N)
+      INTEGER J2(N)
+C$ PROCESSORS P(4)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(@)
+C$ ALIGN X(I) WITH T(I)
+C$ ALIGN Y(I) WITH T(I)
+C$ ALIGN K(I) WITH T(I)
+C$ ALIGN R1(I) WITH T(I)
+C$ ALIGN R2(I) WITH T(I)
+C$ ALIGN R3(I) WITH T(I)
+C$ ALIGN R4(I) WITH T(I)
+C$ ALIGN R5(I) WITH T(I)
+C$ ALIGN J1(I) WITH T(I)
+C$ ALIGN J2(I) WITH T(I)
+      FORALL (I = 1:N) R1(I) = SQRT(X(I)) + EXP(Y(I))
+      FORALL (I = 1:N) R2(I) = LOG(X(I)) * SIN(Y(I)) - COS(X(I))
+      FORALL (I = 1:N) R3(I) = ABS(Y(I)) + MOD(X(I), 0.75) + MOD(Y(I), X(I))
+      FORALL (I = 1:N) R4(I) = X(I) ** Y(I) + Y(I) ** 3
+      FORALL (I = 1:N) R5(I) = MIN(X(I), Y(I)) + MAX(X(I), Y(I), 0.5) + REAL(K(I))
+      FORALL (I = 1:N) J1(I) = NINT(Y(I)) + NINT(X(I) * 3.7) + INT(Y(I) * 2.3)
+      FORALL (I = 1:N) J2(I) = MOD(K(I), 5) + ABS(K(I)) + K(I) ** 2 + MIN(K(I), 3)
+      END PROGRAM INTRIN
+)";
+  src.replace(src.find('@'), 1, dist);
+  return src;
+}
+
+interp::ProgramResult run_intrinsics(const char* dist,
+                                     const interp::RunOptions& ro) {
+  interp::Init init;
+  init.real["X"] = [](std::span<const Index> g) { return 0.25 + 0.37 * g[0]; };
+  init.real["Y"] = [](std::span<const Index> g) { return 0.5 * (g[0] - 16); };
+  init.ints["K"] = [](std::span<const Index> g) { return g[0] * 3 - 40; };
+  return harness::run_source(intrinsics_source(dist), init, ro, {}, {},
+                             charging());
+}
+
+/// Every REAL array as raw bit patterns, so -0.0 and 0.0 differ.
+std::map<std::string, std::vector<std::uint64_t>> real_bits(
+    const interp::ProgramResult& r) {
+  std::map<std::string, std::vector<std::uint64_t>> out;
+  for (const auto& [name, vals] : r.real_arrays) {
+    std::vector<std::uint64_t>& bits = out[name];
+    bits.resize(vals.size());
+    std::memcpy(bits.data(), vals.data(), vals.size() * sizeof(double));
+  }
+  return out;
+}
+
+TEST(NativeBackend, IntrinsicsMatchTapeBitForBit) {
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  for (const char* dist : {"BLOCK", "CYCLIC"}) {
+    const auto nat = run_intrinsics(dist, backend_native());
+    const auto plan = run_intrinsics(dist, backend_plan());
+    const auto tree = run_intrinsics(dist, backend_tree());
+    // Every FORALL ran as a compiled kernel; none fell back to the tape.
+    EXPECT_GT(nat.native_runs, 0) << dist;
+    EXPECT_EQ(nat.native_runs, nat.plan_hits + nat.plan_misses) << dist;
+    EXPECT_EQ(nat.native_fallbacks, 0) << dist;
+    EXPECT_GT(nat.machine.exec_time, 0.0) << dist;
+    for (const interp::ProgramResult* other : {&plan, &tree}) {
+      EXPECT_EQ(real_bits(nat), real_bits(*other)) << dist;
+      EXPECT_EQ(nat.int_arrays, other->int_arrays) << dist;
+      EXPECT_EQ(nat.machine.exec_time, other->machine.exec_time) << dist;
+    }
+  }
+}
+
 // --- NativeCache unit behaviour ----------------------------------------------
 
 TEST(NativeJit, CompilesCachesAndRunsAKernel) {
@@ -283,6 +379,53 @@ TEST(NativeJit, CompilesCachesAndRunsAKernel) {
   EXPECT_EQ(after.lowerings, before.lowerings + 1);
   EXPECT_GE(after.cache_hits, before.cache_hits + 1);
   EXPECT_GT(after.compile_ms, before.compile_ms);
+}
+
+TEST(NativeJit, AwkwardTmpdirCompilesAndLeavesNothing) {
+  // The scratch directory is made once per process, so the check runs in
+  // a child: this binary again, filtered to this test, with TMPDIR set to
+  // a directory whose name holds a space and a "$HOME" a shell would
+  // expand.  The child compiles and runs kernels; after it exits the
+  // directory must be empty again.
+  if (std::getenv("F90D_TEST_AWKWARD_TMPDIR") != nullptr) {
+    auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", backend_native());
+    EXPECT_GT(r.native_runs, 0);
+    EXPECT_EQ(r.native_fallbacks, 0);
+    EXPECT_LE(harness::max_abs_diff(r), 1e-9);
+    return;
+  }
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  namespace fs = std::filesystem;
+  std::string tmpl =
+      (fs::temp_directory_path() / "f90d test $HOME-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const fs::path dir = tmpl;
+
+  std::vector<std::string> env = {"TMPDIR=" + dir.string(),
+                                  "F90D_TEST_AWKWARD_TMPDIR=1"};
+  for (char** e = environ; *e != nullptr; ++e)
+    if (std::strncmp(*e, "TMPDIR=", 7) != 0) env.emplace_back(*e);
+  std::vector<char*> envp;
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  std::string exe = "/proc/self/exe";
+  std::string filter =
+      "--gtest_filter=NativeJit.AwkwardTmpdirCompilesAndLeavesNothing";
+  char* argv[] = {exe.data(), filter.data(), nullptr};
+  pid_t pid = 0;
+  ASSERT_EQ(::posix_spawn(&pid, argv[0], nullptr, nullptr, argv, envp.data()),
+            0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child test failed";
+
+  std::vector<std::string> left;
+  for (const fs::directory_entry& e : fs::recursive_directory_iterator(dir))
+    left.push_back(e.path().string());
+  EXPECT_TRUE(left.empty()) << left.front();
+  fs::remove_all(dir);
 }
 
 TEST(NativeJit, LowerDeclinesGracefully) {
@@ -603,6 +746,9 @@ TEST(NativeKey, EqualKeysIffEqualTexts) {
     std::optional<native::Lowered> low = native::lower_plan(p, nullptr);
     if (low) {
       EXPECT_EQ(shape.binds, low->scalars) << "plan " << i;
+      // Kernels are header-free; a header would dominate their compile.
+      EXPECT_EQ(low->source.find("#include"), std::string::npos)
+          << "plan " << i;
     }
     samples.push_back(
         {shape.key, low ? std::optional<std::string>(low->source)
@@ -637,6 +783,15 @@ TEST(NativeKey, CommKernelKeysAreTinyAndDistinct) {
             native::index_kernel_key(true, true));
   EXPECT_NE(native::index_kernel_key(true, false),
             native::index_kernel_key(false, false));
+  std::vector<std::string> texts;
+  for (int levels = 1; levels <= 3; ++levels)
+    for (bool pack : {true, false})
+      texts.push_back(native::lower_copy_kernel(levels, pack));
+  for (bool gather : {true, false})
+    for (bool cast : {true, false})
+      texts.push_back(native::lower_index_kernel(gather, cast));
+  for (const std::string& text : texts)
+    EXPECT_EQ(text.find("#include"), std::string::npos) << text;
 }
 
 TEST(NativeBackend, SecondGaussRunLowersAndCompilesNothing) {

@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +178,19 @@ TEST(ServiceConcurrency, NativeCacheCoalescesConcurrentCompilesOfOneSource) {
   });
   const native::JitStats after = jit.stats();
   for (native::KernelFn fn : got) EXPECT_EQ(fn, nullptr);
+  // A failed compile keeps its .cpp and .log for diagnosis; this one failed
+  // on purpose, so remove that pair and leave the scratch directory clean.
+  namespace fs = std::filesystem;
+  std::vector<fs::path> failed;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(jit.scratch_dir())) {
+    std::ifstream in(e.path());
+    if (std::string(std::istreambuf_iterator<char>(in), {}) == bad_kernel)
+      failed.push_back(e.path());
+  }
+  ASSERT_EQ(failed.size(), 1u);
+  fs::remove(failed[0]);
+  fs::remove(failed[0].replace_extension(".log"));
   EXPECT_EQ(after.failures - before.failures, 1);
   EXPECT_EQ(after.compiles - before.compiles, 0);
   EXPECT_EQ(after.lowerings - before.lowerings, 1);
