@@ -232,11 +232,13 @@ int main(int argc, char** argv) {
       std::printf("  schedules    : %d built, %d reused\n",
                   r.schedule_misses, r.schedule_hits);
       if (stats) {
-        std::printf("  exec plans   : %d built, %d reused, %d invalidated\n",
-                    r.plan_misses, r.plan_hits, r.plan_invalidations);
-        std::printf("  irregular    : %d built, %d reused, %d invalidated "
-                    "(inspector plans)\n",
-                    r.irregular_misses, r.irregular_hits,
+        std::printf("  exec plans   : %d built, %d reused (%d re-bound), "
+                    "%d invalidated, %d live entries\n",
+                    r.plan_misses, r.plan_hits, r.plan_rebinds,
+                    r.plan_invalidations, r.plan_entries);
+        std::printf("  irregular    : %d built, %d reused (%d re-bound), "
+                    "%d invalidated (inspector plans)\n",
+                    r.irregular_misses, r.irregular_hits, r.irregular_rebinds,
                     r.irregular_invalidations);
         std::printf("  PARTI traffic: %lld schedules built, %lld gather "
                     "bytes, %lld scatter bytes\n",

@@ -29,22 +29,6 @@ namespace {
 /// vector, keeping warm communication allocation-free.
 constexpr size_t kMaxCopyLevels = 8;
 
-/// Baked storage geometry of one distributed array piece: everything a plan
-/// needs to turn (global indices, iteration values) into flat byte offsets.
-/// Storage pointers are stable for the whole run (DistArray::data_ is
-/// allocated once); statement plans are dropped with their cache entry and
-/// executor entries re-check the base, covering the redistribute escape
-/// hatch.
-struct ArrayView {
-  char* base = nullptr;
-  ElemTy ty = ElemTy::kReal;
-  std::size_t elem = 0;
-  const Dad* dad = nullptr;
-  std::vector<Index> lext;    ///< owned local extents
-  std::vector<Index> aext;    ///< allocated extents (owned + overlap)
-  std::vector<Index> stride;  ///< row-major element strides over aext
-};
-
 template <typename T>
 void fill_view(rts::DistArray<T>& a, ArrayView& v) {
   v.base = reinterpret_cast<char*>(a.storage().data());
@@ -355,21 +339,23 @@ void CommPlans::run_shift(ShiftPlan& p) {
 bool CommPlans::build_bcast(const CommAction& a, const RefInfo& ref,
                             std::span<const std::string> key_names,
                             BcastPlan& out) {
-  ArrayView v;
+  const std::set<std::string> none;
+  for (size_t d = 0; d < ref.subs.size(); ++d)
+    if (!expr_bakeable(*ref.expr->args[d], *env_, key_names, none))
+      return false;
+  ArrayView& v = out.view;
   if (!resolve_view(*env_, ref.array, v)) return false;
   const Dad& dad = *v.dad;
-  const std::set<std::string> none;
-  std::vector<Index> g(ref.subs.size());
+  std::vector<Index>& g = out.g;
+  g.resize(ref.subs.size());
   for (size_t d = 0; d < ref.subs.size(); ++d) {
-    const Expr& e = *ref.expr->args[d];
-    if (!expr_bakeable(e, *env_, key_names, none)) return false;
-    g[d] = hooks_.eval(e).as_i() -
+    g[d] = hooks_.eval(*ref.expr->args[d]).as_i() -
            env_->lower_of(ref.array, static_cast<int>(d));
     if (g[d] < 0 || g[d] >= dad.extent(static_cast<int>(d))) return false;
   }
-  const std::vector<int> zeros(
+  out.coords.assign(
       static_cast<size_t>(env_->compiled.mapping.grid.ndims()), 0);
-  out.root = dad.owner_logical(g, zeros);
+  out.root = dad.owner_logical_in(g, out.coords);
   out.is_root = env_->gc.my_logical() == out.root;
   out.ty = v.ty;
   out.buffer_id = a.buffer_id;
@@ -425,7 +411,7 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
                            const RefInfo& ref,
                            std::span<const std::string> key_names,
                            SlabPlan& out) {
-  ArrayView v;
+  ArrayView& v = out.view;
   if (!resolve_view(*env_, ref.array, v)) return false;
   // Slab buffers are double-typed end to end (Buf::dvals); the tree walk
   // has the same restriction.
@@ -434,6 +420,8 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
   const comm::GridComm& gc = env_->gc;
   const std::set<std::string> none;
 
+  out.comm_dims.clear();
+  out.dest_coords.clear();
   bool on_root = true;
   for (const auto& [d, sub] : a.root_subs) {
     const ExprPtr e = compile::affine_to_expr(sub);
@@ -492,7 +480,7 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
   const std::set<std::string> svars(ref.slab_vars.begin(),
                                     ref.slab_vars.end());
   out.counts.resize(nv);
-  out.tabs.assign(nv, {});
+  out.tabs.resize(nv);
   for (size_t k = 0; k < nv; ++k) {
     out.counts[k] = slab_ranges[k].count;
     out.tabs[k].assign(static_cast<size_t>(out.counts[k]), 0);
@@ -599,55 +587,80 @@ CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
                        return cls(x->kind) < cls(y->kind);
                      return x->ref_id > y->ref_id;
                    });
-  std::set<std::string> arrays;
   for (const CommAction* a : order) {
-    const RefInfo& ref = s.refs[static_cast<size_t>(a->ref_id)];
     Slot slot;
     slot.action = a;
-    // A build failure — including a thrown runtime error (out-of-range
-    // subscript, non-affine sub, unowned element) — declines the slot; the
-    // legacy action then raises the original diagnostic at run time.
-    try {
-      switch (a->kind) {
-        case CommKind::kOverlapShift: {
-          ShiftPlan p;
-          if (build_shift(*a, ref, p)) {
-            slot.plan = std::move(p);
-            arrays.insert(ref.array);
-          }
-          break;
-        }
-        case CommKind::kBcastElement: {
-          BcastPlan p;
-          if (build_bcast(*a, ref, key_names, p)) {
-            slot.plan = std::move(p);
-            arrays.insert(ref.array);
-          }
-          break;
-        }
-        case CommKind::kMulticast:
-        case CommKind::kTransfer: {
-          SlabPlan p;
-          if (build_slab(s, *a, ref, key_names, p)) {
-            slot.plan = std::move(p);
-            arrays.insert(ref.array);
-            if (a->kind == CommKind::kTransfer && !s.refs.empty())
-              arrays.insert(s.refs[0].array);  // dest coords bake the lhs DAD
-          }
-          break;
-        }
-        default:
-          // Schedule-backed read buffers run through gather_via_schedule
-          // (their executors are compiled separately, keyed by schedule).
-          break;
-      }
-    } catch (const Error&) {
-      slot.plan = LegacySlot{};
-    }
+    bake(s, slot, key_names, plan.arrays);
     plan.slots.push_back(std::move(slot));
   }
-  plan.arrays.assign(arrays.begin(), arrays.end());
   return plan;
+}
+
+void CommPlans::bake(const SpmdStmt& s, Slot& slot,
+                     std::span<const std::string> key_names,
+                     std::vector<std::string>& arrays) {
+  const CommAction& a = *slot.action;
+  const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
+  auto binds = [&arrays](const std::string& name) {
+    if (std::find(arrays.begin(), arrays.end(), name) == arrays.end())
+      arrays.push_back(name);
+  };
+  // A build failure — including a thrown runtime error (out-of-range
+  // subscript, non-affine sub, unowned element) — declines the slot; the
+  // legacy action then raises the original diagnostic at run time.
+  try {
+    switch (a.kind) {
+      case CommKind::kOverlapShift: {
+        ShiftPlan p;
+        if (build_shift(a, ref, p)) {
+          slot.plan = std::move(p);
+          binds(ref.array);
+          return;
+        }
+        break;
+      }
+      case CommKind::kBcastElement: {
+        if (!std::holds_alternative<BcastPlan>(slot.plan))
+          slot.plan = BcastPlan{};
+        if (build_bcast(a, ref, key_names, std::get<BcastPlan>(slot.plan))) {
+          binds(ref.array);
+          return;
+        }
+        break;
+      }
+      case CommKind::kMulticast:
+      case CommKind::kTransfer: {
+        if (!std::holds_alternative<SlabPlan>(slot.plan))
+          slot.plan = SlabPlan{};
+        if (build_slab(s, a, ref, key_names, std::get<SlabPlan>(slot.plan))) {
+          binds(ref.array);
+          if (a.kind == CommKind::kTransfer)
+            binds(s.refs[0].array);  // dest coords bake the lhs DAD
+          return;
+        }
+        break;
+      }
+      default:
+        // Schedule-backed read buffers run through gather_via_schedule
+        // (their executors are compiled separately, keyed by schedule).
+        break;
+    }
+  } catch (const Error&) {
+  }
+  slot.plan = LegacySlot{};
+}
+
+void CommPlans::rebind(const SpmdStmt& s, StmtPlan& plan,
+                       std::span<const std::string> key_names) {
+  for (Slot& slot : plan.slots) {
+    const CommKind k = slot.action->kind;
+    // A slot that bakes again after running legacy may add an array to
+    // the entry's list; one that stops baking leaves its array listed
+    // (invalidating too eagerly is harmless).
+    if (k == CommKind::kBcastElement || k == CommKind::kMulticast ||
+        k == CommKind::kTransfer)
+      bake(s, slot, key_names, plan.arrays);
+  }
 }
 
 void CommPlans::run(const SpmdStmt& s, StmtPlan& plan) {

@@ -7,7 +7,8 @@
 // storage cells form the boundary slab, which processor owns a broadcast
 // element, which local offsets a slab multicast packs, which owned cells a
 // PARTI executor pushes per peer.  A CommPlan resolves all of it once per
-// (statement × processor × baked runtime scalars) into flat descriptors:
+// statement and processor — and re-binds the scalar-dependent parts in
+// place when the baked runtime scalars change — into flat descriptors:
 //
 //   ShiftPlan   overlap_shift lowered to two strided-copy descriptors
 //               (pack boundary slab / unpack ghost area) whose innermost
@@ -33,8 +34,8 @@
 //
 // Ownership: a statement's compiled pre-communication (StmtPlan) is built
 // together with its execution plan and lives in the same statement-cache
-// entry (exec/statement_plan.hpp) — same key, same baked runtime scalars,
-// dropped together when any part binds a redistributed array.  CommPlans
+// entry (exec/statement_plan.hpp) — same key scalars, re-bound together
+// (rebind), dropped together when any part binds a redistributed array.  CommPlans
 // itself only keeps the PARTI executor state, keyed by schedule identity;
 // those entries re-check the array's storage base on every lookup, so they
 // need no invalidation call of their own (docs/EXECUTION.md).
@@ -114,6 +115,22 @@ struct CopyDesc {
 /// Element type of a baked storage view (the three DistArray payloads).
 enum class ElemTy { kReal, kInt, kLogical };
 
+/// Baked storage geometry of one distributed array piece: everything a plan
+/// needs to turn (global indices, iteration values) into flat byte offsets.
+/// Storage pointers are stable for the whole run (DistArray::data_ is
+/// allocated once); statement plans are dropped with their cache entry and
+/// executor entries re-check the base, covering the redistribute escape
+/// hatch.
+struct ArrayView {
+  char* base = nullptr;
+  ElemTy ty = ElemTy::kReal;
+  std::size_t elem = 0;
+  const rts::Dad* dad = nullptr;
+  std::vector<Index> lext;    ///< owned local extents
+  std::vector<Index> aext;    ///< allocated extents (owned + overlap)
+  std::vector<Index> stride;  ///< row-major element strides over aext
+};
+
 class CommPlans {
   struct Slot;
 
@@ -136,6 +153,14 @@ class CommPlans {
   /// so a stale bake is impossible by construction).
   [[nodiscard]] StmtPlan build(const compile::SpmdStmt& s,
                                std::span<const std::string> key_names);
+
+  /// Re-bind `plan` (built from `s`) in place to the key scalars' current
+  /// values: broadcast roots and offsets, slab roots, destinations and
+  /// offset tables.  Shift slots depend on no scalar and are kept.  A slot
+  /// the new values cannot bake runs its legacy action until a later
+  /// rebind bakes it again, so the result always equals a fresh build.
+  void rebind(const compile::SpmdStmt& s, StmtPlan& plan,
+              std::span<const std::string> key_names);
 
   /// Run every slot of `plan` (built from `s`): bit-identical messages,
   /// tags and charges to the tree walk's pre actions.
@@ -179,6 +204,10 @@ class CommPlans {
     Index byte_off = 0;           ///< flat byte offset of the element (root)
     int buffer_id = -1;
     std::vector<double> scratch;  ///< persistent bcast payload
+    // Bind scratch, kept so a rebind allocates nothing.
+    ArrayView view;
+    std::vector<Index> g;      ///< global element index
+    std::vector<int> coords;   ///< owner grid coordinates
   };
 
   struct SlabPlan {
@@ -195,6 +224,7 @@ class CommPlans {
     std::vector<std::vector<Index>> tabs;  ///< per slab var: byte offsets
     int buffer_id = -1;
     std::vector<double> scratch;  ///< transfer receive side
+    ArrayView view;               ///< bind scratch
   };
 
   struct LegacySlot {};  ///< run through hooks_.legacy
@@ -226,6 +256,12 @@ class CommPlans {
   };
 
   // --- build ---------------------------------------------------------------
+  /// Bake one slot's plan into `slot.plan` (reusing the alternative it
+  /// already holds); a failed or throwing bake leaves a legacy slot.
+  /// Adds the array(s) a baked plan binds to `arrays` unless listed.
+  void bake(const compile::SpmdStmt& s, Slot& slot,
+            std::span<const std::string> key_names,
+            std::vector<std::string>& arrays);
   bool build_shift(const compile::CommAction& a, const compile::RefInfo& ref,
                    ShiftPlan& out);
   bool build_bcast(const compile::CommAction& a, const compile::RefInfo& ref,

@@ -1,13 +1,14 @@
 #include "exec/exec_plan.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "compile/affine.hpp"
 #include "exec/irregular_plan.hpp"
 #include "rts/set_bound.hpp"
+#include "support/diag.hpp"
 
 namespace f90d::exec {
 
@@ -190,7 +191,7 @@ void term_add_affine(OffsetTerm& t, long long stride, Index count) {
 }
 
 /// Add a per-counter table contribution (scaled by `scale`).
-void term_add_table(OffsetTerm& t, const std::vector<long long>& tab,
+void term_add_table(OffsetTerm& t, const std::vector<Index>& tab,
                     long long scale, Index count) {
   if (t.table.empty()) {
     t.table.resize(static_cast<size_t>(count));
@@ -216,91 +217,78 @@ bool same_dim_map(const DimMap& a, const DimMap& b) {
 
 // --- planner -----------------------------------------------------------------
 
+/// Plans one statement in two phases.  The structural phase (tapes,
+/// reference kinds, storage pointers, allocation strides) runs once per
+/// build.  The bind phase (guards, set_BOUND ranges, reference base
+/// offsets and offset terms) runs at build time and again on every rebind,
+/// writing into the plan's existing vectors.  A rebind runs exactly the
+/// bind code a fresh build runs, so a re-bound plan equals a fresh build
+/// under the same scalar values.
 class Builder {
  public:
-  Builder(const SpmdStmt& s, Env& env, bool irregular = false)
-      : s_(s), env_(env), coords_(env.gc.my_coords()), irregular_(irregular) {}
+  Builder(const SpmdStmt& s, Env& env, ExecPlan& plan, bool irregular)
+      : s_(s),
+        env_(env),
+        coords_(env.gc.my_coords()),
+        irregular_(irregular),
+        plan_(plan) {}
 
-  PlanEntry build() {
-    try {
-      structural_gates();
-      plan_ = std::make_shared<ExecPlan>();
-      plan_->stmt_id = s_.stmt_id;
-      if (!guards_pass()) {
-        plan_->masked_out = true;
-        return PlanEntry{plan_, {}, false};
-      }
-      build_loops();
-      for (const PlanLoop& l : plan_->loops)
-        if (l.count == 0) return PlanEntry{plan_, {}, false};  // empty nest
-      for (const RefInfo& r : s_.refs)
-        if (r.expr != nullptr) ref_of_.emplace(r.expr, &r);
-      plan_->lhs = build_ref_plan(s_.refs.at(0), /*is_write=*/true);
-      plan_->rhs = compile_tape(*s_.rhs);
-      if (s_.mask) plan_->mask = compile_tape(*s_.mask);
-      plan_->arrays.assign(arrays_.begin(), arrays_.end());
-      return PlanEntry{plan_, {}, false};
-    } catch (const Decline& d) {
-      return PlanEntry{nullptr, d.reason, d.structural};
-    }
+  /// Regular plan.  Throws Decline.
+  void build() {
+    structural_gates();
+    plan_.stmt_id = s_.stmt_id;
+    if (!bind_nest()) return;  // masked out or empty nest: no body
+    index_refs();
+    plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
+    compile_body();
   }
 
   /// Irregular entry point: lower a schedule-bearing kForall into an
-  /// inspector/executor plan, or decline back to the tree walk.
-  IrrPlanEntry build_irr() {
+  /// inspector/executor plan whose core is plan_.  Throws Decline.
+  void build_irr(IrregularPlan& irr) {
+    structural_gates();
+    plan_.stmt_id = s_.stmt_id;
+    irr.lhs_buffered = s_.lhs_buffered;
+    for (const CommAction& a : s_.pre) {
+      if (a.eliminated || a.kind != CommKind::kGather) continue;
+      IrrRead r;
+      r.action = &a;
+      r.ref_id = a.ref_id;
+      r.buffer_id = a.buffer_id;
+      irr.reads.push_back(std::move(r));
+    }
+    // Inner indirection arrays resolve before the references that
+    // subscript with them (the tree walk's pre-action order).
+    std::sort(irr.reads.begin(), irr.reads.end(),
+              [](const IrrRead& x, const IrrRead& y) {
+                return x.ref_id > y.ref_id;
+              });
+    for (const CommAction& a : s_.post)
+      if (!a.eliminated && a.kind == CommKind::kScatter) irr.scatter = &a;
+    // Masked-out and empty-nest plans keep the reads/scatter metadata but
+    // build no body: this processor still participates in the collective
+    // schedule builds, with empty needs.
+    if (!bind_nest()) return;
+    index_refs();
+    for (IrrRead& r : irr.reads)
+      r.idx = build_indexer(s_.refs.at(static_cast<size_t>(r.ref_id)));
+    if (s_.lhs_buffered)
+      irr.lhs_idx = build_indexer(s_.refs.at(0));
+    else
+      plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
+    compile_body();
+  }
+
+  /// Re-bind plan_ to the current scalar values.  False = rebuild.
+  bool rebind() {
     try {
-      structural_gates();
-      plan_ = std::make_shared<ExecPlan>();
-      plan_->stmt_id = s_.stmt_id;
-      auto irr = std::make_shared<IrregularPlan>();
-      irr->lhs_buffered = s_.lhs_buffered;
-      for (const CommAction& a : s_.pre) {
-        if (a.eliminated || a.kind != CommKind::kGather) continue;
-        IrrRead r;
-        r.action = &a;
-        r.ref_id = a.ref_id;
-        r.buffer_id = a.buffer_id;
-        irr->reads.push_back(std::move(r));
-      }
-      // Inner indirection arrays resolve before the references that
-      // subscript with them (the tree walk's pre-action order).
-      std::sort(irr->reads.begin(), irr->reads.end(),
-                [](const IrrRead& x, const IrrRead& y) {
-                  return x.ref_id > y.ref_id;
-                });
-      for (const CommAction& a : s_.post)
-        if (!a.eliminated && a.kind == CommKind::kScatter) irr->scatter = &a;
-      // Masked-out and empty-nest plans keep the reads/scatter metadata
-      // but build no tapes: this processor still participates in the
-      // collective schedule builds, with empty needs.
-      if (!guards_pass()) {
-        plan_->masked_out = true;
-        irr->empty_nest = true;
-        irr->core = std::move(*plan_);
-        return IrrPlanEntry{std::move(irr), {}, false};
-      }
-      build_loops();
-      for (const PlanLoop& l : plan_->loops)
-        if (l.count == 0) {
-          irr->empty_nest = true;
-          irr->core = std::move(*plan_);
-          return IrrPlanEntry{std::move(irr), {}, false};
-        }
-      for (const RefInfo& r : s_.refs)
-        if (r.expr != nullptr) ref_of_.emplace(r.expr, &r);
-      for (IrrRead& r : irr->reads)
-        r.idx = build_indexer(s_.refs.at(static_cast<size_t>(r.ref_id)));
-      if (s_.lhs_buffered)
-        irr->lhs_idx = build_indexer(s_.refs.at(0));
-      else
-        plan_->lhs = build_ref_plan(s_.refs.at(0), /*is_write=*/true);
-      plan_->rhs = compile_tape(*s_.rhs);
-      if (s_.mask) plan_->mask = compile_tape(*s_.mask);
-      plan_->arrays.assign(arrays_.begin(), arrays_.end());
-      irr->core = std::move(*plan_);
-      return IrrPlanEntry{std::move(irr), {}, false};
-    } catch (const Decline& d) {
-      return IrrPlanEntry{nullptr, d.reason, d.structural};
+      if (!bind_nest()) return true;  // nothing runs; the body waits
+      if (!plan_.has_body) return false;
+      for (RefPlan& r : plan_.refs) bind_ref(r, /*is_write=*/false);
+      if (plan_.lhs.src != nullptr) bind_ref(plan_.lhs, /*is_write=*/true);
+      return true;
+    } catch (const Decline&) {
+      return false;
     }
   }
 
@@ -354,6 +342,12 @@ class Builder {
     }
   }
 
+  Value scalar_value(const std::string& name) const {
+    auto it = env_.scalars.find(name);
+    if (it == env_.scalars.end()) decline("unbound scalar " + name);
+    return it->second;
+  }
+
   /// Mirror of the interpreter's scalar-context eval(): literals, scalar
   /// variables, arithmetic and elementwise intrinsics.  Used for loop
   /// bounds, guard subscripts and runtime subscript terms.
@@ -362,11 +356,7 @@ class Builder {
       case ExprKind::kIntLit: return Value::integer(e.int_value);
       case ExprKind::kRealLit: return Value::real(e.real_value);
       case ExprKind::kLogicalLit: return Value::logical(e.logical_value);
-      case ExprKind::kVarRef: {
-        auto it = env_.scalars.find(e.name);
-        if (it == env_.scalars.end()) decline("unbound scalar " + e.name);
-        return it->second;
-      }
+      case ExprKind::kVarRef: return scalar_value(e.name);
       case ExprKind::kUnOp: {
         const Value v = eval_scalar(*e.args[0]);
         if (e.un_op == UnOpKind::kPlus) return v;
@@ -396,11 +386,29 @@ class Builder {
     }
   }
 
+  /// The value of compile::affine_to_expr(a), evaluated term by term in
+  /// the same order without building the expression tree.
+  Value eval_affine(const AffineSub& a) {
+    require(a.kind == AffineSub::Kind::kAffine, "guard subscript is affine");
+    Value acc;
+    bool any = false;
+    auto add = [&](const Value& term) {
+      acc = any ? bin_value(Op::kAdd, acc, term) : term;
+      any = true;
+    };
+    for (const auto& [v, c] : a.coefs)
+      add(c == 1 ? scalar_value(v)
+                 : bin_value(Op::kMul, Value::integer(c), scalar_value(v)));
+    if (a.runtime) add(eval_scalar(*a.runtime));
+    if (a.cst != 0 || !any) add(Value::integer(a.cst));
+    return acc;
+  }
+
   bool guards_pass() {
     for (const ProcGuard& g : s_.guards) {
       const Dad& dad = env_.dads.at(g.array);
-      const Index val = eval_scalar(*compile::affine_to_expr(g.sub)).as_i() -
-                        env_.lower_of(g.array, g.dim);
+      const Index val =
+          eval_affine(g.sub).as_i() - env_.lower_of(g.array, g.dim);
       const int owner = dad.owner_coord(g.dim, val);
       const int gd = dad.dim(g.dim).grid_dim;
       if (coords_[static_cast<size_t>(gd)] != owner) return false;
@@ -408,32 +416,48 @@ class Builder {
     return true;
   }
 
-  int level_of(const std::string& var) const {
+  size_t level_of(const std::string& var) const {
     for (size_t k = 0; k < s_.indices.size(); ++k)
-      if (s_.indices[k].var == var) return static_cast<int>(k);
+      if (s_.indices[k].var == var) return k;
     decline("free variable " + var + " in subscript");
+  }
+
+  /// Guards and set_BOUND ranges for the current scalar values.  False
+  /// when this processor runs no iteration: the guards reject it or a
+  /// level is empty.
+  bool bind_nest() {
+    plan_.masked_out = !guards_pass();
+    if (plan_.masked_out) return false;
+    bind_loops();
+    for (const PlanLoop& l : plan_.loops)
+      if (l.count == 0) return false;
+    return true;
   }
 
   /// set_BOUND-resolved loop levels; mirrors the interpreter's
   /// ranges_for_coords()/range_from_bound() so the planned iteration order
   /// and values are identical to the tree walk's.
-  void build_loops() {
-    for (const IndexPartition& ip : s_.indices) {
+  void bind_loops() {
+    plan_.loops.resize(s_.indices.size());
+    for (size_t k = 0; k < s_.indices.size(); ++k) {
+      const IndexPartition& ip = s_.indices[k];
       const Index lo = eval_scalar(*ip.lo).as_i();
       const Index hi = eval_scalar(*ip.hi).as_i();
       const Index st = ip.st ? eval_scalar(*ip.st).as_i() : 1;
       if (st == 0) decline("zero stride", /*structural=*/false);
-      PlanLoop L;
+      PlanLoop& L = plan_.loops[k];
       L.var = ip.var;
-      std::optional<LocalRange> lr;
+      L.count = 0;
+      L.val0 = 0;
+      L.step = 1;
+      L.values.clear();
       if (!ip.array.empty()) {
         const Dad& dad = env_.dads.at(ip.array);
         const long long lower = env_.lower_of(ip.array, ip.dim);
         const int gd = dad.dim(ip.dim).grid_dim;
         const int coord = coords_[static_cast<size_t>(gd)];
-        const LocalRange b =
-            rts::set_bound(dad, ip.dim, coord, lo - lower, hi - lower, st);
-        lr = b;
+        L.bound = rts::set_bound(dad, ip.dim, coord, lo - lower, hi - lower, st);
+        const LocalRange& b = L.bound;
         if (!b.empty) {
           L.count = b.count();
           const DimMap& m = dad.dim(ip.dim);
@@ -483,49 +507,41 @@ class Builder {
         L.val0 = lo;
         L.step = st;
       }
-      plan_->loops.push_back(std::move(L));
-      lrs_.push_back(std::move(lr));
-      ips_.push_back(&ip);
     }
   }
 
-  RefPlan build_ref_plan(const RefInfo& ref, bool is_write) {
-    const size_t nv = plan_->loops.size();
+  void index_refs() {
+    for (const RefInfo& r : s_.refs)
+      if (r.expr != nullptr) ref_of_.emplace(r.expr, &r);
+  }
+
+  void compile_body() {
+    plan_.rhs = compile_tape(*s_.rhs);
+    if (s_.mask) plan_.mask = compile_tape(*s_.mask);
+    plan_.arrays.assign(arrays_.begin(), arrays_.end());
+    plan_.has_body = true;
+  }
+
+  /// Structural part of a reference (kind, storage, strides), then its
+  /// first binding.
+  RefPlan make_ref(const RefInfo& ref, bool is_write) {
+    RefPlan r;
+    r.src = &ref;
     switch (ref.access) {
-      case Access::kScalarSlot: {
-        RefPlan r;
+      case Access::kScalarSlot:
         r.kind = RefPlan::Kind::kScalarSlot;
         r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
-        r.terms.resize(nv);
-        return r;
-      }
-      case Access::kSlabBuf: {
+        break;
+      case Access::kSlabBuf:
         if (is_write) decline("slab-buffered lhs");
         if (env_.sym(ref.array).type != ast::BaseType::kReal)
           decline("non-REAL slab buffer");
-        RefPlan r;
         r.kind = RefPlan::Kind::kRealSlab;
         r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
-        r.terms.resize(nv);
-        // Slab index: odometer over the slab variables in spec order, last
-        // variable fastest (matches the pack order).
-        long long mult = 1;
-        for (auto it = ref.slab_vars.rbegin(); it != ref.slab_vars.rend();
-             ++it) {
-          const int k = level_of(*it);
-          r.terms[static_cast<size_t>(k)].stride = mult;
-          mult *= plan_->loops[static_cast<size_t>(k)].count;
-        }
-        return r;
-      }
+        break;
       case Access::kIterBuf: {
         if (!irregular_) decline("iteration buffer (PARTI)");
         if (is_write) decline("iteration-buffered write reference");
-        // One gathered value per iteration, in exact iteration order: the
-        // flat iteration index is an odometer over the loop counts, last
-        // variable fastest (matches the tree walk's flat_iter_ slots and
-        // the needs enumeration order).
-        RefPlan r;
         const Symbol& sm = env_.sym(ref.array);
         if (sm.type == ast::BaseType::kInteger)
           r.kind = RefPlan::Kind::kIntIterBuf;
@@ -534,19 +550,226 @@ class Builder {
         else
           decline("logical gather buffer");
         r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
-        r.terms.resize(nv);
+        break;
+      }
+      case Access::kDirect:
+        make_direct(ref, r);
+        break;
+    }
+    bind_ref(r, is_write);
+    if (ref.access == Access::kIterBuf || ref.access == Access::kDirect)
+      arrays_.insert(ref.array);
+    return r;
+  }
+
+  void make_direct(const RefInfo& ref, RefPlan& rp) {
+    std::vector<Index> aext;
+    int rank = 0;
+    switch (env_.sym(ref.array).type) {
+      case ast::BaseType::kReal: {
+        auto& a = env_.dar.at(ref.array);
+        rp.kind = RefPlan::Kind::kRealDirect;
+        rp.dbase = a.storage().data();
+        rank = a.rank();
+        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
+        break;
+      }
+      case ast::BaseType::kInteger: {
+        auto& a = env_.iar.at(ref.array);
+        rp.kind = RefPlan::Kind::kIntDirect;
+        rp.ibase = a.storage().data();
+        rank = a.rank();
+        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
+        break;
+      }
+      case ast::BaseType::kLogical: {
+        auto& a = env_.lar.at(ref.array);
+        rp.kind = RefPlan::Kind::kLogicalDirect;
+        rp.lbase = a.storage().data();
+        rank = a.rank();
+        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
+        break;
+      }
+    }
+    if (static_cast<int>(ref.subs.size()) != rank)
+      decline("subscript rank mismatch");
+    rp.dim_strides.assign(static_cast<size_t>(rank), 1);
+    for (int d = rank - 2; d >= 0; --d)
+      rp.dim_strides[static_cast<size_t>(d)] =
+          rp.dim_strides[static_cast<size_t>(d + 1)] *
+          aext[static_cast<size_t>(d + 1)];
+  }
+
+  /// Value-dependent part of a reference: base offset and per-level terms.
+  void bind_ref(RefPlan& r, bool is_write) {
+    const size_t nv = plan_.loops.size();
+    r.base = 0;
+    r.terms.resize(nv);
+    for (OffsetTerm& t : r.terms) {
+      t.stride = 0;
+      t.table.clear();
+    }
+    const RefInfo& ref = *r.src;
+    switch (ref.access) {
+      case Access::kScalarSlot:
+        return;
+      case Access::kSlabBuf: {
+        // Slab index: odometer over the slab variables in spec order, last
+        // variable fastest (matches the pack order).
+        long long mult = 1;
+        for (auto it = ref.slab_vars.rbegin(); it != ref.slab_vars.rend();
+             ++it) {
+          const size_t k = level_of(*it);
+          r.terms[k].stride = mult;
+          mult *= plan_.loops[k].count;
+        }
+        return;
+      }
+      case Access::kIterBuf: {
+        // One gathered value per iteration, in exact iteration order: the
+        // flat iteration index is an odometer over the loop counts, last
+        // variable fastest (matches the tree walk's flat_iter_ slots and
+        // the needs enumeration order).
         long long mult = 1;
         for (size_t k = nv; k-- > 0;) {
           r.terms[k].stride = mult;
-          mult *= plan_->loops[k].count;
+          mult *= plan_.loops[k].count;
         }
-        arrays_.insert(ref.array);
-        return r;
+        return;
       }
       case Access::kDirect:
-        break;
+        bind_direct(ref, is_write, r);
+        return;
     }
-    return direct_ref_plan(ref, is_write);
+  }
+
+  /// Calls f(level, stride, table, scale) for each per-level contribution
+  /// to one dimension's local index: `stride` per loop counter, or
+  /// scale * (*table)[counter] when `table` is set.  Simple dimensions
+  /// contribute one term per subscript variable; cyclic ones exactly the
+  /// set_BOUND local progression of their partitioned level.
+  template <typename F>
+  void for_each_dim_term(const AffineSub& sub, bool simple, F&& f) const {
+    if (!simple) {
+      const size_t k = level_of(sub.coefs.begin()->first);
+      const LocalRange& b = plan_.loops[k].bound;
+      if (b.enumerated())
+        f(k, 0LL, &b.indices, 1LL);
+      else
+        f(k, static_cast<long long>(b.st), nullptr, 0LL);
+      return;
+    }
+    for (const auto& [var, coef] : sub.coefs) {
+      if (coef == 0) continue;
+      const size_t k = level_of(var);
+      const PlanLoop& L = plan_.loops[k];
+      if (L.values.empty())
+        f(k, coef * L.step, nullptr, 0LL);
+      else
+        f(k, 0LL, &L.values, coef);
+    }
+  }
+
+  void bind_direct(const RefInfo& ref, bool is_write, RefPlan& rp) {
+    const Dad& dad = env_.dads.at(ref.array);
+    long long base = 0;
+    for (int d = 0; d < dad.rank(); ++d) {
+      const AffineSub& sub = ref.subs[static_cast<size_t>(d)];
+      if (sub.kind != AffineSub::Kind::kAffine)
+        decline("non-affine subscript");
+      const DimMap& m = dad.dim(d);
+      const int coord = m.kind == DistKind::kCollapsed
+                            ? 0
+                            : coords_[static_cast<size_t>(m.grid_dim)];
+      const Index lext = dad.local_extent(d, coord);
+
+      // Per-dim local-index decomposition: constant + per-level terms.
+      long long c0 = 0;
+      const bool simple =
+          m.kind == DistKind::kCollapsed ||
+          (m.kind == DistKind::kBlock && m.align_stride == 1);
+      if (simple) {
+        const long long rt =
+            sub.runtime ? eval_scalar(*sub.runtime).as_i() : 0;
+        c0 = sub.cst + rt - env_.lower_of(ref.array, d);
+        if (m.kind == DistKind::kBlock) {
+          // local = global - first owned global (unit alignment stride).
+          if (lext == 0) decline("empty local block");
+          c0 -= dad.global_of_local(d, 0, coord);
+        }
+        for (const auto& [var, coef] : sub.coefs) {
+          if (coef == 0) continue;
+          const PlanLoop& L = plan_.loops[level_of(var)];
+          if (L.values.empty()) c0 += coef * L.val0;
+        }
+      } else {
+        // CYCLIC / CYCLIC(k) / strided alignment: only the identity access
+        // on the dimension the iteration was partitioned by — the local
+        // index progression is then exactly the set_BOUND LocalRange.
+        const std::string var = sub.single_var();
+        if (var.empty() || sub.coef(var) != 1 || sub.has_runtime())
+          decline("non-identity subscript on cyclic dimension");
+        const size_t k = level_of(var);
+        const IndexPartition& ip = s_.indices[k];
+        if (ip.array.empty())
+          decline("cyclic subscript variable not set_BOUND partitioned");
+        const Dad& pdad = env_.dads.at(ip.array);
+        if (!same_dim_map(m, pdad.dim(ip.dim)) ||
+            dad.extent(d) != pdad.extent(ip.dim))
+          decline("cyclic dimension mapped differently from partition source");
+        if (sub.cst - env_.lower_of(ref.array, d) !=
+            -env_.lower_of(ip.array, ip.dim))
+          decline("offset subscript on cyclic dimension");
+        const LocalRange& b = plan_.loops[k].bound;
+        if (!b.enumerated()) c0 += b.lb;
+      }
+
+      // Verify every touched local index stays inside the allocation: reads
+      // may use the overlap (ghost) area, writes must be owned.  This is
+      // the planner's replacement for the per-element at_global/_ghost
+      // require() checks; anything outside falls back to the tree walk.
+      long long mn = c0;
+      long long mx = c0;
+      for_each_dim_term(sub, simple,
+                        [&](size_t k, long long stride,
+                            const std::vector<Index>* tab, long long scale) {
+                          if (tab != nullptr) {
+                            long long lo = scale * tab->front();
+                            long long hi = lo;
+                            for (Index v : *tab) {
+                              lo = std::min(lo, scale * v);
+                              hi = std::max(hi, scale * v);
+                            }
+                            mn += lo;
+                            mx += hi;
+                          } else if (stride != 0) {
+                            const long long end =
+                                stride * (plan_.loops[k].count - 1);
+                            mn += std::min<long long>(0, end);
+                            mx += std::max<long long>(0, end);
+                          }
+                        });
+      const long long lo_ok = is_write ? 0 : -static_cast<long long>(m.overlap_lo);
+      const long long hi_ok =
+          is_write ? lext - 1 : lext + static_cast<long long>(m.overlap_hi) - 1;
+      if (mn < lo_ok || mx > hi_ok)
+        decline("subscript range outside local allocation",
+                /*structural=*/false);
+
+      // Flatten into the merged per-level flat-offset recurrence.
+      const long long sd = rp.dim_strides[static_cast<size_t>(d)];
+      base += sd * (c0 + m.overlap_lo);
+      for_each_dim_term(sub, simple,
+                        [&](size_t k, long long stride,
+                            const std::vector<Index>* tab, long long scale) {
+                          const Index count = plan_.loops[k].count;
+                          if (tab != nullptr)
+                            term_add_table(rp.terms[k], *tab, sd * scale, count);
+                          else if (stride != 0)
+                            term_add_affine(rp.terms[k], sd * stride, count);
+                        });
+    }
+    rp.base = base;
   }
 
   /// Compile one vector-subscripted reference's subscript expressions to
@@ -574,165 +797,12 @@ class Builder {
     return gi;
   }
 
-  RefPlan direct_ref_plan(const RefInfo& ref, bool is_write) {
-    const size_t nv = plan_->loops.size();
-    RefPlan rp;
-    const Dad* dad = nullptr;
-    std::vector<Index> aext;
-    const Symbol& sm = env_.sym(ref.array);
-    switch (sm.type) {
-      case ast::BaseType::kReal: {
-        auto& a = env_.dar.at(ref.array);
-        rp.kind = RefPlan::Kind::kRealDirect;
-        rp.dbase = a.storage().data();
-        dad = &a.dad();
-        for (int d = 0; d < a.rank(); ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-      case ast::BaseType::kInteger: {
-        auto& a = env_.iar.at(ref.array);
-        rp.kind = RefPlan::Kind::kIntDirect;
-        rp.ibase = a.storage().data();
-        dad = &a.dad();
-        for (int d = 0; d < a.rank(); ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-      case ast::BaseType::kLogical: {
-        auto& a = env_.lar.at(ref.array);
-        rp.kind = RefPlan::Kind::kLogicalDirect;
-        rp.lbase = a.storage().data();
-        dad = &a.dad();
-        for (int d = 0; d < a.rank(); ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-    }
-    const int rank = dad->rank();
-    if (static_cast<int>(ref.subs.size()) != rank)
-      decline("subscript rank mismatch");
-    std::vector<long long> strides(static_cast<size_t>(rank), 1);
-    for (int d = rank - 2; d >= 0; --d)
-      strides[static_cast<size_t>(d)] =
-          strides[static_cast<size_t>(d + 1)] * aext[static_cast<size_t>(d + 1)];
-
-    rp.terms.resize(nv);
-    long long base = 0;
-    for (int d = 0; d < rank; ++d) {
-      const AffineSub& sub = ref.subs[static_cast<size_t>(d)];
-      if (sub.kind != AffineSub::Kind::kAffine)
-        decline("non-affine subscript");
-      const DimMap& m = dad->dim(d);
-      const int coord = m.kind == DistKind::kCollapsed
-                            ? 0
-                            : coords_[static_cast<size_t>(m.grid_dim)];
-      const Index lext = dad->local_extent(d, coord);
-
-      // Per-dim local-index decomposition: constant + per-level terms.
-      long long c0 = 0;
-      std::vector<OffsetTerm> dterms(nv);
-      const bool simple =
-          m.kind == DistKind::kCollapsed ||
-          (m.kind == DistKind::kBlock && m.align_stride == 1);
-      if (simple) {
-        const long long rt =
-            sub.runtime ? eval_scalar(*sub.runtime).as_i() : 0;
-        c0 = sub.cst + rt - env_.lower_of(ref.array, d);
-        if (m.kind == DistKind::kBlock) {
-          // local = global - first owned global (unit alignment stride).
-          if (lext == 0) decline("empty local block");
-          c0 -= dad->global_of_local(d, 0, coord);
-        }
-        for (const auto& [var, coef] : sub.coefs) {
-          if (coef == 0) continue;
-          const int k = level_of(var);
-          const PlanLoop& L = plan_->loops[static_cast<size_t>(k)];
-          OffsetTerm& t = dterms[static_cast<size_t>(k)];
-          if (L.values.empty()) {
-            c0 += coef * L.val0;
-            t.stride += coef * L.step;
-          } else {
-            t.table.resize(static_cast<size_t>(L.count));
-            for (Index c = 0; c < L.count; ++c)
-              t.table[static_cast<size_t>(c)] =
-                  coef * L.values[static_cast<size_t>(c)];
-          }
-        }
-      } else {
-        // CYCLIC / CYCLIC(k) / strided alignment: only the identity access
-        // on the dimension the iteration was partitioned by — the local
-        // index progression is then exactly the set_BOUND LocalRange.
-        const std::string var = sub.single_var();
-        if (var.empty() || sub.coef(var) != 1 || sub.has_runtime())
-          decline("non-identity subscript on cyclic dimension");
-        const int k = level_of(var);
-        if (!lrs_[static_cast<size_t>(k)])
-          decline("cyclic subscript variable not set_BOUND partitioned");
-        const IndexPartition& ip = *ips_[static_cast<size_t>(k)];
-        const Dad& pdad = env_.dads.at(ip.array);
-        if (!same_dim_map(m, pdad.dim(ip.dim)) ||
-            dad->extent(d) != pdad.extent(ip.dim))
-          decline("cyclic dimension mapped differently from partition source");
-        if (sub.cst - env_.lower_of(ref.array, d) !=
-            -env_.lower_of(ip.array, ip.dim))
-          decline("offset subscript on cyclic dimension");
-        const LocalRange& b = *lrs_[static_cast<size_t>(k)];
-        OffsetTerm& t = dterms[static_cast<size_t>(k)];
-        if (b.enumerated()) {
-          t.table.assign(b.indices.begin(), b.indices.end());
-        } else {
-          c0 += b.lb;
-          t.stride = b.st;
-        }
-      }
-
-      // Verify every touched local index stays inside the allocation: reads
-      // may use the overlap (ghost) area, writes must be owned.  This is
-      // the planner's replacement for the per-element at_global/_ghost
-      // require() checks; anything outside falls back to the tree walk.
-      long long mn = c0;
-      long long mx = c0;
-      for (size_t k = 0; k < nv; ++k) {
-        const OffsetTerm& t = dterms[k];
-        const Index count = plan_->loops[k].count;
-        if (!t.table.empty()) {
-          const auto [lo_it, hi_it] =
-              std::minmax_element(t.table.begin(), t.table.end());
-          mn += *lo_it;
-          mx += *hi_it;
-        } else if (t.stride != 0) {
-          const long long end = t.stride * (count - 1);
-          mn += std::min<long long>(0, end);
-          mx += std::max<long long>(0, end);
-        }
-      }
-      const long long lo_ok = is_write ? 0 : -static_cast<long long>(m.overlap_lo);
-      const long long hi_ok =
-          is_write ? lext - 1 : lext + static_cast<long long>(m.overlap_hi) - 1;
-      if (mn < lo_ok || mx > hi_ok)
-        decline("subscript range outside local allocation",
-                /*structural=*/false);
-
-      // Flatten into the merged per-level flat-offset recurrence.
-      const long long sd = strides[static_cast<size_t>(d)];
-      base += sd * (c0 + m.overlap_lo);
-      for (size_t k = 0; k < nv; ++k) {
-        const Index count = plan_->loops[k].count;
-        if (!dterms[k].table.empty())
-          term_add_table(rp.terms[k], dterms[k].table, sd, count);
-        else if (dterms[k].stride != 0)
-          term_add_affine(rp.terms[k], sd * dterms[k].stride, count);
-      }
-    }
-    rp.base = base;
-    arrays_.insert(ref.array);
-    return rp;
-  }
-
   int ref_id_of(const RefInfo* ref) {
     auto it = ref_ids_.find(ref);
     if (it != ref_ids_.end()) return it->second;
-    RefPlan rp = build_ref_plan(*ref, /*is_write=*/false);
-    const int id = static_cast<int>(plan_->refs.size());
-    plan_->refs.push_back(std::move(rp));
+    RefPlan rp = make_ref(*ref, /*is_write=*/false);
+    const int id = static_cast<int>(plan_.refs.size());
+    plan_.refs.push_back(std::move(rp));
     ref_ids_.emplace(ref, id);
     return id;
   }
@@ -865,11 +935,9 @@ class Builder {
 
   const SpmdStmt& s_;
   Env& env_;
-  std::vector<int> coords_;
+  const std::vector<int>& coords_;
   bool irregular_ = false;
-  std::shared_ptr<ExecPlan> plan_;
-  std::vector<std::optional<LocalRange>> lrs_;
-  std::vector<const IndexPartition*> ips_;
+  ExecPlan& plan_;
   std::map<const Expr*, const RefInfo*> ref_of_;
   std::map<const RefInfo*, int> ref_ids_;
   std::set<std::string> arrays_;
@@ -1056,11 +1124,31 @@ Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
 }
 
 PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {
-  return Builder(s, env).build();
+  auto plan = std::make_shared<ExecPlan>();
+  try {
+    Builder(s, env, *plan, /*irregular=*/false).build();
+  } catch (const Decline& d) {
+    return PlanEntry{nullptr, d.reason, d.structural};
+  }
+  return PlanEntry{std::move(plan), {}, false};
+}
+
+bool rebind_exec_plan(const SpmdStmt& s, Env& env, ExecPlan& p) {
+  return Builder(s, env, p, /*irregular=*/false).rebind();
 }
 
 IrrPlanEntry build_irregular_plan(const SpmdStmt& s, Env& env) {
-  return Builder(s, env, /*irregular=*/true).build_irr();
+  auto irr = std::make_shared<IrregularPlan>();
+  try {
+    Builder(s, env, irr->core, /*irregular=*/true).build_irr(*irr);
+  } catch (const Decline& d) {
+    return IrrPlanEntry{nullptr, d.reason, d.structural};
+  }
+  return IrrPlanEntry{std::move(irr), {}, false};
+}
+
+bool rebind_irregular_plan(const SpmdStmt& s, Env& env, IrregularPlan& p) {
+  return Builder(s, env, p.core, /*irregular=*/true).rebind();
 }
 
 std::vector<std::string> plan_key_scalars(const SpmdStmt& s, const Env& env) {
@@ -1082,31 +1170,6 @@ std::vector<std::string> plan_key_scalars(const SpmdStmt& s, const Env& env) {
     for (const AffineSub& sub : ref.subs)
       if (sub.runtime) walk(*sub.runtime, walk);
   return std::vector<std::string>(names.begin(), names.end());
-}
-
-void plan_key_into(const SpmdStmt& s, const Env& env,
-                   const std::vector<std::string>& scalars, std::string& out) {
-  // Integer formatting into a stack buffer: std::to_string would allocate
-  // on every call, defeating the scratch-string reuse.
-  char buf[24];
-  auto append_int = [&](long long v) {
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec;
-    out.append(buf, end);
-  };
-  out.clear();
-  out.append("plan:");
-  append_int(s.stmt_id);
-  out.push_back('@');
-  // Record the values exactly as the planner bakes them (as_i everywhere:
-  // bounds, guards and runtime subscript terms are integer contexts), so
-  // equal keys imply equal plans.
-  for (const std::string& nm : scalars) {
-    out.append(nm);
-    out.push_back('=');
-    append_int(env.scalars.at(nm).as_i());
-    out.push_back(';');
-  }
 }
 
 // ---------------------------------------------------------------------------

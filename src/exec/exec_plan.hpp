@@ -8,24 +8,27 @@
 // trees and re-queried the DAD owner/local algebra for every element on
 // every DO-loop trip.  An ExecPlan recovers the compiled shape at run time:
 //
-//   plan-build (once per statement × runtime-scalar values):
+//   plan-build (once per statement):
+//     * mask and rhs flattened into a compact postfix tape whose loads go
+//       through Value* scalar slots and the pre-bound references
+//     * every reference given its storage pointer and allocation strides
+//   plan-bind (at build, and again whenever the runtime scalars the plan
+//     bakes in change — the paper's set_BOUND call with the current K):
 //     * guards evaluated, set_BOUND local ranges resolved (including the
 //       enumerated CYCLIC(k) case)
 //     * every affine subscript strength-reduced to a per-loop-level
-//       base + stride (or per-counter table) flat-offset recurrence with a
-//       pre-bound storage pointer
-//     * mask and rhs flattened into a compact postfix tape whose loads go
-//       through Value* scalar slots and the pre-bound references
+//       base + stride (or per-counter table) flat-offset recurrence
 //   plan-run (every trip): a counter odometer, incremental offsets, and a
 //     stack machine — zero Expr-tree walks, zero DAD calls, zero map
 //     lookups per element.
 //
 // Plans are cached per processor in the statement plan cache
-// (exec/statement_plan.hpp) keyed on the statement id plus the runtime
-// scalars the plan bakes in (loop bounds, guard and subscript scalars),
-// mirroring the PARTI ScheduleCache.  Statements the planner declines —
-// PARTI gather/scatter, buffered writes, non-affine subscripts — go to the
-// irregular planner or the tree walk; the decline itself is cached.
+// (exec/statement_plan.hpp), one entry per statement: when the bound,
+// guard or subscript scalars change between executions the entry is
+// re-bound in place (rebind_exec_plan) instead of rebuilt.  Statements the
+// planner declines — PARTI gather/scatter, buffered writes, non-affine
+// subscripts — go to the irregular planner or the tree walk; the decline
+// itself is cached.
 #include <memory>
 #include <mutex>
 #include <set>
@@ -37,6 +40,7 @@
 
 #include "compile/spmd_ir.hpp"
 #include "exec/exec_env.hpp"
+#include "rts/set_bound.hpp"
 
 namespace f90d::exec {
 
@@ -49,6 +53,9 @@ struct PlanLoop {
   Index val0 = 0;
   Index step = 1;
   std::vector<Index> values;  ///< non-empty = explicit enumeration
+  /// set_BOUND local range of a partitioned level (source of the cyclic
+  /// references' local index progression); unused otherwise.
+  rts::LocalRange bound;
 
   [[nodiscard]] Index value_at(Index i) const {
     return values.empty() ? val0 + i * step : values[static_cast<size_t>(i)];
@@ -85,6 +92,10 @@ struct RefPlan {
   Buf* buf = nullptr;            ///< kRealSlab / kScalarSlot
   long long base = 0;            ///< flat offset at all-counters-zero
   std::vector<OffsetTerm> terms; ///< one per loop level
+  /// The statement reference this binds; rebinding re-derives base/terms.
+  const compile::RefInfo* src = nullptr;
+  /// Direct kinds: row-major allocation stride per array dimension.
+  std::vector<long long> dim_strides;
 };
 
 /// Postfix tape instruction.  Operands live on an explicit Value stack.
@@ -160,9 +171,12 @@ struct ExecPlan {
   Tape rhs;
   /// Arrays whose storage the plan binds (statement-cache invalidation).
   std::vector<std::string> arrays;
+  /// Tapes and references were built.  A plan first bound to an empty
+  /// nest has none and must be rebuilt once its nest becomes non-empty.
+  bool has_body = false;
 };
 
-using PlanPtr = std::shared_ptr<const ExecPlan>;
+using PlanPtr = std::shared_ptr<ExecPlan>;
 
 /// Build outcome.  A null plan is a decline: the statement runs on the
 /// tree-walk fallback.  `structural` declines do not depend on runtime
@@ -174,25 +188,26 @@ struct PlanEntry {
 };
 
 /// The names of every runtime scalar a statement's plan bakes in (loop
-/// bounds, guard subscripts, subscript runtime terms).  Static per
-/// statement — only the values change between executions — so callers
-/// memoize it (StatementPlanCache::key_scalars).  Scalars that only appear
-/// in the mask/rhs are loaded through Value* slots at run time and do not
-/// key the plan.
+/// bounds, guard subscripts, subscript runtime terms): the statement plan
+/// cache's key.  Static per statement — only the values change between
+/// executions — so callers memoize it.  Scalars that only appear in the
+/// mask/rhs are loaded through Value* slots at run time and do not key the
+/// plan.
 [[nodiscard]] std::vector<std::string> plan_key_scalars(
     const compile::SpmdStmt& s, const Env& env);
 
-/// The statement plan cache key: statement id plus the current values of
-/// `scalars`, formatted into `out` (cleared first).  Values are recorded
-/// exactly as the planner bakes them (as_i), so equal keys imply equal
-/// plans.  Allocation-free once `out`'s capacity has grown past the key
-/// length: hot callers keep one scratch string per node, so warm DO-loop
-/// trips build their keys without touching the heap.
-void plan_key_into(const compile::SpmdStmt& s, const Env& env,
-                   const std::vector<std::string>& scalars, std::string& out);
-
 /// Lower one kForall statement into a plan for this processor, or decline.
 [[nodiscard]] PlanEntry build_exec_plan(const compile::SpmdStmt& s, Env& env);
+
+/// Re-bind `p` (built by build_exec_plan for `s`) to the current values of
+/// its key scalars, in place: guards, set_BOUND ranges and every
+/// reference's base offset and offset terms.  Tapes, storage pointers and
+/// strides are kept.  The result equals a fresh build under the same
+/// values.  False when the new values change the plan's structure — the
+/// nest becomes non-empty for a plan built without a body, or the planner
+/// would decline — and the caller must rebuild.
+[[nodiscard]] bool rebind_exec_plan(const compile::SpmdStmt& s, Env& env,
+                                    ExecPlan& p);
 
 /// Reusable run_exec_plan working storage (one per node program): keeps
 /// the many small nests of triangular workloads allocation-free.

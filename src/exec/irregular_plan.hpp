@@ -7,9 +7,10 @@
 // vector-subscripted writes).  An IrregularPlan accepts exactly those
 // statements and splits them the way the paper's inspector/executor does:
 //
-//   plan-build (once per statement × runtime-scalar values): loop nest,
-//     guards and every *affine* reference are resolved exactly like a
-//     regular plan; each gathered read and the scattered write keep a
+//   plan-build (once per statement; re-bound in place like a regular plan
+//     when its key scalars change): loop nest, guards and every *affine*
+//     reference are resolved exactly like a regular plan; each gathered
+//     read and the scattered write keep a
 //     GlobalIndexer — their subscript expressions compiled to postfix
 //     tapes that fold to 0-based flat global element ids.
 //   inspector (only on a schedule-cache miss): run_irregular_needs
@@ -68,14 +69,13 @@ struct IrregularPlan {
   /// walk's pre-action ordering).
   std::vector<IrrRead> reads;
   const compile::CommAction* scatter = nullptr;  ///< when lhs_buffered
-  /// Local nest is empty (or guards rejected this processor): no tapes
-  /// were built, but the reads/scatter metadata is valid — this processor
-  /// still participates in the collective schedule builds with empty
-  /// needs.
-  bool empty_nest = false;
+  // A plan built for an empty local nest (or rejected by the guards) has
+  // no body (core.has_body): no tapes or indexers, but the reads/scatter
+  // metadata is valid — this processor still participates in the
+  // collective schedule builds, with empty needs.
 };
 
-using IrrPlanPtr = std::shared_ptr<const IrregularPlan>;
+using IrrPlanPtr = std::shared_ptr<IrregularPlan>;
 
 /// Build outcome; mirrors PlanEntry.  A null plan falls back to the tree
 /// walk; the statement plan cache memoizes the decline.
@@ -89,6 +89,12 @@ struct IrrPlanEntry {
 /// (no schedule actions at all, schedule1-style reads, masked scatters).
 [[nodiscard]] IrrPlanEntry build_irregular_plan(const compile::SpmdStmt& s,
                                                 Env& env);
+
+/// rebind_exec_plan for an irregular plan: re-binds the core nest and its
+/// affine and iteration-buffer references.  Indexers and tapes read their
+/// scalars through slots and are kept.  False = rebuild.
+[[nodiscard]] bool rebind_irregular_plan(const compile::SpmdStmt& s, Env& env,
+                                         IrregularPlan& p);
 
 /// Inspector: append the flat global id of `read`'s element for every
 /// local iteration (mask ignored, exactly like the tree walk's needs

@@ -1,8 +1,31 @@
 #include "exec/statement_plan.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "support/diag.hpp"
 
 namespace f90d::exec {
+
+namespace {
+
+/// Exact key-value equality: same kind and same bit pattern.  A REAL
+/// scalar keys by its exact value (1.2 and 1.4 differ even though both
+/// truncate to 1).
+bool same_value(const Value& a, const Value& b) {
+  if (a.k != b.k) return false;
+  switch (a.k) {
+    case Value::K::kD:
+      return std::bit_cast<std::uint64_t>(a.d) ==
+             std::bit_cast<std::uint64_t>(b.d);
+    case Value::K::kI: return a.i == b.i;
+    case Value::K::kB: return a.b == b.b;
+  }
+  return false;
+}
+
+}  // namespace
 
 StatementPlan build_statement_plan(const compile::SpmdStmt& s, Env& env,
                                    CommPlans& comm,
@@ -24,69 +47,124 @@ StatementPlan build_statement_plan(const compile::SpmdStmt& s, Env& env,
   return e;
 }
 
+bool rebind_statement_plan(const compile::SpmdStmt& s, Env& env,
+                           CommPlans& comm,
+                           std::span<const std::string> key_names,
+                           StatementPlan& e) {
+  if (e.plan) {
+    if (!rebind_exec_plan(s, env, *e.plan)) return false;
+    comm.rebind(s, e.comm, key_names);
+    if (e.native && !native::repack(*e.plan, *e.native)) e.native.reset();
+    return true;
+  }
+  if (e.irregular) return rebind_irregular_plan(s, env, *e.irregular);
+  return false;  // a decline under other values: plan afresh
+}
+
 StatementPlanStats::Kind& StatementPlanCache::kind_of(const StatementPlan& e) {
   if (e.plan) return stats_.regular;
   if (e.irregular) return stats_.irregular;
   return stats_.declined;
 }
 
-StatementPlan& StatementPlanCache::get_or_build(
-    int stmt_id, const std::string& key,
-    const std::function<StatementPlan()>& build) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++kind_of(it->second).hits;
-    return it->second;
+StatementPlanCache::Slot& StatementPlanCache::slot_of(int stmt_id) {
+  require(stmt_id >= 0, "statement plan cache: numbered statement");
+  const auto i = static_cast<size_t>(stmt_id);
+  if (i >= slots_.size()) slots_.resize(i + 1);
+  return slots_[i];
+}
+
+void StatementPlanCache::resolve_key(const compile::SpmdStmt& s,
+                                     const Env& env, Slot& slot) {
+  if (!(shared_ &&
+        shared_->lookup_key_scalars(shared_ns_, s.stmt_id, slot.key_names))) {
+    slot.key_names = plan_key_scalars(s, env);
+    if (shared_)
+      shared_->install_key_scalars(shared_ns_, s.stmt_id, slot.key_names);
+  } else {
+    ++stats_.shared_hits;
   }
-  StatementPlan e = build();
-  ++kind_of(e).misses;
-  if (e.structural && stmt_id >= 0) {
-    structural_declines_.insert(stmt_id);
+  // Env::scalars holds every non-array symbol from construction on and
+  // never erases one, so the slots stay valid for the whole run.
+  slot.key_slots.clear();
+  for (const std::string& nm : slot.key_names)
+    slot.key_slots.push_back(&env.scalars.at(nm));
+  slot.bound.resize(slot.key_slots.size());
+  slot.keyed = true;
+}
+
+void StatementPlanCache::built(int stmt_id, Slot& slot) {
+  ++kind_of(*slot.entry).misses;
+  if (slot.entry->structural && !slot.structural) {
+    slot.structural = true;
     if (shared_) shared_->record_structural_decline(shared_ns_, stmt_id);
   }
-  return map_.emplace(key, std::move(e)).first->second;
+}
+
+StatementPlan& StatementPlanCache::get(const compile::SpmdStmt& s,
+                                       const Env& env, const Build& build,
+                                       const Rebind& rebind) {
+  Slot& slot = slot_of(s.stmt_id);
+  if (!slot.keyed) resolve_key(s, env, slot);
+  bool same = true;
+  for (size_t k = 0; k < slot.key_slots.size(); ++k) {
+    if (!same_value(*slot.key_slots[k], slot.bound[k])) {
+      same = false;
+      slot.bound[k] = *slot.key_slots[k];
+    }
+  }
+  if (!slot.entry) {
+    slot.entry = std::make_unique<StatementPlan>(build(slot.key_names));
+    built(s.stmt_id, slot);
+    return *slot.entry;
+  }
+  StatementPlan& e = *slot.entry;
+  if (same) {
+    ++kind_of(e).hits;
+    return e;
+  }
+  if (rebind(e, slot.key_names)) {
+    StatementPlanStats::Kind& kind = kind_of(e);
+    ++kind.hits;
+    ++kind.rebinds;
+    return e;
+  }
+  e = build(slot.key_names);
+  built(s.stmt_id, slot);
+  return e;
 }
 
 bool StatementPlanCache::declined_structurally(int stmt_id) {
-  if (structural_declines_.count(stmt_id) > 0) return true;
+  if (stmt_id >= 0 && static_cast<size_t>(stmt_id) < slots_.size() &&
+      slots_[static_cast<size_t>(stmt_id)].structural)
+    return true;
   if (shared_ && shared_->declined_structurally(shared_ns_, stmt_id)) {
-    structural_declines_.insert(stmt_id);
+    slot_of(stmt_id).structural = true;
     ++stats_.shared_hits;
     return true;
   }
   return false;
 }
 
-const std::vector<std::string>& StatementPlanCache::key_scalars(
-    int stmt_id, const std::function<std::vector<std::string>()>& collect) {
-  auto it = key_scalars_.find(stmt_id);
-  if (it != key_scalars_.end()) return it->second;
-  if (shared_) {
-    std::vector<std::string> names;
-    if (shared_->lookup_key_scalars(shared_ns_, stmt_id, names)) {
-      ++stats_.shared_hits;
-      return key_scalars_.emplace(stmt_id, std::move(names)).first->second;
-    }
-  }
-  auto& entry = key_scalars_.emplace(stmt_id, collect()).first->second;
-  if (shared_) shared_->install_key_scalars(shared_ns_, stmt_id, entry);
-  return entry;
+std::size_t StatementPlanCache::size() const {
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const Slot& s) { return s.entry != nullptr; }));
 }
 
 void StatementPlanCache::invalidate_array(const std::string& array) {
   auto in = [&](const std::vector<std::string>& arrays) {
     return std::find(arrays.begin(), arrays.end(), array) != arrays.end();
   };
-  for (auto it = map_.begin(); it != map_.end();) {
-    const StatementPlan& e = it->second;
+  for (Slot& slot : slots_) {
+    if (!slot.entry) continue;
+    const StatementPlan& e = *slot.entry;
     // The native attachment binds a subset of the plan's arrays.
     if (in(e.comm.arrays) || (e.plan && in(e.plan->arrays)) ||
         (e.irregular && in(e.irregular->core.arrays))) {
       ++kind_of(e).invalidations;
       if (e.native) ++stats_.native_invalidations;
-      it = map_.erase(it);
-    } else {
-      ++it;
+      slot.entry.reset();
     }
   }
 }

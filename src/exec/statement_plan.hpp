@@ -5,19 +5,20 @@
 // split (IrregularPlan), the compiled pre-communication (CommPlans
 // StmtPlan) and the JIT kernel attachment (native::Attachment).
 //
-// One entry per (statement id × baked runtime scalars), keyed by
-// plan_key_into.  An entry is regular (ExecPlan + comm slots + native
-// attachment), irregular (IrregularPlan) or a memoized decline.  Declines
-// both planners make independently of runtime scalars are also indexed
-// by statement id, so the driver skips key construction for them.  One
-// invalidation rule: invalidate_array drops a whole entry as soon as any
-// of its parts binds the array.  See docs/EXECUTION.md.
+// One entry per statement id.  An entry is regular (ExecPlan + comm slots
+// + native attachment), irregular (IrregularPlan) or a memoized decline.
+// Its key is the exact values of the runtime scalars the plan bakes in
+// (plan_key_scalars), read through slots into the node's scalar table and
+// compared by kind and bit pattern.  When they change, the entry is
+// re-bound in place (rebind_statement_plan) — the generated node program
+// calls set_BOUND with the current K rather than emitting a loop per K —
+// and only a structural change rebuilds it in its slot.  One invalidation
+// rule: invalidate_array drops a whole entry as soon as any of its parts
+// binds the array.  See docs/EXECUTION.md.
 #include <functional>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/comm_plan.hpp"
@@ -46,11 +47,24 @@ struct StatementPlan {
     const compile::SpmdStmt& s, Env& env, CommPlans& comm,
     std::span<const std::string> key_names);
 
+/// Re-bind `e` (built for `s`) in place to the key scalars' current
+/// values: the plan's guards, ranges and reference offsets, the comm
+/// slots' roots, offsets and tables, and the native attachment's packed
+/// arguments (the attachment keeps its kernel while the plan's structural
+/// key is unchanged, and is dropped for a re-attach otherwise).  False
+/// when the new values change the entry's structure or `e` is a decline:
+/// the caller rebuilds it.
+[[nodiscard]] bool rebind_statement_plan(const compile::SpmdStmt& s,
+                                         Env& env, CommPlans& comm,
+                                         std::span<const std::string> key_names,
+                                         StatementPlan& e);
+
 /// The one counter set, split by entry kind.
 struct StatementPlanStats {
   struct Kind {
-    int hits = 0;           ///< lookups answered by an existing entry
-    int misses = 0;         ///< entries built
+    int hits = 0;     ///< lookups answered by the live entry, rebinds included
+    int rebinds = 0;  ///< hits that re-bound the entry to new key values
+    int misses = 0;   ///< entries built
     int invalidations = 0;  ///< entries dropped by invalidate_array
   };
   Kind regular, irregular, declined;
@@ -62,21 +76,27 @@ struct StatementPlanStats {
 
 class StatementPlanCache {
  public:
-  /// Look up `key` (built by plan_key_into for `stmt_id`); on a miss run
-  /// `build` and keep its result.  The returned entry stays valid until
-  /// it is invalidated.
-  StatementPlan& get_or_build(int stmt_id, const std::string& key,
-                              const std::function<StatementPlan()>& build);
+  /// Make a fresh entry under the key scalars' current values.
+  using Build =
+      std::function<StatementPlan(std::span<const std::string> key_names)>;
+  /// Re-bind an entry in place; false = rebuild it.
+  using Rebind = std::function<bool(StatementPlan&,
+                                    std::span<const std::string> key_names)>;
+
+  /// The live entry of `s`.  The first lookup resolves the statement's key
+  /// scalars (plan_key_scalars, or the SharedPlanMeta store) to slots in
+  /// `env.scalars` and builds the entry (a miss).  Later lookups compare
+  /// the slots' values with the ones the entry is bound to: equal returns
+  /// it (a hit); different re-binds it (a hit and a rebind) or, when
+  /// `rebind` refuses, rebuilds it in its slot (a miss).  The entry stays
+  /// at the same address until invalidate_array drops it.
+  StatementPlan& get(const compile::SpmdStmt& s, const Env& env,
+                     const Build& build, const Rebind& rebind);
 
   /// True when `stmt_id` was declined for reasons independent of runtime
   /// scalar values.  Consults the attached SharedPlanMeta on a local miss
   /// and pulls hits local.
   [[nodiscard]] bool declined_structurally(int stmt_id);
-
-  /// Memoized plan_key_scalars result for `stmt_id` (the name list is
-  /// static per statement; only the formatted values change per call).
-  const std::vector<std::string>& key_scalars(
-      int stmt_id, const std::function<std::vector<std::string>()>& collect);
 
   /// Drop every entry any part of which binds `array` (plan storage, comm
   /// slots, native attachment).  Must be called by any operation that may
@@ -84,7 +104,8 @@ class StatementPlanCache {
   void invalidate_array(const std::string& array);
 
   [[nodiscard]] const StatementPlanStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
+  /// Live entries (at most one per statement).
+  [[nodiscard]] std::size_t size() const;
 
   /// Attach the cross-run metadata store (service mode).  `ns` identifies
   /// the compiled artifact; statement ids are unique within it.  Null
@@ -95,11 +116,23 @@ class StatementPlanCache {
   }
 
  private:
+  /// Everything the cache keeps for one statement id.
+  struct Slot {
+    bool keyed = false;  ///< key names resolved to slots
+    bool structural = false;
+    std::vector<std::string> key_names;
+    std::vector<const Value*> key_slots;  ///< into Env::scalars
+    std::vector<Value> bound;             ///< values the entry is bound to
+    std::unique_ptr<StatementPlan> entry;
+  };
+
+  Slot& slot_of(int stmt_id);
+  void resolve_key(const compile::SpmdStmt& s, const Env& env, Slot& slot);
+  /// Record a freshly built entry's counters and structural decline.
+  void built(int stmt_id, Slot& slot);
   StatementPlanStats::Kind& kind_of(const StatementPlan& e);
 
-  std::unordered_map<std::string, StatementPlan> map_;
-  std::set<int> structural_declines_;
-  std::unordered_map<int, std::vector<std::string>> key_scalars_;
+  std::vector<Slot> slots_;  ///< by statement id
   SharedPlanMeta* shared_ = nullptr;
   std::string shared_ns_;
   StatementPlanStats stats_;

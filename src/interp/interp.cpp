@@ -1,7 +1,9 @@
 #include "interp/interp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -530,23 +532,26 @@ class Node {
     return nullptr;
   }
 
-  /// Planned fast path: one statement-cache lookup per FORALL finds (or
-  /// lazily builds) this statement's plan for the current runtime-scalar
-  /// values and runs it.  Returns false when both planners declined — the
-  /// caller falls back to the tree walk.  Structural declines are
-  /// remembered per statement so fallback statements skip key
-  /// construction entirely.
+  /// Planned fast path: one statement-cache lookup per FORALL finds this
+  /// statement's entry — built on first use, re-bound in place when its
+  /// key scalars changed — and runs it.  Returns false when both planners
+  /// declined — the caller falls back to the tree walk.  Structural
+  /// declines are remembered per statement so fallback statements skip
+  /// the key compare entirely.
   bool try_planned_forall(const SpmdStmt& s) {
     if (opt_.skeleton || !opt_.exec_plans) return false;
     // Unnumbered statements (hand-built programs that bypassed the driver)
     // have no stable cache identity: run them on the tree walk.
     if (s.stmt_id < 0) return false;
     if (stmt_plans_.declined_structurally(s.stmt_id)) return false;
-    exec::plan_key_into(s, env_, key_names(s), key_scratch_);
-    exec::StatementPlan& entry = stmt_plans_.get_or_build(
-        s.stmt_id, key_scratch_, [this, &s] {
-          return exec::build_statement_plan(s, env_, comm_plans_,
-                                            key_names(s));
+    exec::StatementPlan& entry = stmt_plans_.get(
+        s, env_,
+        [this, &s](std::span<const std::string> names) {
+          return exec::build_statement_plan(s, env_, comm_plans_, names);
+        },
+        [this, &s](exec::StatementPlan& e,
+                   std::span<const std::string> names) {
+          return exec::rebind_statement_plan(s, env_, comm_plans_, names, e);
         });
     if (entry.plan) {
       run_regular(s, entry);
@@ -557,11 +562,6 @@ class Node {
       return true;
     }
     return false;
-  }
-
-  const std::vector<std::string>& key_names(const SpmdStmt& s) {
-    return stmt_plans_.key_scalars(
-        s.stmt_id, [this, &s] { return exec::plan_key_scalars(s, env_); });
   }
 
   /// Regular entry: pre-communication through the entry's compiled comm
@@ -1046,8 +1046,17 @@ class Node {
     const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
     for (const ExprPtr& x : ref.expr->args)
       if (x) walk(*x, walk);
-    for (const std::string& nm : names)
-      os << nm << "=" << env_.scalars.at(nm).as_i() << ";";
+    // Exact values: a REAL scalar keys by its bit pattern, so 1.2 and 1.4
+    // (both 1 as integers) never share a schedule.
+    for (const std::string& nm : names) {
+      const exec::Value& v = env_.scalars.at(nm);
+      os << nm << "=";
+      if (v.k == exec::Value::K::kD)
+        os << "r" << std::hex << std::bit_cast<std::uint64_t>(v.d) << std::dec;
+      else
+        os << v.as_i();
+      os << ";";
+    }
     for (const std::string& nm : schedule_dep_arrays(s, a))
       os << "v:" << nm << "=" << env_.version(nm) << ";";
     return os.str();
@@ -1387,9 +1396,12 @@ class Node {
     const exec::StatementPlanStats& ps = stmt_plans_.stats();
     shared_.result.shared_plan_hits = ps.shared_hits;
     shared_.result.plan_hits = ps.regular.hits;
+    shared_.result.plan_rebinds = ps.regular.rebinds;
     shared_.result.plan_misses = ps.regular.misses;
     shared_.result.plan_invalidations = ps.regular.invalidations;
+    shared_.result.plan_entries = static_cast<int>(stmt_plans_.size());
     shared_.result.irregular_hits = ps.irregular.hits;
+    shared_.result.irregular_rebinds = ps.irregular.rebinds;
     shared_.result.irregular_misses = ps.irregular.misses;
     shared_.result.irregular_invalidations = ps.irregular.invalidations;
     const native::NodeStats& ns = native_.stats();
@@ -1458,7 +1470,6 @@ class Node {
 
   std::map<std::string, Index> frame_;
   std::map<std::string, VarState> var_state_;
-  std::string key_scratch_;  ///< reused plan-key buffer (warm trips: no alloc)
   long long schedules_built_ = 0;
   long long gather_bytes_ = 0;
   long long scatter_bytes_ = 0;

@@ -95,15 +95,23 @@ struct ProgramResult {
   long long scatter_bytes = 0;
   /// Statement-plan cache statistics (processor 0's cache; the caches are
   /// per-processor but see the same statement sequence), split by entry
-  /// kind.  Irregular entries: planned-inspector reuse across DO trips.
+  /// kind.  Hits are lookups answered by the statement's live entry,
+  /// rebinds the subset that re-bound it in place to new key-scalar values
+  /// (a new pivot K, say); misses are entry builds.  Irregular entries:
+  /// planned-inspector reuse across DO trips.
   int irregular_hits = 0;
+  int irregular_rebinds = 0;
   int irregular_misses = 0;
   int irregular_invalidations = 0;
   /// Regular entries (execution plans).  Memoized declines count in
   /// neither family.
   int plan_hits = 0;
+  int plan_rebinds = 0;
   int plan_misses = 0;
   int plan_invalidations = 0;
+  /// Live statement-cache entries at run end, all kinds (at most one per
+  /// statement).
+  int plan_entries = 0;
   /// Native-backend statistics: processor 0's per-node counters (the
   /// invalidations are dropped statement-cache entries that carried a
   /// kernel attachment), plus this run's deltas of the process-global JIT

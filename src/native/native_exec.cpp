@@ -8,6 +8,42 @@ using exec::ExecPlan;
 using exec::RefPlan;
 using exec::Value;
 
+namespace {
+
+/// Loop parameters, offsets, strides and tables: everything in the kernel
+/// arguments a rebind can change.
+void pack(const ExecPlan& p, Attachment& at) {
+  const size_t nv = p.loops.size();
+  const size_t nr = p.refs.size();
+  at.lp.resize(3 * nv);
+  at.lv.resize(nv);
+  for (size_t k = 0; k < nv; ++k) {
+    const exec::PlanLoop& l = p.loops[k];
+    at.lp[3 * k] = l.count;
+    at.lp[3 * k + 1] = l.val0;
+    at.lp[3 * k + 2] = l.step;
+    at.lv[k] = l.values.empty() ? nullptr : l.values.data();
+  }
+  at.rb.resize(nr + 1);
+  at.st.assign((nr + 1) * nv, 0);
+  at.tb.assign((nr + 1) * nv, nullptr);
+  for (size_t r = 0; r <= nr; ++r) {
+    const RefPlan& rp = r < nr ? p.refs[r] : p.lhs;
+    at.rb[r] = rp.base;
+    for (size_t k = 0; k < nv; ++k) {
+      const exec::OffsetTerm& t = rp.terms[k];
+      if (t.table.empty())
+        at.st[r * nv + k] = t.stride;
+      else
+        at.tb[r * nv + k] = t.table.data();
+    }
+  }
+  at.iters = 1;
+  for (const exec::PlanLoop& l : p.loops) at.iters *= l.count;
+}
+
+}  // namespace
+
 Index NativeExec::try_run(const ExecPlan& plan,
                           std::unique_ptr<Attachment>& slot) {
   // Degenerate plans (guarded out, empty nest, zero-trip level) are cheap
@@ -62,32 +98,14 @@ void NativeExec::attach(const ExecPlan& p, Attachment& at) {
   });
   if (at.fn == nullptr) return;
 
-  const size_t nv = p.loops.size();
   const size_t nr = p.refs.size();
   at.binds = shape_.binds;
   at.ds.assign(static_cast<size_t>(shape_.n_ds), 0.0);
   at.is.assign(static_cast<size_t>(shape_.n_is), 0);
   at.ls.assign(static_cast<size_t>(shape_.n_ls), 0);
-
-  at.lp.resize(3 * nv);
-  at.lv.resize(nv);
-  for (size_t k = 0; k < nv; ++k) {
-    const exec::PlanLoop& l = p.loops[k];
-    at.lp[3 * k] = l.count;
-    at.lp[3 * k + 1] = l.val0;
-    at.lp[3 * k + 2] = l.step;
-    at.lv[k] = l.values.empty() ? nullptr : l.values.data();
-  }
-
   at.base.resize(nr + 1);
-  at.rb.resize(nr + 1);
-  at.st.assign((nr + 1) * nv, 0);
-  at.tb.assign((nr + 1) * nv, nullptr);
-  auto ref_at = [&](size_t r) -> const RefPlan& {
-    return r < nr ? p.refs[r] : p.lhs;
-  };
   for (size_t r = 0; r <= nr; ++r) {
-    const RefPlan& rp = ref_at(r);
+    const RefPlan& rp = r < nr ? p.refs[r] : p.lhs;
     switch (rp.kind) {
       case RefPlan::Kind::kRealDirect: at.base[r] = rp.dbase; break;
       case RefPlan::Kind::kIntDirect: at.base[r] = rp.ibase; break;
@@ -103,18 +121,29 @@ void NativeExec::attach(const ExecPlan& p, Attachment& at) {
         at.base[r] = nullptr;
         break;
     }
-    at.rb[r] = rp.base;
-    for (size_t k = 0; k < nv; ++k) {
-      const exec::OffsetTerm& t = rp.terms[k];
-      if (t.table.empty())
-        at.st[r * nv + k] = t.stride;
-      else
-        at.tb[r * nv + k] = t.table.data();
-    }
   }
+  pack(p, at);
+}
 
-  at.iters = 1;
-  for (const exec::PlanLoop& l : p.loops) at.iters *= l.count;
+bool repack(const ExecPlan& p, Attachment& at) {
+  // A permanent fallback has nothing packed; a plan re-bound to an empty
+  // nest never reaches its kernel (try_run returns early), so its
+  // arguments are packed by the next non-empty rebind.
+  if (at.fn == nullptr || p.masked_out) return true;
+  for (const exec::PlanLoop& l : p.loops)
+    if (l.count == 0) return true;
+  const size_t nv = p.loops.size();
+  const size_t nr = p.refs.size();
+  for (size_t k = 0; k < nv; ++k)
+    if (p.loops[k].values.empty() != (at.lv[k] == nullptr)) return false;
+  for (size_t r = 0; r <= nr; ++r) {
+    const RefPlan& rp = r < nr ? p.refs[r] : p.lhs;
+    for (size_t k = 0; k < nv; ++k)
+      if (rp.terms[k].table.empty() != (at.tb[r * nv + k] == nullptr))
+        return false;
+  }
+  pack(p, at);
+  return true;
 }
 
 }  // namespace f90d::native

@@ -4,7 +4,9 @@
 //
 // One NativeExec lives inside each simulated processor's node program.
 // The attachment itself is stored in the plan's statement-cache entry
-// (exec/statement_plan.hpp), so it lives and dies with the plan it binds.
+// (exec/statement_plan.hpp), so it lives and dies with the plan it binds;
+// when the entry re-binds its plan to new scalar values, repack() refreshes
+// the packed arguments and the kernel stays.
 // Attachment happens lazily on the first native run of a plan: the plan's
 // structural key is built (plan_shape, native/lower.hpp), its kernel is
 // fetched from the process-global NativeCache (native/jit.hpp) — lowered
@@ -59,6 +61,14 @@ struct Attachment {
   std::vector<std::pair<size_t, exec::Buf*>> slabs;
   Index iters = 0;       ///< product of loop counts
 };
+
+/// Re-pack `at`'s call-time arguments — loop parameters, enumerated
+/// values, base offsets, strides and offset tables — from `p` after the
+/// statement plan cache re-bound `p` in place.  False when a loop level or
+/// an offset term changed between progression/enumerated or stride/table
+/// form: the plan's structural key may differ, so the caller drops the
+/// attachment and the next run re-attaches it.
+[[nodiscard]] bool repack(const exec::ExecPlan& p, Attachment& at);
 
 class NativeExec {
  public:

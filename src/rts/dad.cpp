@@ -238,6 +238,11 @@ Index Dad::local_extent(int d, int coord) const {
 int Dad::owner_logical(const std::vector<Index>& gidx,
                        const std::vector<int>& base_coords) const {
   std::vector<int> coords = base_coords;
+  return owner_logical_in(gidx, coords);
+}
+
+int Dad::owner_logical_in(const std::vector<Index>& gidx,
+                          std::vector<int>& coords) const {
   // Replicated grid dims: keep the caller's coordinate (any replica works
   // and the caller's line minimizes distance); grid dims carrying array
   // dimensions are overwritten with the owner coordinate.

@@ -159,6 +159,11 @@ class Dad {
   /// which is typically the caller's own coordinates).
   [[nodiscard]] int owner_logical(const std::vector<Index>& gidx,
                                   const std::vector<int>& base_coords) const;
+  /// owner_logical with a caller-owned coordinate buffer: `coords` holds
+  /// the base coordinates on entry and the owner's on return, so hot
+  /// callers that keep the buffer allocate nothing.
+  [[nodiscard]] int owner_logical_in(const std::vector<Index>& gidx,
+                                     std::vector<int>& coords) const;
 
   /// True when two descriptors imply the same element-to-processor mapping
   /// for conforming arrays (used for schedule reuse and no-comm detection).

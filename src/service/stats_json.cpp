@@ -34,13 +34,16 @@ std::string run_stats_json(const Outcome& out) {
   w.key("plan_cache")
       .begin_object()
       .field("hits", r.plan_hits)
+      .field("rebinds", r.plan_rebinds)
       .field("misses", r.plan_misses)
       .field("invalidations", r.plan_invalidations)
+      .field("entries", r.plan_entries)
       .field("shared_hits", r.shared_plan_hits)
       .end_object();
   w.key("irregular_cache")
       .begin_object()
       .field("hits", r.irregular_hits)
+      .field("rebinds", r.irregular_rebinds)
       .field("misses", r.irregular_misses)
       .field("invalidations", r.irregular_invalidations)
       .field("gather_bytes", r.gather_bytes)

@@ -87,9 +87,12 @@ struct DiffRun {
   int schedule_hits = 0;
   int schedule_misses = 0;
   int plan_hits = 0;
+  int plan_rebinds = 0;
   int plan_misses = 0;
   int irregular_hits = 0;
+  int irregular_rebinds = 0;
   int irregular_misses = 0;
+  int plan_entries = 0;  ///< live statement-cache entries at run end
   long long schedules_built = 0;
   long long gather_bytes = 0;
   long long scatter_bytes = 0;
@@ -106,8 +109,11 @@ inline void fill_counters(DiffRun& d, const interp::ProgramResult& r) {
   d.schedule_hits = r.schedule_hits;
   d.schedule_misses = r.schedule_misses;
   d.plan_hits = r.plan_hits;
+  d.plan_rebinds = r.plan_rebinds;
   d.plan_misses = r.plan_misses;
   d.irregular_hits = r.irregular_hits;
+  d.irregular_rebinds = r.irregular_rebinds;
+  d.plan_entries = r.plan_entries;
   d.irregular_misses = r.irregular_misses;
   d.schedules_built = r.schedules_built;
   d.gather_bytes = r.gather_bytes;
@@ -378,9 +384,10 @@ inline std::vector<double> spmv_ell_oracle(int n, int nk, int steps) {
   return y;
 }
 
-inline DiffRun run_spmv_ell(int n, int nk, int steps, int p,
-                            const char* dist = "BLOCK",
-                            const interp::RunOptions& ro = {}) {
+inline DiffRun run_spmv_ell(
+    int n, int nk, int steps, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return map_owner(g[0], p) + 1;  // directive values are 1-based
@@ -391,8 +398,8 @@ inline DiffRun run_spmv_ell(int n, int nk, int steps, int p,
   init.real["A"] = [](std::span<const Index> g) { return spmv_a(g[0], g[1]); };
   init.real["X"] = [](std::span<const Index> g) { return spmv_x(g[0]); };
   init.real["Y"] = [](std::span<const Index>) { return 0.0; };
-  auto result =
-      run_source(apps::spmv_ell_source(n, nk, p, steps, dist), init, ro);
+  auto result = run_source(apps::spmv_ell_source(n, nk, p, steps, dist), init,
+                           ro, {}, {}, cost);
   DiffRun d{"Y", result.real_arrays.at("Y"), spmv_ell_oracle(n, nk, steps)};
   fill_counters(d, result);
   return d;

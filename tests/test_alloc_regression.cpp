@@ -2,10 +2,12 @@
 // planned jacobi path — tape interpreter and native kernels alike — must
 // not allocate at all.  Message payloads are pooled (machine::PayloadPool),
 // communication plans bake their descriptors on the first trip, plan keys
-// format into a reused buffer, native kernels are found through their
+// are compared through scalar slots, native kernels are found through their
 // statement-cache entry, and the interpreted copy odometer runs on a stack
 // array — so the per-trip heap-allocation slope of a warm loop is exactly
-// zero.  A regression that
+// zero.  The same holds when a loop-variant scalar changes every trip: the
+// statement's entry, its broadcast slot and its kernel arguments are
+// re-bound in the storage they already own.  A regression that
 // re-introduces per-message (or even per-statement) allocation shows up as
 // a positive slope and trips this test.
 //
@@ -110,6 +112,66 @@ TEST(AllocRegression, WarmJacobiTripsDoNotAllocatePerMessage) {
   // the two runs, so the slope can dip a few allocations negative; any
   // positive slope means the warm path allocates again.
   EXPECT_LE(allocs_per_trip, 0) << "warm trips allocate again";
+}
+
+/// A FORALL whose bounds and broadcast element move with the DO variable:
+/// every trip re-binds the statement's one cache entry — its loop range,
+/// its offsets, the broadcast's root and source offset, and the kernel's
+/// packed arguments.  Under CYCLIC the root moves to the next processor
+/// every trip, so over each round of four trips every processor sends as
+/// many pooled payloads as it receives.  (Payload pools are per processor:
+/// a root that only ever sends drains its own pool and allocates while its
+/// receivers' pools grow — a property of one-way traffic, not of the
+/// rebind.)
+Measured run_rebind_counted(int trips, const interp::RunOptions& ro) {
+  const std::string src = strformat(R"(PROGRAM REBIND
+      INTEGER N
+      PARAMETER (N = 64)
+      REAL A(N)
+      REAL B(N)
+      INTEGER K
+C$ PROCESSORS P(4)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(CYCLIC)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+      DO K = 1, %d
+        FORALL (I = K:N) A(I) = A(I) + B(K)
+      END DO
+      END PROGRAM REBIND
+)",
+                                    trips);
+  interp::Init init;
+  init.real["B"] = [](std::span<const Index> g) { return g[0] * 0.5; };
+  const long long a0 = g_allocs.load();
+  auto r = harness::run_source(src, init, ro);
+  EXPECT_EQ(r.plan_misses, 1);
+  EXPECT_EQ(r.plan_rebinds, trips - 1);
+  return {g_allocs.load() - a0,
+          static_cast<long long>(r.machine.total_messages()), r.native_runs};
+}
+
+TEST(AllocRegression, WarmRebindTripsDoNotAllocate) {
+  interp::RunOptions native;
+  native.native_backend = true;
+  for (const bool use_native : {false, true}) {
+    if (use_native && !native::NativeCache::instance().available()) continue;
+    const interp::RunOptions ro = use_native ? native : interp::RunOptions{};
+    // Two full root rotations warm every pool; then whole rotations.
+    const int kCold = 8, kHot = 24, kExtra = kHot - kCold;
+    (void)run_rebind_counted(kCold, ro);  // prime the JIT cache
+    const Measured cold = run_rebind_counted(kCold, ro);
+    const Measured hot = run_rebind_counted(kHot, ro);
+    const long long allocs_per_trip = (hot.allocs - cold.allocs) / kExtra;
+    RecordProperty(use_native ? "native_allocs_per_trip" : "allocs_per_trip",
+                   std::to_string(allocs_per_trip));
+    ASSERT_GT(hot.messages, cold.messages);
+    if (use_native) {
+      ASSERT_GT(hot.native_runs, cold.native_runs);
+    }
+    EXPECT_LE(allocs_per_trip, 0)
+        << (use_native ? "native " : "") << "rebind trips allocate";
+  }
 }
 
 TEST(AllocRegression, WarmNativeJacobiTripsDoNotAllocate) {

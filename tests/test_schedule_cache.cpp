@@ -249,6 +249,58 @@ C$ ALIGN B(I) WITH T(I)
   EXPECT_GE(result.schedule_misses, trips);
 }
 
+/// A REAL scalar in the bounds keys the schedule by its exact value: with
+/// X = 1.2 the gather covers I = 1..5, with X = 1.4 it covers 1..6, even
+/// though both truncate to the same integer.  Cache on, cache off, tree walk
+/// and an oracle must agree.
+TEST(ScheduleCache, RealScalarBoundKeysByExactValue) {
+  const int n = 16;
+  const std::string src = strformat(R"(PROGRAM RXS
+      INTEGER N
+      PARAMETER (N = %d)
+      REAL A(N)
+      REAL Z(N)
+      INTEGER COL(N)
+      REAL X
+      INTEGER IT
+C$ PROCESSORS P(4)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN Z(I) WITH T(I)
+C$ ALIGN COL(I) WITH T(I)
+      X = 1.2
+      DO IT = 1, 2
+        FORALL (I = 1:NINT(X*4.0)) A(I) = A(I) + Z(COL(I))
+        X = X + 0.2
+      END DO
+      END PROGRAM RXS
+)",
+                                    n);
+  interp::Init init;
+  init.ints["COL"] = [n](std::span<const Index> g) { return n - g[0]; };
+  init.real["Z"] = [](std::span<const Index> g) { return g[0] + 1.0; };
+  auto run = [&](bool plans, bool cache) {
+    interp::RunOptions ro;
+    ro.exec_plans = plans;
+    ro.schedule_cache = cache;
+    return harness::run_source(src, init, ro).real_arrays.at("A");
+  };
+  // Oracle: Z(COL(I)) = N + 1 - I, added for I = 1..5, then I = 1..6.
+  std::vector<double> want(static_cast<size_t>(n), 0.0);
+  for (int last : {5, 6})
+    for (int i = 1; i <= last; ++i)
+      want[static_cast<size_t>(i - 1)] += n + 1 - i;
+  for (const bool plans : {false, true})
+    for (const bool cache : {false, true}) {
+      const std::vector<double> got = run(plans, cache);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t k = 0; k < want.size(); ++k)
+        EXPECT_EQ(got[k], want[k])
+            << "plans=" << plans << " cache=" << cache << " k=" << k;
+    }
+}
+
 /// Steady state: with the indirection arrays untouched, every trip after
 /// the first reuses the cached schedules (reuse >= trips - 1 per schedule).
 TEST(ScheduleCache, SteadyStateReusesAcrossTrips) {
