@@ -236,6 +236,9 @@ int main(int argc, char** argv) {
                     "%d invalidated, %d live entries\n",
                     r.plan_misses, r.plan_hits, r.plan_rebinds,
                     r.plan_invalidations, r.plan_entries);
+        std::printf("  tree walk    : %lld FORALL/reduction executions "
+                    "fell back\n",
+                    r.tree_walk_stmts);
         std::printf("  irregular    : %d built, %d reused (%d re-bound), "
                     "%d invalidated (inspector plans)\n",
                     r.irregular_misses, r.irregular_hits, r.irregular_rebinds,

@@ -564,10 +564,146 @@ void CommPlans::run_slab(SlabPlan& p) {
   }
 }
 
+// --- concatenation write-back -------------------------------------------------
+
+void CommPlans::build_concat(const SpmdStmt& s, ConcatPlan& out) {
+  const std::string& name = s.refs.at(0).array;
+  ArrayView v;
+  require(resolve_view(*env_, name, v), "concatenation lhs storage resolves");
+  const Dad& dad = *v.dad;
+  out.ty = v.ty;
+  out.base = v.base;
+  out.total = 1;
+  out.contiguous = true;
+  for (int d = 0; d < dad.rank(); ++d) {
+    const size_t du = static_cast<size_t>(d);
+    out.gext.push_back(dad.extent(d));
+    out.shift.push_back(dad.dim(d).overlap_lo);
+    out.total *= dad.extent(d);
+    out.contiguous = out.contiguous && dad.dim(d).overlap_lo == 0 &&
+                     v.aext[du] == dad.extent(d);
+  }
+  out.stride = v.stride;
+}
+
+void CommPlans::bind_concat(const ExecPlan& xp, ConcatPlan& out) {
+  out.header.clear();
+  out.values = 0;
+  if (xp.masked_out || !xp.has_body || xp.loops.empty()) return;
+  Index n = 1;
+  for (const PlanLoop& l : xp.loops) n *= l.count;
+  if (n == 0) return;
+  out.values = n;
+  // Destinations in iteration order (last level fastest), merged into
+  // ascending runs exactly like the tree walk's per-element merge.  A unit
+  // innermost id step contributes its whole sweep at once.
+  std::vector<std::pair<Index, Index>>& runs = out.runs;
+  runs.clear();
+  auto add = [&runs](Index start, Index count) {
+    if (!runs.empty() && runs.back().first + runs.back().second == start)
+      runs.back().second += count;
+    else
+      runs.emplace_back(start, count);
+  };
+  const RefPlan& g = xp.gids;
+  const size_t nv = xp.loops.size();
+  const OffsetTerm& inner = g.terms[nv - 1];
+  const Index inner_count = xp.loops[nv - 1].count;
+  const bool unit_inner = inner.table.empty() && inner.stride == 1;
+  std::vector<Index> c(nv - 1, 0);  // outer-level counters
+  for (bool more = true; more;) {
+    Index outer = g.base;
+    for (size_t k = 0; k + 1 < nv; ++k) outer += g.terms[k].at(c[k]);
+    if (unit_inner) {
+      add(outer, inner_count);
+    } else {
+      for (Index i = 0; i < inner_count; ++i) add(outer + inner.at(i), 1);
+    }
+    more = false;
+    for (size_t k = nv - 1; k-- > 0;) {
+      if (++c[k] < xp.loops[k].count) {
+        more = true;
+        break;
+      }
+      c[k] = 0;
+    }
+  }
+  out.header.reserve(1 + 2 * runs.size());
+  out.header.push_back(static_cast<double>(runs.size()));
+  for (const auto& [start, count] : runs) {
+    out.header.push_back(static_cast<double>(start));
+    out.header.push_back(static_cast<double>(count));
+  }
+}
+
+std::vector<double>& CommPlans::concat_payload(StmtPlan& plan) {
+  ConcatPlan& p = std::get<ConcatPlan>(plan.post.at(0).plan);
+  p.blk.reserve(p.header.size() + static_cast<size_t>(p.values));
+  p.blk.assign(p.header.begin(), p.header.end());
+  return p.blk;
+}
+
+void CommPlans::run_post(StmtPlan& plan) {
+  for (Slot& slot : plan.post) {
+    ConcatPlan& p = std::get<ConcatPlan>(slot.plan);
+    std::vector<double>& blk = p.blk;
+    env_->gc.concat_tree<double>(blk);
+    size_t pos = 0;
+    while (pos < blk.size()) {
+      const size_t nruns = static_cast<size_t>(blk[pos++]);
+      size_t vpos = pos + 2 * nruns;  // values follow the run table
+      for (size_t r = 0; r < nruns; ++r, pos += 2) {
+        const Index start = static_cast<Index>(blk[pos]);
+        const Index count = static_cast<Index>(blk[pos + 1]);
+        require(start >= 0 && count >= 0 && start + count <= p.total &&
+                    vpos + static_cast<size_t>(count) <= blk.size(),
+                "concatenation run inside the array");
+        if (p.contiguous && p.ty == ElemTy::kReal) {
+          std::memcpy(p.base + start * static_cast<Index>(sizeof(double)),
+                      blk.data() + vpos,
+                      static_cast<size_t>(count) * sizeof(double));
+          vpos += static_cast<size_t>(count);
+          continue;
+        }
+        for (Index k = 0; k < count; ++k) {
+          // Row-major global id -> local element offset.
+          Index rest = start + k;
+          Index off = 0;
+          for (size_t d = p.gext.size(); d-- > 0;) {
+            off += (rest % p.gext[d] + p.shift[d]) * p.stride[d];
+            rest /= p.gext[d];
+          }
+          // write_element's conversions: as_d / as_i / as_b of a REAL.
+          const double x = blk[vpos++];
+          switch (p.ty) {
+            case ElemTy::kReal:
+              std::memcpy(p.base + off * static_cast<Index>(sizeof(double)),
+                          &x, sizeof(double));
+              break;
+            case ElemTy::kInt: {
+              const long long iv = static_cast<long long>(x);
+              std::memcpy(p.base + off * static_cast<Index>(sizeof(long long)),
+                          &iv, sizeof(long long));
+              break;
+            }
+            case ElemTy::kLogical:
+              p.base[off] = static_cast<char>(x != 0.0 ? 1 : 0);
+              break;
+          }
+        }
+      }
+      pos = vpos;
+    }
+  }
+}
+
+// --- statement orchestration -------------------------------------------------
+
 // --- statement orchestration -------------------------------------------------
 
 CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
-                                     std::span<const std::string> key_names) {
+                                     std::span<const std::string> key_names,
+                                     const ExecPlan* xp) {
   StmtPlan plan;
   std::vector<const CommAction*> order;
   for (const CommAction& a : s.pre)
@@ -592,6 +728,17 @@ CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
     slot.action = a;
     bake(s, slot, key_names, plan.arrays);
     plan.slots.push_back(std::move(slot));
+  }
+  if (xp != nullptr && xp->sink == Sink::kConcat) {
+    Slot slot;
+    for (const CommAction& a : s.post)
+      if (!a.eliminated) slot.action = &a;
+    ConcatPlan cp;
+    build_concat(s, cp);
+    bind_concat(*xp, cp);
+    slot.plan = std::move(cp);
+    plan.post.push_back(std::move(slot));
+    plan.arrays.push_back(s.refs[0].array);
   }
   return plan;
 }
@@ -651,7 +798,10 @@ void CommPlans::bake(const SpmdStmt& s, Slot& slot,
 }
 
 void CommPlans::rebind(const SpmdStmt& s, StmtPlan& plan,
-                       std::span<const std::string> key_names) {
+                       std::span<const std::string> key_names,
+                       const ExecPlan* xp) {
+  for (Slot& slot : plan.post)
+    if (xp != nullptr) bind_concat(*xp, std::get<ConcatPlan>(slot.plan));
   for (Slot& slot : plan.slots) {
     const CommKind k = slot.action->kind;
     // A slot that bakes again after running legacy may add an array to

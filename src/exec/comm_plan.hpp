@@ -23,7 +23,13 @@
 //   SchedExec   PARTI read/write executors with the per-peer global-id
 //               lists pre-resolved to flat byte offsets, packing pooled
 //               payload buffers (machine::PayloadPool) instead of typed
-//               temporaries.
+//               temporaries;
+//   ConcatPlan  the replicated-lhs write-back (a post-action): the run
+//               table of this processor's contribution bound from the
+//               execution plan's global-id recurrence, the payload the
+//               plan's values are appended to, concat_tree, and the
+//               write-back through precomputed strides — one contiguous
+//               copy per run when local and global layouts coincide.
 //
 // Faithfulness contract: a compiled plan issues exactly the collective
 // calls, tags, message sizes (including zero-byte sends), virtual-time
@@ -135,10 +141,12 @@ class CommPlans {
   struct Slot;
 
  public:
-  /// One statement's compiled pre-communication: a slot per non-eliminated
-  /// action in the tree walk's order, each a baked plan or a legacy slot.
+  /// One statement's compiled communication: a slot per non-eliminated
+  /// pre-action in the tree walk's order, each a baked plan or a legacy
+  /// slot, and the concatenation slot of a kConcat execution plan.
   struct StmtPlan {
     std::vector<Slot> slots;
+    std::vector<Slot> post;           ///< kConcat plans: the concat slot
     std::vector<std::string> arrays;  ///< storage the slots bake (invalidation)
   };
 
@@ -151,8 +159,11 @@ class CommPlans {
   /// the statement's cache key covers — a plan only bakes values derived
   /// from covered scalars (anything else is declined to the legacy action,
   /// so a stale bake is impossible by construction).
+  /// `xp` is the statement's execution plan, bound to the same values: a
+  /// kConcat plan gets its concat slot bound from it.
   [[nodiscard]] StmtPlan build(const compile::SpmdStmt& s,
-                               std::span<const std::string> key_names);
+                               std::span<const std::string> key_names,
+                               const ExecPlan* xp = nullptr);
 
   /// Re-bind `plan` (built from `s`) in place to the key scalars' current
   /// values: broadcast roots and offsets, slab roots, destinations and
@@ -160,11 +171,25 @@ class CommPlans {
   /// the new values cannot bake runs its legacy action until a later
   /// rebind bakes it again, so the result always equals a fresh build.
   void rebind(const compile::SpmdStmt& s, StmtPlan& plan,
-              std::span<const std::string> key_names);
+              std::span<const std::string> key_names,
+              const ExecPlan* xp = nullptr);
 
   /// Run every slot of `plan` (built from `s`): bit-identical messages,
   /// tags and charges to the tree walk's pre actions.
   void run(const compile::SpmdStmt& s, StmtPlan& plan);
+
+  /// The concat slot's payload, reset to this processor's bound run table:
+  /// the execution plan appends its values (run_concat_plan) and run_post
+  /// sends it.  The layout — [nruns, (start, count)*, values], empty when
+  /// this processor contributes nothing — is the tree walk's, byte for
+  /// byte.
+  std::vector<double>& concat_payload(StmtPlan& plan);
+
+  /// Run `plan`'s post slots: concat_tree over every processor's payload,
+  /// then every run written into the local copy of the replicated lhs
+  /// (this processor's own runs included, as in the tree walk, so the
+  /// values land after the whole rhs was evaluated).
+  void run_post(StmtPlan& plan);
 
   /// Compiled PARTI read executor into `b` (dvals or ivals by element
   /// type).  Returns false when the schedule/array cannot be compiled —
@@ -227,11 +252,28 @@ class CommPlans {
     ArrayView view;               ///< bind scratch
   };
 
+  struct ConcatPlan {
+    /// [nruns, (start, count)*] of this processor's contribution; empty
+    /// when it contributes nothing (guarded out or empty nest).
+    std::vector<double> header;
+    std::vector<double> blk;  ///< payload, then the concatenation
+    Index values = 0;         ///< elements this processor contributes
+    ElemTy ty = ElemTy::kReal;
+    char* base = nullptr;
+    /// Element strides of the local copy per global dimension (overlap
+    /// shift folded into `shift`) and the global extents.
+    std::vector<Index> gext, stride, shift;
+    Index total = 0;          ///< elements of the array
+    /// Local copy laid out exactly like the global row-major array.
+    bool contiguous = false;
+    std::vector<std::pair<Index, Index>> runs;  ///< bind scratch
+  };
+
   struct LegacySlot {};  ///< run through hooks_.legacy
 
   struct Slot {
     const compile::CommAction* action = nullptr;
-    std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan> plan;
+    std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan, ConcatPlan> plan;
   };
 
   /// Compiled executor state for one PARTI schedule.  Keyed by schedule
@@ -269,6 +311,10 @@ class CommPlans {
   bool build_slab(const compile::SpmdStmt& s, const compile::CommAction& a,
                   const compile::RefInfo& ref,
                   std::span<const std::string> key_names, SlabPlan& out);
+  /// The storage half of a concat slot (once per build).
+  void build_concat(const compile::SpmdStmt& s, ConcatPlan& out);
+  /// The run table of a concat slot from `xp`'s current binding.
+  static void bind_concat(const ExecPlan& xp, ConcatPlan& out);
   SchedEntry* sched_entry(const parti::SchedulePtr& sched,
                           const std::string& array, bool write);
 

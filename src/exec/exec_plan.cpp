@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -171,6 +172,131 @@ Index trip_count(Index lo, Index hi, Index st) {
   return hi > lo ? 0 : (lo - hi) / (-st) + 1;
 }
 
+// --- shared reduction semantics ------------------------------------------------
+
+bool reduce_op_of(const std::string& name, ReduceOp& op) {
+  static const std::pair<const char*, ReduceOp> kOps[] = {
+      {"SUM", ReduceOp::kSum},       {"PRODUCT", ReduceOp::kProduct},
+      {"COUNT", ReduceOp::kCount},   {"ANY", ReduceOp::kAny},
+      {"ALL", ReduceOp::kAll},       {"MAXVAL", ReduceOp::kMaxval},
+      {"MINVAL", ReduceOp::kMinval}, {"MAXLOC", ReduceOp::kMaxloc},
+      {"MINLOC", ReduceOp::kMinloc},
+  };
+  for (const auto& [n, o] : kOps) {
+    if (name == n) {
+      op = o;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+bool is_max(ReduceOp op) {
+  return op == ReduceOp::kMaxval || op == ReduceOp::kMaxloc;
+}
+
+/// `x` strictly beats `best` for an extremum op: a better number, or any
+/// number against a NaN.
+bool beats(ReduceOp op, double x, double best) {
+  if (is_max(op) ? x > best : x < best) return true;
+  return std::isnan(best) && !std::isnan(x);
+}
+
+/// Saturating double -> INTEGER conversion for reduction results (an empty
+/// MAXVAL is -HUGE, beyond any long long).
+long long to_integer(double v) {
+  if (std::isnan(v)) return 0;
+  if (v <= static_cast<double>(std::numeric_limits<long long>::lowest()))
+    return std::numeric_limits<long long>::lowest();
+  if (v >= static_cast<double>(std::numeric_limits<long long>::max()))
+    return std::numeric_limits<long long>::max();
+  return static_cast<long long>(v);
+}
+
+}  // namespace
+
+ReduceAcc ReduceAcc::identity(ReduceOp op) {
+  ReduceAcc a;
+  a.op = op;
+  switch (op) {
+    case ReduceOp::kProduct:
+    case ReduceOp::kAll: a.v = 1; break;
+    case ReduceOp::kMaxval:
+    case ReduceOp::kMaxloc: a.v = std::numeric_limits<double>::lowest(); break;
+    case ReduceOp::kMinval:
+    case ReduceOp::kMinloc: a.v = std::numeric_limits<double>::max(); break;
+    default: a.v = 0; break;
+  }
+  return a;
+}
+
+void ReduceAcc::fold(double x, Index at) {
+  switch (op) {
+    case ReduceOp::kSum: v += x; return;
+    case ReduceOp::kProduct: v *= x; return;
+    case ReduceOp::kCount: v += x != 0 ? 1 : 0; return;
+    case ReduceOp::kAny: v = (v != 0 || x != 0) ? 1 : 0; return;
+    case ReduceOp::kAll: v = (v != 0 && x != 0) ? 1 : 0; return;
+    default: break;
+  }
+  if (!valid || beats(op, x, v)) {
+    v = x;
+    loc = at;
+    valid = true;
+  }
+}
+
+Value finish_reduce(comm::GridComm& gc, const ReduceAcc& acc,
+                    ast::BaseType target) {
+  const ReduceOp op = acc.op;
+  if (op == ReduceOp::kMaxloc || op == ReduceOp::kMinloc) {
+    struct VL {
+      double v;
+      Index loc;
+      unsigned char valid;
+    };
+    std::vector<VL> box{
+        {acc.v, acc.loc, static_cast<unsigned char>(acc.valid ? 1 : 0)}};
+    gc.allreduce(box, [op](const VL& x, const VL& y) {
+      if (!x.valid) return y;
+      if (!y.valid) return x;
+      if (beats(op, x.v, y.v)) return x;
+      if (beats(op, y.v, x.v)) return y;
+      return x.loc <= y.loc ? x : y;
+    });
+    return Value::integer(box[0].valid ? box[0].loc : 0);
+  }
+  std::vector<double> box{acc.v};
+  switch (op) {
+    case ReduceOp::kSum:
+    case ReduceOp::kCount:
+      gc.allreduce(box, [](double x, double y) { return x + y; });
+      break;
+    case ReduceOp::kProduct:
+      gc.allreduce(box, [](double x, double y) { return x * y; });
+      break;
+    case ReduceOp::kAny:
+      gc.allreduce(box, [](double x, double y) {
+        return x != 0 || y != 0 ? 1.0 : 0.0;
+      });
+      break;
+    case ReduceOp::kAll:
+      gc.allreduce(box, [](double x, double y) {
+        return x != 0 && y != 0 ? 1.0 : 0.0;
+      });
+      break;
+    default:  // MAXVAL / MINVAL: an empty partial is the -HUGE/+HUGE seed
+      gc.allreduce(box, [op](double x, double y) {
+        return beats(op, y, x) ? y : x;
+      });
+      break;
+  }
+  return target == ast::BaseType::kInteger ? Value::integer(to_integer(box[0]))
+                                           : Value::real(box[0]);
+}
+
 namespace {
 
 /// Internal control flow of the planner: a decline unwinds the build and
@@ -237,9 +363,27 @@ class Builder {
   void build() {
     structural_gates();
     plan_.stmt_id = s_.stmt_id;
+    if (s_.kind == SpmdKind::kReduce) {
+      plan_.sink = Sink::kReduce;
+      (void)reduce_op_of(s_.reduce_op, plan_.reduce);  // gated above
+    } else if (s_.lhs_buffered) {
+      plan_.sink = Sink::kConcat;
+    }
+    resolve_binds();
     if (!bind_nest()) return;  // masked out or empty nest: no body
     index_refs();
-    plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
+    switch (plan_.sink) {
+      case Sink::kStore:
+        plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
+        break;
+      case Sink::kConcat:
+        plan_.gids.src = &s_.refs.at(0);
+        resolve_direct(s_.refs[0], plan_.gids);
+        bind_gids(plan_.gids);
+        break;
+      case Sink::kReduce:
+        break;  // refs[0] is the anchor read, compiled with the tapes
+    }
     compile_body();
   }
 
@@ -268,6 +412,7 @@ class Builder {
     // Masked-out and empty-nest plans keep the reads/scatter metadata but
     // build no body: this processor still participates in the collective
     // schedule builds, with empty needs.
+    resolve_binds();
     if (!bind_nest()) return;
     index_refs();
     for (IrrRead& r : irr.reads)
@@ -286,6 +431,7 @@ class Builder {
       if (!plan_.has_body) return false;
       for (RefPlan& r : plan_.refs) bind_ref(r, /*is_write=*/false);
       if (plan_.lhs.src != nullptr) bind_ref(plan_.lhs, /*is_write=*/true);
+      if (plan_.gids.src != nullptr) bind_gids(plan_.gids);
       return true;
     } catch (const Decline&) {
       return false;
@@ -297,19 +443,52 @@ class Builder {
     throw Decline{std::move(reason), structural};
   }
 
+  /// Regular plans run their pre-actions through comm slots, which admit
+  /// no schedule-based read buffers.
+  void regular_pre_gates() const {
+    for (const CommAction& a : s_.pre) {
+      if (a.eliminated) continue;
+      if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
+          a.kind == CommKind::kTemporaryShift)
+        decline("schedule-based read buffers (PARTI)");
+    }
+  }
+
+  /// The statement's only live post-action is a concatenation write-back
+  /// into a fully replicated lhs.
+  bool concat_lhs() const {
+    const CommAction* live = nullptr;
+    for (const CommAction& a : s_.post) {
+      if (a.eliminated) continue;
+      if (live != nullptr) return false;
+      live = &a;
+    }
+    if (live == nullptr || live->kind != CommKind::kConcatWrite) return false;
+    auto it = env_.dads.find(s_.refs.at(0).array);
+    return it != env_.dads.end() && it->second.fully_replicated();
+  }
+
   void structural_gates() const {
+    if (s_.kind == SpmdKind::kReduce && !irregular_) {
+      ReduceOp op{};
+      if (s_.indices.empty()) decline("no iteration variables");
+      if (!s_.rhs) decline("incomplete reduction");
+      if (!reduce_op_of(s_.reduce_op, op))
+        decline("unsupported reduction " + s_.reduce_op);
+      regular_pre_gates();
+      return;
+    }
     if (s_.kind != SpmdKind::kForall) decline("not a forall");
     if (s_.indices.empty()) decline("no iteration variables");
     if (s_.refs.empty() || !s_.lhs || !s_.rhs) decline("incomplete forall");
     if (!irregular_) {
-      if (s_.lhs_buffered) decline("buffered lhs (PARTI/concat write path)");
-      if (!s_.post.empty()) decline("post-communication actions");
-      for (const CommAction& a : s_.pre) {
-        if (a.eliminated) continue;
-        if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
-            a.kind == CommKind::kTemporaryShift)
-          decline("schedule-based read buffers (PARTI)");
+      if (s_.lhs_buffered) {
+        if (!concat_lhs()) decline("buffered lhs (PARTI write path)");
+        if (s_.mask) decline("masked concatenation (read-back semantics)");
+      } else if (!s_.post.empty()) {
+        decline("post-communication actions");
       }
+      regular_pre_gates();
       return;
     }
     // Irregular mode accepts exactly the schedule-bearing statements.
@@ -342,29 +521,40 @@ class Builder {
     }
   }
 
-  Value scalar_value(const std::string& name) const {
+  void push_scalar(const std::string& name, Tape& t) const {
     auto it = env_.scalars.find(name);
     if (it == env_.scalars.end()) decline("unbound scalar " + name);
-    return it->second;
+    t.ins.push_back({Op::kScalar, 0, &it->second, {}});
   }
 
-  /// Mirror of the interpreter's scalar-context eval(): literals, scalar
-  /// variables, arithmetic and elementwise intrinsics.  Used for loop
-  /// bounds, guard subscripts and runtime subscript terms.
-  Value eval_scalar(const Expr& e) {
+  /// Compile a scalar-context expression — literals, scalar variables,
+  /// arithmetic and elementwise intrinsics, the interpreter's scalar
+  /// eval() — to a tape over Value* slots.  Used for loop bounds, guard
+  /// subscripts and runtime subscript terms, which every rebind evaluates.
+  void emit_scalar(const Expr& e, Tape& t) const {
     switch (e.kind) {
-      case ExprKind::kIntLit: return Value::integer(e.int_value);
-      case ExprKind::kRealLit: return Value::real(e.real_value);
-      case ExprKind::kLogicalLit: return Value::logical(e.logical_value);
-      case ExprKind::kVarRef: return scalar_value(e.name);
-      case ExprKind::kUnOp: {
-        const Value v = eval_scalar(*e.args[0]);
-        if (e.un_op == UnOpKind::kPlus) return v;
-        return un_value(e.un_op == UnOpKind::kNeg ? Op::kNeg : Op::kNot, v);
-      }
+      case ExprKind::kIntLit:
+        t.ins.push_back({Op::kConst, 0, nullptr, Value::integer(e.int_value)});
+        return;
+      case ExprKind::kRealLit:
+        t.ins.push_back({Op::kConst, 0, nullptr, Value::real(e.real_value)});
+        return;
+      case ExprKind::kLogicalLit:
+        t.ins.push_back(
+            {Op::kConst, 0, nullptr, Value::logical(e.logical_value)});
+        return;
+      case ExprKind::kVarRef: push_scalar(e.name, t); return;
+      case ExprKind::kUnOp:
+        emit_scalar(*e.args[0], t);
+        if (e.un_op != UnOpKind::kPlus)
+          t.ins.push_back({e.un_op == UnOpKind::kNeg ? Op::kNeg : Op::kNot, 0,
+                           nullptr, {}});
+        return;
       case ExprKind::kBinOp:
-        return bin_value(bin_op_of(e.bin_op), eval_scalar(*e.args[0]),
-                         eval_scalar(*e.args[1]));
+        emit_scalar(*e.args[0], t);
+        emit_scalar(*e.args[1], t);
+        t.ins.push_back({bin_op_of(e.bin_op), 0, nullptr, {}});
+        return;
       case ExprKind::kArrayRef: {
         if (env_.compiled.sema.symbols.count(e.name) &&
             env_.compiled.sema.symbols.at(e.name).is_array())
@@ -376,41 +566,85 @@ class Builder {
         if (argc >= 0 ? e.args.size() != static_cast<size_t>(argc)
                       : e.args.empty())
           decline("bad intrinsic arity " + e.name);
-        std::vector<Value> args;
-        args.reserve(e.args.size());
-        for (const ExprPtr& a : e.args) args.push_back(eval_scalar(*a));
-        return intrinsic_value(op, args);
+        for (const ExprPtr& a : e.args) emit_scalar(*a, t);
+        t.ins.push_back({op, static_cast<int>(e.args.size()), nullptr, {}});
+        return;
       }
       default:
         decline("unsupported expression in scalar context");
     }
   }
 
-  /// The value of compile::affine_to_expr(a), evaluated term by term in
-  /// the same order without building the expression tree.
-  Value eval_affine(const AffineSub& a) {
+  Tape scalar_tape(const Expr& e) const {
+    Tape t;
+    emit_scalar(e, t);
+    return t;
+  }
+
+  /// compile::affine_to_expr(a) as a scalar tape, term by term in the same
+  /// order, without building the expression tree.
+  Tape affine_tape(const AffineSub& a) const {
     require(a.kind == AffineSub::Kind::kAffine, "guard subscript is affine");
-    Value acc;
+    Tape t;
     bool any = false;
-    auto add = [&](const Value& term) {
-      acc = any ? bin_value(Op::kAdd, acc, term) : term;
+    auto added = [&] {
+      if (any) t.ins.push_back({Op::kAdd, 0, nullptr, {}});
       any = true;
     };
-    for (const auto& [v, c] : a.coefs)
-      add(c == 1 ? scalar_value(v)
-                 : bin_value(Op::kMul, Value::integer(c), scalar_value(v)));
-    if (a.runtime) add(eval_scalar(*a.runtime));
-    if (a.cst != 0 || !any) add(Value::integer(a.cst));
-    return acc;
+    for (const auto& [v, c] : a.coefs) {
+      if (c != 1) t.ins.push_back({Op::kConst, 0, nullptr, Value::integer(c)});
+      push_scalar(v, t);
+      if (c != 1) t.ins.push_back({Op::kMul, 0, nullptr, {}});
+      added();
+    }
+    if (a.runtime) {
+      emit_scalar(*a.runtime, t);
+      added();
+    }
+    if (a.cst != 0 || !any) {
+      t.ins.push_back({Op::kConst, 0, nullptr, Value::integer(a.cst)});
+      added();
+    }
+    return t;
+  }
+
+  Value eval_bound(const Tape& t) {
+    return eval_tape(t, plan_.refs, nullptr, nullptr, plan_.bind_stack);
+  }
+
+  /// Resolve the bind phase's names once: loop bounds and guard subscripts
+  /// to tapes, partitioning and guard arrays to descriptors and lower
+  /// bounds.
+  void resolve_binds() {
+    plan_.level_binds.clear();
+    for (const IndexPartition& ip : s_.indices) {
+      LevelBind lb;
+      lb.lo = scalar_tape(*ip.lo);
+      lb.hi = scalar_tape(*ip.hi);
+      if (ip.st) lb.st = scalar_tape(*ip.st);
+      if (!ip.array.empty()) {
+        lb.dad = &env_.dads.at(ip.array);
+        lb.lower = env_.lower_of(ip.array, ip.dim);
+      }
+      plan_.level_binds.push_back(std::move(lb));
+    }
+    plan_.guard_binds.clear();
+    for (const ProcGuard& g : s_.guards) {
+      GuardBind gb;
+      gb.dad = &env_.dads.at(g.array);
+      gb.lower = env_.lower_of(g.array, g.dim);
+      gb.sub = affine_tape(g.sub);
+      plan_.guard_binds.push_back(std::move(gb));
+    }
   }
 
   bool guards_pass() {
-    for (const ProcGuard& g : s_.guards) {
-      const Dad& dad = env_.dads.at(g.array);
-      const Index val =
-          eval_affine(g.sub).as_i() - env_.lower_of(g.array, g.dim);
-      const int owner = dad.owner_coord(g.dim, val);
-      const int gd = dad.dim(g.dim).grid_dim;
+    for (size_t i = 0; i < s_.guards.size(); ++i) {
+      const ProcGuard& g = s_.guards[i];
+      const GuardBind& gb = plan_.guard_binds[i];
+      const Index val = eval_bound(gb.sub).as_i() - gb.lower;
+      const int owner = gb.dad->owner_coord(g.dim, val);
+      const int gd = gb.dad->dim(g.dim).grid_dim;
       if (coords_[static_cast<size_t>(gd)] != owner) return false;
     }
     return true;
@@ -441,9 +675,10 @@ class Builder {
     plan_.loops.resize(s_.indices.size());
     for (size_t k = 0; k < s_.indices.size(); ++k) {
       const IndexPartition& ip = s_.indices[k];
-      const Index lo = eval_scalar(*ip.lo).as_i();
-      const Index hi = eval_scalar(*ip.hi).as_i();
-      const Index st = ip.st ? eval_scalar(*ip.st).as_i() : 1;
+      const LevelBind& lb = plan_.level_binds[k];
+      const Index lo = eval_bound(lb.lo).as_i();
+      const Index hi = eval_bound(lb.hi).as_i();
+      const Index st = lb.st.empty() ? 1 : eval_bound(lb.st).as_i();
       if (st == 0) decline("zero stride", /*structural=*/false);
       PlanLoop& L = plan_.loops[k];
       L.var = ip.var;
@@ -451,9 +686,9 @@ class Builder {
       L.val0 = 0;
       L.step = 1;
       L.values.clear();
-      if (!ip.array.empty()) {
-        const Dad& dad = env_.dads.at(ip.array);
-        const long long lower = env_.lower_of(ip.array, ip.dim);
+      if (lb.dad != nullptr) {
+        const Dad& dad = *lb.dad;
+        const long long lower = lb.lower;
         const int gd = dad.dim(ip.dim).grid_dim;
         const int coord = coords_[static_cast<size_t>(gd)];
         L.bound = rts::set_bound(dad, ip.dim, coord, lo - lower, hi - lower, st);
@@ -598,6 +833,55 @@ class Builder {
       rp.dim_strides[static_cast<size_t>(d)] =
           rp.dim_strides[static_cast<size_t>(d + 1)] *
           aext[static_cast<size_t>(d + 1)];
+    resolve_direct(ref, rp);
+  }
+
+  /// The bind inputs of a direct reference: descriptor, lower bounds and
+  /// runtime subscript tapes.
+  void resolve_direct(const RefInfo& ref, RefPlan& rp) const {
+    rp.dad = &env_.dads.at(ref.array);
+    const int rank = rp.dad->rank();
+    if (static_cast<int>(ref.subs.size()) != rank)
+      decline("subscript rank mismatch");
+    rp.lowers.clear();
+    rp.runtime.assign(static_cast<size_t>(rank), Tape{});
+    for (int d = 0; d < rank; ++d) {
+      const AffineSub& sub = ref.subs[static_cast<size_t>(d)];
+      rp.lowers.push_back(env_.lower_of(ref.array, d));
+      if (sub.kind != AffineSub::Kind::kAffine)
+        decline("non-affine subscript");
+      if (sub.runtime)
+        rp.runtime[static_cast<size_t>(d)] = scalar_tape(*sub.runtime);
+    }
+  }
+
+  /// kConcat: bind the lhs's global-id recurrence (row-major over the
+  /// declared extents).  Every id must name an element of the array: an
+  /// out-of-range subscript declines to the tree walk, which reports it.
+  void bind_gids(RefPlan& rp) {
+    const Dad& dad = *rp.dad;
+    const size_t nv = plan_.loops.size();
+    rp.base = 0;
+    rp.terms.assign(nv, OffsetTerm{});
+    long long gstride = 1;
+    for (int d = dad.rank() - 1; d >= 0; --d) {
+      const size_t du = static_cast<size_t>(d);
+      const AffineSub& sub = rp.src->subs[du];
+      long long c0 = sub.cst - rp.lowers[du];
+      if (!rp.runtime[du].empty()) c0 += eval_bound(rp.runtime[du]).as_i();
+      for (const auto& [var, coef] : sub.coefs) {
+        if (coef == 0) continue;
+        const PlanLoop& L = plan_.loops[level_of(var)];
+        if (L.values.empty()) c0 += coef * L.val0;
+      }
+      long long mn = c0;
+      long long mx = c0;
+      add_dim_terms(sub, /*simple=*/true, gstride, rp, mn, mx);
+      if (mn < 0 || mx >= dad.extent(d))
+        decline("concatenation subscript out of range", /*structural=*/false);
+      rp.base += gstride * c0;
+      gstride *= dad.extent(d);
+    }
   }
 
   /// Value-dependent part of a reference: base offset and per-level terms.
@@ -670,13 +954,40 @@ class Builder {
     }
   }
 
+  /// Add one dimension's per-level contributions, scaled by the
+  /// dimension's flat stride `sd`, into rp's offset terms, and widen
+  /// [mn, mx] by the range the dimension's index covers over the nest.
+  void add_dim_terms(const AffineSub& sub, bool simple, long long sd,
+                     RefPlan& rp, long long& mn, long long& mx) const {
+    for_each_dim_term(sub, simple,
+                      [&](size_t k, long long stride,
+                          const std::vector<Index>* tab, long long scale) {
+                        const Index count = plan_.loops[k].count;
+                        if (tab != nullptr) {
+                          long long lo = scale * tab->front();
+                          long long hi = lo;
+                          for (Index v : *tab) {
+                            lo = std::min(lo, scale * v);
+                            hi = std::max(hi, scale * v);
+                          }
+                          mn += lo;
+                          mx += hi;
+                          term_add_table(rp.terms[k], *tab, sd * scale, count);
+                        } else if (stride != 0) {
+                          const long long end = stride * (count - 1);
+                          mn += std::min<long long>(0, end);
+                          mx += std::max<long long>(0, end);
+                          term_add_affine(rp.terms[k], sd * stride, count);
+                        }
+                      });
+  }
+
   void bind_direct(const RefInfo& ref, bool is_write, RefPlan& rp) {
-    const Dad& dad = env_.dads.at(ref.array);
+    const Dad& dad = *rp.dad;
     long long base = 0;
     for (int d = 0; d < dad.rank(); ++d) {
-      const AffineSub& sub = ref.subs[static_cast<size_t>(d)];
-      if (sub.kind != AffineSub::Kind::kAffine)
-        decline("non-affine subscript");
+      const size_t du = static_cast<size_t>(d);
+      const AffineSub& sub = ref.subs[du];
       const DimMap& m = dad.dim(d);
       const int coord = m.kind == DistKind::kCollapsed
                             ? 0
@@ -690,8 +1001,8 @@ class Builder {
           (m.kind == DistKind::kBlock && m.align_stride == 1);
       if (simple) {
         const long long rt =
-            sub.runtime ? eval_scalar(*sub.runtime).as_i() : 0;
-        c0 = sub.cst + rt - env_.lower_of(ref.array, d);
+            rp.runtime[du].empty() ? 0 : eval_bound(rp.runtime[du]).as_i();
+        c0 = sub.cst + rt - rp.lowers[du];
         if (m.kind == DistKind::kBlock) {
           // local = global - first owned global (unit alignment stride).
           if (lext == 0) decline("empty local block");
@@ -702,6 +1013,15 @@ class Builder {
           const PlanLoop& L = plan_.loops[level_of(var)];
           if (L.values.empty()) c0 += coef * L.val0;
         }
+      } else if (sub.coefs.empty()) {
+        // A scalar subscript (a guard-selected line, A(I, K)): one owned
+        // element, wherever CYCLIC(k) or an alignment stride puts it.
+        const long long rt =
+            rp.runtime[du].empty() ? 0 : eval_bound(rp.runtime[du]).as_i();
+        const Index g = sub.cst + rt - rp.lowers[du];
+        if (g < 0 || g >= dad.extent(d) || !dad.owns(d, g, coord))
+          decline("scalar subscript on an unowned line", /*structural=*/false);
+        c0 = dad.local_of_global(d, g);
       } else {
         // CYCLIC / CYCLIC(k) / strided alignment: only the identity access
         // on the dimension the iteration was partitioned by — the local
@@ -711,63 +1031,36 @@ class Builder {
           decline("non-identity subscript on cyclic dimension");
         const size_t k = level_of(var);
         const IndexPartition& ip = s_.indices[k];
-        if (ip.array.empty())
+        const LevelBind& lb = plan_.level_binds[k];
+        if (lb.dad == nullptr)
           decline("cyclic subscript variable not set_BOUND partitioned");
-        const Dad& pdad = env_.dads.at(ip.array);
+        const Dad& pdad = *lb.dad;
         if (!same_dim_map(m, pdad.dim(ip.dim)) ||
             dad.extent(d) != pdad.extent(ip.dim))
           decline("cyclic dimension mapped differently from partition source");
-        if (sub.cst - env_.lower_of(ref.array, d) !=
-            -env_.lower_of(ip.array, ip.dim))
+        if (sub.cst - rp.lowers[du] != -lb.lower)
           decline("offset subscript on cyclic dimension");
         const LocalRange& b = plan_.loops[k].bound;
         if (!b.enumerated()) c0 += b.lb;
       }
 
-      // Verify every touched local index stays inside the allocation: reads
-      // may use the overlap (ghost) area, writes must be owned.  This is
-      // the planner's replacement for the per-element at_global/_ghost
-      // require() checks; anything outside falls back to the tree walk.
+      // Flatten into the merged per-level flat-offset recurrence, and
+      // verify every touched local index stays inside the allocation:
+      // reads may use the overlap (ghost) area, writes must be owned.
+      // This is the planner's replacement for the per-element
+      // at_global/_ghost require() checks; anything outside falls back to
+      // the tree walk.  A scalar subscript contributes no per-level term.
+      const long long sd = rp.dim_strides[static_cast<size_t>(d)];
       long long mn = c0;
       long long mx = c0;
-      for_each_dim_term(sub, simple,
-                        [&](size_t k, long long stride,
-                            const std::vector<Index>* tab, long long scale) {
-                          if (tab != nullptr) {
-                            long long lo = scale * tab->front();
-                            long long hi = lo;
-                            for (Index v : *tab) {
-                              lo = std::min(lo, scale * v);
-                              hi = std::max(hi, scale * v);
-                            }
-                            mn += lo;
-                            mx += hi;
-                          } else if (stride != 0) {
-                            const long long end =
-                                stride * (plan_.loops[k].count - 1);
-                            mn += std::min<long long>(0, end);
-                            mx += std::max<long long>(0, end);
-                          }
-                        });
+      add_dim_terms(sub, simple || sub.coefs.empty(), sd, rp, mn, mx);
       const long long lo_ok = is_write ? 0 : -static_cast<long long>(m.overlap_lo);
       const long long hi_ok =
           is_write ? lext - 1 : lext + static_cast<long long>(m.overlap_hi) - 1;
       if (mn < lo_ok || mx > hi_ok)
         decline("subscript range outside local allocation",
                 /*structural=*/false);
-
-      // Flatten into the merged per-level flat-offset recurrence.
-      const long long sd = rp.dim_strides[static_cast<size_t>(d)];
       base += sd * (c0 + m.overlap_lo);
-      for_each_dim_term(sub, simple,
-                        [&](size_t k, long long stride,
-                            const std::vector<Index>* tab, long long scale) {
-                          const Index count = plan_.loops[k].count;
-                          if (tab != nullptr)
-                            term_add_table(rp.terms[k], *tab, sd * scale, count);
-                          else if (stride != 0)
-                            term_add_affine(rp.terms[k], sd * stride, count);
-                        });
     }
     rp.base = base;
   }
@@ -1041,7 +1334,15 @@ Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
   return stack.back();
 }
 
-Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
+namespace {
+
+/// The planned loop nest: a counter odometer (last variable fastest, the
+/// tree walk's order), incremental reference offsets and the tapes.  Calls
+/// sink(value, varvals, offs) for every unmasked iteration; the lhs offset
+/// is tracked (at offs[refs.size()]) only for kStore plans.  Returns the
+/// iteration count, mask-rejected iterations included.
+template <typename SinkFn>
+Index run_nest(const ExecPlan& p, PlanScratch& scratch, SinkFn&& sink) {
   if (p.masked_out) return 0;
   const size_t nv = p.loops.size();
   if (nv == 0) return 0;
@@ -1049,13 +1350,14 @@ Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
     if (l.count == 0) return 0;
 
   const size_t nr = p.refs.size();
+  const size_t nt = nr + (p.sink == Sink::kStore ? 1 : 0);
   std::vector<Index>& counters = scratch.counters;
   std::vector<Index>& varvals = scratch.varvals;
   counters.assign(nv, 0);
   varvals.resize(nv);
   for (size_t k = 0; k < nv; ++k) varvals[k] = p.loops[k].value_at(0);
 
-  // Current flat offsets (reads, then the lhs at index nr), maintained
+  // Current flat offsets of the tracked references, maintained
   // incrementally: when a counter changes, only that level's contribution
   // is swapped out.
   auto ref_at = [&](size_t r) -> const RefPlan& {
@@ -1063,9 +1365,9 @@ Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
   };
   std::vector<long long>& offs = scratch.offs;
   std::vector<long long>& contrib = scratch.contrib;
-  offs.resize(nr + 1);
-  contrib.resize((nr + 1) * nv);
-  for (size_t r = 0; r <= nr; ++r) {
+  offs.resize(nt);
+  contrib.resize(nt * nv);
+  for (size_t r = 0; r < nt; ++r) {
     long long off = ref_at(r).base;
     for (size_t k = 0; k < nv; ++k) {
       const long long c = ref_at(r).terms[k].at(0);
@@ -1075,7 +1377,7 @@ Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
     offs[r] = off;
   }
   auto update_level = [&](size_t k, Index c) {
-    for (size_t r = 0; r <= nr; ++r) {
+    for (size_t r = 0; r < nt; ++r) {
       const long long nc = ref_at(r).terms[k].at(c);
       offs[r] += nc - contrib[r * nv + k];
       contrib[r * nv + k] = nc;
@@ -1088,24 +1390,10 @@ Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
   Index iters = 0;
   for (;;) {
     ++iters;
-    bool store = true;
-    if (!p.mask.empty())
-      store =
-          eval_tape(p.mask, p.refs, varvals.data(), offs.data(), stack).as_b();
-    if (store) {
-      const Value v =
-          eval_tape(p.rhs, p.refs, varvals.data(), offs.data(), stack);
-      const long long off = offs[nr];
-      switch (p.lhs.kind) {
-        case RefPlan::Kind::kRealDirect: p.lhs.dbase[off] = v.as_d(); break;
-        case RefPlan::Kind::kIntDirect: p.lhs.ibase[off] = v.as_i(); break;
-        case RefPlan::Kind::kLogicalDirect:
-          p.lhs.lbase[off] = static_cast<unsigned char>(v.as_b() ? 1 : 0);
-          break;
-        default:
-          throw RtsError("exec plan: bad lhs kind");
-      }
-    }
+    if (p.mask.empty() ||
+        eval_tape(p.mask, p.refs, varvals.data(), offs.data(), stack).as_b())
+      sink(eval_tape(p.rhs, p.refs, varvals.data(), offs.data(), stack),
+           varvals.data(), offs.data());
     // Odometer, last variable fastest (matches the tree walk).
     size_t k = nv;
     for (;;) {
@@ -1121,6 +1409,47 @@ Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
       update_level(k, 0);
     }
   }
+}
+
+}  // namespace
+
+Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
+  const size_t nr = p.refs.size();
+  return run_nest(p, scratch,
+                  [&](const Value& v, const Index*, const long long* offs) {
+                    const long long off = offs[nr];
+                    switch (p.lhs.kind) {
+                      case RefPlan::Kind::kRealDirect:
+                        p.lhs.dbase[off] = v.as_d();
+                        break;
+                      case RefPlan::Kind::kIntDirect:
+                        p.lhs.ibase[off] = v.as_i();
+                        break;
+                      case RefPlan::Kind::kLogicalDirect:
+                        p.lhs.lbase[off] =
+                            static_cast<unsigned char>(v.as_b() ? 1 : 0);
+                        break;
+                      default:
+                        throw RtsError("exec plan: bad lhs kind");
+                    }
+                  });
+}
+
+Index run_reduce_plan(const ExecPlan& p, PlanScratch& scratch,
+                      ReduceAcc& acc) {
+  // The location is the first index variable's value, as in the tree walk.
+  return run_nest(p, scratch,
+                  [&](const Value& v, const Index* varvals, const long long*) {
+                    acc.fold(v.as_d(), varvals[0]);
+                  });
+}
+
+Index run_concat_plan(const ExecPlan& p, PlanScratch& scratch,
+                      std::vector<double>& out) {
+  return run_nest(p, scratch,
+                  [&](const Value& v, const Index*, const long long*) {
+                    out.push_back(v.as_d());
+                  });
 }
 
 PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {

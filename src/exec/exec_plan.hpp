@@ -12,6 +12,8 @@
 //     * mask and rhs flattened into a compact postfix tape whose loads go
 //       through Value* scalar slots and the pre-bound references
 //     * every reference given its storage pointer and allocation strides
+//     * every name the bind step reads resolved: bounds and subscript
+//       terms to scalar tapes, arrays to descriptor pointers
 //   plan-bind (at build, and again whenever the runtime scalars the plan
 //     bakes in change — the paper's set_BOUND call with the current K):
 //     * guards evaluated, set_BOUND local ranges resolved (including the
@@ -20,15 +22,18 @@
 //       base + stride (or per-counter table) flat-offset recurrence
 //   plan-run (every trip): a counter odometer, incremental offsets, and a
 //     stack machine — zero Expr-tree walks, zero DAD calls, zero map
-//     lookups per element.
+//     lookups per element.  The value goes to the plan's sink: the lhs
+//     store of a FORALL, a reduction accumulator (Table 3's local loop
+//     before reduce_tree), or the payload of a replicated lhs's
+//     concatenation write-back.
 //
 // Plans are cached per processor in the statement plan cache
 // (exec/statement_plan.hpp), one entry per statement: when the bound,
 // guard or subscript scalars change between executions the entry is
 // re-bound in place (rebind_exec_plan) instead of rebuilt.  Statements the
-// planner declines — PARTI gather/scatter, buffered writes, non-affine
-// subscripts — go to the irregular planner or the tree walk; the decline
-// itself is cached.
+// planner declines — PARTI gather/scatter, masked or non-replicated
+// buffered writes, non-affine subscripts — go to the irregular planner or
+// the tree walk; the decline itself is cached.
 #include <memory>
 #include <mutex>
 #include <set>
@@ -74,30 +79,6 @@ struct OffsetTerm {
   }
 };
 
-/// A pre-bound array reference: storage pointer + offset recurrence.
-struct RefPlan {
-  enum class Kind {
-    kRealDirect,     ///< flat offset into the local REAL chunk (incl. ghosts)
-    kIntDirect,      ///< ... INTEGER chunk
-    kLogicalDirect,  ///< ... LOGICAL chunk
-    kRealSlab,       ///< multicast/transfer slab, offset into Buf::dvals
-    kScalarSlot,     ///< broadcast element in Buf::scalar
-    kRealIterBuf,    ///< gathered value per iteration, Buf::dvals (irregular)
-    kIntIterBuf,     ///< ... Buf::ivals
-  };
-  Kind kind = Kind::kRealDirect;
-  double* dbase = nullptr;
-  long long* ibase = nullptr;
-  unsigned char* lbase = nullptr;
-  Buf* buf = nullptr;            ///< kRealSlab / kScalarSlot
-  long long base = 0;            ///< flat offset at all-counters-zero
-  std::vector<OffsetTerm> terms; ///< one per loop level
-  /// The statement reference this binds; rebinding re-derives base/terms.
-  const compile::RefInfo* src = nullptr;
-  /// Direct kinds: row-major allocation stride per array dimension.
-  std::vector<long long> dim_strides;
-};
-
 /// Postfix tape instruction.  Operands live on an explicit Value stack.
 enum class Op : unsigned char {
   kConst, kScalar, kVar, kRef, kElem,
@@ -137,6 +118,37 @@ struct Tape {
   [[nodiscard]] bool empty() const { return ins.empty(); }
 };
 
+/// A pre-bound array reference: storage pointer + offset recurrence.
+struct RefPlan {
+  enum class Kind {
+    kRealDirect,     ///< flat offset into the local REAL chunk (incl. ghosts)
+    kIntDirect,      ///< ... INTEGER chunk
+    kLogicalDirect,  ///< ... LOGICAL chunk
+    kRealSlab,       ///< multicast/transfer slab, offset into Buf::dvals
+    kScalarSlot,     ///< broadcast element in Buf::scalar
+    kRealIterBuf,    ///< gathered value per iteration, Buf::dvals (irregular)
+    kIntIterBuf,     ///< ... Buf::ivals
+  };
+  Kind kind = Kind::kRealDirect;
+  double* dbase = nullptr;
+  long long* ibase = nullptr;
+  unsigned char* lbase = nullptr;
+  Buf* buf = nullptr;            ///< kRealSlab / kScalarSlot
+  long long base = 0;            ///< flat offset at all-counters-zero
+  std::vector<OffsetTerm> terms; ///< one per loop level
+  /// The statement reference this binds; rebinding re-derives base/terms.
+  const compile::RefInfo* src = nullptr;
+  /// Direct kinds: row-major allocation stride per array dimension.
+  std::vector<long long> dim_strides;
+  /// Direct kinds, resolved at build so a rebind does no name lookups:
+  /// the array's descriptor, its declared lower bound per dimension, and
+  /// each dimension's runtime subscript term compiled to a scalar tape
+  /// (empty = none).
+  const rts::Dad* dad = nullptr;
+  std::vector<long long> lowers;
+  std::vector<Tape> runtime;
+};
+
 // --- shared Value semantics --------------------------------------------------
 // One implementation serves both the plan tape runner and the tree-walking
 // fallback in interp/ — the two execution paths must stay bit-identical,
@@ -160,15 +172,89 @@ struct Tape {
                               const Index* varvals, const long long* offs,
                               std::vector<Value>& stack);
 
+// --- shared reduction semantics ---------------------------------------------
+// The paper's reduction intrinsics (Table 3, category 2): a local fold over
+// the processor's iteration set, then one reduction tree.  The tree walk and
+// the planned reduction both fold through ReduceAcc and finish through
+// finish_reduce, so identity, compare, combine and the NaN rule exist once.
+
+enum class ReduceOp : unsigned char {
+  kSum, kProduct, kCount, kAny, kAll, kMaxval, kMinval, kMaxloc, kMinloc,
+};
+
+/// Fortran reduction name -> op.  False when the name is not supported.
+[[nodiscard]] bool reduce_op_of(const std::string& name, ReduceOp& op);
+
+/// One processor's partial reduction.  Extrema are seeded by the first
+/// element folded (so values beyond any sentinel reduce correctly); an
+/// empty set leaves `valid` false and `v` at lowest()/max(), Fortran's
+/// -HUGE/+HUGE.  A NaN never displaces a number, and is kept only when
+/// every element is NaN.  MAXLOC/MINLOC record the value of the first
+/// index variable at the winning element; ties keep the first in
+/// iteration order.
+struct ReduceAcc {
+  ReduceOp op = ReduceOp::kSum;
+  double v = 0;
+  Index loc = 0;
+  bool valid = false;
+
+  [[nodiscard]] static ReduceAcc identity(ReduceOp op);
+  void fold(double x, Index at);
+};
+
+/// Combine the partials of every processor through one allreduce tree
+/// (collective) and convert the result for a target of type `target`.
+/// MAXLOC/MINLOC reduce a (value, location, valid) record — the location
+/// of the lowest index among equal extrema, 0 when no element was folded
+/// anywhere; the other ops reduce one double.
+[[nodiscard]] Value finish_reduce(comm::GridComm& gc, const ReduceAcc& acc,
+                                  ast::BaseType target);
+
+/// Where each unmasked iteration's rhs value goes.
+enum class Sink : unsigned char {
+  kStore,   ///< FORALL: store into the owned lhs element (ExecPlan::lhs)
+  kReduce,  ///< reduction: fold into a ReduceAcc (run_reduce_plan)
+  kConcat,  ///< replicated lhs: append to the concatenation payload
+            ///< (run_concat_plan), written back by the concat comm slot
+};
+
+/// One loop level's bind-phase inputs, resolved at build: the bounds as
+/// scalar tapes and, for a set_BOUND-partitioned level, the partitioning
+/// array's descriptor and declared lower bound.
+struct LevelBind {
+  Tape lo, hi, st;  ///< empty st = unit stride
+  const rts::Dad* dad = nullptr;
+  long long lower = 0;
+};
+
+/// One processor guard's bind-phase inputs, resolved at build.
+struct GuardBind {
+  const rts::Dad* dad = nullptr;
+  long long lower = 0;
+  Tape sub;  ///< the guard subscript as a scalar tape
+};
+
 struct ExecPlan {
   int stmt_id = -1;
+  Sink sink = Sink::kStore;
+  ReduceOp reduce = ReduceOp::kSum;  ///< kReduce
   /// Guards rejected this processor: the local loop is empty by ownership.
   bool masked_out = false;
   std::vector<PlanLoop> loops;
   std::vector<RefPlan> refs;  ///< read references addressed by kRef
-  RefPlan lhs;
+  RefPlan lhs;                ///< kStore only
+  /// kConcat: the lhs reference with base and terms in 0-based row-major
+  /// global element ids rather than storage offsets (the concat slot's
+  /// run-table source; nothing is loaded or stored through it).
+  RefPlan gids;
   Tape mask;                  ///< empty = unconditional
   Tape rhs;
+  /// Bind-phase inputs (one per s.indices / s.guards entry) and the
+  /// scratch stack their tapes evaluate on: a rebind reads Value* slots
+  /// and descriptor pointers, never a name.
+  std::vector<LevelBind> level_binds;
+  std::vector<GuardBind> guard_binds;
+  std::vector<Value> bind_stack;
   /// Arrays whose storage the plan binds (statement-cache invalidation).
   std::vector<std::string> arrays;
   /// Tapes and references were built.  A plan first bound to an empty
@@ -196,7 +282,8 @@ struct PlanEntry {
 [[nodiscard]] std::vector<std::string> plan_key_scalars(
     const compile::SpmdStmt& s, const Env& env);
 
-/// Lower one kForall statement into a plan for this processor, or decline.
+/// Lower one kForall (owner-computes or replicated concatenation lhs) or
+/// kReduce statement into a plan for this processor, or decline.
 [[nodiscard]] PlanEntry build_exec_plan(const compile::SpmdStmt& s, Env& env);
 
 /// Re-bind `p` (built by build_exec_plan for `s`) to the current values of
@@ -219,11 +306,22 @@ struct PlanScratch {
   std::vector<Value> stack;
 };
 
-/// Run the planned loop nest.  Returns the number of iterations executed
-/// (mask-rejected iterations included, matching the tree walk's cost
-/// charging).  Pre/post communication actions are NOT run here — the
-/// driver runs them around the call.
+/// Run the planned loop nest of a kStore plan.  Returns the number of
+/// iterations executed (mask-rejected iterations included, matching the
+/// tree walk's cost charging).  Pre/post communication actions are NOT run
+/// here — the driver runs them around the call.
 [[nodiscard]] Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch);
+
+/// Run a kReduce plan's nest, folding every unmasked rhs value into `acc`
+/// in the tree walk's iteration order.  Returns the iteration count.
+[[nodiscard]] Index run_reduce_plan(const ExecPlan& p, PlanScratch& scratch,
+                                    ReduceAcc& acc);
+
+/// Run a kConcat plan's nest, appending every rhs value (as a double, the
+/// concatenation payload's element) to `out` in iteration order.  Returns
+/// the iteration count.
+[[nodiscard]] Index run_concat_plan(const ExecPlan& p, PlanScratch& scratch,
+                                    std::vector<double>& out);
 
 /// Process-wide, cross-run store of the *pointer-free* plan metadata
 /// (service mode).  Plan bodies bind raw storage pointers (RefPlan bases,

@@ -34,7 +34,7 @@ StatementPlan build_statement_plan(const compile::SpmdStmt& s, Env& env,
   PlanEntry reg = build_exec_plan(s, env);
   if (reg.plan) {
     e.plan = std::move(reg.plan);
-    e.comm = comm.build(s, key_names);
+    e.comm = comm.build(s, key_names, e.plan.get());
     return e;
   }
   IrrPlanEntry irr = build_irregular_plan(s, env);
@@ -53,7 +53,7 @@ bool rebind_statement_plan(const compile::SpmdStmt& s, Env& env,
                            StatementPlan& e) {
   if (e.plan) {
     if (!rebind_exec_plan(s, env, *e.plan)) return false;
-    comm.rebind(s, e.comm, key_names);
+    comm.rebind(s, e.comm, key_names, e.plan.get());
     if (e.native && !native::repack(*e.plan, *e.native)) e.native.reset();
     return true;
   }

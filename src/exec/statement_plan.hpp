@@ -1,9 +1,11 @@
 #pragma once
 // The statement plan cache: one per-node memo of everything the node
-// program decides once per FORALL (paper §4–§6) — set_BOUND ranges and
-// strength-reduced references (ExecPlan), the PARTI inspector/executor
-// split (IrregularPlan), the compiled pre-communication (CommPlans
-// StmtPlan) and the JIT kernel attachment (native::Attachment).
+// program decides once per FORALL or reduction (paper §4–§6) — set_BOUND
+// ranges and strength-reduced references (ExecPlan, whose sink is an lhs
+// store, a reduction accumulator or a concatenation payload), the PARTI
+// inspector/executor split (IrregularPlan), the compiled communication
+// (CommPlans StmtPlan: pre-action slots and the concat write-back) and
+// the JIT kernel attachment (native::Attachment).
 //
 // One entry per statement id.  An entry is regular (ExecPlan + comm slots
 // + native attachment), irregular (IrregularPlan) or a memoized decline.
@@ -35,13 +37,13 @@ struct StatementPlan {
   std::string decline;    ///< decline: both planners' reasons
   /// Decline independent of runtime scalars (both planners said so).
   bool structural = false;
-  CommPlans::StmtPlan comm;                    ///< regular: pre-communication
+  CommPlans::StmtPlan comm;                    ///< regular: communication
   std::unique_ptr<native::Attachment> native;  ///< regular: first native run
 };
 
 /// Build one statement's entry: the regular planner first, the irregular
 /// planner when the regular one declines (at most one of them accepts a
-/// given statement).  A regular plan gets its pre-communication compiled
+/// given statement).  A regular plan gets its communication compiled
 /// through `comm` right away, under the same key scalars.
 [[nodiscard]] StatementPlan build_statement_plan(
     const compile::SpmdStmt& s, Env& env, CommPlans& comm,

@@ -91,12 +91,14 @@ exec::MapResolver map_resolver(const Init& init) {
 }
 
 // --- node program -------------------------------------------------------------
-// The node program is a thin driver over the exec layer: every FORALL is
-// first looked up in the statement plan cache (exec/statement_plan.hpp),
-// whose entries run the strength-reduced loop nest or the planned PARTI
-// inspector/executor; statements both planners decline (buffered concat
-// writes, schedule1 reads, non-affine subscripts) fall back to the tree
-// walk below, which operates on the same exec::Env state.
+// The node program is a thin driver over the exec layer: every FORALL and
+// reduction is first looked up in the statement plan cache
+// (exec/statement_plan.hpp), whose entries run the strength-reduced loop
+// nest (into an lhs store, a reduction accumulator or a concatenation
+// payload) or the planned PARTI inspector/executor; statements both
+// planners decline (masked concatenation, schedule1 reads, non-affine
+// subscripts) fall back to the tree walk below, which operates on the same
+// exec::Env state.
 
 class Node {
  public:
@@ -532,13 +534,13 @@ class Node {
     return nullptr;
   }
 
-  /// Planned fast path: one statement-cache lookup per FORALL finds this
-  /// statement's entry — built on first use, re-bound in place when its
-  /// key scalars changed — and runs it.  Returns false when both planners
-  /// declined — the caller falls back to the tree walk.  Structural
-  /// declines are remembered per statement so fallback statements skip
-  /// the key compare entirely.
-  bool try_planned_forall(const SpmdStmt& s) {
+  /// Planned fast path: one statement-cache lookup per FORALL or reduction
+  /// finds this statement's entry — built on first use, re-bound in place
+  /// when its key scalars changed — and runs it.  Returns false when both
+  /// planners declined — the caller falls back to the tree walk.
+  /// Structural declines are remembered per statement so fallback
+  /// statements skip the key compare entirely.
+  bool try_planned(const SpmdStmt& s) {
     if (opt_.skeleton || !opt_.exec_plans) return false;
     // Unnumbered statements (hand-built programs that bypassed the driver)
     // have no stable cache identity: run them on the tree walk.
@@ -566,19 +568,39 @@ class Node {
 
   /// Regular entry: pre-communication through the entry's compiled comm
   /// slots (bit-identical messages and charges to the tree walk's pre
-  /// actions), then the loop nest.  The planner admits no schedule-based
-  /// read buffers, so no guarded iteration ranges are needed here.
+  /// actions), then the loop nest into the plan's sink.  The planner
+  /// admits no schedule-based read buffers, so no guarded iteration
+  /// ranges are needed here.
   void run_regular(const SpmdStmt& s, exec::StatementPlan& entry) {
     comm_plans_.run(s, entry.comm);
-    // Backend ladder: native kernel when enabled and attachable, tape
-    // interpreter otherwise.  Both return the same iteration count, so the
-    // simulated cost charged below is identical either way.
+    const exec::ExecPlan& plan = *entry.plan;
     Index iters = -1;
-    if (opt_.native_backend)
-      iters = native_.try_run(*entry.plan, entry.native);
-    if (iters < 0) iters = exec::run_exec_plan(*entry.plan, plan_scratch_);
+    switch (plan.sink) {
+      case exec::Sink::kStore:
+        // Backend ladder: native kernel when enabled and attachable, tape
+        // interpreter otherwise.  Both return the same iteration count, so
+        // the simulated cost charged below is identical either way.
+        if (opt_.native_backend) iters = native_.try_run(plan, entry.native);
+        if (iters < 0) iters = exec::run_exec_plan(plan, plan_scratch_);
+        break;
+      case exec::Sink::kReduce: {
+        // The reduction tree of the tree walk, with the same box layout:
+        // same messages, bytes and charges (no int-op charge, as there).
+        exec::ReduceAcc acc = exec::ReduceAcc::identity(plan.reduce);
+        iters = exec::run_reduce_plan(plan, plan_scratch_, acc);
+        proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
+        env_.scalars[s.target] =
+            exec::finish_reduce(gc_, acc, env_.sym(s.target).type);
+        return;
+      }
+      case exec::Sink::kConcat:
+        iters = exec::run_concat_plan(plan, plan_scratch_,
+                                      comm_plans_.concat_payload(entry.comm));
+        break;
+    }
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
+    comm_plans_.run_post(entry.comm);
   }
 
   /// Irregular entry: the planned PARTI inspector/executor.  The plan
@@ -641,7 +663,8 @@ class Node {
     // every processor alike, so cached lookups stay collective.
     if (!s.refs.empty()) env_.bump_version(s.refs[0].array);
     if (globally_zero_trip(s)) return;
-    if (try_planned_forall(s)) return;
+    if (try_planned(s)) return;
+    ++tree_walk_stmts_;
 
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
 
@@ -1210,107 +1233,42 @@ class Node {
   }
 
   void exec_reduce(const SpmdStmt& s) {
+    if (try_planned(s)) return;
+    ++tree_walk_stmts_;
     bind_refs(s);
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
     std::optional<std::vector<VarRange>> ranges_for_actions = my_ranges;
     for (const CommAction& a : s.pre)
       if (!a.eliminated) run_action(s, a, ranges_for_actions);
 
-    const std::string& op = s.reduce_op;
-    const bool want_loc = op == "MAXLOC" || op == "MINLOC";
-
-    double acc;
-    if (op == "SUM" || op == "COUNT") acc = 0;
-    else if (op == "PRODUCT") acc = 1;
-    else if (op == "MAXVAL" || op == "MAXLOC") acc = -1e300;
-    else if (op == "MINVAL" || op == "MINLOC") acc = 1e300;
-    else if (op == "ANY") acc = 0;
-    else if (op == "ALL") acc = 1;
-    else throw RtsError("unsupported reduction " + op);
-    Index loc = 0;
-    bool have_loc = false;
+    exec::ReduceOp op{};
+    if (!exec::reduce_op_of(s.reduce_op, op))
+      throw RtsError("unsupported reduction " + s.reduce_op);
+    exec::ReduceAcc acc = exec::ReduceAcc::identity(op);
 
     Index iters = 0;
     if (my_ranges) {
       if (opt_.skeleton) {
+        // Values are not computed; the location is the first index.
         Index total = 1;
         for (const VarRange& r : *my_ranges) total *= r.count;
         iters = std::max<Index>(total, 0);
-        if (want_loc && !(*my_ranges).empty() && (*my_ranges)[0].count > 0) {
-          loc = (*my_ranges)[0].val0;
-          have_loc = true;
+        if (!my_ranges->empty() && (*my_ranges)[0].count > 0) {
+          acc.loc = (*my_ranges)[0].val0;
+          acc.valid = true;
         }
       } else {
-        // MAXLOC/MINLOC stay well-defined even when every value is NaN
-        // (comparisons all false): fall back to the first index.
-        if (want_loc && !(*my_ranges).empty() && (*my_ranges)[0].count > 0) {
-          loc = (*my_ranges)[0].val0;
-          have_loc = true;
-        }
         iterate(s, *my_ranges, [&]() {
           ++iters;
           if (s.mask && !eval(*s.mask).as_b()) return;
-          const double v = eval(*s.rhs).as_d();
-          if (op == "SUM") acc += v;
-          else if (op == "PRODUCT") acc *= v;
-          else if (op == "COUNT") acc += v != 0 ? 1 : 0;
-          else if (op == "ANY") acc = (acc != 0 || v != 0) ? 1 : 0;
-          else if (op == "ALL") acc = (acc != 0 && v != 0) ? 1 : 0;
-          else if (op == "MAXVAL" || op == "MAXLOC") {
-            if (v > acc) {
-              acc = v;
-              loc = frame_.at(s.indices[0].var);
-              have_loc = true;
-            }
-          } else if (op == "MINVAL" || op == "MINLOC") {
-            if (v < acc) {
-              acc = v;
-              loc = frame_.at(s.indices[0].var);
-              have_loc = true;
-            }
-          }
+          acc.fold(eval(*s.rhs).as_d(), frame_.at(s.indices[0].var));
         });
       }
     }
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
-
     // Reduction tree (paper Table 3 category 2).
-    if (want_loc) {
-      struct VL {
-        double v;
-        Index loc;
-        unsigned char valid;
-      };
-      std::vector<VL> box{
-          {acc, loc, static_cast<unsigned char>(have_loc ? 1 : 0)}};
-      const bool mx = op == "MAXLOC";
-      gc_.allreduce(box, [mx](const VL& x, const VL& y) {
-        if (!x.valid) return y;
-        if (!y.valid) return x;
-        if (mx ? (x.v > y.v) : (x.v < y.v)) return x;
-        if (mx ? (y.v > x.v) : (y.v < x.v)) return y;
-        return x.loc <= y.loc ? x : y;
-      });
-      env_.scalars[s.target] = Value::integer(box[0].valid ? box[0].loc : 0);
-      return;
-    }
-    std::vector<double> box{acc};
-    if (op == "SUM" || op == "COUNT")
-      gc_.allreduce(box, [](double x, double y) { return x + y; });
-    else if (op == "PRODUCT")
-      gc_.allreduce(box, [](double x, double y) { return x * y; });
-    else if (op == "MAXVAL")
-      gc_.allreduce(box, [](double x, double y) { return std::max(x, y); });
-    else if (op == "MINVAL")
-      gc_.allreduce(box, [](double x, double y) { return std::min(x, y); });
-    else if (op == "ANY")
-      gc_.allreduce(box, [](double x, double y) { return x != 0 || y != 0 ? 1.0 : 0.0; });
-    else if (op == "ALL")
-      gc_.allreduce(box, [](double x, double y) { return x != 0 && y != 0 ? 1.0 : 0.0; });
-    const Symbol& sm = env_.sym(s.target);
-    env_.scalars[s.target] = sm.type == ast::BaseType::kInteger
-                                 ? Value::integer(static_cast<long long>(box[0]))
-                                 : Value::real(box[0]);
+    env_.scalars[s.target] =
+        exec::finish_reduce(gc_, acc, env_.sym(s.target).type);
   }
 
   // --- whole-array intrinsics ---------------------------------------------------
@@ -1416,6 +1374,7 @@ class Node {
         ps.regular.invalidations + cs.invalidations;
     shared_.result.comm_plan_fast_bytes = cs.bytes_memcpy_fast_path;
     shared_.result.pool_reuses = proc_.stats().pool_reuses;
+    shared_.result.tree_walk_stmts = tree_walk_stmts_;
   }
 
   void collect_results() {
@@ -1471,6 +1430,8 @@ class Node {
   std::map<std::string, Index> frame_;
   std::map<std::string, VarState> var_state_;
   long long schedules_built_ = 0;
+  /// FORALL and reduction executions that ran on the tree walk.
+  long long tree_walk_stmts_ = 0;
   long long gather_bytes_ = 0;
   long long scatter_bytes_ = 0;
   Index flat_iter_ = 0;

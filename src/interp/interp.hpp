@@ -138,6 +138,10 @@ struct ProgramResult {
   /// Pooled payload buffers reused from processor 0's free list (steady
   /// state: every message payload; zero fresh heap allocation per message).
   long long pool_reuses = 0;
+  /// FORALL and reduction executions on processor 0 that ran on the
+  /// tree-walking fallback (every one with exec_plans off or in skeleton
+  /// mode; globally zero-trip FORALLs run on neither path).
+  long long tree_walk_stmts = 0;
 };
 
 /// Execute the compiled program on `machine`.  Collective: the machine size

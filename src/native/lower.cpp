@@ -197,6 +197,9 @@ class Lowerer {
 
   Lowered run() {
     if (nv_ == 0) fail("empty loop nest");
+    // Reductions and concatenations stay on the tape: their sinks feed a
+    // collective the node program runs after the nest.
+    if (p_.sink != exec::Sink::kStore) fail("reduction or concatenation sink");
     switch (p_.lhs.kind) {
       case RefPlan::Kind::kRealDirect:
       case RefPlan::Kind::kIntDirect:

@@ -3,12 +3,15 @@
 // times, edge cases (zero-trip DO, P > N, enumerated CYCLIC(k) bounds,
 // masked FORALL), plan-cache reuse across DO-loop trips, in-place rebinds
 // when loop-variant scalars change, the redistribution invalidation
-// contract, the PARTI fallback, and the statement plan cache's entry,
-// decline and shared-namespace rules.
+// contract, the PARTI fallback, the statement plan cache's entry, decline
+// and shared-namespace rules, and planned reductions and concatenation
+// write-backs (including the extrema's seed, empty-set and NaN rules).
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "exec/exec_plan.hpp"
 #include "exec/statement_plan.hpp"
@@ -571,6 +574,7 @@ void expect_same_binding(const exec::ExecPlan& got, const exec::ExecPlan& want) 
   for (size_t r = 0; r < want.refs.size(); ++r)
     same_ref(got.refs[r], want.refs[r]);
   same_ref(got.lhs, want.lhs);
+  same_ref(got.gids, want.gids);
 }
 
 const compile::SpmdStmt& only_forall(const compile::Compiled& c) {
@@ -918,6 +922,392 @@ TEST(StatementPlanCache, SharedMetaUsesOneNamespacePerArtifact) {
     EXPECT_EQ(other.stats().shared_hits, 0);
     EXPECT_EQ(meta.size(), 4u);
   });
+}
+
+// --- planned reductions and concatenation --------------------------------------
+// kReduce statements and replicated-lhs (concatenation) FORALLs get entries
+// in the same statement cache: the tape folds into a reduction accumulator
+// or fills the concatenation payload, and the reduction tree / concat_tree
+// run exactly as on the tree walk.  Every case compares planned against
+// the tree walk on the charging iPSC/860 model: bit-identical arrays and
+// scalars, equal simulated time, and exact processor-0 counters.
+
+void expect_same_scalars(const interp::ProgramResult& want,
+                         const interp::ProgramResult& got,
+                         const std::string& what) {
+  ASSERT_EQ(got.scalars.size(), want.scalars.size()) << what;
+  for (const auto& [name, w] : want.scalars)
+    EXPECT_TRUE(same_bits(got.scalars.at(name), w))
+        << what << " scalar " << name << ": " << got.scalars.at(name)
+        << " vs " << w;
+}
+
+/// Compile `src`, let `edit` rewrite the IR (masks the frontend cannot
+/// spell), and run it on `p` processors of the charging iPSC/860 model.
+template <typename Edit>
+interp::ProgramResult run_edited(const std::string& src, int p,
+                                 const interp::Init& init,
+                                 const interp::RunOptions& ro, Edit&& edit) {
+  compile::Compiled c = compile::compile_source(src);
+  edit(c.program.body);
+  machine::SimMachine m(p, ipsc(), machine::make_hypercube());
+  return interp::run_compiled(c, m, init, ro);
+}
+
+void no_edit(std::vector<compile::SpmdStmtPtr>&) {}
+
+/// Give every reduction the mask MOD(v, 3) .NE. 1 over its first index
+/// variable: the frontend has no MASK= argument.
+void mask_reductions(std::vector<compile::SpmdStmtPtr>& body) {
+  for (compile::SpmdStmtPtr& s : body) {
+    mask_reductions(s->body);
+    if (s->kind != compile::SpmdKind::kReduce) continue;
+    std::vector<ast::ExprPtr> args;
+    args.push_back(ast::make_var(s->indices.at(0).var));
+    args.push_back(ast::make_int(3));
+    s->mask = ast::make_bin(ast::BinOpKind::kNe,
+                            ast::make_array_ref("MOD", std::move(args)),
+                            ast::make_int(1));
+  }
+}
+
+/// Tree walk vs plan of one program: bit-identical results at equal,
+/// charged simulated time; returns the planned run.
+template <typename Edit>
+interp::ProgramResult expect_planned_matches(const std::string& src, int p,
+                                             const interp::Init& init,
+                                             Edit&& edit,
+                                             const std::string& what) {
+  const auto tree = run_edited(src, p, init, plans_off(), edit);
+  const auto plan = run_edited(src, p, init, plans_on(), edit);
+  expect_same_run(tree, plan, what);
+  expect_same_scalars(tree, plan, what);
+  EXPECT_EQ(plan.tree_walk_stmts, 0) << what;
+  EXPECT_GT(tree.tree_walk_stmts, 0) << what;
+  EXPECT_EQ(tree.plan_misses + tree.plan_hits, 0) << what;
+  return plan;
+}
+
+void expect_plan_counts(const interp::ProgramResult& r, int misses, int hits,
+                        int rebinds, int entries, const std::string& what) {
+  EXPECT_EQ(r.plan_misses, misses) << what;
+  EXPECT_EQ(r.plan_hits, hits) << what;
+  EXPECT_EQ(r.plan_rebinds, rebinds) << what;
+  EXPECT_EQ(r.plan_entries, entries) << what;
+}
+
+/// All nine reductions over A(K:N) (1-D grid) or B(K:N, :) (2-D grid),
+/// inside DO K = 1, T so every entry re-binds on every later trip.
+std::string reduce_source(int n, int trips, int p, int q, const char* dist) {
+  const bool two_d = q > 0;
+  const std::string arr = two_d ? "B(K:N, 1:M)" : "A(K:N)";
+  std::string src = strformat(R"(PROGRAM RED
+      INTEGER N
+      PARAMETER (N = %d)
+      INTEGER M
+      PARAMETER (M = 5)
+      REAL A(N)
+      REAL B(N, M)
+      REAL S1, S2, S3, S4, S5, S6
+      INTEGER C1, K1, K2, K
+)",
+                              n);
+  if (two_d) {
+    src += strformat(R"(C$ PROCESSORS P(%d, %d)
+C$ TEMPLATE T(N, M)
+C$ DISTRIBUTE T(%s, %s)
+C$ ALIGN B(I, J) WITH T(I, J)
+)",
+                     p, q, dist, dist);
+  } else {
+    src += strformat(R"(C$ PROCESSORS P(%d)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(%s)
+C$ ALIGN A(I) WITH T(I)
+)",
+                     p, dist);
+  }
+  src += strformat(R"(      DO K = 1, %d
+        S1 = S1 + SUM(%s)
+        S2 = S2 + PRODUCT(%s)
+        C1 = C1 + COUNT(%s .GT. 0.25)
+        S3 = S3 + ANY(%s .GT. 0.75)
+        S4 = S4 + ALL(%s .GT. -0.5)
+        S5 = S5 + MAXVAL(%s)
+        S6 = S6 + MINVAL(%s)
+        K1 = K1 + MAXLOC(%s)
+        K2 = K2 + MINLOC(%s)
+      END DO
+      END PROGRAM RED
+)",
+                   trips, arr.c_str(), arr.c_str(), arr.c_str(), arr.c_str(),
+                   arr.c_str(), arr.c_str(), arr.c_str(), arr.c_str(),
+                   arr.c_str());
+  return src;
+}
+
+interp::Init reduce_init(double (*entry)(Index)) {
+  interp::Init init;
+  init.real["A"] = [entry](std::span<const Index> g) { return entry(g[0]); };
+  init.real["B"] = [entry](std::span<const Index> g) {
+    return entry(g[0] * 5 + g[1]);
+  };
+  return init;
+}
+
+/// Values in [-1, 1) with repeated extrema (MAXLOC/MINLOC ties).
+double tie_entry(Index i) { return static_cast<double>((i * 7) % 8) / 4.0 - 1.0; }
+
+TEST(PlannedReduction, AllOpsMatchTreeWalkOnEveryDistribution) {
+  const int n = 10, trips = 4, ops = 9;
+  struct Grid {
+    int p, q;  // q = 0: 1-D grid
+  };
+  // P > N on the 16- and 4x4-processor grids: most ranges are empty.
+  for (const Grid g : {Grid{3, 0}, Grid{4, 0}, Grid{16, 0}, Grid{2, 2},
+                       Grid{4, 4}}) {
+    for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(3)"}) {
+      const std::string src = reduce_source(n, trips, g.p, g.q, dist);
+      const int procs = g.q > 0 ? g.p * g.q : g.p;
+      for (bool masked : {false, true}) {
+        const std::string what = strformat(
+            "%dx%d %s%s", g.p, g.q, dist, masked ? " masked" : "");
+        auto edit = masked ? mask_reductions : no_edit;
+        const auto plan = expect_planned_matches(
+            src, procs, reduce_init(tie_entry), edit, what);
+        // One entry per reduction, re-bound at every later K.
+        expect_plan_counts(plan, ops, ops * (trips - 1), ops * (trips - 1),
+                           ops, what);
+      }
+    }
+  }
+}
+
+TEST(PlannedReduction, AllNanInputsMatchTreeWalk) {
+  const std::string src = reduce_source(10, 2, 4, 0, "CYCLIC");
+  const auto plan = expect_planned_matches(
+      src, 4, reduce_init([](Index) { return std::nan(""); }), no_edit,
+      "all NaN");
+  // MAXLOC/MINLOC of all-NaN data: the first index (K), summed over K.
+  EXPECT_EQ(plan.scalars.at("K1"), 1.0 + 2.0);
+  EXPECT_EQ(plan.scalars.at("K2"), 1.0 + 2.0);
+  EXPECT_TRUE(std::isnan(plan.scalars.at("S5")));
+}
+
+TEST(PlannedReduction, NanNeverDisplacesANumber) {
+  // NaN leads the section (and sits mid-way): the extrema ignore it.
+  const std::string src = R"(PROGRAM MIXNAN
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL SMX, SMN
+      INTEGER KMX, KMN
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(CYCLIC)
+C$ ALIGN A(I) WITH T(I)
+      SMX = MAXVAL(A)
+      KMX = MAXLOC(A(1:N))
+      SMN = MINVAL(A)
+      KMN = MINLOC(A(1:N))
+      END PROGRAM MIXNAN
+)";
+  interp::Init init;
+  init.real["A"] = [](std::span<const Index> g) {
+    return g[0] == 0 || g[0] == 5 ? std::nan("") : 3.0 - std::fabs(g[0] - 3.0);
+  };
+  for (const auto& ro : {plans_off(), plans_on()}) {
+    const auto r = harness::run_source(src, init, ro, {}, {}, ipsc());
+    EXPECT_EQ(r.scalars.at("SMX"), 3.0);
+    EXPECT_EQ(r.scalars.at("KMX"), 4);
+    EXPECT_EQ(r.scalars.at("SMN"), -1.0);
+    EXPECT_EQ(r.scalars.at("KMN"), 8);
+  }
+}
+
+std::string sentinel_source(const char* sign) {
+  return strformat(R"(PROGRAM SENT
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL SMX, SMN
+      INTEGER KMX, KMN
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+      FORALL (I = 1:N) A(I) = %s1.0E305 * (9 - I)
+      SMX = MAXVAL(A)
+      KMX = MAXLOC(A(1:N))
+      SMN = MINVAL(A)
+      KMN = MINLOC(A(1:N))
+      END PROGRAM SENT
+)",
+                   sign);
+}
+
+TEST(PlannedReduction, ExtremaBeyondTheOldSentinel) {
+  // Every value lies beyond +-1e300: a sentinel-seeded accumulator never
+  // moves.  The first element seeds it instead, on both paths.
+  for (const auto& ro : {plans_off(), plans_on()}) {
+    const auto neg = harness::run_source(sentinel_source("-"), {}, ro, {}, {},
+                                         ipsc());
+    EXPECT_EQ(neg.scalars.at("SMX"), -1.0e305);
+    EXPECT_EQ(neg.scalars.at("KMX"), 8);
+    EXPECT_EQ(neg.scalars.at("SMN"), -8.0e305);
+    EXPECT_EQ(neg.scalars.at("KMN"), 1);
+    const auto pos = harness::run_source(sentinel_source(""), {}, ro, {}, {},
+                                         ipsc());
+    EXPECT_EQ(pos.scalars.at("SMN"), 1.0e305);
+    EXPECT_EQ(pos.scalars.at("KMN"), 8);
+    EXPECT_EQ(pos.scalars.at("SMX"), 8.0e305);
+    EXPECT_EQ(pos.scalars.at("KMX"), 1);
+  }
+}
+
+TEST(PlannedReduction, EmptyExtremaAreHuge) {
+  // A zero-trip section: MAXVAL is -HUGE, MINVAL +HUGE, MAXLOC 0.
+  const std::string src = R"(PROGRAM EMPTY
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL SMX, SMN
+      INTEGER KMX
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+      SMX = MAXVAL(A(5:4))
+      SMN = MINVAL(A(5:4))
+      KMX = MAXLOC(A(5:4))
+      END PROGRAM EMPTY
+)";
+  for (const auto& ro : {plans_off(), plans_on()}) {
+    const auto r = harness::run_source(src, {}, ro, {}, {}, ipsc());
+    EXPECT_EQ(r.scalars.at("SMX"), std::numeric_limits<double>::lowest());
+    EXPECT_EQ(r.scalars.at("SMN"), std::numeric_limits<double>::max());
+    EXPECT_EQ(r.scalars.at("KMX"), 0);
+  }
+}
+
+/// Replicated lhs arrays L (REAL), IL (INTEGER), LL (LOGICAL) and R
+/// (2-D), written from the distributed A(N, N+1) / IB(N) / B(N, M).
+std::string concat_source(int p, const char* dist, const std::string& body) {
+  return strformat(R"(PROGRAM CAT
+      INTEGER N
+      PARAMETER (N = 12)
+      INTEGER M
+      PARAMETER (M = 5)
+      REAL A(N, N+1)
+      REAL L(N)
+      REAL B(N, M)
+      REAL R(N, M)
+      REAL X(N)
+      INTEGER IB(N)
+      INTEGER IL(N)
+      LOGICAL LL(N)
+      INTEGER K
+C$ PROCESSORS P(%d)
+C$ TEMPLATE TA(N, N+1)
+C$ DISTRIBUTE TA(*, %s)
+C$ ALIGN A(I, J) WITH TA(I, J)
+C$ TEMPLATE TB(N)
+C$ DISTRIBUTE TB(%s)
+C$ ALIGN B(I, J) WITH TB(I)
+C$ ALIGN IB(I) WITH TB(I)
+C$ ALIGN X(I) WITH TB(I)
+%s      END PROGRAM CAT
+)",
+                   p, dist, dist, body.c_str());
+}
+
+interp::Init concat_init() {
+  interp::Init init;
+  init.real["A"] = [](std::span<const Index> g) {
+    return 0.5 + static_cast<double>((g[0] * 13 + g[1] * 7) % 11) / 3.0;
+  };
+  init.real["B"] = [](std::span<const Index> g) {
+    return static_cast<double>(g[0] * 5 + g[1]) * 0.75 - 9.0;
+  };
+  init.ints["IB"] = [](std::span<const Index> g) { return g[0] * 3 - 10; };
+  return init;
+}
+
+TEST(PlannedConcatenation, StridedAndKVaryingRangesRebind) {
+  // Gauss's multiplier column, strided (one run per element) and
+  // contiguous, with bounds that move with K; the rhs reads the lhs, so
+  // the write-back must land after the whole rhs was evaluated.
+  const std::string body = R"(      DO K = 1, N-1
+        L(K+1:N:2) = A(K+1:N:2, K) / A(K, K) + L(K:N-1:2)
+        L(K+1:N) = A(K+1:N, K) + L(K+1:N) * 0.5
+      END DO
+)";
+  for (int p : {1, 3, 4, 16}) {
+    for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(3)"}) {
+      const std::string what = strformat("P=%d %s", p, dist);
+      const auto plan = expect_planned_matches(concat_source(p, dist, body), p,
+                                               concat_init(), no_edit, what);
+      expect_plan_counts(plan, 2, 2 * 10, 2 * 10, 2, what);
+    }
+  }
+}
+
+TEST(PlannedConcatenation, TwoDimensionalIntegerAndLogicalLhs) {
+  // Every processor contributes its owned rows: several runs per block
+  // of the 2-D lhs.  INTEGER destinations convert REAL and INTEGER values
+  // like write_element; LOGICAL ones are read back through a mask.
+  const std::string body = R"(      FORALL (I = 1:N, J = 1:M) R(I, J) = B(I, J) * 2.0
+      FORALL (I = 2:N-1, J = 2:M) R(I, J) = B(I, J) + 1.0
+      IL(1:N) = IB(1:N) * 3
+      FORALL (I = 2:N:3) IL(I) = X(I) + 2.75
+      LL(1:N) = IB(1:N) .GT. 0
+      FORALL (I = 1:N, LL(I)) X(I) = 1.5
+)";
+  for (int p : {1, 2, 4, 16}) {
+    for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(3)"}) {
+      const std::string what = strformat("P=%d %s", p, dist);
+      const auto plan = expect_planned_matches(concat_source(p, dist, body), p,
+                                               concat_init(), no_edit, what);
+      expect_plan_counts(plan, 6, 0, 0, 6, what);
+    }
+  }
+}
+
+TEST(PlannedConcatenation, MaskedConcatenationDeclines) {
+  // Masked iterations re-send the old value (read-back semantics): the
+  // statement stays on the tree walk, on every trip.
+  const std::string body = R"(      DO K = 1, 3
+        FORALL (I = 1:N, A(I, K) .GT. 2.0) L(I) = A(I, K) * 2.0
+      END DO
+)";
+  const std::string src = concat_source(4, "BLOCK", body);
+  const auto tree = run_edited(src, 4, concat_init(), plans_off(), no_edit);
+  const auto plan = run_edited(src, 4, concat_init(), plans_on(), no_edit);
+  expect_same_run(tree, plan, "masked concat");
+  EXPECT_EQ(plan.tree_walk_stmts, 3);
+  EXPECT_EQ(tree.tree_walk_stmts, 3);
+  // The decline is structural: one memoized entry, never a plan.
+  expect_plan_counts(plan, 0, 0, 0, 1, "masked concat");
+}
+
+TEST(PlannedReduction, GaussRunsNoStatementOnTheTreeWalk) {
+  // The pivot search and the multiplier write-back are planned: every
+  // elimination statement has one entry, re-bound at each step.  The
+  // matrix pivots, so the row-swap branch runs too.
+  const int n = 16;
+  interp::Init init;
+  init.real["A"] = [](std::span<const Index> g) {
+    return static_cast<double>((g[0] * 37 + g[1] * 11) % 23) / 7.0 - 1.5;
+  };
+  const std::string src = apps::gauss_source(n, 4, "BLOCK");
+  const auto tree = harness::run_source(src, init, plans_off(), {}, {}, ipsc());
+  const auto plan = harness::run_source(src, init, plans_on(), {}, {}, ipsc());
+  expect_same_run(tree, plan, "gauss");
+  expect_same_scalars(tree, plan, "gauss");
+  EXPECT_EQ(plan.tree_walk_stmts, 0);
+  EXPECT_GT(tree.tree_walk_stmts, 0);
+  EXPECT_EQ(plan.plan_entries, 6);
+  EXPECT_LE(plan.plan_misses, 6);
 }
 
 }  // namespace

@@ -164,6 +164,8 @@ TEST(ServiceStats, RunStatsJsonCarriesTheRunCounters) {
   EXPECT_EQ(static_cast<int>(v), 4);
   ASSERT_TRUE(json_find_number(doc, "misses", v));
   EXPECT_EQ(static_cast<int>(v), out.result.schedule_misses);
+  ASSERT_TRUE(json_find_number(doc, "tree_walk_stmts", v));
+  EXPECT_EQ(static_cast<long long>(v), out.result.tree_walk_stmts);
   for (const char* key :
        {"machine", "schedule_cache", "plan_cache", "irregular_cache",
         "comm_plan_cache", "bytes_memcpy_fast_path", "pool_reuses", "native",
