@@ -5,7 +5,6 @@
 #include <set>
 
 #include "compile/affine.hpp"
-#include "native/jit.hpp"
 #include "rts/remap.hpp"
 #include "support/diag.hpp"
 
@@ -25,7 +24,7 @@ using rts::DistKind;
 namespace {
 
 /// Upper bound on copy-descriptor nesting: Fortran rank (7) plus headroom.
-/// Lets the interpreted odometer run on a stack array instead of a heap
+/// Lets the copy odometer run on a stack array instead of a heap
 /// vector, keeping warm communication allocation-free.
 constexpr size_t kMaxCopyLevels = 8;
 
@@ -184,76 +183,66 @@ CopyDesc make_desc(const ArrayView& v, std::span<const Index> base_l,
   return out;
 }
 
-void call_copy_kernel(native::KernelFn f, const CopyDesc& d, char* storage,
-                      std::byte* buf) {
-  void* const bases[2] = {storage, buf};
-  const long long rb[2] = {d.base, d.chunk};
-  f(d.counts.data(), nullptr, bases, rb, d.strides.data(), nullptr, nullptr,
-    nullptr, nullptr);
+/// One contiguous run of `n` bytes: storage -> buffer when packing.
+template <bool kPack>
+void copy_run(char* s, std::byte* b, size_t n) {
+  if constexpr (kPack)
+    std::memcpy(b, s, n);
+  else
+    std::memcpy(s, b, n);
 }
 
-void call_index_kernel(native::KernelFn f, Index n, void* storage, void* buf,
-                       const Index* tab) {
-  const long long lp[1] = {n};
-  void* const bases[2] = {storage, buf};
-  const long long* const tbs[1] = {tab};
-  f(lp, nullptr, bases, nullptr, nullptr, tbs, nullptr, nullptr, nullptr);
-}
-
-}  // namespace
-
-native::KernelFn CommPlans::copy_kernel(int levels, bool pack) const {
-  if (!use_native_) return nullptr;
-  return native::NativeCache::instance().get_or_compile(
-      native::copy_kernel_key(levels, pack),
-      [=] { return native::lower_copy_kernel(levels, pack); });
-}
-
-native::KernelFn CommPlans::index_kernel(bool gather, bool cast_d2i) const {
-  if (!use_native_) return nullptr;
-  return native::NativeCache::instance().get_or_compile(
-      native::index_kernel_key(gather, cast_d2i),
-      [=] { return native::lower_index_kernel(gather, cast_d2i); });
-}
-
-void CommPlans::run_copy(const CopyDesc& d, char* storage, std::byte* buf,
-                         bool to_buffer, native::KernelFn k) {
-  if (d.runs <= 0 || d.chunk <= 0) return;
-  if (d.chunk > d.elem) stats_.bytes_memcpy_fast_path += d.total;
-  if (k != nullptr) {
-    call_copy_kernel(k, d, storage, buf);
-    return;
-  }
-  // Interpreted odometer: one memcpy per contiguous run.
+template <bool kPack>
+void copy_strided(const CopyDesc& d, char* storage, std::byte* b) {
+  const size_t chunk = static_cast<size_t>(d.chunk);
   const size_t levels = d.counts.size();
   if (levels == 0) {
-    if (to_buffer)
-      std::memcpy(buf, storage + d.base, static_cast<size_t>(d.chunk));
-    else
-      std::memcpy(storage + d.base, buf, static_cast<size_t>(d.chunk));
+    copy_run<kPack>(storage + d.base, b, chunk);
+    return;
+  }
+  if (levels == 1) {
+    char* s = storage + d.base;
+    const Index n = d.counts[0];
+    const Index st = d.strides[0];
+    // The column slab of a 2-D BLOCK shift is a run of one REAL per row:
+    // a compile-time size turns each copy into a single load and store.
+    if (chunk == 8) {
+      for (Index i = 0; i < n; ++i, s += st, b += 8) copy_run<kPack>(s, b, 8);
+    } else {
+      for (Index i = 0; i < n; ++i, s += st, b += chunk)
+        copy_run<kPack>(s, b, chunk);
+    }
     return;
   }
   // Fixed-size odometer: rank is bounded, and the warm path must stay
   // allocation-free (the alloc-regression test counts every operator new).
   require(levels <= kMaxCopyLevels, "copy descriptor rank in range");
   Index c[kMaxCopyLevels] = {};
-  std::byte* b = buf;
   for (;;) {
     Index off = d.base;
-    for (size_t k2 = 0; k2 < levels; ++k2) off += c[k2] * d.strides[k2];
-    if (to_buffer)
-      std::memcpy(b, storage + off, static_cast<size_t>(d.chunk));
-    else
-      std::memcpy(storage + off, b, static_cast<size_t>(d.chunk));
-    b += d.chunk;
-    size_t k2 = levels;
-    while (k2 > 0) {
-      --k2;
-      if (++c[k2] < d.counts[k2]) break;
-      c[k2] = 0;
-      if (k2 == 0) return;
+    for (size_t k = 0; k < levels; ++k) off += c[k] * d.strides[k];
+    copy_run<kPack>(storage + off, b, chunk);
+    b += chunk;
+    size_t k = levels;
+    while (k > 0) {
+      --k;
+      if (++c[k] < d.counts[k]) break;
+      c[k] = 0;
+      if (k == 0) return;
     }
   }
+}
+
+}  // namespace
+
+void CommPlans::run_copy(const CopyDesc& d, char* storage, std::byte* buf,
+                         bool to_buffer) {
+  if (d.runs <= 0 || d.chunk <= 0) return;
+  if (d.chunk > d.elem) stats_.bytes_memcpy_fast_path += d.total;
+  if (to_buffer)
+    copy_strided<true>(d, storage, buf);
+  else
+    copy_strided<false>(d, storage, buf);
 }
 
 // --- overlap shift -----------------------------------------------------------
@@ -306,10 +295,6 @@ bool CommPlans::build_shift(const CommAction& a, const RefInfo& ref,
   const int src = gc.coord(out.grid_dim) - out.offset;
   out.expect_recv = n > 1 && src >= 0 && src < n;
 
-  out.pack_kernel =
-      copy_kernel(static_cast<int>(out.pack.counts.size()), /*pack=*/true);
-  out.unpack_kernel =
-      copy_kernel(static_cast<int>(out.unpack.counts.size()), /*pack=*/false);
   return true;
 }
 
@@ -318,14 +303,13 @@ void CommPlans::run_shift(ShiftPlan& p) {
   machine::Proc& proc = env_->gc.proc();
   std::vector<std::byte> payload =
       proc.acquire_payload(static_cast<size_t>(p.pack.total));
-  run_copy(p.pack, p.base, payload.data(), /*to_buffer=*/true, p.pack_kernel);
+  run_copy(p.pack, p.base, payload.data(), /*to_buffer=*/true);
   std::vector<std::byte> received = env_->gc.shift_exchange_bytes(
       p.grid_dim, p.offset, std::move(payload), /*circular=*/false);
   if (!received.empty()) {
     require(static_cast<Index>(received.size()) >= p.unpack.total,
             "overlap_shift: slab size matches ghost");
-    run_copy(p.unpack, p.base, received.data(), /*to_buffer=*/false,
-             p.unpack_kernel);
+    run_copy(p.unpack, p.base, received.data(), /*to_buffer=*/false);
   }
   // The incoming buffer was acquired from the *sender's* pool and migrated
   // here on the message; it joins this processor's pool.  Edge processors
@@ -858,13 +842,6 @@ CommPlans::SchedEntry* CommPlans::sched_entry(const parti::SchedulePtr& sched,
   }
   SchedEntry& e = it->second;
 
-  if (!index_kernels_ready_) {
-    index_kernels_ready_ = true;
-    gather8_ = index_kernel(/*gather=*/true, false);
-    scatter8_ = index_kernel(/*gather=*/false, false);
-    gather_d2i_ = index_kernel(/*gather=*/true, true);
-  }
-
   const bool ready = write ? e.write_ready : e.read_ready;
   const bool failed = write ? e.write_failed : e.read_failed;
   if (failed) return nullptr;
@@ -961,14 +938,8 @@ void CommPlans::read_impl(const parti::Schedule& sc, SchedEntry& e,
     const auto& offs = e.push_off[static_cast<size_t>(to)];
     std::vector<std::byte> payload =
         proc.acquire_payload(offs.size() * sizeof(T));
-    if (gather8_ != nullptr) {
-      call_index_kernel(gather8_, static_cast<Index>(offs.size()), e.base,
-                        payload.data(), offs.data());
-    } else {
-      for (size_t j = 0; j < offs.size(); ++j)
-        std::memcpy(payload.data() + j * sizeof(T), e.base + offs[j],
-                    sizeof(T));
-    }
+    for (size_t j = 0; j < offs.size(); ++j)
+      std::memcpy(payload.data() + j * sizeof(T), e.base + offs[j], sizeof(T));
     gc.send_payload_logical(to, kTag + step, std::move(payload));
   }
   for (int step = 1; step < p; ++step) {
@@ -977,14 +948,8 @@ void CommPlans::read_impl(const parti::Schedule& sc, SchedEntry& e,
     const auto& slots = e.slot_off[static_cast<size_t>(from)];
     require(m.payload.size() == slots.size() * sizeof(T),
             "gather payload matches schedule");
-    if (scatter8_ != nullptr) {
-      call_index_kernel(scatter8_, static_cast<Index>(slots.size()), outb,
-                        m.payload.data(), slots.data());
-    } else {
-      for (size_t j = 0; j < slots.size(); ++j)
-        std::memcpy(outb + slots[j], m.payload.data() + j * sizeof(T),
-                    sizeof(T));
-    }
+    for (size_t j = 0; j < slots.size(); ++j)
+      std::memcpy(outb + slots[j], m.payload.data() + j * sizeof(T), sizeof(T));
     proc.release_payload(std::move(m.payload));
   }
 }
@@ -998,8 +963,6 @@ void CommPlans::write_impl(const parti::Schedule& sc, SchedEntry& e,
   const int me = gc.my_logical();
   require(sc.nprocs == p, "schedule built for this machine size");
   const char* valb = reinterpret_cast<const char*>(values.data());
-  const bool casting = !std::is_same_v<T, double>;
-  const native::KernelFn pack_kernel = casting ? gather_d2i_ : gather8_;
 
   {  // self traffic
     const auto& pos = sc.send_pos[static_cast<size_t>(me)];
@@ -1018,16 +981,11 @@ void CommPlans::write_impl(const parti::Schedule& sc, SchedEntry& e,
     const auto& poff = e.pos_off[static_cast<size_t>(to)];
     std::vector<std::byte> payload =
         proc.acquire_payload(poff.size() * sizeof(T));
-    if (pack_kernel != nullptr) {
-      call_index_kernel(pack_kernel, static_cast<Index>(poff.size()),
-                        const_cast<char*>(valb), payload.data(), poff.data());
-    } else {
-      for (size_t j = 0; j < poff.size(); ++j) {
-        double dv;
-        std::memcpy(&dv, valb + poff[j], sizeof(double));
-        const T v = cast(dv);
-        std::memcpy(payload.data() + j * sizeof(T), &v, sizeof(T));
-      }
+    for (size_t j = 0; j < poff.size(); ++j) {
+      double dv;
+      std::memcpy(&dv, valb + poff[j], sizeof(double));
+      const T v = cast(dv);
+      std::memcpy(payload.data() + j * sizeof(T), &v, sizeof(T));
     }
     gc.send_payload_logical(to, kTag + step, std::move(payload));
   }
@@ -1037,14 +995,8 @@ void CommPlans::write_impl(const parti::Schedule& sc, SchedEntry& e,
     const auto& ids = e.place_off[static_cast<size_t>(from)];
     require(m.payload.size() == ids.size() * sizeof(T),
             "scatter payload matches schedule");
-    if (scatter8_ != nullptr) {
-      call_index_kernel(scatter8_, static_cast<Index>(ids.size()), e.base,
-                        m.payload.data(), ids.data());
-    } else {
-      for (size_t j = 0; j < ids.size(); ++j)
-        std::memcpy(e.base + ids[j], m.payload.data() + j * sizeof(T),
-                    sizeof(T));
-    }
+    for (size_t j = 0; j < ids.size(); ++j)
+      std::memcpy(e.base + ids[j], m.payload.data() + j * sizeof(T), sizeof(T));
     proc.release_payload(std::move(m.payload));
   }
 }

@@ -55,7 +55,7 @@
 #include <vector>
 
 #include "exec/exec_env.hpp"
-#include "native/lower.hpp"
+#include "exec/exec_plan.hpp"
 #include "parti/schedule.hpp"
 
 namespace f90d::exec {
@@ -150,10 +150,8 @@ class CommPlans {
     std::vector<std::string> arrays;  ///< storage the slots bake (invalidation)
   };
 
-  /// `use_native`: run copies through native kernels.  The caller checks
-  /// NativeCache::available() (once per run) before passing true.
-  CommPlans(Env& env, CommHooks hooks, bool use_native)
-      : env_(&env), hooks_(std::move(hooks)), use_native_(use_native) {}
+  CommPlans(Env& env, CommHooks hooks)
+      : env_(&env), hooks_(std::move(hooks)) {}
 
   /// Compile `s`'s pre-communication.  `key_names` are the scalar names
   /// the statement's cache key covers — a plan only bakes values derived
@@ -217,8 +215,6 @@ class CommPlans {
     char* base = nullptr;
     std::size_t elem = 0;
     CopyDesc pack, unpack;
-    native::KernelFn pack_kernel = nullptr;
-    native::KernelFn unpack_kernel = nullptr;
   };
 
   struct BcastPlan {
@@ -329,25 +325,15 @@ class CommPlans {
   void write_impl(const parti::Schedule& sc, SchedEntry& e,
                   std::span<const double> values, Cast cast);
   /// Strided copy through a CopyDesc; `to_buffer` packs storage->buf,
-  /// otherwise unpacks buf->storage.
+  /// otherwise unpacks buf->storage.  Library code, not a JIT kernel: a
+  /// copy has nothing to specialise beyond its depth and direction.
   void run_copy(const CopyDesc& d, char* storage, std::byte* buf,
-                bool to_buffer, native::KernelFn kernel);
-  /// A comm kernel from the process-global NativeCache (its text is only
-  /// generated the first time the process sees its key), or null when the
-  /// native backend is off for this run or the compile failed.
-  native::KernelFn copy_kernel(int levels, bool pack) const;
-  native::KernelFn index_kernel(bool gather, bool cast_d2i) const;
+                bool to_buffer);
 
   Env* env_;
   CommHooks hooks_;
-  bool use_native_ = false;
   CommPlanStats stats_;
   std::map<const parti::Schedule*, SchedEntry> scheds_;
-  // Index-copy kernels shared by every schedule entry (8-byte elements).
-  native::KernelFn gather8_ = nullptr;
-  native::KernelFn scatter8_ = nullptr;
-  native::KernelFn gather_d2i_ = nullptr;
-  bool index_kernels_ready_ = false;
 };
 
 }  // namespace f90d::exec

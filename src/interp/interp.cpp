@@ -111,7 +111,7 @@ class Node {
         opt_(opt),
         shared_(shared),
         env_(c, gc_, map_resolver(init)),
-        comm_plans_(env_, make_comm_hooks(), shared.native),
+        comm_plans_(env_, make_comm_hooks()),
         native_(shared.native) {
     cache_.set_enabled(opt_.schedule_cache);
     if (opt_.schedule_session != nullptr)
@@ -1453,8 +1453,9 @@ ProgramResult run_compiled(const compile::Compiled& compiled,
   shared.clock_snapshot.assign(static_cast<size_t>(machine.nprocs()), 0.0);
   shared.stats_snapshot.assign(static_cast<size_t>(machine.nprocs()),
                                machine::ProcStats{});
-  // The JIT cache is process-global; report this run's share as deltas
-  // (the first run's share includes the one-time toolchain probe).
+  // The JIT cache is process-global; report this run's share as deltas.
+  // available() compiles nothing: the toolchain is probed only after a
+  // kernel fails to compile, inside the run whose kernel failed.
   const native::JitStats jit0 = native::NativeCache::instance().stats();
   shared.native =
       options.native_backend && native::NativeCache::instance().available();

@@ -89,8 +89,8 @@ NativeCache::~NativeCache() {
 }
 
 bool NativeCache::available() {
-  if (compiler_path() == nullptr || disabled_by_env()) return false;
-  return ensure_probe();
+  return compiler_path() != nullptr && !disabled_by_env() &&
+         toolchain_.load(std::memory_order_acquire) >= 0;
 }
 
 KernelFn NativeCache::get_or_compile(const std::string& key,
@@ -103,7 +103,7 @@ KernelFn NativeCache::get_or_compile(const std::string& key,
       return it->second;
     }
   }
-  if (!ensure_probe()) return nullptr;
+  if (!available()) return nullptr;
   // Cold path: register (or join) the in-flight record for this key, then
   // generate and compile with no cache lock held so distinct keys overlap.
   std::shared_ptr<Inflight> fl;
@@ -137,6 +137,12 @@ KernelFn NativeCache::get_or_compile(const std::string& key,
     ++stats_.lowerings;
   }
   const KernelFn fn = source.empty() ? nullptr : compile(source);
+  if (fn != nullptr) {
+    int unproven = 0;  // a compile that worked proves the toolchain
+    toolchain_.compare_exchange_strong(unproven, 1);
+  } else if (!source.empty()) {
+    probe_after_failure();
+  }
   {
     std::unique_lock lk(mu_);
     map_.emplace(key, fn);
@@ -167,19 +173,17 @@ std::string NativeCache::scratch_dir() {
   return ensure_dir() ? dir_ : std::string();
 }
 
-bool NativeCache::ensure_probe() {
-  if (compiler_path() == nullptr || disabled_by_env()) return false;
+void NativeCache::probe_after_failure() {
   std::lock_guard lk(probe_mu_);
-  if (probe_state_ == 0) {
-    std::string src = "extern \"C\" void ";
-    src += kKernelSymbol;
-    src +=
-        "(const long long*, const long long* const*, void* const*,"
-        " const long long*, const long long*, const long long* const*,"
-        " const double*, const long long*, const unsigned char*) {}\n";
-    probe_state_ = compile(src) != nullptr ? 1 : -1;
-  }
-  return probe_state_ == 1;
+  if (toolchain_.load(std::memory_order_acquire) != 0) return;
+  std::string src = "extern \"C\" void ";
+  src += kKernelSymbol;
+  src +=
+      "(const long long*, const long long* const*, void* const*,"
+      " const long long*, const long long*, const long long* const*,"
+      " const double*, const long long*, const unsigned char*) {}\n";
+  toolchain_.store(compile(src) != nullptr ? 1 : -1,
+                   std::memory_order_release);
 }
 
 bool NativeCache::ensure_dir() {

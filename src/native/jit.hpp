@@ -3,16 +3,20 @@
 //
 // The cache is process-global (one compiler invocation serves every
 // simulated processor, every DO trip, and every run in the process) and
-// holds one map: structural kernel key -> KernelFn.  Plan kernels are keyed
-// by plan_shape() (native/lower.hpp), the comm copy/index kernels by tiny
-// keys such as "copy/2/1".  The caller passes a generator with the key and
-// the C++ text is produced only when the key misses — once per key per
-// process (JitStats::lowerings) — so a warm lookup never prints source.
-// A content hash of the text is used only to name the scratch files.
+// holds one map: structural kernel key -> KernelFn.  Every key is a plan
+// kernel's plan_shape() (native/lower.hpp); communication copies are
+// library code (exec/comm_plan.cpp) and never reach the compiler.  The
+// caller passes a generator with the key and the C++ text is produced only
+// when the key misses — once per key per process (JitStats::lowerings) —
+// so a warm lookup never prints source.  A content hash of the text is
+// used only to name the scratch files.
 //
 // Failures are memoized too: a key whose generator declined (empty text) or
-// whose text failed to compile never retries, and a probe that showed no
-// usable toolchain makes the backend behave exactly like F90D_NATIVE=OFF.
+// whose text failed to compile never retries.  The toolchain probe (an
+// empty kernel) is lazy: it runs only after a non-empty text failed to
+// compile, and only while no compile has succeeded, so a healthy process
+// never pays for it.  A failing probe makes the backend behave exactly like
+// F90D_NATIVE=OFF for the rest of the process.
 //
 // Thread-safety (service mode: many worker threads attach concurrently):
 //   * the map is read under a shared lock, and a hit only bumps an atomic
@@ -76,9 +80,9 @@ class NativeCache {
  public:
   static NativeCache& instance();
 
-  /// True when generated kernels can actually run: the backend is compiled
-  /// in, not disabled by env, and a one-time trivial compile+dlopen probe
-  /// of the system compiler succeeded.
+  /// True when generated kernels may run: the backend is compiled in, not
+  /// disabled by env, and not yet proven broken (a failed compile whose
+  /// probe also failed).  Runs no compiler.
   bool available();
 
   /// Generates a missed key's kernel source; an empty string declines.
@@ -87,7 +91,8 @@ class NativeCache {
   /// The compiled kernel for `key`, or nullptr (memoized) when the
   /// generator declined or the compile failed.  `generate` runs only when
   /// the key is not cached yet (and not being compiled by another thread).
-  /// Callers check available() first; a hit does not re-check it.
+  /// Callers check available() first; a hit does not re-check it, and a
+  /// miss once the toolchain is proven broken compiles nothing.
   KernelFn get_or_compile(const std::string& key, const SourceFn& generate);
 
   JitStats stats();
@@ -115,7 +120,10 @@ class NativeCache {
   /// scratch files (unique names via counter_) and the stats/handles
   /// structures under their own locks.
   KernelFn compile(const std::string& source);
-  bool ensure_probe();
+  /// After a kernel text failed to compile: unless some compile already
+  /// succeeded, compile an empty kernel; if that fails too, the toolchain
+  /// is broken and available() turns false.
+  void probe_after_failure();
   bool ensure_dir();
 
   std::shared_mutex mu_;  ///< guards map_ and inflight_
@@ -129,8 +137,9 @@ class NativeCache {
   std::mutex handles_mu_;
   std::vector<void*> handles_;  ///< intentionally never dlclose'd
 
-  std::mutex probe_mu_;   ///< serializes the one-time toolchain probe
-  int probe_state_ = 0;   ///< 0 = untried, 1 = ok, -1 = failed
+  std::mutex probe_mu_;   ///< serializes the toolchain probe
+  /// 0 = unproven, 1 = a compile succeeded, -1 = broken (probe failed).
+  std::atomic<int> toolchain_{0};
 
   std::once_flag dir_once_;
   std::string dir_;       ///< scratch directory (created on first compile)

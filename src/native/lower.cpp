@@ -615,90 +615,4 @@ std::optional<Lowered> lower_plan(const exec::ExecPlan& p, std::string* why) {
   }
 }
 
-namespace {
-
-/// Header-free like the plan prelude: copies use __builtin_memcpy.
-std::string comm_kernel_head() {
-  std::ostringstream os;
-  os << "// generated by the f90d comm-plan backend\n"
-     << "extern \"C\" void " << kKernelSymbol
-     << "(const long long* lp, const long long* const* lv,\n"
-     << "    void* const* base, const long long* rb, const long long* st,\n"
-     << "    const long long* const* tb, const double* ds,\n"
-     << "    const long long* is, const unsigned char* ls) {\n"
-     << "  (void)lp; (void)lv; (void)base; (void)rb; (void)st; (void)tb;\n"
-     << "  (void)ds; (void)is; (void)ls;\n";
-  return os.str();
-}
-
-}  // namespace
-
-std::string lower_copy_kernel(int levels, bool pack) {
-  std::ostringstream os;
-  os << comm_kernel_head();
-  os << "  const long long ch = rb[1];\n";
-  if (pack) {
-    os << "  const char* s0 = (const char*)base[0] + rb[0];\n"
-       << "  char* d = (char*)base[1];\n";
-  } else {
-    os << "  const char* s = (const char*)base[1];\n"
-       << "  char* d0 = (char*)base[0] + rb[0];\n";
-  }
-  for (int k = 0; k < levels; ++k) {
-    const std::string ind(2 + 2 * k, ' ');
-    os << ind << "for (long long c" << k << " = 0; c" << k << " < lp[" << k
-       << "]; ++c" << k << ") {\n";
-  }
-  const std::string ind(2 + 2 * levels, ' ');
-  std::string off;
-  for (int k = 0; k < levels; ++k)
-    off += " + c" + std::to_string(k) + "*st[" + std::to_string(k) + "]";
-  if (pack) {
-    os << ind << "__builtin_memcpy(d, s0" << off << ", (unsigned long)ch);\n"
-       << ind << "d += ch;\n";
-  } else {
-    os << ind << "__builtin_memcpy(d0" << off << ", s, (unsigned long)ch);\n"
-       << ind << "s += ch;\n";
-  }
-  for (int k = levels - 1; k >= 0; --k) os << std::string(2 + 2 * k, ' ') << "}\n";
-  os << "}\n";
-  return os.str();
-}
-
-std::string copy_kernel_key(int levels, bool pack) {
-  return "copy/" + std::to_string(levels) + (pack ? "/1" : "/0");
-}
-
-std::string index_kernel_key(bool gather, bool cast_d2i) {
-  return std::string("index/") + (gather ? "1" : "0") + (cast_d2i ? "/1" : "/0");
-}
-
-std::string lower_index_kernel(bool gather, bool cast_d2i) {
-  std::ostringstream os;
-  os << comm_kernel_head();
-  os << "  const long long n = lp[0];\n"
-     << "  const long long* off = tb[0];\n";
-  if (gather && cast_d2i) {
-    os << "  const char* s = (const char*)base[0];\n"
-       << "  char* d = (char*)base[1];\n"
-       << "  for (long long k = 0; k < n; ++k) {\n"
-       << "    double v; __builtin_memcpy(&v, s + off[k], 8);\n"
-       << "    const long long w = (long long)v;\n"
-       << "    __builtin_memcpy(d + 8*k, &w, 8);\n"
-       << "  }\n";
-  } else if (gather) {
-    os << "  const char* s = (const char*)base[0];\n"
-       << "  char* d = (char*)base[1];\n"
-       << "  for (long long k = 0; k < n; ++k)\n"
-       << "    __builtin_memcpy(d + 8*k, s + off[k], 8);\n";
-  } else {
-    os << "  const char* s = (const char*)base[1];\n"
-       << "  char* d = (char*)base[0];\n"
-       << "  for (long long k = 0; k < n; ++k)\n"
-       << "    __builtin_memcpy(d + off[k], s + 8*k, 8);\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
 }  // namespace f90d::native

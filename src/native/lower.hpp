@@ -108,29 +108,4 @@ struct Lowered {
 [[nodiscard]] std::optional<Lowered> lower_plan(const exec::ExecPlan& p,
                                                 std::string* why);
 
-// --- communication kernels (exec/comm_plan.hpp) ------------------------------
-// Same KernelFn ABI, different argument convention.  Like lower_plan, only
-// the structure (loop depth, direction) is baked into the text; counts,
-// strides, offsets and tables arrive per call — so every same-shape copy in
-// the process shares one compiled kernel.  The *_key functions give each
-// kernel's NativeCache key ("copy/<levels>/<pack>", "index/<gather>/<cast>");
-// the text is only generated when that key misses.
-
-/// Strided pack/unpack: `levels` outer loops around a contiguous memcpy run.
-///   lp      level trip counts            st   level strides (bytes)
-///   base[0] array storage                base[1] packed buffer
-///   rb[0]   storage byte offset          rb[1]   run length (bytes)
-/// `pack` copies storage->buffer; otherwise buffer->storage.
-[[nodiscard]] std::string lower_copy_kernel(int levels, bool pack);
-[[nodiscard]] std::string copy_kernel_key(int levels, bool pack);
-
-/// Indexed gather/scatter of 8-byte elements through a byte-offset table:
-///   lp[0]   element count                tb[0] per-element storage offsets
-///   base[0] array storage                base[1] packed buffer
-/// `gather` copies buffer[k] = storage[off[k]]; otherwise the reverse.
-/// `cast_d2i` (gather only) converts each double to long long on the way
-/// out — the integer-destination write executor's value conversion.
-[[nodiscard]] std::string lower_index_kernel(bool gather, bool cast_d2i);
-[[nodiscard]] std::string index_kernel_key(bool gather, bool cast_d2i);
-
 }  // namespace f90d::native

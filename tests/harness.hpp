@@ -462,9 +462,10 @@ inline std::vector<double> particle_bin_oracle(int np, int steps) {
   return h;
 }
 
-inline DiffRun run_particle_bin(int np, int steps, int p,
-                                const char* dist = "BLOCK",
-                                const interp::RunOptions& ro = {}) {
+inline DiffRun run_particle_bin(
+    int np, int steps, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return map_owner(g[0], p) + 1;
@@ -474,8 +475,8 @@ inline DiffRun run_particle_bin(int np, int steps, int p,
   };
   init.real["W"] = [](std::span<const Index> g) { return pbin_w0(g[0]); };
   init.real["H"] = [](std::span<const Index>) { return 0.0; };
-  auto result =
-      run_source(apps::particle_bin_source(np, p, steps, dist), init, ro);
+  auto result = run_source(apps::particle_bin_source(np, p, steps, dist), init,
+                           ro, {}, {}, cost);
   DiffRun d{"H", result.real_arrays.at("H"), particle_bin_oracle(np, steps)};
   fill_counters(d, result);
   return d;

@@ -2,7 +2,9 @@
 // planned statements (compiled comm slots) against the tree walk (legacy
 // per-action communication) that must be bit-identical in array contents
 // AND exactly equal in simulated time / wire traffic (the plans only remove
-// host-side recomputation), the compiled PARTI executors against the
+// host-side recomputation), on the charging iPSC/860 cost model so the
+// time equalities are not 0 == 0; overlap shifts at every copy depth the
+// strided copy has a case for; the compiled PARTI executors against the
 // generic ones on the same schedules, cache hit/miss/invalidation
 // accounting, pooled payload reuse, and the redistribution invalidation
 // contract.
@@ -35,12 +37,21 @@ interp::RunOptions comm_on_native() {
   return ro;
 }
 
-/// The faithfulness contract: identical bits and identical simulated time.
+/// The sweeps charge on the paper's machine: with the ideal model every
+/// simulated clock is zero and the sim_time equalities would be vacuous.
+const machine::CostModel& charging() {
+  static const machine::CostModel cm = machine::CostModel::ipsc860();
+  return cm;
+}
+
+/// The faithfulness contract: identical bits and identical, charged,
+/// simulated time.
 void expect_same_run(const DiffRun& on, const DiffRun& off,
                      const std::string& what) {
   ASSERT_EQ(on.got.size(), off.got.size()) << what;
   for (size_t k = 0; k < on.got.size(); ++k)
     ASSERT_EQ(on.got[k], off.got[k]) << what << " element " << k;
+  EXPECT_GT(off.sim_time, 0.0) << what << " simulated time is charged";
   EXPECT_EQ(on.sim_time, off.sim_time) << what << " sim_seconds";
 }
 
@@ -49,9 +60,12 @@ TEST(CommPlanParity, JacobiShiftsAcrossGridsAndDists) {
     for (const char* dist : {"BLOCK", "CYCLIC(2)"}) {
       const std::string what = std::string("jacobi ") + std::to_string(p) +
                                "x" + std::to_string(q) + " " + dist;
-      auto off = harness::run_jacobi(16, 3, p, q, dist, tree_walk());
-      auto on = harness::run_jacobi(16, 3, p, q, dist, comm_on());
-      auto nat = harness::run_jacobi(16, 3, p, q, dist, comm_on_native());
+      auto off =
+          harness::run_jacobi(16, 3, p, q, dist, tree_walk(), {}, charging());
+      auto on =
+          harness::run_jacobi(16, 3, p, q, dist, comm_on(), {}, charging());
+      auto nat = harness::run_jacobi(16, 3, p, q, dist, comm_on_native(), {},
+                                     charging());
       expect_same_run(on, off, what);
       expect_same_run(nat, off, what + " native");
       EXPECT_LE(harness::max_abs_diff(off), 1e-9) << what;
@@ -62,9 +76,10 @@ TEST(CommPlanParity, JacobiShiftsAcrossGridsAndDists) {
 TEST(CommPlanParity, GaussBcastMulticastTransfer) {
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)"}) {
     const std::string what = std::string("gauss ") + dist;
-    auto off = harness::run_gauss(12, 4, dist, tree_walk());
-    auto on = harness::run_gauss(12, 4, dist, comm_on());
-    auto nat = harness::run_gauss(12, 4, dist, comm_on_native());
+    auto off = harness::run_gauss(12, 4, dist, tree_walk(), {}, charging());
+    auto on = harness::run_gauss(12, 4, dist, comm_on(), {}, charging());
+    auto nat =
+        harness::run_gauss(12, 4, dist, comm_on_native(), {}, charging());
     expect_same_run(on, off, what);
     expect_same_run(nat, off, what + " native");
     EXPECT_LE(harness::max_abs_diff(off, harness::gauss_defined_region(12)),
@@ -75,30 +90,32 @@ TEST(CommPlanParity, GaussBcastMulticastTransfer) {
 
 TEST(CommPlanParity, IrregularGatherScatterExecutors) {
   {
-    auto off = harness::run_irregular(32, 2, 4, tree_walk());
-    auto on = harness::run_irregular(32, 2, 4, comm_on());
+    auto off = harness::run_irregular(32, 2, 4, tree_walk(), charging());
+    auto on = harness::run_irregular(32, 2, 4, comm_on(), charging());
     expect_same_run(on, off, "irregular");
     EXPECT_LE(harness::max_abs_diff(off), 1e-9);
   }
   for (const char* dist : {"BLOCK", "INDIRECT(MAP)"}) {
     const std::string what = std::string("spmv ") + dist;
-    auto off = harness::run_spmv_ell(24, 3, 2, 4, dist, tree_walk());
-    auto on = harness::run_spmv_ell(24, 3, 2, 4, dist, comm_on());
+    auto off =
+        harness::run_spmv_ell(24, 3, 2, 4, dist, tree_walk(), charging());
+    auto on = harness::run_spmv_ell(24, 3, 2, 4, dist, comm_on(), charging());
     expect_same_run(on, off, what);
     EXPECT_LE(harness::max_abs_diff(off), 1e-9) << what;
   }
   for (const char* dist : {"BLOCK", "INDIRECT(MAP)"}) {
     const std::string what = std::string("particle_bin ") + dist;
-    auto off = harness::run_particle_bin(32, 2, 4, dist, tree_walk());
-    auto on = harness::run_particle_bin(32, 2, 4, dist, comm_on());
+    auto off =
+        harness::run_particle_bin(32, 2, 4, dist, tree_walk(), charging());
+    auto on = harness::run_particle_bin(32, 2, 4, dist, comm_on(), charging());
     expect_same_run(on, off, what);
     EXPECT_LE(harness::max_abs_diff(off), 1e-9) << what;
   }
 }
 
 TEST(CommPlanParity, FftNonCanonicalLhs) {
-  auto off = harness::run_fft(16, 3, 4, tree_walk());
-  auto on = harness::run_fft(16, 3, 4, comm_on());
+  auto off = harness::run_fft(16, 3, 4, tree_walk(), charging());
+  auto on = harness::run_fft(16, 3, 4, comm_on(), charging());
   expect_same_run(on, off, "fft");
   EXPECT_LE(harness::max_abs_diff(off), 1e-9);
 }
@@ -111,11 +128,101 @@ TEST(CommPlanParity, WireTrafficIdentical) {
     return harness::jacobi_entry(g[0], g[1]);
   };
   const std::string src = apps::jacobi_source(16, 2, 2, 4, "BLOCK");
-  auto off = harness::run_source(src, init, tree_walk());
-  auto on = harness::run_source(src, init, comm_on());
+  auto off = harness::run_source(src, init, tree_walk(), {}, {}, charging());
+  auto on = harness::run_source(src, init, comm_on(), {}, {}, charging());
   EXPECT_EQ(on.machine.total_messages(), off.machine.total_messages());
   EXPECT_EQ(on.machine.total_bytes(), off.machine.total_bytes());
+  EXPECT_GT(off.machine.exec_time, 0.0);
   EXPECT_EQ(on.machine.exec_time, off.machine.exec_time);
+}
+
+/// A rank-`rank` BLOCK stencil whose reads reach `width` cells each way
+/// along every dimension, on a grid of two processors per dimension (four
+/// for rank 1), run for two trips.
+std::string shift_source(int rank, int width) {
+  const char* idx[] = {"I", "J", "K"};
+  const int n = rank == 1 ? 16 : 8;
+  auto subs = [&](int d, const std::string& off) {
+    std::string out;
+    for (int k = 0; k < rank; ++k) {
+      if (k > 0) out += ", ";
+      out += idx[k];
+      if (k == d) out += off;
+    }
+    return out;
+  };
+  std::string shape, procs, forall, rhs;
+  for (int k = 0; k < rank; ++k) {
+    const std::string sep = k > 0 ? ", " : "";
+    shape += sep + "N";
+    procs += sep + (rank == 1 ? "4" : "2");
+    forall += sep + idx[k] + " = " + std::to_string(width + 1) +
+              ":N-" + std::to_string(width);
+    for (const char* sign : {"-", "+"})
+      rhs += std::string(rhs.empty() ? "" : " + ") + "A(" +
+             subs(k, sign + std::to_string(width)) + ")";
+  }
+  std::string dist = "BLOCK";
+  for (int k = 1; k < rank; ++k) dist += ", BLOCK";
+  const std::string all = subs(-1, "");
+  return strformat(R"(PROGRAM SHIFTS
+      INTEGER N
+      PARAMETER (N = %d)
+      REAL A(%s)
+      REAL B(%s)
+      INTEGER IT
+C$ PROCESSORS P(%s)
+C$ TEMPLATE T(%s)
+C$ DISTRIBUTE T(%s)
+C$ ALIGN A(%s) WITH T(%s)
+C$ ALIGN B(%s) WITH T(%s)
+      DO IT = 1, 2
+        FORALL (%s) B(%s) = %s
+        FORALL (%s) A(%s) = 0.5 * B(%s)
+      END DO
+      END PROGRAM SHIFTS
+)",
+                   n, shape.c_str(), shape.c_str(), procs.c_str(),
+                   shape.c_str(), dist.c_str(), all.c_str(), all.c_str(),
+                   all.c_str(), all.c_str(), forall.c_str(), all.c_str(),
+                   rhs.c_str(), forall.c_str(), all.c_str(), all.c_str());
+}
+
+TEST(CommPlanParity, OverlapShiftsAtEveryCopyDepth) {
+  // Row-major storage with ghost cells: a shift's slab is one contiguous
+  // run (1-D; 2-D along rows at width 1), one level of runs (2-D: one REAL
+  // per row along columns at width 1, two at width 2; two rows at width 2
+  // along rows) or two levels (3-D), so the strided copy's three cases and
+  // both of its levels-1 run sizes all pack and unpack here.
+  for (int rank = 1; rank <= 3; ++rank) {
+    for (int width = 1; width <= 2; ++width) {
+      const std::string what = "rank " + std::to_string(rank) + " width " +
+                               std::to_string(width);
+      const std::string src = shift_source(rank, width);
+      interp::Init init;
+      init.real["A"] = [](std::span<const Index> g) {
+        double v = 0.375;
+        for (Index x : g) v = v * 7.25 + static_cast<double>(x);
+        return v;
+      };
+      auto run = [&](const interp::RunOptions& ro) {
+        return harness::run_source(src, init, ro, {}, {}, charging());
+      };
+      const auto off = run(tree_walk());
+      ASSERT_GT(off.machine.total_messages(), 0u) << what;
+      EXPECT_GT(off.machine.exec_time, 0.0) << what;
+      for (const auto& ro : {comm_on(), comm_on_native()}) {
+        const auto on = run(ro);
+        EXPECT_EQ(on.real_arrays, off.real_arrays) << what;
+        EXPECT_EQ(on.machine.exec_time, off.machine.exec_time) << what;
+        EXPECT_EQ(on.machine.total_messages(), off.machine.total_messages())
+            << what;
+        EXPECT_EQ(on.machine.total_bytes(), off.machine.total_bytes())
+            << what;
+        EXPECT_GT(on.comm_plan_hits, 0) << what;
+      }
+    }
+  }
 }
 
 TEST(CommPlanStats, WarmTripsHitTheCache) {
@@ -158,8 +265,9 @@ TEST(CommPlanStats, DisabledRunsCollectNoCommPlanStats) {
 
 // --- compiled executors vs the generic PARTI executors ----------------------
 
-/// One processor's view after a gather and a scatter, REAL and INTEGER,
-/// each run twice on the same schedules (build, then reuse).
+/// One processor's view after a gather and a scatter, REAL and INTEGER
+/// (negative values read, negative and fractional values written), each
+/// run twice on the same schedules (build, then reuse).
 struct ExecOutcome {
   std::vector<double> gathered;
   std::vector<long long> gathered_int;
@@ -198,7 +306,7 @@ C$ ALIGN K(I) WITH T(I)
     rts::DistArray<double>& a = env.dar.at("A");
     rts::DistArray<long long>& k = env.iar.at("K");
     a.fill_global([](std::span<const Index> g) { return 100.0 + g[0]; });
-    k.fill_global([](std::span<const Index> g) { return 7 * g[0]; });
+    k.fill_global([](std::span<const Index> g) { return 7 * g[0] - 100; });
     const rts::Dad& dad = env.dads.at("A");
     std::vector<Index> needs, dests;
     std::vector<double> values;
@@ -207,14 +315,16 @@ C$ ALIGN K(I) WITH T(I)
       const Index i = dad.global_of_local(0, l, gc.coord(0));
       needs.push_back((i * 13 + 5) % 40);
       dests.push_back((i * 7 + 3) % 40);  // gcd(7, 40) = 1: a permutation
-      values.push_back(1000.0 + static_cast<double>(i));
+      // Negative and fractional: the INTEGER write truncates toward zero.
+      values.push_back((i % 3 == 0 ? -0.75 : 1.25) * static_cast<double>(i) -
+                       0.5);
     }
     const parti::SchedulePtr rs = parti::schedule2(gc, dad, needs);
     const parti::SchedulePtr ws = parti::schedule3(gc, dad, dests);
     const rts::Dad& kdad = env.dads.at("K");
     const parti::SchedulePtr rsk = parti::schedule2(gc, kdad, needs);
     const parti::SchedulePtr wsk = parti::schedule3(gc, kdad, dests);
-    exec::CommPlans plans(env, {}, /*use_native=*/false);
+    exec::CommPlans plans(env, {});
     ExecOutcome& o = out[static_cast<size_t>(gc.my_logical())];
     const std::span<const double> vals(values);
     for (int trip = 0; trip < 2; ++trip) {

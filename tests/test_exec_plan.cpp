@@ -620,7 +620,7 @@ TEST(ExecPlanRebind, ZeroStrideDeclinesThenRebuildsInSlot) {
   (void)m.run([&](machine::Proc& proc) {
     comm::GridComm gc(proc, compiled.mapping.grid);
     exec::Env env(compiled, gc);
-    exec::CommPlans comm(env, {}, false);
+    exec::CommPlans comm(env, {});
     exec::StatementPlanCache cache;
     auto get = [&](long long k) -> exec::StatementPlan& {
       env.scalars.at("K") = exec::Value::integer(k);
@@ -838,7 +838,7 @@ TEST(StatementPlanCache, StructuralDeclineRecordedOnce) {
   (void)m.run([&](machine::Proc& proc) {
     comm::GridComm gc(proc, compiled.mapping.grid);
     exec::Env env(compiled, gc);
-    exec::CommPlans comm(env, {}, false);
+    exec::CommPlans comm(env, {});
     exec::StatementPlanCache cache;
     Counts& c = per_rank[static_cast<size_t>(proc.rank())];
     // The interpreter's lookup sequence, one pass per DO trip.

@@ -4,8 +4,10 @@
 // the invalidation contract on the native path, every intrinsic the
 // lowering emits as a compiler builtin, graceful fallback when the
 // toolchain is disabled, NativeCache unit behaviour (including a scratch
-// directory whose path a shell would mangle), and the structural kernel
-// key (plan_shape) against the header-free text lower_plan prints.
+// directory whose path a shell would mangle), the lazy toolchain probe
+// (a broken compiler costs one kernel and one probe, a healthy one no
+// probe at all), and the structural kernel key (plan_shape) against the
+// header-free text lower_plan prints.
 //
 // Every differential test tolerates a missing toolchain by construction:
 // when kernels cannot be built the native run degrades to the plan
@@ -381,12 +383,49 @@ TEST(NativeJit, CompilesCachesAndRunsAKernel) {
   EXPECT_GT(after.compile_ms, before.compile_ms);
 }
 
+/// A fresh directory under the system temp dir, named from `tmpl` (which
+/// ends in XXXXXX); empty when mkdtemp fails.
+std::filesystem::path make_scratch(const std::string& tmpl) {
+  std::string path = (std::filesystem::temp_directory_path() / tmpl).string();
+  if (::mkdtemp(path.data()) == nullptr) return {};
+  return path;
+}
+
+/// Runs this test binary again as a child, filtered to `test`, with TMPDIR
+/// set to `dir` and each "NAME=value" in `extra` added to, or replacing in,
+/// this process's environment.  True when the child exits with status 0.
+/// Process-wide JIT state (the scratch directory, the toolchain verdict,
+/// the compile counters) starts fresh in the child.
+bool run_child(const std::string& test, const std::filesystem::path& dir,
+               const std::vector<std::string>& extra) {
+  std::vector<std::string> env = {"TMPDIR=" + dir.string()};
+  env.insert(env.end(), extra.begin(), extra.end());
+  const size_t overrides = env.size();
+  for (char** e = environ; *e != nullptr; ++e) {
+    bool replaced = false;
+    for (size_t k = 0; k < overrides && !replaced; ++k)
+      replaced = std::strncmp(*e, env[k].c_str(), env[k].find('=') + 1) == 0;
+    if (!replaced) env.emplace_back(*e);
+  }
+  std::vector<char*> envp;
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  std::string exe = "/proc/self/exe";
+  std::string filter = "--gtest_filter=" + test;
+  char* argv[] = {exe.data(), filter.data(), nullptr};
+  pid_t pid = 0;
+  if (::posix_spawn(&pid, argv[0], nullptr, nullptr, argv, envp.data()) != 0)
+    return false;
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return false;
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
 TEST(NativeJit, AwkwardTmpdirCompilesAndLeavesNothing) {
   // The scratch directory is made once per process, so the check runs in
-  // a child: this binary again, filtered to this test, with TMPDIR set to
-  // a directory whose name holds a space and a "$HOME" a shell would
-  // expand.  The child compiles and runs kernels; after it exits the
-  // directory must be empty again.
+  // a child with TMPDIR set to a directory whose name holds a space and a
+  // "$HOME" a shell would expand.  The child compiles and runs kernels;
+  // after it exits the directory must be empty again.
   if (std::getenv("F90D_TEST_AWKWARD_TMPDIR") != nullptr) {
     auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", backend_native());
     EXPECT_GT(r.native_runs, 0);
@@ -397,34 +436,106 @@ TEST(NativeJit, AwkwardTmpdirCompilesAndLeavesNothing) {
   if (!native_available())
     GTEST_SKIP() << "no native toolchain in this environment";
   namespace fs = std::filesystem;
-  std::string tmpl =
-      (fs::temp_directory_path() / "f90d test $HOME-XXXXXX").string();
-  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
-  const fs::path dir = tmpl;
-
-  std::vector<std::string> env = {"TMPDIR=" + dir.string(),
-                                  "F90D_TEST_AWKWARD_TMPDIR=1"};
-  for (char** e = environ; *e != nullptr; ++e)
-    if (std::strncmp(*e, "TMPDIR=", 7) != 0) env.emplace_back(*e);
-  std::vector<char*> envp;
-  for (std::string& e : env) envp.push_back(e.data());
-  envp.push_back(nullptr);
-  std::string exe = "/proc/self/exe";
-  std::string filter =
-      "--gtest_filter=NativeJit.AwkwardTmpdirCompilesAndLeavesNothing";
-  char* argv[] = {exe.data(), filter.data(), nullptr};
-  pid_t pid = 0;
-  ASSERT_EQ(::posix_spawn(&pid, argv[0], nullptr, nullptr, argv, envp.data()),
-            0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+  const fs::path dir = make_scratch("f90d test $HOME-XXXXXX");
+  ASSERT_FALSE(dir.empty());
+  EXPECT_TRUE(run_child("NativeJit.AwkwardTmpdirCompilesAndLeavesNothing",
+                        dir, {"F90D_TEST_AWKWARD_TMPDIR=1"}))
       << "child test failed";
 
   std::vector<std::string> left;
   for (const fs::directory_entry& e : fs::recursive_directory_iterator(dir))
     left.push_back(e.path().string());
   EXPECT_TRUE(left.empty()) << left.front();
+  fs::remove_all(dir);
+}
+
+TEST(NativeJit, BrokenToolchainCostsOneKernelAndOneProbe) {
+  // The toolchain probe is lazy and its verdict lasts for the process, so
+  // each broken compiler runs in a child: one that cannot be started and
+  // one that always fails.  The first kernel's failed compile triggers the
+  // probe; the failed probe turns the backend off, and the runs fall back
+  // to the plan interpreter with identical results and simulated time.
+  if (std::getenv("F90D_TEST_BROKEN_TOOLCHAIN") != nullptr) {
+    native::NativeCache& cache = native::NativeCache::instance();
+    auto invocations = [&] {
+      const native::JitStats s = cache.stats();
+      return s.compiles + s.failures;
+    };
+    ASSERT_TRUE(cache.available()) << "nothing has failed yet";
+    const long long before = invocations();
+    auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+                                   charging());
+    const long long after = invocations();
+    ::setenv("F90D_NATIVE", "0", 1);
+    auto off = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+                                   charging());
+    ::unsetenv("F90D_NATIVE");
+    expect_same_run(nat, off, 1e-9, "jacobi, broken toolchain");
+    EXPECT_EQ(nat.native_runs, 0);
+    EXPECT_GE(after - before, 1) << "the first kernel tried to compile";
+    EXPECT_LE(after - before, 2) << "one kernel and one probe at most";
+    EXPECT_EQ(cache.stats().dlopens, 0);
+    EXPECT_FALSE(cache.available());
+
+    auto again = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(),
+                                     {}, charging());
+    expect_same_run(again, off, 1e-9, "jacobi, second run");
+    EXPECT_EQ(again.native_runs, 0);
+    EXPECT_EQ(invocations(), after) << "a second run starts no compiler";
+    return;
+  }
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  namespace fs = std::filesystem;
+  for (const char* cxx : {"/nonexistent/c++", "/bin/false"}) {
+    const fs::path dir = make_scratch("f90d-broken-XXXXXX");
+    ASSERT_FALSE(dir.empty());
+    EXPECT_TRUE(run_child("NativeJit.BrokenToolchainCostsOneKernelAndOneProbe",
+                          dir,
+                          {"F90D_TEST_BROKEN_TOOLCHAIN=1",
+                           std::string("F90D_NATIVE_CXX=") + cxx}))
+        << "child test failed with F90D_NATIVE_CXX=" << cxx;
+    // A failed compile keeps its .cpp and .log for diagnosis; the child's
+    // scratch holds nothing else.
+    for (const fs::directory_entry& e :
+         fs::recursive_directory_iterator(dir)) {
+      if (!e.is_regular_file()) continue;
+      EXPECT_TRUE(e.path().extension() == ".cpp" ||
+                  e.path().extension() == ".log")
+          << e.path();
+    }
+    fs::remove_all(dir);
+  }
+}
+
+TEST(NativeJit, HealthyProcessCompilesOnlyItsPlanKernels) {
+  // A fresh process with a working compiler never runs the toolchain
+  // probe and compiles no communication code: every compiler invocation
+  // is one distinct plan key (one lowering), and nothing fails.
+  if (std::getenv("F90D_TEST_FRESH_PROCESS") != nullptr) {
+    native::NativeCache& cache = native::NativeCache::instance();
+    ASSERT_TRUE(cache.available());
+    auto r = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+                                 charging());
+    const native::JitStats s = cache.stats();
+    EXPECT_GT(r.native_runs, 0);
+    EXPECT_EQ(r.native_fallbacks, 0);
+    EXPECT_LE(harness::max_abs_diff(r), 1e-9);
+    EXPECT_EQ(s.failures, 0);
+    EXPECT_EQ(s.compiles, s.lowerings) << "one invocation per plan key";
+    // Jacobi's two FORALLs have one structure each on every processor.
+    EXPECT_EQ(s.lowerings, 2);
+    return;
+  }
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  namespace fs = std::filesystem;
+  const fs::path dir = make_scratch("f90d-fresh-XXXXXX");
+  ASSERT_FALSE(dir.empty());
+  EXPECT_TRUE(run_child("NativeJit.HealthyProcessCompilesOnlyItsPlanKernels",
+                        dir, {"F90D_TEST_FRESH_PROCESS=1"}))
+      << "child test failed";
+  EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);
 }
 
@@ -773,25 +884,6 @@ TEST(NativeKey, EqualKeysIffEqualTexts) {
   // The sample must actually exercise both directions.
   EXPECT_GT(lowered, 200);
   EXPECT_GT(shared, 100);
-}
-
-TEST(NativeKey, CommKernelKeysAreTinyAndDistinct) {
-  EXPECT_EQ(native::copy_kernel_key(2, true), "copy/2/1");
-  EXPECT_NE(native::copy_kernel_key(2, true), native::copy_kernel_key(2, false));
-  EXPECT_NE(native::copy_kernel_key(1, true), native::copy_kernel_key(2, true));
-  EXPECT_NE(native::index_kernel_key(true, false),
-            native::index_kernel_key(true, true));
-  EXPECT_NE(native::index_kernel_key(true, false),
-            native::index_kernel_key(false, false));
-  std::vector<std::string> texts;
-  for (int levels = 1; levels <= 3; ++levels)
-    for (bool pack : {true, false})
-      texts.push_back(native::lower_copy_kernel(levels, pack));
-  for (bool gather : {true, false})
-    for (bool cast : {true, false})
-      texts.push_back(native::lower_index_kernel(gather, cast));
-  for (const std::string& text : texts)
-    EXPECT_EQ(text.find("#include"), std::string::npos) << text;
 }
 
 TEST(NativeBackend, SecondGaussRunLowersAndCompilesNothing) {

@@ -170,6 +170,15 @@ TEST(ServiceConcurrency, NativeCacheCoalescesConcurrentCompilesOfOneSource) {
   // waiters are counted as coalesced or served from the memo.
   const std::string bad_kernel =
       "#error test_service_concurrency coalesce probe\n";
+  // A good kernel first proves the toolchain, so the failure below does not
+  // also run the lazy toolchain probe (one more compile).
+  ASSERT_NE(jit.get_or_compile("test/service-concurrency-good", [] {
+    return std::string("extern \"C\" void ") + native::kKernelSymbol +
+           "(const long long*, const long long* const*, void* const*,"
+           " const long long*, const long long*, const long long* const*,"
+           " const double*, const long long*, const unsigned char*) {}\n";
+  }),
+            nullptr);
   const native::JitStats before = jit.stats();
   std::vector<native::KernelFn> got(kThreads);
   fan_out(kThreads, kThreads, [&](int i) {
