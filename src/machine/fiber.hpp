@@ -1,6 +1,6 @@
 #pragma once
 // A cooperatively scheduled stackful fiber (ucontext-based) — the execution
-// vehicle of the event-driven SimMachine backend.  Each simulated processor
+// vehicle of SimMachine's event loop.  Each simulated processor
 // runs its node program on one of these; a blocking receive yields back to
 // the scheduler instead of parking an OS thread.
 //
@@ -14,7 +14,7 @@
 //
 // The implementation carries the sanitizer fiber-switching annotations
 // (__sanitizer_*_switch_fiber for ASan, __tsan_*_fiber for TSan) so the
-// event backend stays clean under -fsanitize=address and -fsanitize=thread.
+// event loop stays clean under -fsanitize=address and -fsanitize=thread.
 #include <ucontext.h>
 
 #include <cstddef>

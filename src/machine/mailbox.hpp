@@ -11,9 +11,9 @@
 // become a deterministic function of virtual time instead of host thread
 // interleaving.
 //
-// The mailbox itself is NOT internally synchronized: SimMachine serializes
-// access (a global lock in the threaded backend, single-threadedness in the
-// event-driven backend).  Blocking lives in SimMachine, not here.
+// The mailbox itself is NOT internally synchronized: SimMachine's event loop
+// runs every processor on one OS thread, so access is serial.  Blocking
+// lives in SimMachine, not here.
 #include <optional>
 #include <string>
 #include <vector>

@@ -43,10 +43,8 @@ const MachineProfile& profile_by_name(const std::string& name) {
   throw Error("unknown machine profile: " + name);
 }
 
-SimMachine make_profile_machine(const MachineProfile& profile, int nprocs,
-                                MachineOptions options) {
-  return SimMachine(nprocs, *profile.cost, profile.make_topology(nprocs),
-                    options);
+SimMachine make_profile_machine(const MachineProfile& profile, int nprocs) {
+  return SimMachine(nprocs, *profile.cost, profile.make_topology(nprocs));
 }
 
 }  // namespace f90d::machine

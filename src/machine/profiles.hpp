@@ -31,7 +31,6 @@ const std::vector<MachineProfile>& portability_profiles();
 const MachineProfile& profile_by_name(const std::string& name);
 
 /// Build a SimMachine of `nprocs` processors for a profile.
-SimMachine make_profile_machine(const MachineProfile& profile, int nprocs,
-                                MachineOptions options = {});
+SimMachine make_profile_machine(const MachineProfile& profile, int nprocs);
 
 }  // namespace f90d::machine

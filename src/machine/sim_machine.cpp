@@ -1,14 +1,10 @@
 #include "machine/sim_machine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <mutex>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "machine/fiber.hpp"
@@ -18,30 +14,11 @@ namespace f90d::machine {
 
 namespace {
 
-/// Shared formatting of the per-processor wait-state report (deadlock and
-/// watchdog diagnostics on both backends).
-enum class ProcState { kRunning, kBlocked, kDone };
+/// Stack size of each processor fiber.
+constexpr std::size_t kFiberStackBytes = 1024 * 1024;
 
 std::string wildcard(int v) {
   return v == kAnySource ? std::string("ANY") : std::to_string(v);
-}
-
-std::string wait_line(int rank, ProcState state, int wait_src, int wait_tag,
-                      double clock, std::size_t queued) {
-  switch (state) {
-    case ProcState::kBlocked:
-      return strformat(
-          "  rank %d: blocked in recv(src=%s, tag=%s) at t=%.9g s; "
-          "%zu queued message(s)",
-          rank, wildcard(wait_src).c_str(), wildcard(wait_tag).c_str(), clock,
-          queued);
-    case ProcState::kDone:
-      return strformat("  rank %d: finished at t=%.9g s", rank, clock);
-    case ProcState::kRunning:
-      return strformat("  rank %d: running (not in recv) at t=%.9g s", rank,
-                       clock);
-  }
-  return {};
 }
 
 }  // namespace
@@ -89,46 +66,6 @@ void Proc::release_payload(std::vector<std::byte>&& buf) {
   machine_->pool(rank_).release(std::move(buf));
 }
 
-void Proc::send_payload(int dest, int tag, std::vector<std::byte>&& payload) {
-  require(dest >= 0 && dest < nprocs(), "send: destination rank in range");
-  const std::size_t bytes = payload.size();
-  Message m;
-  m.src = rank_;
-  m.tag = tag;
-  m.payload = std::move(payload);
-
-  // Injection: the sender is busy for latency + bytes*beta (blocking send,
-  // as on the iPSC/860's store-and-forward style NX layer).
-  const double inject =
-      cost().msg_latency + static_cast<double>(bytes) * cost().time_per_byte;
-  clock_ += inject;
-  stats_.comm_time += inject;
-
-  // Wire delay beyond the first hop.
-  const int hops = machine_->topology().hops(rank_, dest);
-  const double extra =
-      hops > 1 ? static_cast<double>(hops - 1) * cost().time_per_hop : 0.0;
-  m.arrival = clock_ + extra;
-
-  stats_.messages_sent += 1;
-  stats_.bytes_sent += bytes;
-  machine_->deliver(dest, std::move(m));
-}
-
-Message Proc::recv(int src, int tag) {
-  Message m = machine_->blocking_recv(*this, src, tag);
-  if (m.arrival > clock_) {
-    stats_.comm_time += m.arrival - clock_;
-    clock_ = m.arrival;
-  }
-  stats_.messages_received += 1;
-  return m;
-}
-
-bool Proc::probe(int src, int tag) {
-  return machine_->probe_mailbox(rank_, src, tag);
-}
-
 std::uint64_t RunResult::total_messages() const {
   return std::accumulate(stats.begin(), stats.end(), std::uint64_t{0},
                          [](std::uint64_t acc, const ProcStats& s) {
@@ -143,7 +80,7 @@ std::uint64_t RunResult::total_bytes() const {
                          });
 }
 
-// --- event-driven backend ----------------------------------------------------
+// --- event loop --------------------------------------------------------------
 //
 // One fiber per simulated processor, driven by a single-threaded scheduler.
 // The ready set is ordered by (virtual-time key, rank); the key of a task
@@ -158,10 +95,9 @@ class SimMachine::EventLoop {
       : m_(m), program_(program) {
     const int n = m_.nprocs();
     procs_.reserve(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) procs_.emplace_back(m_, r);
+    for (int r = 0; r < n; ++r) procs_.push_back(Proc(m_, r));
     for (int r = 0; r < n; ++r)
-      tasks_.emplace_back(m_.options().fiber_stack_bytes,
-                          [this, r] { body(r); });
+      tasks_.emplace_back([this, r] { body(r); });
     ready_.reserve(static_cast<std::size_t>(4 * n));
     for (int r = 0; r < n; ++r) push_ready(0.0, r);
   }
@@ -230,15 +166,15 @@ class SimMachine::EventLoop {
     }
   }
 
-  /// A message (src, tag, arrival) was pushed to `dest`'s mailbox: wake the
-  /// receiver if it is waiting for it, or improve its wake-up key if an
-  /// earlier-arriving match came in while it was already scheduled.
-  void on_push(int dest, int src, int tag, double arrival) {
+  /// Push `m` to `dest`'s mailbox, then wake the receiver if it is waiting
+  /// for it, or improve its wake-up key if an earlier-arriving match came in
+  /// while it was already scheduled.
+  void deliver(int dest, Message m) {
     Task& t = tasks_[static_cast<std::size_t>(dest)];
-    if (!t.in_recv) return;
-    const bool match = (t.wait_src == kAnySource || t.wait_src == src) &&
-                       (t.wait_tag == kAnyTag || t.wait_tag == tag);
-    if (!match) return;
+    const bool wakes = t.in_recv && message_matches(m, t.wait_src, t.wait_tag);
+    const double arrival = m.arrival;
+    m_.mailbox(dest).push(std::move(m));
+    if (!wakes) return;
     const double key =
         std::max(procs_[static_cast<std::size_t>(dest)].clock(), arrival);
     if (t.state == Task::State::kBlocked) {
@@ -255,8 +191,8 @@ class SimMachine::EventLoop {
 
  private:
   struct Task {
-    Task(std::size_t stack_bytes, std::function<void()> fn)
-        : fiber(stack_bytes, std::move(fn)) {}
+    explicit Task(std::function<void()> fn)
+        : fiber(kFiberStackBytes, std::move(fn)) {}
 
     enum class State { kReady, kRunning, kBlocked, kDone };
     State state = State::kReady;
@@ -293,19 +229,23 @@ class SimMachine::EventLoop {
     return woke;
   }
 
+  /// Per-processor wait-state report.  Only called when no task is
+  /// runnable, so every rank is either blocked in recv or finished.
   std::string deadlock_report() const {
     std::string out =
-        "deadlock detected (event backend): no runnable processor, every "
-        "live processor blocked in recv with no matching message\n";
+        "deadlock detected: no runnable processor, every live processor "
+        "blocked in recv with no matching message\n";
     for (int r = 0; r < m_.nprocs(); ++r) {
       const Task& t = tasks_[static_cast<std::size_t>(r)];
-      ProcState s = ProcState::kRunning;
-      if (t.state == Task::State::kDone) s = ProcState::kDone;
-      else if (t.state == Task::State::kBlocked) s = ProcState::kBlocked;
-      out += wait_line(r, s, t.wait_src, t.wait_tag,
-                       procs_[static_cast<std::size_t>(r)].clock(),
-                       m_.mailbox(r).size());
-      out += '\n';
+      const double clock = procs_[static_cast<std::size_t>(r)].clock();
+      if (t.state == Task::State::kBlocked)
+        out += strformat(
+            "  rank %d: blocked in recv(src=%s, tag=%s) at t=%.9g s; "
+            "%zu queued message(s)\n",
+            r, wildcard(t.wait_src).c_str(), wildcard(t.wait_tag).c_str(),
+            clock, m_.mailbox(r).size());
+      else
+        out += strformat("  rank %d: finished at t=%.9g s\n", r, clock);
     }
     return out;
   }
@@ -347,7 +287,63 @@ class SimMachine::EventLoop {
   int done_ = 0;
 };
 
-RunResult SimMachine::run_event(const NodeProgram& program) {
+// --- Proc messaging: every send and receive goes through the live loop -------
+
+void Proc::send_payload(int dest, int tag, std::vector<std::byte>&& payload) {
+  require(dest >= 0 && dest < nprocs(), "send: destination rank in range");
+  const std::size_t bytes = payload.size();
+  Message m;
+  m.src = rank_;
+  m.tag = tag;
+  m.payload = std::move(payload);
+
+  // Injection: the sender is busy for latency + bytes*beta (blocking send,
+  // as on the iPSC/860's store-and-forward style NX layer).
+  const double inject =
+      cost().msg_latency + static_cast<double>(bytes) * cost().time_per_byte;
+  clock_ += inject;
+  stats_.comm_time += inject;
+
+  // Wire delay beyond the first hop.
+  const int hops = machine_->topology().hops(rank_, dest);
+  const double extra =
+      hops > 1 ? static_cast<double>(hops - 1) * cost().time_per_hop : 0.0;
+  m.arrival = clock_ + extra;
+
+  stats_.messages_sent += 1;
+  stats_.bytes_sent += bytes;
+  machine_->event_->deliver(dest, std::move(m));
+}
+
+Message Proc::recv(int src, int tag) {
+  Message m = machine_->event_->blocking_recv(*this, src, tag);
+  if (m.arrival > clock_) {
+    stats_.comm_time += m.arrival - clock_;
+    clock_ = m.arrival;
+  }
+  stats_.messages_received += 1;
+  return m;
+}
+
+bool Proc::probe(int src, int tag) {
+  const Mailbox& box = machine_->mailbox(rank_);
+  if (box.poisoned()) throw PoisonedError(box.poison_reason());
+  return box.probe(src, tag);
+}
+
+SimMachine::SimMachine(int nprocs, const CostModel& cost,
+                       std::unique_ptr<Topology> topology)
+    : nprocs_(nprocs), cost_(cost), topology_(std::move(topology)) {
+  require(nprocs >= 1, "machine needs at least one processor");
+  require(topology_ != nullptr, "machine needs a topology");
+  mailboxes_.reserve(static_cast<std::size_t>(nprocs));
+  for (int i = 0; i < nprocs; ++i)
+    mailboxes_.push_back(std::make_unique<Mailbox>());
+  pools_.resize(static_cast<std::size_t>(nprocs));
+}
+
+RunResult SimMachine::run(const NodeProgram& program) {
+  require(event_ == nullptr, "SimMachine::run is not reentrant");
   EventLoop loop(*this, program);
   event_ = &loop;
   try {
@@ -358,249 +354,6 @@ RunResult SimMachine::run_event(const NodeProgram& program) {
     event_ = nullptr;
     throw;
   }
-}
-
-// --- threaded backend --------------------------------------------------------
-//
-// One OS thread per simulated processor, kept for differential testing of
-// the event loop.  A single machine-wide mutex serializes every mailbox
-// operation; that makes the exact all-blocked deadlock check cheap and keeps
-// the backend simple (it is only run at small processor counts).
-struct SimMachine::ThreadedState {
-  explicit ThreadedState(int n)
-      : state(static_cast<std::size_t>(n), ProcState::kRunning),
-        waits(static_cast<std::size_t>(n), {0, 0}),
-        clocks(static_cast<std::size_t>(n), nullptr) {
-    for (int i = 0; i < n; ++i) cvs.emplace_back();
-  }
-
-  /// Exact deadlock test, caller holds mu: every processor is blocked or
-  /// done, at least one is blocked, no blocked processor has a matching
-  /// message, and no teardown (poison) is already in flight.
-  [[nodiscard]] bool deadlocked(SimMachine& m) const {
-    bool any_blocked = false;
-    for (int r = 0; r < m.nprocs(); ++r) {
-      const auto k = static_cast<std::size_t>(r);
-      if (m.mailbox(r).poisoned()) return false;
-      if (state[k] == ProcState::kRunning) return false;
-      if (state[k] != ProcState::kBlocked) continue;
-      any_blocked = true;
-      if (m.mailbox(r).probe(waits[k].first, waits[k].second)) return false;
-    }
-    return any_blocked;
-  }
-
-  /// Per-processor wait-state report, caller holds mu.
-  [[nodiscard]] std::string report(SimMachine& m,
-                                   const std::string& headline) const {
-    std::string out = headline;
-    out += '\n';
-    for (int r = 0; r < m.nprocs(); ++r) {
-      const auto k = static_cast<std::size_t>(r);
-      const double clock = clocks[k] != nullptr ? clocks[k]->clock() : 0.0;
-      out += wait_line(r, state[k], waits[k].first, waits[k].second, clock,
-                       m.mailbox(r).size());
-      out += '\n';
-    }
-    return out;
-  }
-
-  std::mutex mu;
-  std::deque<std::condition_variable> cvs;   // one per rank, stable addresses
-  std::vector<ProcState> state;
-  std::vector<std::pair<int, int>> waits;    // (src, tag) while kBlocked
-  std::vector<const Proc*> clocks;           // live Proc of each rank
-};
-
-RunResult SimMachine::run_threaded(const NodeProgram& program) {
-  RunResult result;
-  result.proc_times.assign(static_cast<std::size_t>(nprocs_), 0.0);
-  result.stats.assign(static_cast<std::size_t>(nprocs_), ProcStats{});
-
-  ThreadedState ts(nprocs_);
-  threaded_ = &ts;
-
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto record_error = [&](std::exception_ptr e) {
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (!first_error) first_error = std::move(e);
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nprocs_));
-  for (int r = 0; r < nprocs_; ++r) {
-    threads.emplace_back([&, r]() {
-      const auto k = static_cast<std::size_t>(r);
-      Proc proc(*this, r);
-      {
-        std::lock_guard<std::mutex> lock(ts.mu);
-        ts.clocks[k] = &proc;
-      }
-      try {
-        program(proc);
-      } catch (const PoisonedError&) {
-        // A peer failed or a deadlock was detected: unwind quietly, the
-        // original error is recorded by whoever raised it.
-      } catch (...) {
-        record_error(std::current_exception());
-        std::lock_guard<std::mutex> lock(ts.mu);
-        for (int i = 0; i < nprocs_; ++i)
-          mailbox(i).poison(
-              strformat("node program on rank %d failed; unwinding", r));
-        for (auto& cv : ts.cvs) cv.notify_all();
-      }
-      // Mark done; if that starves the remaining blocked receivers (e.g. we
-      // returned without sending what they wait for), fail the run now
-      // instead of letting them hang.
-      std::string report;
-      {
-        std::lock_guard<std::mutex> lock(ts.mu);
-        ts.state[k] = ProcState::kDone;
-        result.proc_times[k] = proc.clock();
-        result.stats[k] = proc.stats();
-        if (ts.deadlocked(*this)) {
-          report = ts.report(
-              *this,
-              "deadlock detected (threaded backend): every live processor "
-              "blocked in recv with no matching message");
-          for (int i = 0; i < nprocs_; ++i)
-            mailbox(i).poison(
-                "deadlock: every live processor is blocked in recv");
-          for (auto& cv : ts.cvs) cv.notify_all();
-        }
-        ts.clocks[k] = nullptr;
-      }
-      if (!report.empty())
-        record_error(std::make_exception_ptr(DeadlockError(report)));
-    });
-  }
-  for (auto& t : threads) t.join();
-  threaded_ = nullptr;
-
-  if (first_error) std::rethrow_exception(first_error);
-
-  result.exec_time = 0.0;
-  for (double t : result.proc_times)
-    result.exec_time = std::max(result.exec_time, t);
-  return result;
-}
-
-Message SimMachine::threaded_recv_locked(Proc& p, int src, int tag) {
-  ThreadedState& ts = *threaded_;
-  const int r = p.rank();
-  const auto k = static_cast<std::size_t>(r);
-  Mailbox& box = mailbox(r);
-  std::unique_lock<std::mutex> lock(ts.mu);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.watchdog_seconds));
-  for (;;) {
-    if (box.poisoned()) throw PoisonedError(box.poison_reason());
-    if (auto m = box.try_pop_match(src, tag)) return std::move(*m);
-    ts.state[k] = ProcState::kBlocked;
-    ts.waits[k] = {src, tag};
-    if (ts.deadlocked(*this)) {
-      std::string report = ts.report(
-          *this,
-          "deadlock detected (threaded backend): every live processor "
-          "blocked in recv with no matching message");
-      for (int i = 0; i < nprocs_; ++i)
-        mailbox(i).poison("deadlock: every live processor is blocked in recv");
-      for (auto& cv : ts.cvs) cv.notify_all();
-      ts.state[k] = ProcState::kRunning;
-      throw DeadlockError(report);
-    }
-    const auto status = ts.cvs[k].wait_until(lock, deadline);
-    ts.state[k] = ProcState::kRunning;
-    if (status == std::cv_status::timeout && !box.poisoned() &&
-        !box.probe(src, tag)) {
-      // Watchdog backstop: progress stalled for longer than the configured
-      // wall-time budget (a peer is stuck outside recv, so the exact
-      // all-blocked check cannot fire).
-      std::string report = ts.report(
-          *this,
-          strformat("watchdog timeout (threaded backend): recv on rank %d "
-                    "made no progress for %.3g s of host time",
-                    r, options_.watchdog_seconds));
-      for (int i = 0; i < nprocs_; ++i)
-        mailbox(i).poison("watchdog: the machine stopped making progress");
-      for (auto& cv : ts.cvs) cv.notify_all();
-      throw DeadlockError(report);
-    }
-  }
-}
-
-// --- backend dispatch --------------------------------------------------------
-
-SimMachine::SimMachine(int nprocs, const CostModel& cost,
-                       std::unique_ptr<Topology> topology,
-                       MachineOptions options)
-    : nprocs_(nprocs),
-      cost_(cost),
-      topology_(std::move(topology)),
-      options_(options) {
-  require(nprocs >= 1, "machine needs at least one processor");
-  require(topology_ != nullptr, "machine needs a topology");
-  mailboxes_.reserve(static_cast<std::size_t>(nprocs));
-  for (int i = 0; i < nprocs; ++i)
-    mailboxes_.push_back(std::make_unique<Mailbox>());
-  pools_.resize(static_cast<std::size_t>(nprocs));
-}
-
-RunResult SimMachine::run(const NodeProgram& program) {
-  require(event_ == nullptr && threaded_ == nullptr,
-          "SimMachine::run is not reentrant");
-  return options_.backend == Backend::kEvent ? run_event(program)
-                                             : run_threaded(program);
-}
-
-void SimMachine::deliver(int dest, Message m) {
-  if (event_ != nullptr) {
-    const int src = m.src;
-    const int tag = m.tag;
-    const double arrival = m.arrival;
-    mailbox(dest).push(std::move(m));
-    event_->on_push(dest, src, tag, arrival);
-    return;
-  }
-  if (threaded_ != nullptr) {
-    std::lock_guard<std::mutex> lock(threaded_->mu);
-    const auto k = static_cast<std::size_t>(dest);
-    const int src = m.src;
-    const int tag = m.tag;
-    mailbox(dest).push(std::move(m));
-    if (threaded_->state[k] == ProcState::kBlocked) {
-      const auto [wsrc, wtag] = threaded_->waits[k];
-      if ((wsrc == kAnySource || wsrc == src) &&
-          (wtag == kAnyTag || wtag == tag))
-        threaded_->cvs[k].notify_all();
-    }
-    return;
-  }
-  mailbox(dest).push(std::move(m));  // Proc used outside run(): just queue
-}
-
-Message SimMachine::blocking_recv(Proc& p, int src, int tag) {
-  if (event_ != nullptr) return event_->blocking_recv(p, src, tag);
-  if (threaded_ != nullptr) return threaded_recv_locked(p, src, tag);
-  // Proc used outside run(): nothing can ever arrive, so only an already
-  // queued message is valid.
-  if (auto m = mailbox(p.rank()).try_pop_match(src, tag)) return std::move(*m);
-  throw Error("recv outside SimMachine::run with no matching message queued");
-}
-
-bool SimMachine::probe_mailbox(int rank, int src, int tag) {
-  if (threaded_ != nullptr) {
-    std::lock_guard<std::mutex> lock(threaded_->mu);
-    if (mailbox(rank).poisoned())
-      throw PoisonedError(mailbox(rank).poison_reason());
-    return mailbox(rank).probe(src, tag);
-  }
-  if (mailbox(rank).poisoned())
-    throw PoisonedError(mailbox(rank).poison_reason());
-  return mailbox(rank).probe(src, tag);
 }
 
 }  // namespace f90d::machine

@@ -10,27 +10,20 @@
 // which is exactly what the paper's wall-clock measurements report for its
 // loosely synchronous programs.
 //
-// Two interchangeable execution backends drive the node programs:
+// One engine drives the node programs: a single-threaded virtual-time event
+// loop.  Each processor is a resumable fiber; a blocking recv with no
+// matching message yields to the scheduler, which always resumes the
+// runnable processor with the lowest virtual clock.  Thousand-processor
+// machines cost milliseconds of host time, and wildcard receives are a
+// deterministic function of virtual time, so repeated runs of a
+// deterministic program are bit-identical.
 //
-//   kEvent (default)  A single-threaded virtual-time event loop.  Each
-//                     processor is a resumable fiber; a blocking recv with
-//                     no matching message yields to the scheduler, which
-//                     always resumes the runnable processor with the lowest
-//                     virtual clock.  Thousand-processor machines cost
-//                     milliseconds of host time, and wildcard receives are
-//                     a deterministic function of virtual time.
-//
-//   kThreaded         One OS thread per simulated processor — the original
-//                     backend, kept for differential testing.  Both
-//                     backends produce bit-identical array results and
-//                     identical simulated times for deterministic programs.
-//
-// Failure semantics (both backends): when any node program throws, every
-// mailbox is poisoned so peers blocked in recv unwind instead of waiting
-// forever, and run() rethrows the first error.  When every live processor
-// is blocked in recv with no matching message (a communication deadlock,
-// e.g. mismatched tags), run() fails with a DeadlockError carrying a
-// per-processor wait-state report.
+// Failure semantics: when any node program throws, every mailbox is
+// poisoned so peers blocked in recv unwind instead of waiting forever, and
+// run() rethrows the first error.  When every live processor is blocked in
+// recv with no matching message (a communication deadlock, e.g. mismatched
+// tags), run() fails with a DeadlockError carrying a per-processor
+// wait-state report.
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -83,8 +76,10 @@ struct ProcStats {
 /// receiver; the receiver, once done with the message, *releases* the buffer
 /// into its OWN pool.  Each pool is therefore touched by exactly one
 /// simulated processor (single-owner, no locking); buffers migrate between
-/// pools by riding messages, and in a loosely synchronous steady state every
-/// pool stays balanced because each processor receives as often as it sends.
+/// pools by riding messages.  A pool stays balanced when its processor
+/// receives as often as it sends within each trip; a processor that only
+/// sends never yields, runs ahead of its receivers and allocates per send
+/// (docs/MACHINE.md).
 /// Pool bookkeeping is host-side machinery and charges no virtual time.
 class PayloadPool {
  public:
@@ -115,10 +110,9 @@ class PayloadPool {
 };
 
 /// Handle through which a node program interacts with its processor.
+/// Only the machine's event loop creates one, one per simulated processor.
 class Proc {
  public:
-  Proc(SimMachine& m, int rank) : machine_(&m), rank_(rank) {}
-
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int nprocs() const;
   [[nodiscard]] double clock() const { return clock_; }
@@ -166,14 +160,14 @@ class Proc {
   }
 
   /// Blocking receive matching (src, tag); advances the clock to the
-  /// message arrival time.  Under the event backend this yields to the
-  /// scheduler until a matching message is available.
+  /// message arrival time.  Yields to the scheduler until a matching
+  /// message is available.
   Message recv(int src, int tag);
 
   /// Non-blocking probe of this processor's mailbox: true when a message
   /// matching (src, tag) is queued *right now*.  A snapshot, not a wait —
-  /// never spin on probe: under the event backend a spinning processor
-  /// never yields, so the sender it is waiting for would never run.
+  /// never spin on probe: a spinning processor never yields, so the sender
+  /// it is waiting for would never run.
   [[nodiscard]] bool probe(int src, int tag);
 
   template <typename T>
@@ -195,6 +189,9 @@ class Proc {
   }
 
  private:
+  friend class SimMachine;
+  Proc(SimMachine& m, int rank) : machine_(&m), rank_(rank) {}
+
   SimMachine* machine_;
   int rank_;
   double clock_ = 0.0;
@@ -211,35 +208,17 @@ struct RunResult {
   [[nodiscard]] std::uint64_t total_bytes() const;
 };
 
-/// Which execution engine drives the node programs.
-enum class Backend {
-  kEvent,     ///< single-threaded virtual-time event loop over fibers
-  kThreaded,  ///< one OS thread per processor (differential testing)
-};
-
-struct MachineOptions {
-  Backend backend = Backend::kEvent;
-  /// Stack size of each processor fiber (event backend).
-  std::size_t fiber_stack_bytes = 1024 * 1024;
-  /// Threaded-backend watchdog: a recv that waits longer than this much
-  /// host wall time without the exact all-blocked detection firing (e.g.
-  /// a peer stuck outside recv) fails the run with a DeadlockError.
-  double watchdog_seconds = 60.0;
-};
-
 class SimMachine {
  public:
   using NodeProgram = std::function<void(Proc&)>;
 
   SimMachine(int nprocs, const CostModel& cost,
-             std::unique_ptr<Topology> topology, MachineOptions options = {});
+             std::unique_ptr<Topology> topology);
 
   [[nodiscard]] int nprocs() const { return nprocs_; }
   [[nodiscard]] const CostModel& cost() const { return cost_; }
   [[nodiscard]] const Topology& topology() const { return *topology_; }
-  [[nodiscard]] const MachineOptions& options() const { return options_; }
-  /// Direct mailbox access (diagnostics/tests).  Not synchronized: do not
-  /// touch while run() is live on the threaded backend.
+  /// Direct mailbox access (diagnostics/tests).
   [[nodiscard]] Mailbox& mailbox(int rank) {
     return *mailboxes_[static_cast<std::size_t>(rank)];
   }
@@ -257,25 +236,14 @@ class SimMachine {
  private:
   friend class Proc;
   class EventLoop;
-  struct ThreadedState;
-
-  // Backend-dispatching internals used by Proc.
-  void deliver(int dest, Message m);
-  Message blocking_recv(Proc& p, int src, int tag);
-  Message threaded_recv_locked(Proc& p, int src, int tag);
-  bool probe_mailbox(int rank, int src, int tag);
-
-  RunResult run_event(const NodeProgram& program);
-  RunResult run_threaded(const NodeProgram& program);
 
   int nprocs_;
   CostModel cost_;
   std::unique_ptr<Topology> topology_;
-  MachineOptions options_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<PayloadPool> pools_;
-  EventLoop* event_ = nullptr;        // non-null while run_event is live
-  ThreadedState* threaded_ = nullptr; // non-null while run_threaded is live
+  EventLoop* event_ = nullptr;  // non-null while run() is live; Proc sends
+                                // and receives through it
 };
 
 }  // namespace f90d::machine

@@ -129,8 +129,7 @@ Outcome run_artifact(const ArtifactPtr& artifact, const RunSpec& spec,
     out.ok = true;
     return out;
   }
-  machine::SimMachine m(out.nprocs, spec.cost, machine::make_hypercube(),
-                        spec.machine);
+  machine::SimMachine m(out.nprocs, spec.cost, machine::make_hypercube());
   const auto t0 = Clock::now();
   out.result = interp::run_compiled(*artifact->compiled, m, spec.init, ro);
   out.run_ms = ms_since(t0);

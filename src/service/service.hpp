@@ -47,7 +47,6 @@ struct RunSpec {
   std::vector<int> grid;             ///< PROCESSORS override (-p); empty = directive
   compile::CodegenOptions codegen;   ///< §7 optimization switches
   machine::CostModel cost = machine::CostModel::ipsc860();
-  machine::MachineOptions machine;
   interp::Init init;                 ///< array/scalar initializers
                                      ///< (in-process callers; wire requests
                                      ///< zero-fill)

@@ -24,10 +24,9 @@ namespace f90d::harness {
 
 using interp::Index;
 
-inline machine::SimMachine make_machine(int p,
-                                        machine::MachineOptions mo = {}) {
+inline machine::SimMachine make_machine(int p) {
   return machine::SimMachine(p, machine::CostModel::ideal(),
-                             machine::make_hypercube(), mo);
+                             machine::make_hypercube());
 }
 
 /// The one compile-and-run path every workload helper below shares: the
@@ -39,13 +38,12 @@ inline machine::SimMachine make_machine(int p,
 /// (CostModel::ipsc860()): on the ideal one every clock is zero.
 inline interp::ProgramResult run_source(
     const std::string& source, interp::Init init,
-    const interp::RunOptions& ro = {}, machine::MachineOptions mo = {},
+    const interp::RunOptions& ro = {},
     const compile::CodegenOptions& codegen = {},
     const machine::CostModel& cost = machine::CostModel::ideal()) {
   service::RunSpec spec;
   spec.codegen = codegen;
   spec.cost = cost;
-  spec.machine = mo;
   spec.init = std::move(init);
   spec.run = ro;
   return service::compile_and_run(source, spec).result;
@@ -175,15 +173,14 @@ inline std::vector<double> jacobi_oracle(int n, int iters) {
 
 inline DiffRun run_jacobi(
     int n, int iters, int p, int q, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {}, machine::MachineOptions mo = {},
+    const interp::RunOptions& ro = {},
     const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.real["A"] = [](std::span<const Index> g) {
     return jacobi_entry(g[0], g[1]);
   };
   auto result =
-      run_source(apps::jacobi_source(n, p, q, iters, dist), init, ro, mo, {},
-                 cost);
+      run_source(apps::jacobi_source(n, p, q, iters, dist), init, ro, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), jacobi_oracle(n, iters)};
   fill_counters(d, result);
   return d;
@@ -238,7 +235,7 @@ inline CountedRun run_jacobi_hoisted(int n, int iters, int p, int q,
     return jacobi_c_entry(g[0], g[1]);
   };
   auto result = run_source(apps::jacobi_hoisted_source(n, p, q, iters, dist),
-                           init, {}, {}, opt);
+                           init, {}, opt);
   return CountedRun{DiffRun{"A", result.real_arrays.at("A"),
                             jacobi_hoisted_oracle(n, iters),
                             result.schedule_hits, result.schedule_misses},
@@ -299,14 +296,13 @@ inline auto gauss_defined_region(int n) {
 
 inline DiffRun run_gauss(
     int n, int p, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {}, machine::MachineOptions mo = {},
+    const interp::RunOptions& ro = {},
     const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.real["A"] = [n](std::span<const Index> g) {
     return apps::gauss_matrix_entry(n, g[0], g[1]);
   };
-  auto result =
-      run_source(apps::gauss_source(n, p, dist), init, ro, mo, {}, cost);
+  auto result = run_source(apps::gauss_source(n, p, dist), init, ro, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), gauss_oracle(n)};
   fill_counters(d, result);
   return d;
@@ -319,7 +315,7 @@ inline CountedRun run_gauss_counted(int n, int p, const char* dist,
   init.real["A"] = [n](std::span<const Index> g) {
     return apps::gauss_matrix_entry(n, g[0], g[1]);
   };
-  auto result = run_source(apps::gauss_source(n, p, dist), init, {}, {}, opt);
+  auto result = run_source(apps::gauss_source(n, p, dist), init, {}, opt);
   return CountedRun{DiffRun{"A", result.real_arrays.at("A"), gauss_oracle(n),
                             result.schedule_hits, result.schedule_misses},
                     result.machine.total_messages(),
@@ -355,7 +351,7 @@ inline DiffRun run_irregular(
   init.real["B"] = [](std::span<const Index> g) { return g[0] * 2.0; };
   init.real["C"] = [](std::span<const Index> g) { return g[0] * 100.0; };
   auto result =
-      run_source(apps::irregular_source(n, p, steps), init, ro, {}, {}, cost);
+      run_source(apps::irregular_source(n, p, steps), init, ro, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), irregular_oracle(n)};
   fill_counters(d, result);
   return d;
@@ -399,7 +395,7 @@ inline DiffRun run_spmv_ell(
   init.real["X"] = [](std::span<const Index> g) { return spmv_x(g[0]); };
   init.real["Y"] = [](std::span<const Index>) { return 0.0; };
   auto result = run_source(apps::spmv_ell_source(n, nk, p, steps, dist), init,
-                           ro, {}, {}, cost);
+                           ro, {}, cost);
   DiffRun d{"Y", result.real_arrays.at("Y"), spmv_ell_oracle(n, nk, steps)};
   fill_counters(d, result);
   return d;
@@ -426,9 +422,10 @@ inline std::vector<double> mesh_sweep_oracle(int nn, int ne, int steps) {
   return f;
 }
 
-inline DiffRun run_mesh_sweep(int nn, int ne, int steps, int p,
-                              const char* dist = "BLOCK",
-                              const interp::RunOptions& ro = {}) {
+inline DiffRun run_mesh_sweep(
+    int nn, int ne, int steps, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return map_owner(g[0], p) + 1;
@@ -440,8 +437,8 @@ inline DiffRun run_mesh_sweep(int nn, int ne, int steps, int p,
     return mesh_e2(nn, g[0]) + 1;
   };
   init.real["XN"] = [](std::span<const Index> g) { return mesh_xn0(g[0]); };
-  auto result =
-      run_source(apps::mesh_sweep_source(nn, ne, p, steps, dist), init, ro);
+  auto result = run_source(apps::mesh_sweep_source(nn, ne, p, steps, dist),
+                           init, ro, {}, cost);
   DiffRun d{"F", result.real_arrays.at("F"), mesh_sweep_oracle(nn, ne, steps)};
   fill_counters(d, result);
   return d;
@@ -476,7 +473,7 @@ inline DiffRun run_particle_bin(
   init.real["W"] = [](std::span<const Index> g) { return pbin_w0(g[0]); };
   init.real["H"] = [](std::span<const Index>) { return 0.0; };
   auto result = run_source(apps::particle_bin_source(np, p, steps, dist), init,
-                           ro, {}, {}, cost);
+                           ro, {}, cost);
   DiffRun d{"H", result.real_arrays.at("H"), particle_bin_oracle(np, steps)};
   fill_counters(d, result);
   return d;
@@ -513,7 +510,7 @@ inline DiffRun run_fft(
   init.real["X"] = [](std::span<const Index> g) { return g[0] + 1.0; };
   init.real["TERM2"] = [](std::span<const Index> g) { return g[0] * 0.5; };
   auto result =
-      run_source(apps::fft_source(nx, p, stages), init, ro, {}, {}, cost);
+      run_source(apps::fft_source(nx, p, stages), init, ro, {}, cost);
   DiffRun d{"X", result.real_arrays.at("X"), fft_oracle(nx, stages)};
   fill_counters(d, result);
   return d;

@@ -119,10 +119,12 @@ TEST(AllocRegression, WarmJacobiTripsDoNotAllocatePerMessage) {
 /// its offsets, the broadcast's root and source offset, and the kernel's
 /// packed arguments.  Under CYCLIC the root moves to the next processor
 /// every trip, so over each round of four trips every processor sends as
-/// many pooled payloads as it receives.  (Payload pools are per processor:
-/// a root that only ever sends drains its own pool and allocates while its
-/// receivers' pools grow — a property of one-way traffic, not of the
-/// rebind.)
+/// many pooled payloads as it receives.  (A fixed root only sends, so it
+/// never blocks in recv, never yields to the event loop, and runs its whole
+/// DO loop before any receiver takes a message: every buffer it sends is
+/// still in flight when it needs the next one, so it allocates per send
+/// and the receivers' mailboxes grow — a property of one-way traffic, not
+/// of the rebind or of the pool layout.)
 Measured run_rebind_counted(int trips, const interp::RunOptions& ro) {
   const std::string src = strformat(R"(PROGRAM REBIND
       INTEGER N

@@ -61,10 +61,10 @@ TEST(CommPlanParity, JacobiShiftsAcrossGridsAndDists) {
       const std::string what = std::string("jacobi ") + std::to_string(p) +
                                "x" + std::to_string(q) + " " + dist;
       auto off =
-          harness::run_jacobi(16, 3, p, q, dist, tree_walk(), {}, charging());
+          harness::run_jacobi(16, 3, p, q, dist, tree_walk(), charging());
       auto on =
-          harness::run_jacobi(16, 3, p, q, dist, comm_on(), {}, charging());
-      auto nat = harness::run_jacobi(16, 3, p, q, dist, comm_on_native(), {},
+          harness::run_jacobi(16, 3, p, q, dist, comm_on(), charging());
+      auto nat = harness::run_jacobi(16, 3, p, q, dist, comm_on_native(),
                                      charging());
       expect_same_run(on, off, what);
       expect_same_run(nat, off, what + " native");
@@ -76,10 +76,10 @@ TEST(CommPlanParity, JacobiShiftsAcrossGridsAndDists) {
 TEST(CommPlanParity, GaussBcastMulticastTransfer) {
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)"}) {
     const std::string what = std::string("gauss ") + dist;
-    auto off = harness::run_gauss(12, 4, dist, tree_walk(), {}, charging());
-    auto on = harness::run_gauss(12, 4, dist, comm_on(), {}, charging());
+    auto off = harness::run_gauss(12, 4, dist, tree_walk(), charging());
+    auto on = harness::run_gauss(12, 4, dist, comm_on(), charging());
     auto nat =
-        harness::run_gauss(12, 4, dist, comm_on_native(), {}, charging());
+        harness::run_gauss(12, 4, dist, comm_on_native(), charging());
     expect_same_run(on, off, what);
     expect_same_run(nat, off, what + " native");
     EXPECT_LE(harness::max_abs_diff(off, harness::gauss_defined_region(12)),
@@ -128,8 +128,8 @@ TEST(CommPlanParity, WireTrafficIdentical) {
     return harness::jacobi_entry(g[0], g[1]);
   };
   const std::string src = apps::jacobi_source(16, 2, 2, 4, "BLOCK");
-  auto off = harness::run_source(src, init, tree_walk(), {}, {}, charging());
-  auto on = harness::run_source(src, init, comm_on(), {}, {}, charging());
+  auto off = harness::run_source(src, init, tree_walk(), {}, charging());
+  auto on = harness::run_source(src, init, comm_on(), {}, charging());
   EXPECT_EQ(on.machine.total_messages(), off.machine.total_messages());
   EXPECT_EQ(on.machine.total_bytes(), off.machine.total_bytes());
   EXPECT_GT(off.machine.exec_time, 0.0);
@@ -206,7 +206,7 @@ TEST(CommPlanParity, OverlapShiftsAtEveryCopyDepth) {
         return v;
       };
       auto run = [&](const interp::RunOptions& ro) {
-        return harness::run_source(src, init, ro, {}, {}, charging());
+        return harness::run_source(src, init, ro, {}, charging());
       };
       const auto off = run(tree_walk());
       ASSERT_GT(off.machine.total_messages(), 0u) << what;

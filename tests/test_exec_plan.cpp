@@ -63,9 +63,9 @@ class ExecPlanSweep : public ::testing::TestWithParam<GridShape> {
 
 TEST_P(ExecPlanSweep, Jacobi) {
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(3)"}) {
-    auto on = harness::run_jacobi(12, 3, p(), q(), dist, plans_on(), {}, ipsc());
+    auto on = harness::run_jacobi(12, 3, p(), q(), dist, plans_on(), ipsc());
     auto off =
-        harness::run_jacobi(12, 3, p(), q(), dist, plans_off(), {}, ipsc());
+        harness::run_jacobi(12, 3, p(), q(), dist, plans_off(), ipsc());
     expect_bit_identical(on, off, 1e-9, std::string("jacobi ") + dist);
     EXPECT_EQ(off.plan_hits + off.plan_misses, 0);
   }
@@ -74,8 +74,8 @@ TEST_P(ExecPlanSweep, Jacobi) {
 TEST_P(ExecPlanSweep, Gauss) {
   const int n = 12;
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)"}) {
-    auto on = harness::run_gauss(n, nprocs(), dist, plans_on(), {}, ipsc());
-    auto off = harness::run_gauss(n, nprocs(), dist, plans_off(), {}, ipsc());
+    auto on = harness::run_gauss(n, nprocs(), dist, plans_on(), ipsc());
+    auto off = harness::run_gauss(n, nprocs(), dist, plans_off(), ipsc());
     ASSERT_EQ(on.got.size(), off.got.size());
     for (size_t k = 0; k < on.got.size(); ++k)
       ASSERT_EQ(on.got[k], off.got[k])
@@ -227,8 +227,8 @@ TEST(ExecPlanEdges, ZeroTripDoLoop) {
 TEST(ExecPlanEdges, MoreProcessorsThanElements) {
   // P = 16 > N = 3: most processors own nothing; their plans are empty
   // nests and the differential stays exact.
-  auto on = harness::run_jacobi(3, 2, 4, 4, "BLOCK", plans_on(), {}, ipsc());
-  auto off = harness::run_jacobi(3, 2, 4, 4, "BLOCK", plans_off(), {}, ipsc());
+  auto on = harness::run_jacobi(3, 2, 4, 4, "BLOCK", plans_on(), ipsc());
+  auto off = harness::run_jacobi(3, 2, 4, 4, "BLOCK", plans_off(), ipsc());
   expect_bit_identical(on, off, 1e-9, "jacobi P > N");
 }
 
@@ -343,10 +343,10 @@ struct Backends {
 /// measured one finds every kernel the program needs already compiled.
 Backends run_backends(const std::string& src, const interp::Init& init) {
   Backends b;
-  b.tree = harness::run_source(src, init, plans_off(), {}, {}, ipsc());
-  b.plan = harness::run_source(src, init, plans_on(), {}, {}, ipsc());
-  (void)harness::run_source(src, init, native_on(), {}, {}, ipsc());
-  b.native = harness::run_source(src, init, native_on(), {}, {}, ipsc());
+  b.tree = harness::run_source(src, init, plans_off(), {}, ipsc());
+  b.plan = harness::run_source(src, init, plans_on(), {}, ipsc());
+  (void)harness::run_source(src, init, native_on(), {}, ipsc());
+  b.native = harness::run_source(src, init, native_on(), {}, ipsc());
   expect_same_run(b.tree, b.plan, "plan");
   expect_same_run(b.tree, b.native, "native");
   return b;
@@ -1117,7 +1117,7 @@ C$ ALIGN A(I) WITH T(I)
     return g[0] == 0 || g[0] == 5 ? std::nan("") : 3.0 - std::fabs(g[0] - 3.0);
   };
   for (const auto& ro : {plans_off(), plans_on()}) {
-    const auto r = harness::run_source(src, init, ro, {}, {}, ipsc());
+    const auto r = harness::run_source(src, init, ro, {}, ipsc());
     EXPECT_EQ(r.scalars.at("SMX"), 3.0);
     EXPECT_EQ(r.scalars.at("KMX"), 4);
     EXPECT_EQ(r.scalars.at("SMN"), -1.0);
@@ -1150,13 +1150,13 @@ TEST(PlannedReduction, ExtremaBeyondTheOldSentinel) {
   // Every value lies beyond +-1e300: a sentinel-seeded accumulator never
   // moves.  The first element seeds it instead, on both paths.
   for (const auto& ro : {plans_off(), plans_on()}) {
-    const auto neg = harness::run_source(sentinel_source("-"), {}, ro, {}, {},
+    const auto neg = harness::run_source(sentinel_source("-"), {}, ro, {},
                                          ipsc());
     EXPECT_EQ(neg.scalars.at("SMX"), -1.0e305);
     EXPECT_EQ(neg.scalars.at("KMX"), 8);
     EXPECT_EQ(neg.scalars.at("SMN"), -8.0e305);
     EXPECT_EQ(neg.scalars.at("KMN"), 1);
-    const auto pos = harness::run_source(sentinel_source(""), {}, ro, {}, {},
+    const auto pos = harness::run_source(sentinel_source(""), {}, ro, {},
                                          ipsc());
     EXPECT_EQ(pos.scalars.at("SMN"), 1.0e305);
     EXPECT_EQ(pos.scalars.at("KMN"), 8);
@@ -1183,7 +1183,7 @@ C$ ALIGN A(I) WITH T(I)
       END PROGRAM EMPTY
 )";
   for (const auto& ro : {plans_off(), plans_on()}) {
-    const auto r = harness::run_source(src, {}, ro, {}, {}, ipsc());
+    const auto r = harness::run_source(src, {}, ro, {}, ipsc());
     EXPECT_EQ(r.scalars.at("SMX"), std::numeric_limits<double>::lowest());
     EXPECT_EQ(r.scalars.at("SMN"), std::numeric_limits<double>::max());
     EXPECT_EQ(r.scalars.at("KMX"), 0);
@@ -1300,8 +1300,8 @@ TEST(PlannedReduction, GaussRunsNoStatementOnTheTreeWalk) {
     return static_cast<double>((g[0] * 37 + g[1] * 11) % 23) / 7.0 - 1.5;
   };
   const std::string src = apps::gauss_source(n, 4, "BLOCK");
-  const auto tree = harness::run_source(src, init, plans_off(), {}, {}, ipsc());
-  const auto plan = harness::run_source(src, init, plans_on(), {}, {}, ipsc());
+  const auto tree = harness::run_source(src, init, plans_off(), {}, ipsc());
+  const auto plan = harness::run_source(src, init, plans_on(), {}, ipsc());
   expect_same_run(tree, plan, "gauss");
   expect_same_scalars(tree, plan, "gauss");
   EXPECT_EQ(plan.tree_walk_stmts, 0);

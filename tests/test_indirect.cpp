@@ -198,7 +198,9 @@ std::vector<double> indirect_smoke_oracle(int n) {
 harness::DiffRun run_indirect_smoke(int n, int p,
                                     const interp::RunOptions& ro = {}) {
   auto compiled = compile::compile_source(indirect_smoke_source(n, p));
-  machine::SimMachine m = harness::make_machine(p);
+  // A charging cost model, so simulated times are comparable, not all 0 s.
+  machine::SimMachine m(p, machine::CostModel::ipsc860(),
+                        machine::make_hypercube());
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return smoke_owner(g[0], p) + 1;  // directive values are 1-based
@@ -227,7 +229,8 @@ TEST(IndirectEndToEnd, TreeAndPlannedExecutionAgreeBitForBit) {
     ASSERT_EQ(t.got.size(), planned.got.size());
     for (size_t k = 0; k < t.got.size(); ++k)
       EXPECT_EQ(t.got[k], planned.got[k]) << "p=" << p << " k=" << k;
-    EXPECT_DOUBLE_EQ(t.sim_time, planned.sim_time) << "p=" << p;
+    EXPECT_GT(t.sim_time, 0.0) << "p=" << p;
+    EXPECT_EQ(t.sim_time, planned.sim_time) << "p=" << p;
     EXPECT_EQ(harness::max_abs_diff(t), 0.0) << "p=" << p;
   }
 }

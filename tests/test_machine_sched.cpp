@@ -1,6 +1,6 @@
-// The event-driven SimMachine backend and its failure semantics:
-//  - both backends (fiber event loop vs one OS thread per proc) produce
-//    bit-identical array results and identical simulated times,
+// The SimMachine event loop and its failure semantics:
+//  - repeated runs produce bit-identical array results and identical
+//    simulated times,
 //  - a node-program exception poisons the mailboxes so blocked peers unwind
 //    (the historical `t.join()` hang),
 //  - a communication deadlock (mismatched send/recv) fails with a per-proc
@@ -10,7 +10,8 @@
 
 #include <chrono>
 #include <span>
-#include <thread>
+#include <string>
+#include <utility>
 
 #include "apps/gauss_hand.hpp"
 #include "apps/sources.hpp"
@@ -36,35 +37,22 @@ constexpr bool kSanitized = true;
 constexpr bool kSanitized = false;
 #endif
 
-using machine::Backend;
 using machine::CostModel;
 using machine::DeadlockError;
-using machine::MachineOptions;
 using machine::Proc;
 using machine::SimMachine;
 
-MachineOptions opts(Backend b) {
-  MachineOptions mo;
-  mo.backend = b;
-  return mo;
+SimMachine ipsc_machine(int p) {
+  return SimMachine(p, CostModel::ipsc860(), machine::make_hypercube());
 }
 
-SimMachine ipsc_machine(int p, Backend b) {
-  return SimMachine(p, CostModel::ipsc860(), machine::make_hypercube(),
-                    opts(b));
-}
+// --- failure semantics -------------------------------------------------------
 
-// --- backend-parameterized failure semantics ---------------------------------
-
-class Backends : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(Backends, ThrowOnRank0MidExchangeUnblocksPeers) {
+TEST(EventLoop, ThrowOnRank0MidExchangeUnblocksPeers) {
   // Regression: rank 0 of a 2x2 grid throws mid-exchange while ranks 2 and 3
-  // are blocked in recv on it.  The old threaded backend left the peers
-  // parked in an untimed cv wait and run() hung in join(); now every mailbox
-  // is poisoned, the peers unwind, and the original error is rethrown.
-  SimMachine m(4, CostModel::ideal(), machine::make_crossbar(),
-               opts(GetParam()));
+  // are blocked in recv on it.  Every mailbox is poisoned, the peers unwind,
+  // and the original error is rethrown instead of run() hanging.
+  SimMachine m(4, CostModel::ideal(), machine::make_crossbar());
   try {
     m.run([&](Proc& p) {
       if (p.rank() == 0) {
@@ -80,11 +68,10 @@ TEST_P(Backends, ThrowOnRank0MidExchangeUnblocksPeers) {
   }
 }
 
-TEST_P(Backends, MismatchedTagsDeadlockFailsWithWaitReport) {
+TEST(EventLoop, MismatchedTagsDeadlockFailsWithWaitReport) {
   // A cyclic wait from a hand-written node program: both sides send tag 1
   // but wait for tag 2.  Must fail with a diagnostic, not hang.
-  SimMachine m(2, CostModel::ideal(), machine::make_crossbar(),
-               opts(GetParam()));
+  SimMachine m(2, CostModel::ideal(), machine::make_crossbar());
   try {
     m.run([&](Proc& p) {
       p.send_value<int>(1 - p.rank(), 1, 7);
@@ -104,17 +91,15 @@ TEST_P(Backends, MismatchedTagsDeadlockFailsWithWaitReport) {
   }
 }
 
-TEST_P(Backends, SelfDeadlockOnOneProcessorIsDetected) {
-  SimMachine m(1, CostModel::ideal(), machine::make_crossbar(),
-               opts(GetParam()));
+TEST(EventLoop, SelfDeadlockOnOneProcessorIsDetected) {
+  SimMachine m(1, CostModel::ideal(), machine::make_crossbar());
   EXPECT_THROW(m.run([&](Proc& p) { (void)p.recv(0, 5); }), DeadlockError);
 }
 
-TEST_P(Backends, PeerFinishingWithoutSendingIsADeadlock) {
+TEST(EventLoop, PeerFinishingWithoutSendingIsADeadlock) {
   // Rank 1 returns without ever sending what rank 0 waits for: all *live*
   // processors are blocked, which must be flagged just like a cyclic wait.
-  SimMachine m(2, CostModel::ideal(), machine::make_crossbar(),
-               opts(GetParam()));
+  SimMachine m(2, CostModel::ideal(), machine::make_crossbar());
   try {
     m.run([&](Proc& p) {
       if (p.rank() == 0) (void)p.recv(1, 5);
@@ -129,9 +114,8 @@ TEST_P(Backends, PeerFinishingWithoutSendingIsADeadlock) {
   }
 }
 
-TEST_P(Backends, ZeroByteMessagesDeliver) {
-  SimMachine m(2, CostModel::ipsc860(), machine::make_hypercube(),
-               opts(GetParam()));
+TEST(EventLoop, ZeroByteMessagesDeliver) {
+  SimMachine m = ipsc_machine(2);
   auto r = m.run([&](Proc& p) {
     if (p.rank() == 0) {
       p.send_bytes(1, 3, nullptr, 0);
@@ -145,18 +129,16 @@ TEST_P(Backends, ZeroByteMessagesDeliver) {
   EXPECT_EQ(r.total_bytes(), 0u);
 }
 
-TEST_P(Backends, SelfSendIsNotADeadlock) {
-  SimMachine m(2, CostModel::ipsc860(), machine::make_hypercube(),
-               opts(GetParam()));
+TEST(EventLoop, SelfSendIsNotADeadlock) {
+  SimMachine m = ipsc_machine(2);
   m.run([&](Proc& p) {
     p.send_value<int>(p.rank(), 4, 100 + p.rank());
     EXPECT_EQ((p.recv_value<int>(p.rank(), 4)), 100 + p.rank());
   });
 }
 
-TEST_P(Backends, ProbeSeesQueuedMessagesUnderTheMatchingRule) {
-  SimMachine m(2, CostModel::ipsc860(), machine::make_hypercube(),
-               opts(GetParam()));
+TEST(EventLoop, ProbeSeesQueuedMessagesUnderTheMatchingRule) {
+  SimMachine m = ipsc_machine(2);
   m.run([&](Proc& p) {
     if (p.rank() == 1) {
       p.send_value<int>(0, 1, 10);
@@ -181,14 +163,6 @@ TEST_P(Backends, ProbeSeesQueuedMessagesUnderTheMatchingRule) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, Backends,
-                         ::testing::Values(Backend::kEvent,
-                                           Backend::kThreaded),
-                         [](const auto& info) {
-                           return info.param == Backend::kEvent ? "event"
-                                                                : "threaded";
-                         });
-
 // --- event-scheduler determinism ---------------------------------------------
 
 TEST(EventSched, AnySourceReceivesInArrivalOrderNotSendOrder) {
@@ -196,8 +170,7 @@ TEST(EventSched, AnySourceReceivesInArrivalOrderNotSendOrder) {
   // their messages *arrive* in the reverse of their rank order.  The
   // scheduler wakes the receiver at the earliest matching arrival, so the
   // wildcard receive order is a pure function of virtual time.
-  SimMachine m(4, CostModel::ipsc860(), machine::make_hypercube(),
-               opts(Backend::kEvent));
+  SimMachine m = ipsc_machine(4);
   m.run([&](Proc& p) {
     if (p.rank() == 0) {
       std::vector<int> srcs;
@@ -211,54 +184,16 @@ TEST(EventSched, AnySourceReceivesInArrivalOrderNotSendOrder) {
   });
 }
 
-TEST(EventSched, RepeatRunsAreBitIdentical) {
-  auto once = [] {
-    auto r = harness::run_jacobi(32, 3, 2, 2, "BLOCK", {},
-                                 opts(Backend::kEvent));
-    return std::pair{r.got, r.sim_time};
-  };
-  const auto a = once();
-  const auto b = once();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-}
-
-// --- threaded watchdog -------------------------------------------------------
-
-TEST(ThreadedWatchdog, FiresWhenAPeerIsStuckOutsideRecv) {
-  // Rank 1 is wedged in host-side work (never blocked in recv), so the
-  // exact all-blocked detection cannot fire; the wall-clock watchdog must.
-  MachineOptions mo = opts(Backend::kThreaded);
-  mo.watchdog_seconds = 0.2;
-  SimMachine m(2, CostModel::ideal(), machine::make_crossbar(), mo);
-  try {
-    m.run([&](Proc& p) {
-      if (p.rank() == 0) {
-        (void)p.recv(1, 5);
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(700));
-      }
-    });
-    FAIL() << "expected the watchdog DeadlockError";
-  } catch (const DeadlockError& e) {
-    EXPECT_NE(std::string(e.what()).find("watchdog timeout"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-// --- backend differential: bit-identical results and simulated times ---------
-
 struct SimArray {
   std::vector<double> a;
   double sim_time = 0.0;
   std::uint64_t messages = 0;
 };
 
-SimArray jacobi_on(Backend b, int n, int iters, int p, int q) {
+SimArray jacobi_on(int n, int iters, int p, int q) {
   auto compiled = compile::compile_source(
       apps::jacobi_source(n, p, q, iters, "BLOCK"));
-  SimMachine m = ipsc_machine(p * q, b);
+  SimMachine m = ipsc_machine(p * q);
   interp::Init init;
   init.real["A"] = [](std::span<const interp::Index> g) {
     return harness::jacobi_entry(g[0], g[1]);
@@ -268,9 +203,9 @@ SimArray jacobi_on(Backend b, int n, int iters, int p, int q) {
           r.machine.total_messages()};
 }
 
-SimArray gauss_on(Backend b, int n, int p) {
+SimArray gauss_on(int n, int p) {
   auto compiled = compile::compile_source(apps::gauss_source(n, p, "BLOCK"));
-  SimMachine m = ipsc_machine(p, b);
+  SimMachine m = ipsc_machine(p);
   interp::Init init;
   init.real["A"] = [n](std::span<const interp::Index> g) {
     return apps::gauss_matrix_entry(n, g[0], g[1]);
@@ -280,37 +215,53 @@ SimArray gauss_on(Backend b, int n, int p) {
           r.machine.total_messages()};
 }
 
-TEST(BackendDifferential, JacobiGridSweepBitIdentical) {
-  const std::pair<int, int> grids[] = {{1, 1}, {1, 2}, {2, 1}, {2, 2},
-                                       {1, 3}, {3, 1}, {2, 3}, {3, 3},
-                                       {4, 4}};
-  for (auto [p, q] : grids) {
-    SCOPED_TRACE(testing::Message() << "grid " << p << "x" << q);
-    SimArray ev = jacobi_on(Backend::kEvent, 32, 3, p, q);
-    SimArray th = jacobi_on(Backend::kThreaded, 32, 3, p, q);
-    EXPECT_EQ(ev.a, th.a);
-    EXPECT_EQ(ev.sim_time, th.sim_time);
-    EXPECT_EQ(ev.messages, th.messages);
-  }
+void expect_identical(const SimArray& a, const SimArray& b) {
+  EXPECT_EQ(a.a, b.a);
+  EXPECT_GT(a.sim_time, 0.0);  // iPSC/860 charges time: not 0 == 0
+  EXPECT_EQ(a.sim_time, b.sim_time);
+  EXPECT_EQ(a.messages, b.messages);
 }
 
-TEST(BackendDifferential, GaussProcSweepBitIdentical) {
-  for (int p : {1, 2, 3, 4, 8, 16}) {
-    SCOPED_TRACE(testing::Message() << "p=" << p);
-    SimArray ev = gauss_on(Backend::kEvent, 24, p);
-    SimArray th = gauss_on(Backend::kThreaded, 24, p);
-    EXPECT_EQ(ev.a, th.a);
-    EXPECT_EQ(ev.sim_time, th.sim_time);
-    EXPECT_EQ(ev.messages, th.messages);
-  }
+// Virtual-time scheduling makes every run of a deterministic program the
+// same run: arrays, simulated seconds and message counts repeat exactly.
+// One instance per jacobi grid and per gauss processor count.
+
+class EventSchedJacobi
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(EventSchedJacobi, RepeatRunsAreBitIdentical) {
+  const auto [p, q] = GetParam();
+  expect_identical(jacobi_on(32, 3, p, q), jacobi_on(32, 3, p, q));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, EventSchedJacobi,
+    ::testing::Values(std::pair{1, 1}, std::pair{1, 2}, std::pair{2, 1},
+                      std::pair{2, 2}, std::pair{1, 3}, std::pair{3, 1},
+                      std::pair{2, 3}, std::pair{3, 3}, std::pair{4, 4}),
+    [](const auto& info) {
+      return std::to_string(info.param.first) + "x" +
+             std::to_string(info.param.second);
+    });
+
+class EventSchedGauss : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventSchedGauss, RepeatRunsAreBitIdentical) {
+  expect_identical(gauss_on(24, GetParam()), gauss_on(24, GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Procs, EventSchedGauss,
+                         ::testing::Values(1, 2, 3, 4, 8, 16),
+                         [](const auto& info) {
+                           return "p" + std::to_string(info.param);
+                         });
 
 // --- scale: 32x32 and 1024-processor machines --------------------------------
 
 TEST(EventScale, Jacobi256On32x32GridMatchesOracleAndRepeats) {
   const auto t0 = std::chrono::steady_clock::now();
-  SimArray r1 = jacobi_on(Backend::kEvent, 256, 1, 32, 32);
-  SimArray r2 = jacobi_on(Backend::kEvent, 256, 1, 32, 32);
+  SimArray r1 = jacobi_on(256, 1, 32, 32);
+  SimArray r2 = jacobi_on(256, 1, 32, 32);
   const double host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -323,14 +274,14 @@ TEST(EventScale, Jacobi256On32x32GridMatchesOracleAndRepeats) {
   // Two full 1024-processor runs take ~2.5 s in Release; sanitizer builds
   // are an order of magnitude slower, so only guard unsanitized ones.
   if (!kSanitized) {
-    EXPECT_LT(host_seconds, 120.0) << "event backend lost its scalability";
+    EXPECT_LT(host_seconds, 120.0) << "event loop lost its scalability";
   }
 }
 
 TEST(EventScale, Gauss1024ProcSkeletonSmoke) {
   auto compiled =
       compile::compile_source(apps::gauss_source(256, 1024, "BLOCK"));
-  SimMachine m = ipsc_machine(1024, Backend::kEvent);
+  SimMachine m = ipsc_machine(1024);
   interp::Init init;
   init.real["A"] = [](std::span<const interp::Index> g) {
     return apps::gauss_matrix_entry(256, g[0], g[1]);

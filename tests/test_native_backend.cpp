@@ -89,10 +89,10 @@ class NativeBackendSweep : public ::testing::TestWithParam<GridShape> {
 TEST_P(NativeBackendSweep, Jacobi) {
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(3)"}) {
     auto nat = harness::run_jacobi(12, 3, p(), q(), dist, backend_native(),
-                                   {}, charging());
-    auto plan = harness::run_jacobi(12, 3, p(), q(), dist, backend_plan(), {},
+                                   charging());
+    auto plan = harness::run_jacobi(12, 3, p(), q(), dist, backend_plan(),
                                     charging());
-    auto tree = harness::run_jacobi(12, 3, p(), q(), dist, backend_tree(), {},
+    auto tree = harness::run_jacobi(12, 3, p(), q(), dist, backend_tree(),
                                     charging());
     expect_same_run(nat, plan, 1e-9, std::string("jacobi ") + dist);
     expect_same_run(nat, tree, 1e-9, std::string("jacobi ") + dist);
@@ -103,11 +103,11 @@ TEST_P(NativeBackendSweep, Gauss) {
   const int n = 12;
   for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)"}) {
     auto nat =
-        harness::run_gauss(n, nprocs(), dist, backend_native(), {}, charging());
+        harness::run_gauss(n, nprocs(), dist, backend_native(), charging());
     auto plan =
-        harness::run_gauss(n, nprocs(), dist, backend_plan(), {}, charging());
+        harness::run_gauss(n, nprocs(), dist, backend_plan(), charging());
     auto tree =
-        harness::run_gauss(n, nprocs(), dist, backend_tree(), {}, charging());
+        harness::run_gauss(n, nprocs(), dist, backend_tree(), charging());
     ASSERT_EQ(nat.got.size(), plan.got.size());
     ASSERT_EQ(nat.got.size(), tree.got.size());
     for (size_t k = 0; k < nat.got.size(); ++k) {
@@ -233,10 +233,10 @@ TEST(NativeBackend, EnvKillSwitchFallsBackCleanly) {
   // a native-backend run must degrade to the plan interpreter without
   // running a single kernel — and without erroring.
   ::setenv("F90D_NATIVE", "0", 1);
-  auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+  auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(),
                                  charging());
   ::unsetenv("F90D_NATIVE");
-  auto plan = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_plan(), {},
+  auto plan = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_plan(),
                                   charging());
   expect_same_run(nat, plan, 1e-9, "jacobi kill-switch");
   EXPECT_EQ(nat.native_runs, 0);
@@ -295,7 +295,7 @@ interp::ProgramResult run_intrinsics(const char* dist,
   init.real["X"] = [](std::span<const Index> g) { return 0.25 + 0.37 * g[0]; };
   init.real["Y"] = [](std::span<const Index> g) { return 0.5 * (g[0] - 16); };
   init.ints["K"] = [](std::span<const Index> g) { return g[0] * 3 - 40; };
-  return harness::run_source(intrinsics_source(dist), init, ro, {}, {},
+  return harness::run_source(intrinsics_source(dist), init, ro, {},
                              charging());
 }
 
@@ -463,11 +463,11 @@ TEST(NativeJit, BrokenToolchainCostsOneKernelAndOneProbe) {
     };
     ASSERT_TRUE(cache.available()) << "nothing has failed yet";
     const long long before = invocations();
-    auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+    auto nat = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(),
                                    charging());
     const long long after = invocations();
     ::setenv("F90D_NATIVE", "0", 1);
-    auto off = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+    auto off = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(),
                                    charging());
     ::unsetenv("F90D_NATIVE");
     expect_same_run(nat, off, 1e-9, "jacobi, broken toolchain");
@@ -478,7 +478,7 @@ TEST(NativeJit, BrokenToolchainCostsOneKernelAndOneProbe) {
     EXPECT_FALSE(cache.available());
 
     auto again = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(),
-                                     {}, charging());
+                                     charging());
     expect_same_run(again, off, 1e-9, "jacobi, second run");
     EXPECT_EQ(again.native_runs, 0);
     EXPECT_EQ(invocations(), after) << "a second run starts no compiler";
@@ -515,7 +515,7 @@ TEST(NativeJit, HealthyProcessCompilesOnlyItsPlanKernels) {
   if (std::getenv("F90D_TEST_FRESH_PROCESS") != nullptr) {
     native::NativeCache& cache = native::NativeCache::instance();
     ASSERT_TRUE(cache.available());
-    auto r = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(), {},
+    auto r = harness::run_jacobi(12, 3, 2, 2, "BLOCK", backend_native(),
                                  charging());
     const native::JitStats s = cache.stats();
     EXPECT_GT(r.native_runs, 0);
