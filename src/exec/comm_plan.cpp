@@ -683,31 +683,25 @@ void CommPlans::run_post(StmtPlan& plan) {
 
 // --- statement orchestration -------------------------------------------------
 
-// --- statement orchestration -------------------------------------------------
+std::vector<const CommAction*> pre_actions_in_order(const SpmdStmt& s) {
+  std::vector<const CommAction*> order;
+  for (const CommAction& a : s.pre)
+    if (!a.eliminated) order.push_back(&a);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const CommAction* x, const CommAction* y) {
+                     const bool xb = is_iteration_buffer(x->kind);
+                     const bool yb = is_iteration_buffer(y->kind);
+                     if (xb != yb) return yb;
+                     return x->ref_id > y->ref_id;
+                   });
+  return order;
+}
 
 CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
                                      std::span<const std::string> key_names,
                                      const ExecPlan* xp) {
   StmtPlan plan;
-  std::vector<const CommAction*> order;
-  for (const CommAction& a : s.pre)
-    if (!a.eliminated) order.push_back(&a);
-  // The tree walk's dependency order: ghost fills / broadcasts / slabs
-  // first, then iteration buffers by descending ref id.
-  std::stable_sort(order.begin(), order.end(),
-                   [](const CommAction* x, const CommAction* y) {
-                     auto cls = [](CommKind k) {
-                       return k == CommKind::kPrecompRead ||
-                                      k == CommKind::kGather ||
-                                      k == CommKind::kTemporaryShift
-                                  ? 1
-                                  : 0;
-                     };
-                     if (cls(x->kind) != cls(y->kind))
-                       return cls(x->kind) < cls(y->kind);
-                     return x->ref_id > y->ref_id;
-                   });
-  for (const CommAction* a : order) {
+  for (const CommAction* a : pre_actions_in_order(s)) {
     Slot slot;
     slot.action = a;
     bake(s, slot, key_names, plan.arrays);

@@ -137,6 +137,14 @@ struct ArrayView {
   std::vector<Index> stride;  ///< row-major element strides over aext
 };
 
+/// A statement's live (non-eliminated) pre-actions in dependency order:
+/// ghost fills, broadcasts and slabs first, then iteration buffers; each
+/// group by descending ref id, so inner indirection arrays resolve before
+/// the references that subscript with them.  The tree walk and the
+/// compiled plans both run pre-actions in this order.
+[[nodiscard]] std::vector<const compile::CommAction*> pre_actions_in_order(
+    const compile::SpmdStmt& s);
+
 class CommPlans {
   struct Slot;
 

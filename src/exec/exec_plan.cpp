@@ -447,9 +447,7 @@ class Builder {
   /// no schedule-based read buffers.
   void regular_pre_gates() const {
     for (const CommAction& a : s_.pre) {
-      if (a.eliminated) continue;
-      if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
-          a.kind == CommKind::kTemporaryShift)
+      if (!a.eliminated && is_iteration_buffer(a.kind))
         decline("schedule-based read buffers (PARTI)");
     }
   }

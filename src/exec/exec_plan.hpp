@@ -49,6 +49,15 @@
 
 namespace f90d::exec {
 
+/// Iteration-buffer pre-actions — PARTI precomputed reads, gathers and
+/// temporary shifts — fill a statement's read buffers through schedules;
+/// every other pre-action fills ghost areas, broadcasts or slabs.
+[[nodiscard]] inline bool is_iteration_buffer(compile::CommKind k) {
+  return k == compile::CommKind::kPrecompRead ||
+         k == compile::CommKind::kGather ||
+         k == compile::CommKind::kTemporaryShift;
+}
+
 /// One loop level of the planned nest, iterating source-coordinate values.
 /// Uniform progressions stay symbolic; block-cyclic CYCLIC(k) intersections
 /// that are not arithmetic progressions enumerate their values.

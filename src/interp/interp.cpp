@@ -168,13 +168,11 @@ class Node {
   void apply_init() {
     for (auto& [name, a] : env_.dar) {
       auto f = init_.real.find(name);
-      if (f != init_.real.end())
-        a.fill_global([&](std::span<const Index> g) { return f->second(g); });
+      if (f != init_.real.end()) a.fill_global(f->second);
     }
     for (auto& [name, a] : env_.iar) {
       auto f = init_.ints.find(name);
-      if (f != init_.ints.end())
-        a.fill_global([&](std::span<const Index> g) { return f->second(g); });
+      if (f != init_.ints.end()) a.fill_global(f->second);
     }
     for (auto& [name, a] : env_.lar) {
       auto f = init_.logical.find(name);
@@ -737,12 +735,8 @@ class Node {
   }
 
   [[nodiscard]] bool stmt_has_iterbuf(const SpmdStmt& s) const {
-    for (const CommAction& a : s.pre) {
-      if (a.eliminated) continue;
-      if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
-          a.kind == CommKind::kTemporaryShift)
-        return true;
-    }
+    for (const CommAction& a : s.pre)
+      if (!a.eliminated && exec::is_iteration_buffer(a.kind)) return true;
     return false;
   }
 
@@ -767,26 +761,8 @@ class Node {
   // --- communication actions --------------------------------------------------
   void run_pre_actions(const SpmdStmt& s,
                        const std::optional<std::vector<VarRange>>& my_ranges) {
-    // Dependency order: ghost fills / broadcasts / slabs first, then
-    // iteration buffers by descending ref id (inner indirection arrays
-    // resolve before the references that subscript with them).
-    std::vector<const CommAction*> order;
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) order.push_back(&a);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const CommAction* x, const CommAction* y) {
-                       auto cls = [](CommKind k) {
-                         return k == CommKind::kPrecompRead ||
-                                        k == CommKind::kGather ||
-                                        k == CommKind::kTemporaryShift
-                                    ? 1
-                                    : 0;
-                       };
-                       if (cls(x->kind) != cls(y->kind))
-                         return cls(x->kind) < cls(y->kind);
-                       return x->ref_id > y->ref_id;
-                     });
-    for (const CommAction* a : order) run_action(s, *a, my_ranges);
+    for (const CommAction* a : exec::pre_actions_in_order(s))
+      run_action(s, *a, my_ranges);
   }
 
   void run_action(const SpmdStmt& s, const CommAction& a,
@@ -1388,9 +1364,10 @@ class Node {
       return;
     }
     // Collective gathers must run on every processor; only the logical
-    // root receives (this runs after the clock/stats snapshot, so it is
-    // instrumentation, not simulated traffic — the root-only gather keeps
-    // it off the host-wall profile too).
+    // root receives.  This runs after the clock/stats snapshot, so it is
+    // instrumentation, not simulated traffic — but it is host wall: every
+    // processor packs its owned runs and the root places them, one copy
+    // per run (DistArray::gather_global_root).
     for (auto& [name, arr] : env_.dar) {
       auto full = arr.gather_global_root(gc_);
       if (gc_.my_logical() == 0) {

@@ -235,6 +235,43 @@ Index Dad::local_extent(int d, int coord) const {
          cyclic_owned_upto(b - 1, coord, m.block, p);
 }
 
+void Dad::owned_runs(int d, int coord, std::vector<DimRun>& out) const {
+  const size_t first = out.size();
+  // Extend the last run of this dimension when `g` continues it.
+  auto add = [&](Index l, Index g, Index count) {
+    if (out.size() > first) {
+      DimRun& last = out.back();
+      if (last.global + last.count == g) {
+        last.count += count;
+        return;
+      }
+    }
+    out.push_back(DimRun{l, g, count});
+  };
+  const Index n = local_extent(d, coord);
+  if (n == 0) return;
+  const DimMap& m = dim(d);
+  if (m.kind == DistKind::kIndirect) {
+    const auto& cells = m.table->cells[static_cast<size_t>(coord)];
+    for (Index l = 0; l < n; ++l) add(l, cells[static_cast<size_t>(l)], 1);
+    return;
+  }
+  if (m.kind != DistKind::kCyclic) {
+    add(0, global_of_local(d, 0, coord), n);
+    return;
+  }
+  // CYCLIC(k): local index l sits at position (l + skipped) mod k of its
+  // block, where `skipped` counts the owned cells below the alignment origin.
+  const Index p = grid_.extent(m.grid_dim);
+  const Index skipped =
+      cyclic_owned_upto(m.align_offset - 1, coord, m.block, p);
+  for (Index l = 0; l < n;) {
+    const Index count = std::min(m.block - (l + skipped) % m.block, n - l);
+    add(l, global_of_local(d, l, coord), count);
+    l += count;
+  }
+}
+
 int Dad::owner_logical(const std::vector<Index>& gidx,
                        const std::vector<int>& base_coords) const {
   std::vector<int> coords = base_coords;

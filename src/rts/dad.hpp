@@ -89,6 +89,14 @@ struct DimMap {
   std::shared_ptr<const IndirectTable> table;
 };
 
+/// One owned run of a dimension: `count` consecutive local indices from
+/// `local` whose global indices are consecutive from `global`.
+struct DimRun {
+  Index local = 0;
+  Index global = 0;
+  Index count = 0;
+};
+
 /// Distributed Array Descriptor: global shape + per-dimension mapping +
 /// the logical processor grid the template is distributed over.
 class Dad {
@@ -141,6 +149,13 @@ class Dad {
 
   /// Number of elements of dimension d owned by grid coordinate `coord`.
   [[nodiscard]] Index local_extent(int d, int coord) const;
+
+  /// Append the owned runs of dimension d on grid coordinate `coord` to
+  /// `out`, ascending in both local and global index: BLOCK (at any
+  /// alignment stride) and collapsed dimensions own one run, CYCLIC(k)
+  /// owns runs of at most k (whole courses when the grid dimension has one
+  /// processor), and INDIRECT owns its consecutive cells merged.
+  void owned_runs(int d, int coord, std::vector<DimRun>& out) const;
 
   /// Allocated extent including overlap (ghost) areas.
   [[nodiscard]] Index alloc_extent(int d, int coord) const {

@@ -4,8 +4,10 @@
 // each processor allocates only its local chunk (plus overlap/ghost areas,
 // ref. [16] in the paper) and addresses it through the DAD's global<->local
 // index algebra.
+#include <algorithm>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/grid_comm.hpp"
@@ -57,12 +59,7 @@ class DistArray {
 
   /// Grid coordinate of this processor along array dimension d's grid dim
   /// (0 for collapsed dimensions).
-  [[nodiscard]] int coord_along(int d) const {
-    const DimMap& m = dad_.dim(d);
-    return m.kind == DistKind::kCollapsed
-               ? 0
-               : coords_[static_cast<size_t>(m.grid_dim)];
-  }
+  [[nodiscard]] int coord_along(int d) const { return dim_coord(d, coords_); }
 
   /// Local element access.  `l` is in owned-local coordinates; ghost cells
   /// are addressed with l in [-overlap_lo, local_extent + overlap_hi).
@@ -125,30 +122,21 @@ class DistArray {
     return g;
   }
 
-  /// Visit every owned element: f(global_indices, element_ref).  The global
-  /// index vector is recomputed in place per element — no per-element heap
-  /// allocation (fill_global/gather_global walk every owned element of
-  /// every array on every run, so this is a measurable slice of host wall).
+  /// Visit every owned element: f(global_indices, element_ref), in
+  /// owned-local row-major order.  Walks owned runs: the global index
+  /// vector is set once per run and advanced along the run's innermost
+  /// dimension, so no element pays a global_of_local or a heap allocation.
   template <typename F>
   void for_each_owned(F&& f) {
-    const int r = rank();
-    std::vector<Index> l(static_cast<size_t>(r), 0);
-    std::vector<Index> g(static_cast<size_t>(r));
-    std::vector<int> coords(static_cast<size_t>(r));
-    for (int d = 0; d < r; ++d) coords[static_cast<size_t>(d)] = coord_along(d);
-    if (local_size() == 0) return;
-    for (;;) {
-      for (int d = 0; d < r; ++d)
-        g[static_cast<size_t>(d)] = dad_.global_of_local(
-            d, l[static_cast<size_t>(d)], coords[static_cast<size_t>(d)]);
-      f(g, at_local(l));
-      int d = r - 1;
-      for (; d >= 0; --d) {
-        if (++l[static_cast<size_t>(d)] < lext_[static_cast<size_t>(d)]) break;
-        l[static_cast<size_t>(d)] = 0;
+    walk_runs(coords_, [&](std::span<const Index> l, std::vector<Index>& g,
+                           Index count) {
+      T* run = data_.data() + run_offset(l, count);
+      for (Index i = 0;;) {
+        f(std::as_const(g), run[i]);
+        if (++i == count) break;
+        ++g.back();
       }
-      if (d < 0) break;
-    }
+    });
   }
 
   /// Initialize owned elements from a function of the global indices.
@@ -186,27 +174,21 @@ class DistArray {
   /// Collect the full global array on logical processor 0 only (row-major
   /// over global extents); every other processor returns an empty vector.
   /// Ships raw values in owned-local row-major order — half the bytes of
-  /// the {index,value} pairs gather_global sends, and no broadcast leg —
-  /// and the root reconstructs each sender's global indices from the DAD.
+  /// the {index,value} pairs gather_global sends, and no broadcast leg.
+  /// Sender and root walk the same owned runs: the sender packs each run
+  /// with one copy, and the root places it with one copy at the global
+  /// offset it derives from the DAD.
   /// Collective: every processor must call it at the same program point.
   [[nodiscard]] std::vector<T> gather_global_root(comm::GridComm& gc) {
-    const int r = rank();
+    // Pack owned values only, one run at a time; the sender never needs
+    // global indices.
     std::vector<T> mine;
     mine.reserve(static_cast<size_t>(local_size()));
-    if (local_size() > 0) {
-      // Pack owned values only; the sender never needs global indices.
-      std::vector<Index> l(static_cast<size_t>(r), 0);
-      for (;;) {
-        mine.push_back(at_local(l));
-        int d = r - 1;
-        for (; d >= 0; --d) {
-          if (++l[static_cast<size_t>(d)] < lext_[static_cast<size_t>(d)])
-            break;
-          l[static_cast<size_t>(d)] = 0;
-        }
-        if (d < 0) break;
-      }
-    }
+    walk_runs(coords_, [&](std::span<const Index> l, std::vector<Index>&,
+                           Index count) {
+      const T* run = data_.data() + run_offset(l, count);
+      mine.insert(mine.end(), run, run + count);
+    });
     std::vector<T> out;
     if (gc.my_logical() == 0)
       out.assign(static_cast<size_t>(dad_.global_size()), T{});
@@ -226,45 +208,106 @@ class DistArray {
   }
 
  private:
-  /// Scatter one processor's owned block (values in owned-local row-major
-  /// order, as packed by gather_global_root) into the full global array.
-  /// `gcoords` are that processor's grid coordinates; its local extents and
-  /// global indices are recomputed here from the DAD alone, mirroring the
-  /// sender's for_each_owned walk order.
-  void place_block(const std::vector<int>& gcoords, std::span<const T> blk,
-                   std::vector<T>& out) const {
+  /// Coordinate along array dimension d's grid dimension of the processor
+  /// at grid coordinates `gcoords` (0 for collapsed dimensions).
+  [[nodiscard]] int dim_coord(int d, std::span<const int> gcoords) const {
+    const DimMap& m = dad_.dim(d);
+    return m.kind == DistKind::kCollapsed
+               ? 0
+               : gcoords[static_cast<size_t>(m.grid_dim)];
+  }
+
+  /// The one owned-element walker.  Visits the elements owned by the
+  /// processor at grid coordinates `gcoords` one owned run at a time, in
+  /// owned-local row-major order: visit(l, g, count), where l and g are the
+  /// local and global index vectors of the run's first element and the run
+  /// continues for `count` elements along the innermost dimension —
+  /// contiguous in local storage and in global row-major order.  An
+  /// odometer steps the outer dimensions through their owned runs; the
+  /// visitor may advance g.back() (it is reset for every run).
+  template <typename V>
+  void walk_runs(std::span<const int> gcoords, V&& visit) const {
     const int r = rank();
-    std::vector<int> coords(static_cast<size_t>(r));
-    std::vector<Index> ext(static_cast<size_t>(r));
-    Index total = 1;
-    for (int d = 0; d < r; ++d) {
-      const DimMap& m = dad_.dim(d);
-      coords[static_cast<size_t>(d)] =
-          m.kind == DistKind::kCollapsed
-              ? 0
-              : gcoords[static_cast<size_t>(m.grid_dim)];
-      ext[static_cast<size_t>(d)] =
-          dad_.local_extent(d, coords[static_cast<size_t>(d)]);
-      total *= ext[static_cast<size_t>(d)];
-    }
-    require(static_cast<Index>(blk.size()) == total,
-            "gathered block matches the sender's owned extent");
-    if (total == 0) return;
     std::vector<Index> l(static_cast<size_t>(r), 0);
-    for (size_t i = 0;; ++i) {
-      Index flat = 0;
-      for (int d = 0; d < r; ++d)
-        flat = flat * dad_.extent(d) +
-               dad_.global_of_local(d, l[static_cast<size_t>(d)],
-                                    coords[static_cast<size_t>(d)]);
-      out[static_cast<size_t>(flat)] = blk[i];
-      int d = r - 1;
+    std::vector<Index> g(static_cast<size_t>(r), 0);
+    if (r == 0) {
+      visit(std::span<const Index>(l), g, Index{1});
+      return;
+    }
+    // Every dimension's runs back to back: dimension d's are
+    // runs[first[d] .. first[d + 1]); cur[d] is its odometer position.
+    std::vector<DimRun> runs;
+    std::vector<size_t> first(static_cast<size_t>(r) + 1);
+    for (int d = 0; d < r; ++d) {
+      first[static_cast<size_t>(d)] = runs.size();
+      dad_.owned_runs(d, dim_coord(d, gcoords), runs);
+      if (runs.size() == first[static_cast<size_t>(d)]) return;  // owns none
+    }
+    first[static_cast<size_t>(r)] = runs.size();
+    std::vector<size_t> cur(first.begin(), first.end() - 1);
+    for (int d = 0; d < r - 1; ++d) {
+      l[static_cast<size_t>(d)] = runs[cur[static_cast<size_t>(d)]].local;
+      g[static_cast<size_t>(d)] = runs[cur[static_cast<size_t>(d)]].global;
+    }
+    const size_t inner = static_cast<size_t>(r - 1);
+    for (;;) {
+      for (size_t i = first[inner]; i < first[inner + 1]; ++i) {
+        l[inner] = runs[i].local;
+        g[inner] = runs[i].global;
+        visit(std::span<const Index>(l), g, runs[i].count);
+      }
+      int d = r - 2;
       for (; d >= 0; --d) {
-        if (++l[static_cast<size_t>(d)] < ext[static_cast<size_t>(d)]) break;
-        l[static_cast<size_t>(d)] = 0;
+        const size_t u = static_cast<size_t>(d);
+        const DimRun* run = &runs[cur[u]];
+        if (++l[u] < run->local + run->count) {
+          ++g[u];
+          break;
+        }
+        const bool wrapped = ++cur[u] == first[u + 1];
+        if (wrapped) cur[u] = first[u];
+        run = &runs[cur[u]];
+        l[u] = run->local;
+        g[u] = run->global;
+        if (!wrapped) break;
       }
       if (d < 0) break;
     }
+  }
+
+  /// Storage offset of an owned run's first element, with its first and
+  /// last elements checked against the allocated extent (incl. overlap).
+  [[nodiscard]] Index run_offset(std::span<const Index> l, Index count) const {
+    const Index flat = flat_local(l);
+    if (rank() > 0)
+      require(l.back() + count + dad_.dim(rank() - 1).overlap_lo <=
+                  aext_.back(),
+              "owned run within allocated extent (incl. overlap)");
+    return flat;
+  }
+
+  /// Scatter one processor's owned block (values in owned-local row-major
+  /// order, as packed by gather_global_root) into the full global array,
+  /// one owned run at a time.  `gcoords` are that processor's grid
+  /// coordinates; its runs come from the DAD alone, in the same walk order
+  /// as the sender's pack.
+  void place_block(const std::vector<int>& gcoords, std::span<const T> blk,
+                   std::vector<T>& out) const {
+    Index total = 1;
+    for (int d = 0; d < rank(); ++d)
+      total *= dad_.local_extent(d, dim_coord(d, gcoords));
+    require(static_cast<Index>(blk.size()) == total,
+            "gathered block matches the sender's owned extent");
+    size_t pos = 0;
+    walk_runs(gcoords, [&](std::span<const Index>, std::vector<Index>& g,
+                           Index count) {
+      const Index flat = flat_global(g);
+      require(flat >= 0 && flat + count <= static_cast<Index>(out.size()),
+              "placed run within the global array");
+      std::copy_n(blk.begin() + static_cast<std::ptrdiff_t>(pos), count,
+                  out.begin() + flat);
+      pos += static_cast<size_t>(count);
+    });
   }
 
   [[nodiscard]] Index flat_local(std::span<const Index> l) const {

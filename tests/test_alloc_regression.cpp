@@ -60,7 +60,12 @@ void* operator new[](std::size_t n, std::align_val_t a) {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into the vector code of the DistArray templates this
+// file instantiates, g++ 12 pairs the free() with operator new and reports
+// a false -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
@@ -196,6 +201,47 @@ TEST(AllocRegression, WarmNativeJacobiTripsDoNotAllocate) {
   // Warm trips find the kernel attachment in the statement's cache entry
   // and reuse its packed argument vectors.
   EXPECT_LE(allocs_per_trip, 0) << "warm native trips allocate again";
+}
+
+/// One fill_global and one gather_global_root of a (rows x 24) array with
+/// BLOCK rows and ghost rows.
+void fill_and_gather(comm::GridComm& gc, Index rows) {
+  rts::DimMap m0, m1;
+  m0.kind = rts::DistKind::kBlock;
+  m0.grid_dim = 0;
+  m0.template_extent = rows;
+  m0.overlap_lo = m0.overlap_hi = 1;
+  m1.template_extent = 24;
+  rts::DistArray<double> a(rts::Dad({rows, 24}, {m0, m1}, gc.grid()), gc);
+  a.fill_global([](std::span<const Index> g) {
+    return static_cast<double>(g[0] * 24 + g[1]);
+  });
+  const std::vector<double> full = a.gather_global_root(gc);
+  if (gc.my_logical() == 0) {
+    EXPECT_EQ(full.size(), static_cast<size_t>(rows * 24));
+  }
+}
+
+/// The allocations of a whole four-processor fill-and-gather machine run,
+/// set-up included.
+long long fill_gather_allocs(Index rows) {
+  const long long a0 = g_allocs.load();
+  harness::on_machine(4, [&](comm::GridComm& gc) { fill_and_gather(gc, rows); });
+  return g_allocs.load() - a0;
+}
+
+/// fill_global and gather_global_root walk owned runs with a fixed set of
+/// buffers per array, and the packed block and the gathered array are one
+/// allocation each whatever their size: doubling the row count must not
+/// change the allocation count.  A per-row or per-element allocation in
+/// the walk, the pack or the placement shows up as a difference.
+TEST(AllocRegression, FillAndGatherAllocationsIndependentOfRows) {
+  (void)fill_gather_allocs(64);  // one-time process set-up
+  const long long small = fill_gather_allocs(64);
+  const long long large = fill_gather_allocs(128);
+  RecordProperty("allocs_64_rows", std::to_string(small));
+  RecordProperty("allocs_128_rows", std::to_string(large));
+  EXPECT_EQ(small, large) << "fill/gather allocations grow with the rows";
 }
 
 }  // namespace

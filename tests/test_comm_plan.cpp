@@ -225,6 +225,33 @@ TEST(CommPlanParity, OverlapShiftsAtEveryCopyDepth) {
   }
 }
 
+/// The one dependency order the tree walk and the compiled plans share:
+/// eliminated actions dropped, ghost fills / broadcasts / slabs before
+/// iteration buffers, each group by descending ref id, ties in source order.
+TEST(CommPlanOrder, PreActionsRunInDependencyOrder) {
+  using compile::CommKind;
+  compile::SpmdStmt s(compile::SpmdKind::kForall);
+  auto add = [&](CommKind kind, int ref_id, bool eliminated = false) {
+    compile::CommAction a;
+    a.kind = kind;
+    a.ref_id = ref_id;
+    a.eliminated = eliminated;
+    s.pre.push_back(std::move(a));
+  };
+  add(CommKind::kPrecompRead, 1);      // 0
+  add(CommKind::kOverlapShift, 0);     // 1
+  add(CommKind::kGather, 3);           // 2
+  add(CommKind::kBcastElement, 2);     // 3
+  add(CommKind::kTemporaryShift, 3);   // 4
+  add(CommKind::kMulticast, 4, true);  // 5: eliminated
+  add(CommKind::kTransfer, 1);         // 6
+  add(CommKind::kOverlapShift, 2);     // 7
+  std::vector<int> order;
+  for (const compile::CommAction* a : exec::pre_actions_in_order(s))
+    order.push_back(static_cast<int>(a - s.pre.data()));
+  EXPECT_EQ(order, (std::vector<int>{3, 7, 6, 1, 2, 4, 0}));
+}
+
 TEST(CommPlanStats, WarmTripsHitTheCache) {
   interp::Init init;
   init.real["A"] = [](std::span<const Index> g) {
