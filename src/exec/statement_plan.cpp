@@ -123,12 +123,17 @@ StatementPlan& StatementPlanCache::get(const compile::SpmdStmt& s,
     ++kind_of(e).hits;
     return e;
   }
+  // A rebind whose kernel arguments cannot be re-packed drops the native
+  // attachment (the next run re-attaches), and a rebuild drops it too.
+  const bool attached = static_cast<bool>(e.native);
   if (rebind(e, slot.key_names)) {
     StatementPlanStats::Kind& kind = kind_of(e);
     ++kind.hits;
     ++kind.rebinds;
+    if (attached && !e.native) ++stats_.native_invalidations;
     return e;
   }
+  if (attached) ++stats_.native_invalidations;
   e = build(slot.key_names);
   built(s.stmt_id, slot);
   return e;

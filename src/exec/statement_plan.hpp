@@ -70,7 +70,8 @@ struct StatementPlanStats {
     int invalidations = 0;  ///< entries dropped by invalidate_array
   };
   Kind regular, irregular, declined;
-  /// Dropped entries that carried a native attachment.
+  /// Native attachments dropped: with their entry (invalidated or
+  /// rebuilt), or by a rebind whose re-pack refused.
   long long native_invalidations = 0;
   /// Declines and key-scalar lists answered by the SharedPlanMeta store.
   int shared_hits = 0;

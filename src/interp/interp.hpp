@@ -113,10 +113,11 @@ struct ProgramResult {
   /// statement).
   int plan_entries = 0;
   /// Native-backend statistics: processor 0's per-node counters (the
-  /// invalidations are dropped statement-cache entries that carried a
-  /// kernel attachment), plus this run's deltas of the process-global JIT
-  /// cache (codegen-cache hits, compiler invocations and wall time, dlopen
-  /// count).  All zero unless RunOptions::native_backend is set.
+  /// invalidations are kernel attachments dropped with their statement-
+  /// cache entry or by a rebind that could not re-pack them), plus this
+  /// run's deltas of the process-global JIT cache (codegen-cache hits,
+  /// compiler invocations and wall time, dlopen count).  All zero unless
+  /// RunOptions::native_backend is set.
   long long native_runs = 0;
   long long native_attaches = 0;
   long long native_fallbacks = 0;

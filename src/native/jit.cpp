@@ -220,6 +220,12 @@ KernelFn NativeCache::compile(const std::string& source) {
       return nullptr;
     }
   }
+  // -O1 -ftree-loop-vectorize -fvect-cost-model=cheap (GCC's spelling):
+  // the unit-stride inner loops the Lowerer prints get vectorized with
+  // an epilogue and a runtime alias check, which -O2's "very-cheap" cost
+  // model refuses; the alias check falls back to the scalar loop when the
+  // lhs overlaps a read, so in-place statements keep sequential order.
+  // -O1 rather than -O2 or -O3 keeps each compile as fast as before.
   // -ffp-contract=off: the host library was built without FMA contraction
   // of a*b+c; allowing it here would change roundings and break the
   // bit-identity contract with the tape interpreter.  -nostdlib with libm
@@ -227,7 +233,8 @@ KernelFn NativeCache::compile(const std::string& source) {
   // libstdc++ or libgcc, and libm stays a DT_NEEDED entry so its symbols
   // resolve at RTLD_NOW.
   const std::vector<std::string> argv = {
-      cxx, "-O2", "-fPIC", "-shared", "-std=c++17", "-ffp-contract=off",
+      cxx, "-O1", "-ftree-loop-vectorize", "-fvect-cost-model=cheap",
+      "-fPIC", "-shared", "-std=c++17", "-ffp-contract=off",
       "-nostdlib", "-o", so, cpp, "-lm", "-lc"};
   const auto t0 = std::chrono::steady_clock::now();
   const bool ok = run_logged(argv, log);

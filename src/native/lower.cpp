@@ -108,8 +108,12 @@ class ShapeWalk {
       const char c = ref_class(rp.kind);
       put8(k, static_cast<unsigned char>(c));
       if (c == 's' || c == 'x') continue;  // no offset recurrence emitted
-      for (size_t l = 0; l < nv; ++l)
-        put8(k, l < rp.terms.size() && !rp.terms[l].table.empty() ? 1 : 0);
+      // Per level: 0 stride, 1 table, 2 unit stride (innermost only).
+      for (size_t l = 0; l < nv; ++l) {
+        const bool table = l < rp.terms.size() && !rp.terms[l].table.empty();
+        const bool unit = l + 1 == nv && unit_inner_stride(rp, nv);
+        put8(k, table ? 1 : unit ? 2 : 0);
+      }
     }
     tape(p_.mask);
     tape(p_.rhs);
@@ -313,11 +317,14 @@ class Lowerer {
            std::to_string(nv_ - 1);
   }
 
-  /// Level-k contribution of ref r's offset recurrence (stride or table —
-  /// the choice is structural and baked into the source).
+  /// Level-k contribution of ref r's offset recurrence (stride, table or
+  /// innermost unit stride — the choice is structural and baked into the
+  /// source).
   std::string term(size_t r, size_t k) const {
     const size_t idx = r * nv_ + k;
     const exec::OffsetTerm& t = ref(r).terms[k];
+    if (k + 1 == nv_ && unit_inner_stride(ref(r), nv_))
+      return std::string("c") + std::to_string(k);
     if (!t.table.empty())
       return std::string("tb[") + std::to_string(idx) + "][c" +
              std::to_string(k) + "]";

@@ -19,6 +19,15 @@
 // plans of the same statement across DO trips or whole runs — that share a
 // structure therefore share one compiled kernel.
 //
+// One number is baked in: an innermost offset term whose stride is 1 is
+// printed as the bare counter (`q + cK`, no `st[]` load).  That gives the
+// compiler a unit-stride inner loop it can vectorize; kernels are built
+// with GCC's loop vectorizer on (native/jit.cpp), and a vectorized kernel
+// stays bit-identical to the tape: element-wise SIMD adds and multiplies
+// round like scalar ones, nothing is reassociated (no -ffast-math), the
+// vectorizer's runtime alias check falls back to the scalar loop when the
+// lhs overlaps a read, and reductions and concatenations are never lowered.
+//
 // plan_shape() captures exactly that structure as a compact byte string,
 // the *structural key*, without printing any source: the NativeCache in
 // native/jit.hpp is keyed by it, so a plan whose structure was seen before
@@ -29,7 +38,8 @@
 //     whether its values are enumerated;
 //   * the lhs kind, and per reference its storage class (real, int or
 //     logical pointer, scalar slot, iteration buffer) and, per level,
-//     whether its offset term is a stride or a table;
+//     whether its offset term is a stride, a table or — innermost level
+//     only — a stride equal to 1;
 //   * the mask and rhs tapes instruction by instruction: op, the operand
 //     the Lowerer reads (loop level, reference id, argument count), each
 //     constant's kind and exact bit pattern, and each scalar operand as its
@@ -82,6 +92,16 @@ struct ScalarBind {
 
   friend bool operator==(const ScalarBind&, const ScalarBind&) = default;
 };
+
+/// True when `rp`'s innermost offset term (level nv-1) is a stride equal
+/// to 1 — the one number the Lowerer bakes into the text, so the key, the
+/// text and native::repack all ask this one question.
+[[nodiscard]] inline bool unit_inner_stride(const exec::RefPlan& rp,
+                                            size_t nv) {
+  if (nv == 0 || rp.terms.size() < nv) return false;
+  const exec::OffsetTerm& t = rp.terms[nv - 1];
+  return t.table.empty() && t.stride == 1;
+}
 
 /// A plan's structural key and its call-time scalar packing recipe.
 /// Reused as scratch: plan_shape() clears it and keeps its capacity.

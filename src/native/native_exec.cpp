@@ -138,9 +138,15 @@ bool repack(const ExecPlan& p, Attachment& at) {
     if (p.loops[k].values.empty() != (at.lv[k] == nullptr)) return false;
   for (size_t r = 0; r <= nr; ++r) {
     const RefPlan& rp = r < nr ? p.refs[r] : p.lhs;
-    for (size_t k = 0; k < nv; ++k)
-      if (rp.terms[k].table.empty() != (at.tb[r * nv + k] == nullptr))
+    for (size_t k = 0; k < nv; ++k) {
+      const size_t i = r * nv + k;
+      if (rp.terms[k].table.empty() != (at.tb[i] == nullptr)) return false;
+      // The kernel text bakes an innermost unit stride in as the bare
+      // counter, so a rebind that flips it needs a different kernel.
+      const bool packed_unit = at.tb[i] == nullptr && at.st[i] == 1;
+      if (k + 1 == nv && unit_inner_stride(rp, nv) != packed_unit)
         return false;
+    }
   }
   pack(p, at);
   return true;

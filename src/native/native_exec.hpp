@@ -66,8 +66,9 @@ struct Attachment {
 /// values, base offsets, strides and offset tables — from `p` after the
 /// statement plan cache re-bound `p` in place.  False when a loop level or
 /// an offset term changed between progression/enumerated or stride/table
-/// form: the plan's structural key may differ, so the caller drops the
-/// attachment and the next run re-attaches it.
+/// form, or an innermost term became or stopped being a unit stride: the
+/// plan's structural key may differ, so the caller drops the attachment
+/// and the next run re-attaches it.
 [[nodiscard]] bool repack(const exec::ExecPlan& p, Attachment& at);
 
 class NativeExec {

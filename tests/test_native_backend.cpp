@@ -6,8 +6,10 @@
 // toolchain is disabled, NativeCache unit behaviour (including a scratch
 // directory whose path a shell would mangle), the lazy toolchain probe
 // (a broken compiler costs one kernel and one probe, a healthy one no
-// probe at all), and the structural kernel key (plan_shape) against the
-// header-free text lower_plan prints.
+// probe at all), the structural kernel key (plan_shape) against the
+// header-free text lower_plan prints, and vectorized kernels: every vector
+// path against the tape, and the re-attach when a rebind flips an
+// innermost unit stride.
 //
 // Every differential test tolerates a missing toolchain by construction:
 // when kernels cannot be built the native run degrades to the plan
@@ -30,6 +32,7 @@
 #include "harness.hpp"
 #include "native/jit.hpp"
 #include "native/lower.hpp"
+#include "support/diag.hpp"
 
 namespace f90d {
 namespace {
@@ -329,6 +332,173 @@ TEST(NativeBackend, IntrinsicsMatchTapeBitForBit) {
       EXPECT_EQ(nat.machine.exec_time, other->machine.exec_time) << dist;
     }
   }
+}
+
+// --- vectorized kernels -----------------------------------------------------
+// Kernels are compiled with the loop vectorizer on, and unit innermost
+// strides are baked into the text.  Every vector path — main loop,
+// epilogue, runtime alias check with its scalar fallback — must round and
+// order exactly like the tape.
+
+/// Run `src` on the tree walk, the plan tape and the native backend (the
+/// native run twice, so the measured one finds its kernels compiled) on
+/// the charging machine: bit-identical arrays, equal simulated times and
+/// traffic, and kernels that actually ran.
+interp::ProgramResult expect_native_matches(const std::string& src,
+                                            const interp::Init& init,
+                                            const std::string& what) {
+  const auto tree = harness::run_source(src, init, backend_tree(), {},
+                                        charging());
+  const auto plan = harness::run_source(src, init, backend_plan(), {},
+                                        charging());
+  (void)harness::run_source(src, init, backend_native(), {}, charging());
+  const auto nat = harness::run_source(src, init, backend_native(), {},
+                                       charging());
+  EXPECT_GT(nat.native_runs, 0) << what;
+  EXPECT_GT(nat.machine.exec_time, 0.0) << what;
+  for (const interp::ProgramResult* other : {&plan, &tree}) {
+    EXPECT_EQ(real_bits(nat), real_bits(*other)) << what;
+    EXPECT_EQ(nat.int_arrays, other->int_arrays) << what;
+    EXPECT_EQ(nat.machine.exec_time, other->machine.exec_time) << what;
+    EXPECT_EQ(nat.machine.total_messages(), other->machine.total_messages())
+        << what;
+    EXPECT_EQ(nat.machine.total_bytes(), other->machine.total_bytes())
+        << what;
+  }
+  return nat;
+}
+
+/// Six statements per inner trip count 1, 2, 3, 7, 63, 64 and 65 (the J
+/// windows are disjoint, so every window's result survives): a shifted
+/// read, an in-place update, an INTEGER lhs, a LOGICAL lhs, a masked
+/// store, and a broadcast scalar C(1, 1) with the multicast row C(1, J)
+/// as a slab.  Then an inner step of 2 and a negative inner step.
+std::string vector_source(const char* procs, const char* dist) {
+  std::string body;
+  int lo = 1;
+  for (const int trips : {1, 2, 3, 7, 63, 64, 65}) {
+    const std::string j = "J = " + std::to_string(lo) + ":" +
+                          std::to_string(lo + trips - 1);
+    lo += trips;
+    body += "      FORALL (I = 2:M, " + j +
+            ") A(I, J) = B(I, J) * 0.5 + C(I-1, J)\n"
+            "      FORALL (I = 1:M, " + j +
+            ") D(I, J) = D(I, J) * 0.5 + 1.0\n"
+            "      FORALL (I = 1:M, " + j +
+            ") IA(I, J) = IB(I, J) * 3 + J\n"
+            "      FORALL (I = 1:M, " + j +
+            ") LA(I, J) = B(I, J) .GT. C(I, J)\n"
+            "      FORALL (I = 1:M, " + j +
+            ", LA(I, J)) E(I, J) = B(I, J) - C(I, J)\n"
+            "      FORALL (I = 1:M, " + j +
+            ") F(I, J) = B(I, J) * C(1, 1) + C(1, J) * S\n";
+  }
+  return strformat(R"(PROGRAM VEC
+      INTEGER M
+      PARAMETER (M = 6)
+      INTEGER N
+      PARAMETER (N = 205)
+      REAL A(M, N)
+      REAL B(M, N)
+      REAL C(M, N)
+      REAL D(M, N)
+      REAL E(M, N)
+      REAL F(M, N)
+      REAL G(M, N)
+      REAL H(M, N)
+      INTEGER IA(M, N)
+      INTEGER IB(M, N)
+      LOGICAL LA(M, N)
+      REAL S
+C$ PROCESSORS P(%s)
+C$ TEMPLATE T(M, N)
+C$ DISTRIBUTE T(%s)
+C$ ALIGN A(I, J) WITH T(I, J)
+C$ ALIGN B(I, J) WITH T(I, J)
+C$ ALIGN C(I, J) WITH T(I, J)
+C$ ALIGN D(I, J) WITH T(I, J)
+C$ ALIGN E(I, J) WITH T(I, J)
+C$ ALIGN F(I, J) WITH T(I, J)
+C$ ALIGN G(I, J) WITH T(I, J)
+C$ ALIGN H(I, J) WITH T(I, J)
+C$ ALIGN IA(I, J) WITH T(I, J)
+C$ ALIGN IB(I, J) WITH T(I, J)
+C$ ALIGN LA(I, J) WITH T(I, J)
+      S = 1.25
+%s      FORALL (I = 1:M, J = 1:N:2) G(I, J) = B(I, J) + C(I, J)
+      FORALL (I = 1:M, J = N:1:-1) H(I, J) = B(I, N+1-J) * 2.0 + C(I, J)
+      END PROGRAM VEC
+)",
+                   procs, dist, body.c_str());
+}
+
+interp::Init vector_init() {
+  interp::Init init;
+  init.real["B"] = [](std::span<const Index> g) {
+    return 0.1 * static_cast<double>(g[0] * 7 + g[1]) - 40.0;
+  };
+  init.real["C"] = [](std::span<const Index> g) {
+    return 1.0 / static_cast<double>(g[0] + 2 * g[1] + 3);
+  };
+  init.real["D"] = [](std::span<const Index> g) {
+    return 0.3 * static_cast<double>(g[1]) - 1.7 * static_cast<double>(g[0]);
+  };
+  init.ints["IB"] = [](std::span<const Index> g) { return g[1] - 3 * g[0]; };
+  return init;
+}
+
+TEST(NativeBackend, VectorizedKernelsMatchTapeBitForBit) {
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  // Rows BLOCK-distributed, so every J window is a whole inner loop of
+  // exactly its trip count; then CYCLIC(2) on the inner dimension.
+  expect_native_matches(vector_source("2", "BLOCK, *"), vector_init(),
+                        "BLOCK, *");
+  expect_native_matches(vector_source("2, 2", "BLOCK, CYCLIC(2)"),
+                        vector_init(), "BLOCK, CYCLIC(2)");
+}
+
+TEST(NativeBackend, InnerStepFlipRepacksOrReattaches) {
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  // The inner step KS takes the values 1, 2, 1: each rebind flips the
+  // innermost stride between unit and non-unit, which changes the kernel
+  // text, so repack refuses and the next run re-attaches.
+  const char* src = R"(PROGRAM FLIP
+      INTEGER M
+      PARAMETER (M = 6)
+      INTEGER N
+      PARAMETER (N = 40)
+      REAL A(M, N)
+      REAL B(M, N)
+      INTEGER IT
+      INTEGER KS
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(M, N)
+C$ DISTRIBUTE T(BLOCK, *)
+C$ ALIGN A(I, J) WITH T(I, J)
+C$ ALIGN B(I, J) WITH T(I, J)
+      DO IT = 1, 3
+        KS = 2 - MOD(IT, 2)
+        FORALL (I = 1:M, J = 1:N:KS) A(I, J) = A(I, J) + B(I, J) * 0.5
+      END DO
+      END PROGRAM FLIP
+)";
+  interp::Init init;
+  init.real["B"] = [](std::span<const Index> g) {
+    return 0.25 * static_cast<double>(g[0] * 40 + g[1]);
+  };
+  const native::JitStats before = native::NativeCache::instance().stats();
+  const auto nat = expect_native_matches(src, init, "inner step flip");
+  const native::JitStats after = native::NativeCache::instance().stats();
+  EXPECT_EQ(nat.plan_misses, 1);
+  EXPECT_EQ(nat.plan_rebinds, 2);
+  EXPECT_EQ(nat.native_attaches, 3);
+  EXPECT_EQ(nat.native_invalidations, 2);
+  EXPECT_EQ(nat.native_fallbacks, 0);
+  EXPECT_EQ(nat.native_runs, 3);
+  // One kernel per stride form, over both native runs.
+  EXPECT_LE(after.compiles - before.compiles, 2);
 }
 
 // --- NativeCache unit behaviour ----------------------------------------------
@@ -652,7 +822,10 @@ KeyAndText key_and_text(const exec::ExecPlan& p) {
 }
 
 TEST(NativeKey, NumbersKeepTheKeyAndTheText) {
+  // Strides change only at the outer level, or innermost from one
+  // non-unit value to another: a unit innermost stride is structural.
   HandPlan base;
+  base.p.lhs.terms[1].stride = 2;
   const KeyAndText ref = key_and_text(base.p);
   EXPECT_EQ(ref.shape.binds, ref.lowered_binds);
 
@@ -663,7 +836,8 @@ TEST(NativeKey, NumbersKeepTheKeyAndTheText) {
   h.p.refs[0].base = 40;
   h.p.refs[0].terms[0].stride = 17;
   h.p.lhs.base = 0;
-  h.p.lhs.terms[1].stride = 2;
+  h.p.lhs.terms[0].stride = 1;
+  h.p.lhs.terms[1].stride = -3;
   h.p.refs[0].dbase = h.b.data();
   h.s1.d = 99.0;
   h.s2.d = 0.125;
@@ -704,6 +878,8 @@ TEST(NativeKey, EveryStructuralFieldChangesKeyAndText) {
        [](HandPlan& h) { h.p.rhs.ins[8].scalar = &h.s1; }},
       {"negative zero constant",
        [](HandPlan& h) { h.p.rhs.ins[5].cst = Value::real(-0.0); }},
+      {"unit innermost stride",
+       [](HandPlan& h) { h.p.lhs.terms[1].stride = 2; }},
   };
   for (const auto& [what, flip] : flips) {
     HandPlan h;
@@ -713,6 +889,38 @@ TEST(NativeKey, EveryStructuralFieldChangesKeyAndText) {
     EXPECT_NE(got.text, ref.text) << what;
     EXPECT_EQ(got.shape.binds, got.lowered_binds) << what;
   }
+}
+
+TEST(NativeKey, UnitInnermostStridePrintsTheBareCounter) {
+  // Only a stride equal to 1 at the innermost level is baked in; the
+  // outer level, other strides and tables still read their arguments.
+  // References: 0 A {8, 1}, 3 {1, 2}, 4 {8, -1}, 5 {8, table}, lhs 6
+  // {8, 1}; the (ref, level) argument index is 2 * ref + level.
+  HandPlan h;
+  RefPlan r = h.p.refs[0];
+  r.terms = {stride(1), stride(2)};
+  h.p.refs.push_back(r);
+  r.terms = {stride(8), stride(-1)};
+  h.p.refs.push_back(r);
+  r.terms = {stride(8), exec::OffsetTerm{0, {0, 5, 9}}};
+  h.p.refs.push_back(r);
+  for (int k = 3; k <= 5; ++k) {
+    h.p.rhs.ins.push_back(op(Op::kRef, k));
+    h.p.rhs.ins.push_back(op(Op::kAdd));
+  }
+  const std::string text = key_and_text(h.p).text;
+  auto has = [&](const std::string& line) {
+    return text.find(line) != std::string::npos;
+  };
+  EXPECT_TRUE(has("q0_1 = q0_0 + c1;")) << text;
+  EXPECT_TRUE(has("q6_1 = q6_0 + c1;")) << text;
+  EXPECT_FALSE(has("st[1]")) << text;
+  EXPECT_FALSE(has("st[13]")) << text;
+  EXPECT_TRUE(has("q0_0 = rb[0] + st[0] * c0;")) << text;
+  EXPECT_TRUE(has("q3_0 = rb[3] + st[6] * c0;")) << text;
+  EXPECT_TRUE(has("q3_1 = q3_0 + st[7] * c1;")) << text;
+  EXPECT_TRUE(has("q4_1 = q4_0 + st[9] * c1;")) << text;
+  EXPECT_TRUE(has("q5_1 = q5_0 + tb[11][c1];")) << text;
 }
 
 TEST(NativeKey, DeclinedPlansStillGetKeys) {
