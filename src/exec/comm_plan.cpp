@@ -15,6 +15,7 @@ using ast::ExprKind;
 using ast::ExprPtr;
 using compile::CommAction;
 using compile::CommKind;
+using compile::IndexPartition;
 using compile::RefInfo;
 using compile::SpmdStmt;
 using rts::Dad;
@@ -442,14 +443,23 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
 
   // Iteration ranges of the slab variables (identical on source line and
   // destinations; bound scalars are key-covered via the statement bounds).
-  const std::vector<CommRange> all = hooks_.ranges(s);
-  std::vector<CommRange> slab_ranges;
-  for (const std::string& vn : ref.slab_vars)
-    for (size_t k = 0; k < s.indices.size(); ++k)
-      if (s.indices[k].var == vn) slab_ranges.push_back(all[k]);
-  if (slab_ranges.size() != ref.slab_vars.size()) return false;
+  std::vector<PlanLoop> slab_ranges(ref.slab_vars.size());
   Index slab_size = 1;
-  for (const CommRange& r : slab_ranges) slab_size *= r.count;
+  for (size_t j = 0; j < ref.slab_vars.size(); ++j) {
+    auto ip = std::find_if(
+        s.indices.begin(), s.indices.end(),
+        [&](const IndexPartition& x) { return x.var == ref.slab_vars[j]; });
+    if (ip == s.indices.end()) return false;
+    const Index lo = hooks_.eval(*ip->lo).as_i();
+    const Index hi = hooks_.eval(*ip->hi).as_i();
+    const Index st = ip->st ? hooks_.eval(*ip->st).as_i() : 1;
+    const bool by_array = !ip->array.empty();
+    derive_level(*ip, by_array ? &env_->dads.at(ip->array) : nullptr,
+                 by_array ? env_->lower_of(ip->array, ip->dim) : 0,
+                 env_->compiled.mapping.grid, gc.my_coords(), lo, hi, st,
+                 slab_ranges[j]);
+    slab_size *= slab_ranges[j].count;
+  }
   out.slab_size = slab_size;
 
   if (!(out.on_root && slab_size > 0)) return true;

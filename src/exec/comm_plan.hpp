@@ -71,23 +71,10 @@ struct CommPlanStats {
   long long bytes_memcpy_fast_path = 0;
 };
 
-/// One iteration range of a forall variable as the comm planner needs it
-/// (mirror of the interpreter's VarRange; `values` non-empty = explicit
-/// enumeration, e.g. block-cyclic local sets).
-struct CommRange {
-  Index val0 = 0;
-  Index step = 1;
-  Index count = 0;
-  std::vector<Index> values;
-
-  [[nodiscard]] Index value_at(Index i) const {
-    return values.empty() ? val0 + i * step : values[static_cast<size_t>(i)];
-  }
-};
-
 /// Callbacks into the interpreter: plans are built from the same expression
-/// evaluation and range machinery the tree walk uses, so a baked table is
-/// correct by construction for the keyed scalar values.
+/// evaluation the tree walk uses (and the same set_BOUND level derivation,
+/// derive_level), so a baked table is correct by construction for the keyed
+/// scalar values.
 struct CommHooks {
   /// Evaluate a scalar expression (DO variables and runtime scalars
   /// resolve; no forall frame is active during pre-communication).
@@ -95,9 +82,6 @@ struct CommHooks {
   /// Same, with one forall variable temporarily bound to `val` (offset
   /// table construction).
   std::function<Value(const ast::Expr&, const std::string&, Index)> eval_bound;
-  /// ranges_for_coords_no_guards for this processor, one entry per
-  /// s.indices element.
-  std::function<std::vector<CommRange>(const compile::SpmdStmt&)> ranges;
   /// Run one action through the tree walk (declined slots).
   std::function<void(const compile::SpmdStmt&, const compile::CommAction&)>
       legacy;

@@ -172,6 +172,77 @@ Index trip_count(Index lo, Index hi, Index st) {
   return hi > lo ? 0 : (lo - hi) / (-st) + 1;
 }
 
+// --- the set_BOUND level derivation ---------------------------------------------
+
+void require_nonzero_stride(const std::string& var, Index st) {
+  if (st == 0)
+    throw RtsError("zero stride for index " + var +
+                   " (a FORALL stride or DO step must not be zero)");
+}
+
+void derive_level(const IndexPartition& ip, const Dad* dad, long long lower,
+                  const comm::ProcGrid& grid, std::span<const int> coords,
+                  Index lo, Index hi, Index st, PlanLoop& out) {
+  require_nonzero_stride(ip.var, st);
+  out.var = ip.var;
+  out.count = 0;
+  out.val0 = 0;
+  out.step = 1;
+  out.values.clear();
+  if (dad == nullptr) {
+    Index first = 0;
+    out.count = trip_count(lo, hi, st);
+    if (ip.synth_grid_dim >= 0) {
+      const Index p = grid.extent(ip.synth_grid_dim);
+      const Index chunk = (out.count + p - 1) / p;
+      first = coords[static_cast<size_t>(ip.synth_grid_dim)] * chunk;
+      out.count = std::max<Index>(0, std::min(first + chunk, out.count) - first);
+    }
+    out.val0 = lo + first * st;
+    out.step = st;
+    return;
+  }
+  const int coord = coords[static_cast<size_t>(dad->dim(ip.dim).grid_dim)];
+  out.bound = rts::set_bound(*dad, ip.dim, coord, lo - lower, hi - lower, st);
+  const LocalRange& b = out.bound;
+  if (b.empty) return;
+  out.count = b.count();
+  // For BLOCK and CYCLIC(1) a uniform local range maps to a uniform global
+  // progression.  Block-cyclic CYCLIC(k>1) and INDIRECT are not affine
+  // local-to-global: even a contiguous local range crosses course
+  // boundaries (locals 0,1,2,3 may be globals 2,3,6,7), so every local
+  // index is mapped through mu^-1.
+  const DimMap& m = dad->dim(ip.dim);
+  auto global = [&](Index l) {
+    return dad->global_of_local(ip.dim, l, coord) + lower;
+  };
+  if (!b.enumerated() &&
+      !(m.kind == DistKind::kCyclic && m.block > 1) &&
+      m.kind != DistKind::kIndirect) {
+    out.val0 = global(b.lb);
+    out.step = out.count > 1 ? global(b.lb + b.st) - out.val0 : st;
+    return;
+  }
+  out.values.reserve(static_cast<size_t>(out.count));
+  if (b.enumerated()) {
+    for (Index l : b.indices) out.values.push_back(global(l));
+  } else {
+    for (Index l = b.lb; l <= b.ub; l += b.st) out.values.push_back(global(l));
+  }
+  out.val0 = out.values.front();
+  out.step = out.count > 1 ? out.values[1] - out.values[0] : st;
+  bool uniform = true;
+  for (size_t i = 2; i < out.values.size() && uniform; ++i)
+    uniform = out.values[i] - out.values[i - 1] == out.step;
+  if (uniform) out.values.clear();  // the progression form is exact
+}
+
+bool guard_owns(const Dad& dad, int dim, Index val,
+                std::span<const int> coords) {
+  return coords[static_cast<size_t>(dad.dim(dim).grid_dim)] ==
+         dad.owner_coord(dim, val);
+}
+
 // --- shared reduction semantics ------------------------------------------------
 
 bool reduce_op_of(const std::string& name, ReduceOp& op) {
@@ -638,12 +709,10 @@ class Builder {
 
   bool guards_pass() {
     for (size_t i = 0; i < s_.guards.size(); ++i) {
-      const ProcGuard& g = s_.guards[i];
       const GuardBind& gb = plan_.guard_binds[i];
-      const Index val = eval_bound(gb.sub).as_i() - gb.lower;
-      const int owner = gb.dad->owner_coord(g.dim, val);
-      const int gd = gb.dad->dim(g.dim).grid_dim;
-      if (coords_[static_cast<size_t>(gd)] != owner) return false;
+      if (!guard_owns(*gb.dad, s_.guards[i].dim,
+                      eval_bound(gb.sub).as_i() - gb.lower, coords_))
+        return false;
     }
     return true;
   }
@@ -666,80 +735,20 @@ class Builder {
     return true;
   }
 
-  /// set_BOUND-resolved loop levels; mirrors the interpreter's
-  /// ranges_for_coords()/range_from_bound() so the planned iteration order
-  /// and values are identical to the tree walk's.
+  /// The loop levels for the current scalar values, through the shared
+  /// set_BOUND level derivation.  A zero stride declines, so the tree walk
+  /// raises the diagnostic.
   void bind_loops() {
     plan_.loops.resize(s_.indices.size());
     for (size_t k = 0; k < s_.indices.size(); ++k) {
-      const IndexPartition& ip = s_.indices[k];
       const LevelBind& lb = plan_.level_binds[k];
       const Index lo = eval_bound(lb.lo).as_i();
       const Index hi = eval_bound(lb.hi).as_i();
       const Index st = lb.st.empty() ? 1 : eval_bound(lb.st).as_i();
       if (st == 0) decline("zero stride", /*structural=*/false);
-      PlanLoop& L = plan_.loops[k];
-      L.var = ip.var;
-      L.count = 0;
-      L.val0 = 0;
-      L.step = 1;
-      L.values.clear();
-      if (lb.dad != nullptr) {
-        const Dad& dad = *lb.dad;
-        const long long lower = lb.lower;
-        const int gd = dad.dim(ip.dim).grid_dim;
-        const int coord = coords_[static_cast<size_t>(gd)];
-        L.bound = rts::set_bound(dad, ip.dim, coord, lo - lower, hi - lower, st);
-        const LocalRange& b = L.bound;
-        if (!b.empty) {
-          L.count = b.count();
-          const DimMap& m = dad.dim(ip.dim);
-          // INDIRECT joins block-cyclic: local-to-global is non-affine, so
-          // uniform local triplets map through mu^-1 element by element
-          // (mirrors range_from_bound in the interpreter).
-          const bool nonaffine_local =
-              (m.kind == DistKind::kCyclic && m.block > 1) ||
-              m.kind == DistKind::kIndirect;
-          if (b.enumerated() || nonaffine_local) {
-            L.values.reserve(static_cast<size_t>(L.count));
-            if (b.enumerated()) {
-              for (Index l : b.indices)
-                L.values.push_back(dad.global_of_local(ip.dim, l, coord) +
-                                   lower);
-            } else {
-              for (Index l = b.lb; l <= b.ub; l += b.st)
-                L.values.push_back(dad.global_of_local(ip.dim, l, coord) +
-                                   lower);
-            }
-            L.val0 = L.values.front();
-            L.step = L.count > 1 ? L.values[1] - L.values[0] : st;
-            bool uniform = true;
-            for (size_t i = 2; i < L.values.size(); ++i)
-              uniform = uniform && L.values[i] - L.values[i - 1] == L.step;
-            if (uniform) L.values.clear();  // progression form is exact
-          } else {
-            L.val0 = dad.global_of_local(ip.dim, b.lb, coord) + lower;
-            L.step = L.count > 1
-                         ? dad.global_of_local(ip.dim, b.lb + b.st, coord) +
-                               lower - L.val0
-                         : st;
-          }
-        }
-      } else if (ip.synth_grid_dim >= 0) {
-        const Index total = trip_count(lo, hi, st);
-        const Index p = env_.compiled.mapping.grid.extent(ip.synth_grid_dim);
-        const Index chunk = (total + p - 1) / p;
-        const int coord = coords_[static_cast<size_t>(ip.synth_grid_dim)];
-        const Index first = static_cast<Index>(coord) * chunk;
-        const Index last = std::min(first + chunk, total);
-        L.count = std::max<Index>(0, last - first);
-        L.val0 = lo + first * st;
-        L.step = st;
-      } else {
-        L.count = trip_count(lo, hi, st);
-        L.val0 = lo;
-        L.step = st;
-      }
+      derive_level(s_.indices[k], lb.dad, lb.lower,
+                   env_.compiled.mapping.grid, coords_, lo, hi, st,
+                   plan_.loops[k]);
     }
   }
 
@@ -1335,12 +1344,15 @@ Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
 namespace {
 
 /// The planned loop nest: a counter odometer (last variable fastest, the
-/// tree walk's order), incremental reference offsets and the tapes.  Calls
-/// sink(value, varvals, offs) for every unmasked iteration; the lhs offset
-/// is tracked (at offs[refs.size()]) only for kStore plans.  Returns the
-/// iteration count, mask-rejected iterations included.
-template <typename SinkFn>
-Index run_nest(const ExecPlan& p, PlanScratch& scratch, SinkFn&& sink) {
+/// tree walk's order) with incrementally maintained reference offsets.
+/// Calls body(varvals, offs) for every iteration: offs[r] is the flat
+/// offset of p.refs[r] and, with `track_lhs`, offs[refs.size()] that of
+/// p.lhs (irregular plans address their gathered reads by iteration index
+/// and a scattered lhs by destination-id streams, so they track none).
+/// Returns the iteration count; no-op for masked-out and empty nests.
+template <typename Body>
+Index walk_nest(const ExecPlan& p, PlanScratch& scratch, bool track_lhs,
+                Body&& body) {
   if (p.masked_out) return 0;
   const size_t nv = p.loops.size();
   if (nv == 0) return 0;
@@ -1348,16 +1360,15 @@ Index run_nest(const ExecPlan& p, PlanScratch& scratch, SinkFn&& sink) {
     if (l.count == 0) return 0;
 
   const size_t nr = p.refs.size();
-  const size_t nt = nr + (p.sink == Sink::kStore ? 1 : 0);
+  const size_t nt = nr + (track_lhs ? 1 : 0);
   std::vector<Index>& counters = scratch.counters;
   std::vector<Index>& varvals = scratch.varvals;
   counters.assign(nv, 0);
   varvals.resize(nv);
   for (size_t k = 0; k < nv; ++k) varvals[k] = p.loops[k].value_at(0);
 
-  // Current flat offsets of the tracked references, maintained
-  // incrementally: when a counter changes, only that level's contribution
-  // is swapped out.
+  // When a counter changes, only that level's contribution to each
+  // tracked offset is swapped out.
   auto ref_at = [&](size_t r) -> const RefPlan& {
     return r < nr ? p.refs[r] : p.lhs;
   };
@@ -1382,17 +1393,10 @@ Index run_nest(const ExecPlan& p, PlanScratch& scratch, SinkFn&& sink) {
     }
   };
 
-  std::vector<Value>& stack = scratch.stack;
-  stack.reserve(p.rhs.ins.size() + p.mask.ins.size() + 4);
-
   Index iters = 0;
   for (;;) {
     ++iters;
-    if (p.mask.empty() ||
-        eval_tape(p.mask, p.refs, varvals.data(), offs.data(), stack).as_b())
-      sink(eval_tape(p.rhs, p.refs, varvals.data(), offs.data(), stack),
-           varvals.data(), offs.data());
-    // Odometer, last variable fastest (matches the tree walk).
+    body(varvals.data(), offs.data());
     size_t k = nv;
     for (;;) {
       if (k == 0) return iters;
@@ -1407,6 +1411,43 @@ Index run_nest(const ExecPlan& p, PlanScratch& scratch, SinkFn&& sink) {
       update_level(k, 0);
     }
   }
+}
+
+/// The nest of a regular plan: calls sink(value, varvals, offs) for every
+/// unmasked iteration, tracking the lhs offset only for kStore plans.
+/// Returns the iteration count, mask-rejected iterations included.
+template <typename SinkFn>
+Index run_nest(const ExecPlan& p, PlanScratch& scratch, SinkFn&& sink) {
+  std::vector<Value>& stack = scratch.stack;
+  stack.reserve(p.rhs.ins.size() + p.mask.ins.size() + 4);
+  return walk_nest(
+      p, scratch, p.sink == Sink::kStore,
+      [&](const Index* varvals, const long long* offs) {
+        if (p.mask.empty() ||
+            eval_tape(p.mask, p.refs, varvals, offs, stack).as_b())
+          sink(eval_tape(p.rhs, p.refs, varvals, offs, stack), varvals, offs);
+      });
+}
+
+/// Flat global element id of one vector-subscripted reference at the
+/// current iteration point, with the tree walk's range diagnostic.
+Index flat_of(const GlobalIndexer& gi, const std::vector<RefPlan>& refs,
+              const Index* varvals, const long long* offs,
+              std::vector<Value>& stack) {
+  long long flat = 0;
+  for (size_t d = 0; d < gi.subs.size(); ++d) {
+    const long long sub =
+        eval_tape(gi.subs[d], refs, varvals, offs, stack).as_i();
+    const long long g = sub - gi.lowers[d];
+    if (g < 0 || g >= static_cast<long long>(gi.extents[d]))
+      throw RtsError(strformat(
+          "subscript %lld of %s is out of range [%lld, %lld] in dimension %d",
+          sub, gi.array.c_str(), gi.lowers[d],
+          gi.lowers[d] + static_cast<long long>(gi.extents[d]) - 1,
+          static_cast<int>(d) + 1));
+    flat += g * gi.gstrides[d];
+  }
+  return flat;
 }
 
 }  // namespace
@@ -1448,6 +1489,31 @@ Index run_concat_plan(const ExecPlan& p, PlanScratch& scratch,
                   [&](const Value& v, const Index*, const long long*) {
                     out.push_back(v.as_d());
                   });
+}
+
+void run_irregular_needs(const IrregularPlan& p, const IrrRead& read,
+                         PlanScratch& scratch, std::vector<Index>& out) {
+  walk_nest(p.core, scratch, /*track_lhs=*/false,
+            [&](const Index* varvals, const long long* offs) {
+              out.push_back(flat_of(read.idx, p.core.refs, varvals, offs,
+                                    scratch.stack));
+            });
+}
+
+Index run_irregular_scatter(const IrregularPlan& p, PlanScratch& scratch,
+                            std::vector<double>& values,
+                            std::vector<Index>& dest_ids) {
+  return walk_nest(
+      p.core, scratch, /*track_lhs=*/false,
+      [&](const Index* varvals, const long long* offs) {
+        // Rhs before destination, like the tree walk: an out-of-range
+        // destination must not suppress rhs evaluation side ordering.
+        const Value v =
+            eval_tape(p.core.rhs, p.core.refs, varvals, offs, scratch.stack);
+        values.push_back(v.as_d());
+        dest_ids.push_back(
+            flat_of(p.lhs_idx, p.core.refs, varvals, offs, scratch.stack));
+      });
 }
 
 PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {

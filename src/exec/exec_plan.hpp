@@ -76,6 +76,31 @@ struct PlanLoop {
   }
 };
 
+/// Fortran forbids a zero FORALL stride and a zero DO step: throws an
+/// RtsError naming index variable `var` when `st` is zero.
+void require_nonzero_stride(const std::string& var, Index st);
+
+/// The set_BOUND level derivation (§4, Fig. 3): the source-coordinate
+/// values processor `coords` iterates for FORALL level `ip` over the
+/// triplet lo:hi:st, written into `out`.  A set_BOUND-partitioned level
+/// passes its partitioning array's descriptor `dad` and declared lower
+/// bound `lower` on ip.dim (null otherwise); a synthetic grid dimension
+/// takes its BLOCK chunk of the trip count; an unpartitioned level runs the
+/// whole triplet.  BLOCK and CYCLIC ranges stay a val0/step progression.
+/// CYCLIC(k) and INDIRECT local ranges are mapped through mu^-1 element by
+/// element into `values` (reusing its capacity), which is cleared again
+/// when the list is a progression.  The tree walk, the plans and the comm
+/// plans all derive their loop levels here.  Throws on a zero stride.
+void derive_level(const compile::IndexPartition& ip, const rts::Dad* dad,
+                  long long lower, const comm::ProcGrid& grid,
+                  std::span<const int> coords, Index lo, Index hi, Index st,
+                  PlanLoop& out);
+
+/// The processor-guard test: does processor `coords` own the 0-based global
+/// index `val` of dimension `dim` of `dad`?
+[[nodiscard]] bool guard_owns(const rts::Dad& dad, int dim, Index val,
+                              std::span<const int> coords);
+
 /// Per-loop-level contribution to a reference's flat local offset: either
 /// an affine stride in the loop counter or an explicit per-counter table
 /// (enumerated CYCLIC(k) local index lists).

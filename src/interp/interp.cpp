@@ -21,7 +21,6 @@
 #include "rts/matmul.hpp"
 #include "rts/reductions.hpp"
 #include "rts/remap.hpp"
-#include "rts/set_bound.hpp"
 #include "rts/shift_ops.hpp"
 
 namespace f90d::interp {
@@ -33,6 +32,7 @@ using ast::ExprKind;
 using ast::ExprPtr;
 using ast::UnOpKind;
 using exec::Buf;
+using exec::PlanLoop;
 using exec::Value;
 using frontend::Symbol;
 using rts::Dad;
@@ -40,23 +40,6 @@ using rts::DistArray;
 using rts::DistKind;
 
 namespace {
-
-/// One local iteration range of a forall variable.  Uniform-stride ranges
-/// (BLOCK, CYCLIC, collapsed) use val0/step; block-cyclic CYCLIC(k) ranges
-/// may be irregular, in which case `values` enumerates the iteration values
-/// explicitly (val0/step still describe the first element for callers that
-/// only need it).
-struct VarRange {
-  Index val0 = 0;   ///< first value (source coordinates)
-  Index step = 1;
-  Index count = 0;
-  std::vector<Index> values;  ///< non-empty = explicit enumeration
-
-  [[nodiscard]] Index value_at(Index i) const {
-    return values.empty() ? val0 + i * step
-                          : values[static_cast<size_t>(i)];
-  }
-};
 
 struct Shared {
   std::mutex mu;
@@ -122,9 +105,9 @@ class Node {
   }
 
   /// Callbacks the comm-plan builder uses to bake descriptors: the same
-  /// expression evaluation and range derivation as the tree walk, plus the
-  /// tree walk itself for declined slots.  The lambdas capture `this` and
-  /// fire only after construction completes.
+  /// expression evaluation as the tree walk, plus the tree walk itself for
+  /// declined slots.  The lambdas capture `this` and fire only after
+  /// construction completes.
   exec::CommHooks make_comm_hooks() {
     exec::CommHooks h;
     h.eval = [this](const Expr& e) { return eval(e); };
@@ -133,17 +116,6 @@ class Node {
       const exec::Value v = eval(e);
       frame_.erase(var);
       return v;
-    };
-    h.ranges = [this](const SpmdStmt& s) {
-      auto all = ranges_for_coords_no_guards(s, gc_.my_coords());
-      std::vector<exec::CommRange> out(all.size());
-      for (size_t k = 0; k < all.size(); ++k) {
-        out[k].val0 = all[k].val0;
-        out[k].step = all[k].step;
-        out[k].count = all[k].count;
-        out[k].values = std::move(all[k].values);
-      }
-      return out;
     };
     h.legacy = [this](const SpmdStmt& s, const CommAction& a) {
       run_action(s, a, std::nullopt);
@@ -304,104 +276,33 @@ class Node {
     Index count = 0;
   };
 
-  /// Convert one set_BOUND result into the iteration values of a forall
-  /// variable (source coordinates).  For BLOCK and CYCLIC(1) a uniform
-  /// local range maps to a uniform global progression, so the triplet
-  /// stays symbolic.  For block-cyclic CYCLIC(k>1) even a contiguous
-  /// local range crosses course boundaries in global space (locals
-  /// 0,1,2,3 may be globals 2,3,6,7), so every local index is mapped
-  /// through mu^-1 explicitly; the list collapses back to a progression
-  /// when it happens to be uniform.
-  VarRange range_from_bound(const Dad& dad, int dim, int coord,
-                            long long lower, const rts::LocalRange& lr,
-                            Index st) {
-    VarRange r;
-    if (lr.empty) {
-      r.count = 0;
-      return r;
-    }
-    r.count = lr.count();
-    const rts::DimMap& m = dad.dim(dim);
-    // INDIRECT joins block-cyclic here: local-to-global is not affine, so
-    // uniform local triplets must be mapped through mu^-1 element by element.
-    const bool nonaffine_local =
-        (m.kind == DistKind::kCyclic && m.block > 1) ||
-        m.kind == DistKind::kIndirect;
-    if (lr.enumerated() || nonaffine_local) {
-      r.values.reserve(static_cast<size_t>(r.count));
-      if (lr.enumerated()) {
-        for (Index l : lr.indices)
-          r.values.push_back(dad.global_of_local(dim, l, coord) + lower);
-      } else {
-        for (Index l = lr.lb; l <= lr.ub; l += lr.st)
-          r.values.push_back(dad.global_of_local(dim, l, coord) + lower);
-      }
-      r.val0 = r.values.front();
-      r.step = r.count > 1 ? r.values[1] - r.values[0] : st;
-      bool uniform = true;
-      for (size_t i = 2; i < r.values.size(); ++i)
-        uniform = uniform &&
-                  r.values[i] - r.values[i - 1] == r.step;
-      if (uniform) r.values.clear();  // progression form is exact
-    } else {
-      r.val0 = dad.global_of_local(dim, lr.lb, coord) + lower;
-      r.step = r.count > 1
-                   ? dad.global_of_local(dim, lr.lb + lr.st, coord) + lower -
-                         r.val0
-                   : st;
-    }
-    return r;
-  }
-
   /// Ranges a given processor (grid coords) iterates for the statement, or
   /// nullopt when guards mask it out.
-  std::optional<std::vector<VarRange>> ranges_for_coords(
+  std::optional<std::vector<PlanLoop>> ranges_for_coords(
       const SpmdStmt& s, const std::vector<int>& coords) {
     for (const ProcGuard& g : s.guards) {
-      const Dad& dad = env_.dads.at(g.array);
       const Index val =
           eval(*affine_to_expr(g.sub)).as_i() - env_.lower_of(g.array, g.dim);
-      const int owner = dad.owner_coord(g.dim, val);
-      const int gd = dad.dim(g.dim).grid_dim;
-      if (coords[static_cast<size_t>(gd)] != owner) return std::nullopt;
+      if (!exec::guard_owns(env_.dads.at(g.array), g.dim, val, coords))
+        return std::nullopt;
     }
     return ranges_for_coords_no_guards(s, coords);
   }
 
-  /// Ranges ignoring the processor guards (slab packing: the source line
-  /// packs exactly the ranges the destinations iterate).
-  std::vector<VarRange> ranges_for_coords_no_guards(
+  /// Ranges ignoring the processor guards, one per s.indices entry,
+  /// through the shared set_BOUND level derivation.
+  std::vector<PlanLoop> ranges_for_coords_no_guards(
       const SpmdStmt& s, const std::vector<int>& coords) {
-    std::vector<VarRange> out;
-    for (const IndexPartition& ip : s.indices) {
+    std::vector<PlanLoop> out(s.indices.size());
+    for (size_t k = 0; k < s.indices.size(); ++k) {
+      const IndexPartition& ip = s.indices[k];
       const Index lo = eval(*ip.lo).as_i();
       const Index hi = eval(*ip.hi).as_i();
       const Index st = ip.st ? eval(*ip.st).as_i() : 1;
-      VarRange r;
-      if (!ip.array.empty()) {
-        const Dad& dad = env_.dads.at(ip.array);
-        const long long lower = env_.lower_of(ip.array, ip.dim);
-        const int gd = dad.dim(ip.dim).grid_dim;
-        const int coord = coords[static_cast<size_t>(gd)];
-        const rts::LocalRange lr =
-            rts::set_bound(dad, ip.dim, coord, lo - lower, hi - lower, st);
-        r = range_from_bound(dad, ip.dim, coord, lower, lr, st);
-      } else if (ip.synth_grid_dim >= 0) {
-        const Index total = trip_count(lo, hi, st);
-        const Index p = c_.mapping.grid.extent(ip.synth_grid_dim);
-        const Index chunk = (total + p - 1) / p;
-        const int coord = coords[static_cast<size_t>(ip.synth_grid_dim)];
-        const Index first = static_cast<Index>(coord) * chunk;
-        const Index last = std::min(first + chunk, total);
-        r.count = std::max<Index>(0, last - first);
-        r.val0 = lo + first * st;
-        r.step = st;
-      } else {
-        r.count = trip_count(lo, hi, st);
-        r.val0 = lo;
-        r.step = st;
-      }
-      out.push_back(r);
+      const bool by_array = !ip.array.empty();
+      exec::derive_level(ip, by_array ? &env_.dads.at(ip.array) : nullptr,
+                         by_array ? env_.lower_of(ip.array, ip.dim) : 0,
+                         c_.mapping.grid, coords, lo, hi, st, out[k]);
     }
     return out;
   }
@@ -409,9 +310,9 @@ class Node {
   /// Iterate a range vector in spec order, invoking f() per iteration with
   /// frame_/var_state_/flat_iter_ set.
   template <typename F>
-  void iterate(const SpmdStmt& s, const std::vector<VarRange>& ranges, F&& f) {
+  void iterate(const SpmdStmt& s, const std::vector<PlanLoop>& ranges, F&& f) {
     const size_t nv = ranges.size();
-    for (const VarRange& r : ranges)
+    for (const PlanLoop& r : ranges)
       if (r.count == 0) return;
     std::vector<VarState> st(nv);
     for (size_t k = 0; k < nv; ++k) {
@@ -478,6 +379,7 @@ class Node {
         const Index lo = eval(*s.do_lo).as_i();
         const Index hi = eval(*s.do_hi).as_i();
         const Index st = s.do_st ? eval(*s.do_st).as_i() : 1;
+        exec::require_nonzero_stride(s.do_var, st);
         // Hoisted loop-invariant communication: once, before the first
         // iteration.  Guarded on the trip count so a zero-trip loop stays
         // communication-free (and never evaluates hoisted subscripts the
@@ -680,7 +582,7 @@ class Node {
       if (!need_iteration) {
         // Skeleton fast path: bulk cost, no per-element interpretation.
         iters = 1;
-        for (const VarRange& r : *my_ranges) iters *= r.count;
+        for (const PlanLoop& r : *my_ranges) iters *= r.count;
         if (iters < 0) iters = 0;
       } else {
         iterate(s, *my_ranges, [&]() {
@@ -760,13 +662,13 @@ class Node {
 
   // --- communication actions --------------------------------------------------
   void run_pre_actions(const SpmdStmt& s,
-                       const std::optional<std::vector<VarRange>>& my_ranges) {
+                       const std::optional<std::vector<PlanLoop>>& my_ranges) {
     for (const CommAction* a : exec::pre_actions_in_order(s))
       run_action(s, *a, my_ranges);
   }
 
   void run_action(const SpmdStmt& s, const CommAction& a,
-                  const std::optional<std::vector<VarRange>>& my_ranges) {
+                  const std::optional<std::vector<PlanLoop>>& my_ranges) {
     const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
     switch (a.kind) {
       case CommKind::kOverlapShift:
@@ -858,16 +760,16 @@ class Node {
 
     // The slab covers the iterating ranges of the slab variables; those
     // ranges are identical on the source line and the destination(s).
-    std::vector<VarRange> slab_ranges;
+    std::vector<PlanLoop> slab_ranges;
     std::vector<std::string> slab_vars = ref.slab_vars;
     {
       auto all = ranges_for_coords_no_guards(s, gc_.my_coords());
       for (const std::string& v : slab_vars)
         for (size_t k = 0; k < s.indices.size(); ++k)
-          if (s.indices[k].var == v) slab_ranges.push_back(all[k]);
+          if (s.indices[k].var == v) slab_ranges.push_back(std::move(all[k]));
     }
     Index slab_size = 1;
-    for (const VarRange& r : slab_ranges) slab_size *= r.count;
+    for (const PlanLoop& r : slab_ranges) slab_size *= r.count;
 
     std::vector<double> slab;
     if (on_root && slab_size > 0) {
@@ -904,7 +806,7 @@ class Node {
   /// Recursively pack the slab in slab-variable order (last var fastest,
   /// matching the SlabBuf read index).
   void pack_slab(const RefInfo& ref, const std::vector<std::string>& vars,
-                 const std::vector<VarRange>& ranges, size_t k,
+                 const std::vector<PlanLoop>& ranges, size_t k,
                  std::vector<double>& out) {
     if (k == vars.size()) {
       eval_subs(*ref.expr, gidx_scratch_);
@@ -929,7 +831,7 @@ class Node {
   /// the guarded iteration ranges.
   void run_read_buffer_action(
       const SpmdStmt& s, const CommAction& a, const RefInfo& ref,
-      const std::optional<std::vector<VarRange>>& my_ranges) {
+      const std::optional<std::vector<PlanLoop>>& my_ranges) {
     gather_via_schedule(s, a, ref, [&](std::vector<Index>& needs) {
       if (!my_ranges) return;
       iterate(s, *my_ranges, [&]() {
@@ -1188,7 +1090,7 @@ class Node {
   // --- scalar assignment / reduction ------------------------------------------
   void exec_scalar_assign(const SpmdStmt& s) {
     bind_refs(s);
-    std::optional<std::vector<VarRange>> none;
+    std::optional<std::vector<PlanLoop>> none;
     for (const CommAction& a : s.pre)
       if (!a.eliminated) run_action(s, a, none);
     const Value v = eval(*s.rhs);
@@ -1213,7 +1115,7 @@ class Node {
     ++tree_walk_stmts_;
     bind_refs(s);
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
-    std::optional<std::vector<VarRange>> ranges_for_actions = my_ranges;
+    std::optional<std::vector<PlanLoop>> ranges_for_actions = my_ranges;
     for (const CommAction& a : s.pre)
       if (!a.eliminated) run_action(s, a, ranges_for_actions);
 
@@ -1227,7 +1129,7 @@ class Node {
       if (opt_.skeleton) {
         // Values are not computed; the location is the first index.
         Index total = 1;
-        for (const VarRange& r : *my_ranges) total *= r.count;
+        for (const PlanLoop& r : *my_ranges) total *= r.count;
         iters = std::max<Index>(total, 0);
         if (!my_ranges->empty() && (*my_ranges)[0].count > 0) {
           acc.loc = (*my_ranges)[0].val0;

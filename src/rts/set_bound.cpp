@@ -34,6 +34,7 @@ LocalRange set_bound(const Dad& dad, int d, int coord, Index glb, Index gub,
   require(gst != 0, "set_BOUND: zero stride");
   // FORALL iterations are order-independent; normalize to ascending stride.
   if (gst < 0) {
+    if (glb < gub) return LocalRange{};  // counts down from below: empty
     const Index n = (glb - gub) / (-gst);  // number of steps
     const Index last = glb + n * gst;      // smallest element
     glb = last;

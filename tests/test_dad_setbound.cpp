@@ -1,11 +1,16 @@
 // Stage 1+2 index algebra (DAD) and the set_BOUND primitive: property-style
 // sweeps over sizes, processor counts, distributions, alignment offsets and
-// strides.  These are the invariants the whole compiler rests on.
+// strides.  These are the invariants the whole compiler rests on.  The last
+// sweep checks the one level derivation built on set_BOUND
+// (exec::derive_level) against brute-force ownership.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "exec/exec_plan.hpp"
 #include "rts/dad.hpp"
 #include "rts/set_bound.hpp"
 
@@ -312,6 +317,118 @@ TEST(SetBound, EmptyGlobalRange) {
   Dad dad = make1d(16, 4, DistKind::kBlock);
   for (int c = 0; c < 4; ++c)
     EXPECT_TRUE(rts::set_bound(dad, 0, c, 5, 4, 1).empty);
+}
+
+// --- the shared level derivation ---------------------------------------------
+
+/// One partitioning of a FORALL level for the brute-force sweep.
+struct LevelCase {
+  const char* name;
+  DistKind kind;       ///< kCollapsed + !dad: unpartitioned or synthetic
+  Index block = 1;     ///< CYCLIC(k)
+  bool dad = true;     ///< set_BOUND-partitioned through a descriptor
+  bool synth = false;  ///< synthetic BLOCK chunking over grid dimension 0
+};
+
+/// A 1-D descriptor of `n` cells over P processors for one case.  INDIRECT
+/// owners are scattered irregularly so owned runs are not progressions.
+Dad level_dad(const LevelCase& lc, Index n, int p) {
+  if (lc.kind != DistKind::kIndirect)
+    return make1d(n, p, lc.kind, 1, 0, -1, lc.block);
+  std::vector<int> owners;
+  for (Index t = 0; t < n; ++t)
+    owners.push_back(static_cast<int>((t * t + 3 * t + t / 4) % p));
+  DimMap m;
+  m.kind = DistKind::kIndirect;
+  m.grid_dim = 0;
+  m.template_extent = n;
+  m.map_name = "MAP";
+  m.table = rts::IndirectTable::build(std::move(owners), p, "MAP");
+  return Dad({n}, {m}, comm::ProcGrid({p}));
+}
+
+TEST(DeriveLevel, YieldsExactlyTheOwnedTripletMembers) {
+  const Index n = 13;
+  const long long lower = -2;  // source coordinates -2..10
+  const LevelCase cases[] = {
+      {"BLOCK", DistKind::kBlock},
+      {"CYCLIC", DistKind::kCyclic},
+      {"CYCLIC(3)", DistKind::kCyclic, 3},
+      {"INDIRECT", DistKind::kIndirect},
+      {"collapsed", DistKind::kCollapsed},
+      {"synthetic", DistKind::kCollapsed, 1, false, true},
+      {"unpartitioned", DistKind::kCollapsed, 1, false, false},
+  };
+  exec::PlanLoop out;  // reused throughout: no state may leak between calls
+  long long checked = 0;
+  for (const LevelCase& lc : cases) {
+    for (int p = 1; p <= 5; ++p) {
+      const Dad dad = level_dad(lc, n, p);
+      const comm::ProcGrid grid({p});
+      compile::IndexPartition ip;
+      ip.var = "I";
+      if (lc.dad) {
+        ip.array = "A";
+        ip.dim = 0;
+      }
+      if (lc.synth) ip.synth_grid_dim = 0;
+      for (Index st : {1, 2, 3, -1, -2, -3}) {
+        for (Index lo = lower; lo < lower + n; ++lo) {
+          for (Index hi = lower - 1; hi <= lower + n; ++hi) {
+            // Keep every member inside the array (hi may step one past
+            // either end, which only shortens or empties the range).
+            if (st < 0 && hi < lower) continue;
+            if (st > 0 && hi >= lower + n) continue;
+            std::vector<Index> members;
+            for (Index v = lo; st > 0 ? v <= hi : v >= hi; v += st)
+              members.push_back(v);
+            const Index total = static_cast<Index>(members.size());
+            for (int c = 0; c < p; ++c) {
+              // Brute force: the members owner_coord gives to c (a
+              // collapsed dimension or an unpartitioned level gives every
+              // processor all of them; a synthetic dimension deals BLOCK
+              // chunks of the trip sequence).
+              std::vector<Index> want;
+              for (Index t = 0; t < total; ++t) {
+                const Index v = members[static_cast<size_t>(t)];
+                bool mine = true;
+                if (lc.dad)
+                  mine = lc.kind == DistKind::kCollapsed ||
+                         dad.owner_coord(0, v - lower) == c;
+                else if (lc.synth)
+                  mine = t / ((total + p - 1) / p) == c;
+                if (mine) want.push_back(v);
+              }
+              // set_BOUND normalizes a negative stride to ascending order
+              // (FORALL iterations are order-independent); the other
+              // levels keep the triplet's order.
+              if (lc.dad) std::sort(want.begin(), want.end());
+              bool progression = true;
+              for (size_t i = 2; i < want.size(); ++i)
+                progression = progression &&
+                              want[i] - want[i - 1] == want[1] - want[0];
+
+              const int coord[] = {c};
+              exec::derive_level(ip, lc.dad ? &dad : nullptr, lower, grid,
+                                 coord, lo, hi, st, out);
+              const std::string what =
+                  std::string(lc.name) + " P=" + std::to_string(p) +
+                  " c=" + std::to_string(c) + " " + std::to_string(lo) + ":" +
+                  std::to_string(hi) + ":" + std::to_string(st);
+              ASSERT_EQ(out.var, "I") << what;
+              ASSERT_EQ(out.count, static_cast<Index>(want.size())) << what;
+              for (Index i = 0; i < out.count; ++i)
+                ASSERT_EQ(out.value_at(i), want[static_cast<size_t>(i)])
+                    << what << " at " << i;
+              ASSERT_EQ(out.values.empty(), progression) << what;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
 }
 
 }  // namespace

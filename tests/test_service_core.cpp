@@ -42,6 +42,25 @@ C$ ALIGN B(I) WITH T(I)
   return buf;
 }
 
+/// A program whose only work is `body` under S = 0: Fortran forbids a zero
+/// FORALL stride and a zero DO step, so every one of these must end in a
+/// diagnostic (not a crash, and not a silent zero-trip loop).
+std::string zero_stride_source(const std::string& body) {
+  return R"(PROGRAM ZERO
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL B(N)
+      INTEGER S
+      INTEGER K
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+      S = 0
+)" + body + "      END PROGRAM ZERO\n";
+}
+
 TEST(ServiceKeys, StableAndSensitiveToSourceAndOptions) {
   const std::string src = self_init_source(64, 4);
   RunSpec spec;
@@ -150,6 +169,32 @@ TEST(ServiceCoreTest, CompileOnlySkipsTheRun) {
   EXPECT_EQ(out.nprocs, 4);
   ASSERT_NE(out.compiled, nullptr);
   EXPECT_EQ(out.result.real_arrays.count("A"), 0u);
+}
+
+TEST(ServiceCoreTest, ZeroStrideEndsInADiagnosticOnEveryBackend) {
+  const char* bodies[] = {
+      // Counting down.
+      "      DO K = 5, 1, S\n        A(K) = 1.0\n      END DO\n",
+      // Counting up: must not pass as a zero-trip loop.
+      "      DO K = 1, 5, S\n        A(K) = 1.0\n      END DO\n",
+      // An unpartitioned level (B is not distributed).
+      "      FORALL (I = 3:3:S) B(I) = 1.0\n",
+      // A set_BOUND-partitioned level.
+      "      FORALL (I = 1:N:S) A(I) = 2.0\n",
+  };
+  ServiceCore core;
+  for (const char* body : bodies) {
+    for (const char* backend : {"tree", "plan", "native"}) {
+      RunSpec spec;
+      spec.run.exec_plans = std::string(backend) != "tree";
+      spec.run.native_backend = std::string(backend) == "native";
+      const Outcome out = core.submit(zero_stride_source(body), spec);
+      EXPECT_FALSE(out.ok) << backend << ": " << body;
+      EXPECT_NE(out.error.find("zero stride for index"), std::string::npos)
+          << backend << ": " << out.error;
+    }
+  }
+  EXPECT_EQ(core.failures(), 12);
 }
 
 TEST(ServiceStats, RunStatsJsonCarriesTheRunCounters) {

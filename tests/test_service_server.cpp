@@ -118,6 +118,35 @@ TEST_F(ServerTest, RunWithBadSourceAnswersErrWithoutKillingTheServer) {
   EXPECT_TRUE(service::request(opt_.socket_path, ping).ok);
 }
 
+TEST_F(ServerTest, ZeroStepRunAnswersErrAndTheServerStillAnswersPing) {
+  WireRequest req;
+  req.source = R"(PROGRAM ZERO
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      INTEGER S
+      INTEGER K
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+      S = 0
+      DO K = 5, 1, S
+        A(K) = 1.0
+      END DO
+      END PROGRAM ZERO
+)";
+  const ClientResult res = service::request(opt_.socket_path, req);
+  ASSERT_TRUE(res.connected) << res.error;
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.body.find("zero stride for index K"), std::string::npos)
+      << res.body;
+
+  WireRequest ping;
+  ping.verb = "PING";
+  EXPECT_TRUE(service::request(opt_.socket_path, ping).ok);
+}
+
 TEST_F(ServerTest, StatsVerbReportsServiceAggregates) {
   WireRequest run;
   run.source = self_init_source(64, 4);
