@@ -800,16 +800,33 @@ class Generator {
           g.dim = d;
           g.sub = sub.clone();
           n->guards.push_back(std::move(g));
+        } else {
+          // A strided, reversed or offset section (A(1+2*I), A(8-I)) or a
+          // vector subscript: no owner partition applies, so the index is
+          // equally distributed over the dimension's grid dimension, as for
+          // a noncanonical FORALL lhs, and the elements arrive by gather.
+          // Left unpartitioned, every processor would fold every element.
+          for (const auto& [v2, coef] : sub.coefs) {
+            IndexPartition* ip = nullptr;
+            for (IndexPartition& x : n->indices)
+              if (x.var == v2 && !x.partitioned()) ip = &x;
+            if (coef != 0 && ip != nullptr) {
+              ip->synth_grid_dim = dad->dim(d).grid_dim;
+              break;
+            }
+          }
         }
       }
     }
     // Remaining refs: local if covered, else unstructured read.
     // Insert a pseudo-lhs RefInfo at position 0 (a copy of the anchor) so
-    // ref_id/tagging indexes line up with the forall convention.
+    // ref_id/tagging indexes line up with the forall convention.  It claims
+    // no expression: the rhs reads the anchor through the anchor's own
+    // RefInfo, which carries its access path (an uncovered anchor reads
+    // its gather buffer).
     RefInfo pseudo;
     if (anchor != nullptr) {
       pseudo.array = anchor->array;
-      pseudo.expr = anchor->expr;
       for (const AffineSub& s2 : anchor->subs) pseudo.subs.push_back(s2.clone());
     }
     n->refs.insert(n->refs.begin(), std::move(pseudo));

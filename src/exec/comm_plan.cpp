@@ -715,6 +715,8 @@ CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
     Slot slot;
     slot.action = a;
     bake(s, slot, key_names, plan.arrays);
+    plan.gathers =
+        plan.gathers || std::holds_alternative<GatherSlot>(slot.plan);
     plan.slots.push_back(std::move(slot));
   }
   if (xp != nullptr && xp->sink == Sink::kConcat) {
@@ -775,9 +777,12 @@ void CommPlans::bake(const SpmdStmt& s, Slot& slot,
         }
         break;
       }
+      case CommKind::kGather:
+        // The schedule and its executor are keyed by schedule identity in
+        // the interpreter's ScheduleCache and scheds_, not baked here.
+        slot.plan = GatherSlot{};
+        return;
       default:
-        // Schedule-backed read buffers run through gather_via_schedule
-        // (their executors are compiled separately, keyed by schedule).
         break;
     }
   } catch (const Error&) {
@@ -801,19 +806,25 @@ void CommPlans::rebind(const SpmdStmt& s, StmtPlan& plan,
   }
 }
 
-void CommPlans::run(const SpmdStmt& s, StmtPlan& plan) {
-  for (Slot& slot : plan.slots) run_slot(s, slot);
+void CommPlans::run(const SpmdStmt& s, StmtPlan& plan, const ExecPlan& xp) {
+  for (Slot& slot : plan.slots) run_slot(s, slot, xp);
 }
 
-void CommPlans::run_slot(const SpmdStmt& s, Slot& slot) {
-  if (std::holds_alternative<ShiftPlan>(slot.plan))
+void CommPlans::run_slot(const SpmdStmt& s, Slot& slot, const ExecPlan& xp) {
+  if (std::holds_alternative<ShiftPlan>(slot.plan)) {
     run_shift(std::get<ShiftPlan>(slot.plan));
-  else if (std::holds_alternative<BcastPlan>(slot.plan))
+  } else if (std::holds_alternative<BcastPlan>(slot.plan)) {
     run_bcast(std::get<BcastPlan>(slot.plan));
-  else if (std::holds_alternative<SlabPlan>(slot.plan))
+  } else if (std::holds_alternative<SlabPlan>(slot.plan)) {
     run_slab(std::get<SlabPlan>(slot.plan));
-  else
+  } else if (std::holds_alternative<GatherSlot>(slot.plan)) {
+    const int ref_id = slot.action->ref_id;
+    hooks_.gather(s, *slot.action, [&](std::vector<Index>& needs) {
+      run_gather_needs(xp, ref_id, inspect_, needs);
+    });
+  } else {
     hooks_.legacy(s, *slot.action);
+  }
 }
 
 // --- PARTI executors ---------------------------------------------------------

@@ -29,7 +29,11 @@
 //               execution plan's global-id recurrence, the payload the
 //               plan's values are appended to, concat_tree, and the
 //               write-back through precomputed strides — one contiguous
-//               copy per run when local and global layouts coincide.
+//               copy per run when local and global layouts coincide;
+//   GatherSlot  a PARTI schedule2 gather, run through the interpreter's
+//               schedule machinery (ScheduleCache, keys, the compiled
+//               executors below) with the execution plan's indexer walk
+//               as the inspector.
 //
 // Faithfulness contract: a compiled plan issues exactly the collective
 // calls, tags, message sizes (including zero-byte sends), virtual-time
@@ -38,13 +42,15 @@
 // cannot bake faithfully is declined slot-by-slot and runs the legacy
 // action through a callback.
 //
-// Ownership: a statement's compiled pre-communication (StmtPlan) is built
+// Ownership: a statement's compiled communication (StmtPlan) is built
 // together with its execution plan and lives in the same statement-cache
 // entry (exec/statement_plan.hpp) — same key scalars, re-bound together
-// (rebind), dropped together when any part binds a redistributed array.  CommPlans
-// itself only keeps the PARTI executor state, keyed by schedule identity;
-// those entries re-check the array's storage base on every lookup, so they
-// need no invalidation call of their own (docs/EXECUTION.md).
+// (rebind), dropped together when any part binds a redistributed array.
+// A kScatter plan's scatter is not a slot: the interpreter runs it after
+// the nest through the tree walk's post-action code.  CommPlans itself
+// only keeps the PARTI executor state, keyed by schedule identity; those
+// entries re-check the array's storage base on every lookup, so they need
+// no invalidation call of their own (docs/EXECUTION.md).
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -85,6 +91,12 @@ struct CommHooks {
   /// Run one action through the tree walk (declined slots).
   std::function<void(const compile::SpmdStmt&, const compile::CommAction&)>
       legacy;
+  /// Run one PARTI gather through the tree walk's schedule machinery.
+  /// `needs` is the inspector: it appends this processor's needs in
+  /// iteration order and is called only on a schedule-cache miss.
+  std::function<void(const compile::SpmdStmt&, const compile::CommAction&,
+                     const std::function<void(std::vector<Index>&)>& needs)>
+      gather;
 };
 
 /// Strided copy between array storage and a packed buffer: `levels` outer
@@ -134,12 +146,13 @@ class CommPlans {
 
  public:
   /// One statement's compiled communication: a slot per non-eliminated
-  /// pre-action in the tree walk's order, each a baked plan or a legacy
-  /// slot, and the concatenation slot of a kConcat execution plan.
+  /// pre-action in the tree walk's order, each a baked plan, a gather or a
+  /// legacy slot, and the concatenation slot of a kConcat execution plan.
   struct StmtPlan {
     std::vector<Slot> slots;
     std::vector<Slot> post;           ///< kConcat plans: the concat slot
     std::vector<std::string> arrays;  ///< storage the slots bake (invalidation)
+    bool gathers = false;             ///< some slot is a PARTI gather
   };
 
   CommPlans(Env& env, CommHooks hooks)
@@ -164,9 +177,10 @@ class CommPlans {
               std::span<const std::string> key_names,
               const ExecPlan* xp = nullptr);
 
-  /// Run every slot of `plan` (built from `s`): bit-identical messages,
-  /// tags and charges to the tree walk's pre actions.
-  void run(const compile::SpmdStmt& s, StmtPlan& plan);
+  /// Run every slot of `plan` (built from `s` with execution plan `xp`):
+  /// bit-identical messages, tags and charges to the tree walk's pre
+  /// actions.  Gather slots inspect through `xp`'s indexers.
+  void run(const compile::SpmdStmt& s, StmtPlan& plan, const ExecPlan& xp);
 
   /// The concat slot's payload, reset to this processor's bound run table:
   /// the execution plan appends its values (run_concat_plan) and run_post
@@ -258,10 +272,13 @@ class CommPlans {
   };
 
   struct LegacySlot {};  ///< run through hooks_.legacy
+  struct GatherSlot {};  ///< run through hooks_.gather
 
   struct Slot {
     const compile::CommAction* action = nullptr;
-    std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan, ConcatPlan> plan;
+    std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan, ConcatPlan,
+                 GatherSlot>
+        plan;
   };
 
   /// Compiled executor state for one PARTI schedule.  Keyed by schedule
@@ -307,7 +324,7 @@ class CommPlans {
                           const std::string& array, bool write);
 
   // --- run ------------------------------------------------------------------
-  void run_slot(const compile::SpmdStmt& s, Slot& slot);
+  void run_slot(const compile::SpmdStmt& s, Slot& slot, const ExecPlan& xp);
   void run_shift(ShiftPlan& p);
   void run_bcast(BcastPlan& p);
   void run_slab(SlabPlan& p);
@@ -325,6 +342,7 @@ class CommPlans {
   Env* env_;
   CommHooks hooks_;
   CommPlanStats stats_;
+  PlanScratch inspect_;  ///< gather inspectors' nest walk
   std::map<const parti::Schedule*, SchedEntry> scheds_;
 };
 

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "compile/affine.hpp"
-#include "exec/irregular_plan.hpp"
 #include "rts/set_bound.hpp"
 #include "support/diag.hpp"
 
@@ -423,14 +422,10 @@ bool same_dim_map(const DimMap& a, const DimMap& b) {
 /// under the same scalar values.
 class Builder {
  public:
-  Builder(const SpmdStmt& s, Env& env, ExecPlan& plan, bool irregular)
-      : s_(s),
-        env_(env),
-        coords_(env.gc.my_coords()),
-        irregular_(irregular),
-        plan_(plan) {}
+  Builder(const SpmdStmt& s, Env& env, ExecPlan& plan)
+      : s_(s), env_(env), coords_(env.gc.my_coords()), plan_(plan) {}
 
-  /// Regular plan.  Throws Decline.
+  /// Build plan_.  Throws Decline.
   void build() {
     structural_gates();
     plan_.stmt_id = s_.stmt_id;
@@ -438,11 +433,16 @@ class Builder {
       plan_.sink = Sink::kReduce;
       (void)reduce_op_of(s_.reduce_op, plan_.reduce);  // gated above
     } else if (s_.lhs_buffered) {
-      plan_.sink = Sink::kConcat;
+      plan_.sink = concat_lhs() ? Sink::kConcat : Sink::kScatter;
     }
+    // Masked-out and empty-nest plans build no body; their gather slots
+    // still take part in the collective schedule builds, with empty needs.
     resolve_binds();
-    if (!bind_nest()) return;  // masked out or empty nest: no body
+    if (!bind_nest()) return;
     index_refs();
+    for (const CommAction& a : s_.pre)
+      if (!a.eliminated && a.kind == CommKind::kGather)
+        plan_.gathers.push_back(build_indexer(a.ref_id));
     switch (plan_.sink) {
       case Sink::kStore:
         plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
@@ -452,46 +452,12 @@ class Builder {
         resolve_direct(s_.refs[0], plan_.gids);
         bind_gids(plan_.gids);
         break;
+      case Sink::kScatter:
+        plan_.dests = build_indexer(0);
+        break;
       case Sink::kReduce:
-        break;  // refs[0] is the anchor read, compiled with the tapes
+        break;  // no lhs: refs[0] is the partitioning anchor only
     }
-    compile_body();
-  }
-
-  /// Irregular entry point: lower a schedule-bearing kForall into an
-  /// inspector/executor plan whose core is plan_.  Throws Decline.
-  void build_irr(IrregularPlan& irr) {
-    structural_gates();
-    plan_.stmt_id = s_.stmt_id;
-    irr.lhs_buffered = s_.lhs_buffered;
-    for (const CommAction& a : s_.pre) {
-      if (a.eliminated || a.kind != CommKind::kGather) continue;
-      IrrRead r;
-      r.action = &a;
-      r.ref_id = a.ref_id;
-      r.buffer_id = a.buffer_id;
-      irr.reads.push_back(std::move(r));
-    }
-    // Inner indirection arrays resolve before the references that
-    // subscript with them (the tree walk's pre-action order).
-    std::sort(irr.reads.begin(), irr.reads.end(),
-              [](const IrrRead& x, const IrrRead& y) {
-                return x.ref_id > y.ref_id;
-              });
-    for (const CommAction& a : s_.post)
-      if (!a.eliminated && a.kind == CommKind::kScatter) irr.scatter = &a;
-    // Masked-out and empty-nest plans keep the reads/scatter metadata but
-    // build no body: this processor still participates in the collective
-    // schedule builds, with empty needs.
-    resolve_binds();
-    if (!bind_nest()) return;
-    index_refs();
-    for (IrrRead& r : irr.reads)
-      r.idx = build_indexer(s_.refs.at(static_cast<size_t>(r.ref_id)));
-    if (s_.lhs_buffered)
-      irr.lhs_idx = build_indexer(s_.refs.at(0));
-    else
-      plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
     compile_body();
   }
 
@@ -514,15 +480,6 @@ class Builder {
     throw Decline{std::move(reason), structural};
   }
 
-  /// Regular plans run their pre-actions through comm slots, which admit
-  /// no schedule-based read buffers.
-  void regular_pre_gates() const {
-    for (const CommAction& a : s_.pre) {
-      if (!a.eliminated && is_iteration_buffer(a.kind))
-        decline("schedule-based read buffers (PARTI)");
-    }
-  }
-
   /// The statement's only live post-action is a concatenation write-back
   /// into a fully replicated lhs.
   bool concat_lhs() const {
@@ -538,56 +495,49 @@ class Builder {
   }
 
   void structural_gates() const {
-    if (s_.kind == SpmdKind::kReduce && !irregular_) {
-      ReduceOp op{};
-      if (s_.indices.empty()) decline("no iteration variables");
-      if (!s_.rhs) decline("incomplete reduction");
-      if (!reduce_op_of(s_.reduce_op, op))
-        decline("unsupported reduction " + s_.reduce_op);
-      regular_pre_gates();
-      return;
-    }
-    if (s_.kind != SpmdKind::kForall) decline("not a forall");
+    const bool reduce = s_.kind == SpmdKind::kReduce;
+    if (!reduce && s_.kind != SpmdKind::kForall) decline("not a forall");
     if (s_.indices.empty()) decline("no iteration variables");
-    if (s_.refs.empty() || !s_.lhs || !s_.rhs) decline("incomplete forall");
-    if (!irregular_) {
-      if (s_.lhs_buffered) {
-        if (!concat_lhs()) decline("buffered lhs (PARTI write path)");
-        if (s_.mask) decline("masked concatenation (read-back semantics)");
-      } else if (!s_.post.empty()) {
-        decline("post-communication actions");
-      }
-      regular_pre_gates();
-      return;
-    }
-    // Irregular mode accepts exactly the schedule-bearing statements.
+    if (reduce && !s_.rhs) decline("incomplete reduction");
+    if (!reduce && (s_.refs.empty() || !s_.lhs || !s_.rhs))
+      decline("incomplete forall");
     // Gathers (schedule2) enumerate needs from this processor's own
-    // iteration space, which the plan replays; the schedule1 kinds also
-    // need every *peer's* range enumerated, so they stay on the tree walk.
-    bool any_sched = false;
+    // iteration space, which the plan's indexers replay; the schedule1
+    // kinds also need every *peer's* range enumerated, so they stay on the
+    // tree walk.
+    bool gathers = false;
     for (const CommAction& a : s_.pre) {
       if (a.eliminated) continue;
       if (a.kind == CommKind::kPrecompRead ||
           a.kind == CommKind::kTemporaryShift)
         decline("schedule1 read (peer-range enumeration)");
-      any_sched = any_sched || a.kind == CommKind::kGather;
+      gathers = gathers || a.kind == CommKind::kGather;
     }
+    if (reduce) {
+      ReduceOp op{};
+      if (!reduce_op_of(s_.reduce_op, op))
+        decline("unsupported reduction " + s_.reduce_op);
+      if (gathers) decline("gathered reduction");
+      return;
+    }
+    if (!s_.lhs_buffered) {
+      if (!s_.post.empty()) decline("post-communication actions");
+      return;
+    }
+    if (s_.mask) decline("masked buffered lhs (read-back semantics)");
+    if (concat_lhs()) {
+      if (gathers) decline("gathered concatenation");
+      return;
+    }
+    bool scatter = false;
     for (const CommAction& a : s_.post) {
       if (a.eliminated) continue;
       if (a.kind != CommKind::kScatter) decline("non-scatter write combining");
-      any_sched = true;
+      scatter = true;
     }
-    if (!any_sched) decline("no schedule actions (regular plan territory)");
-    if (s_.lhs_buffered) {
-      if (s_.mask) decline("masked buffered lhs (read-back semantics)");
-      if (env_.sym(s_.refs.at(0).array).type != ast::BaseType::kReal)
-        decline("non-REAL scattered lhs");
-      bool has_scatter = false;
-      for (const CommAction& a : s_.post)
-        has_scatter =
-            has_scatter || (!a.eliminated && a.kind == CommKind::kScatter);
-      if (!has_scatter) decline("buffered lhs without scatter");
-    }
+    if (!scatter) decline("buffered lhs without scatter");
+    if (env_.sym(s_.refs.at(0).array).type != ast::BaseType::kReal)
+      decline("non-REAL scattered lhs");
   }
 
   void push_scalar(const std::string& name, Tape& t) const {
@@ -782,7 +732,6 @@ class Builder {
         r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
         break;
       case Access::kIterBuf: {
-        if (!irregular_) decline("iteration buffer (PARTI)");
         if (is_write) decline("iteration-buffered write reference");
         const Symbol& sm = env_.sym(ref.array);
         if (sm.type == ast::BaseType::kInteger)
@@ -1076,8 +1025,10 @@ class Builder {
   /// tapes folding to 0-based flat global element ids — the id space the
   /// PARTI schedules speak.  Mirrors the tree walk's eval_subs +
   /// flat_global_of.
-  GlobalIndexer build_indexer(const RefInfo& ref) {
+  GlobalIndexer build_indexer(int ref_id) {
+    const RefInfo& ref = s_.refs.at(static_cast<size_t>(ref_id));
     GlobalIndexer gi;
+    gi.ref_id = ref_id;
     const Dad& dad = env_.dads.at(ref.array);
     const int rank = dad.rank();
     if (ref.expr == nullptr ||
@@ -1236,7 +1187,6 @@ class Builder {
   const SpmdStmt& s_;
   Env& env_;
   const std::vector<int>& coords_;
-  bool irregular_ = false;
   ExecPlan& plan_;
   std::map<const Expr*, const RefInfo*> ref_of_;
   std::map<const RefInfo*, int> ref_ids_;
@@ -1347,8 +1297,8 @@ namespace {
 /// tree walk's order) with incrementally maintained reference offsets.
 /// Calls body(varvals, offs) for every iteration: offs[r] is the flat
 /// offset of p.refs[r] and, with `track_lhs`, offs[refs.size()] that of
-/// p.lhs (irregular plans address their gathered reads by iteration index
-/// and a scattered lhs by destination-id streams, so they track none).
+/// p.lhs (only kStore plans store through it: the gather inspector and
+/// the kScatter sink emit global ids through their indexers instead).
 /// Returns the iteration count; no-op for masked-out and empty nests.
 template <typename Body>
 Index walk_nest(const ExecPlan& p, PlanScratch& scratch, bool track_lhs,
@@ -1491,35 +1441,38 @@ Index run_concat_plan(const ExecPlan& p, PlanScratch& scratch,
                   });
 }
 
-void run_irregular_needs(const IrregularPlan& p, const IrrRead& read,
-                         PlanScratch& scratch, std::vector<Index>& out) {
-  walk_nest(p.core, scratch, /*track_lhs=*/false,
+void run_gather_needs(const ExecPlan& p, int ref_id, PlanScratch& scratch,
+                      std::vector<Index>& out) {
+  // A plan without a body has no indexers and no local iteration.
+  const auto gi = std::find_if(
+      p.gathers.begin(), p.gathers.end(),
+      [ref_id](const GlobalIndexer& g) { return g.ref_id == ref_id; });
+  if (gi == p.gathers.end()) return;
+  walk_nest(p, scratch, /*track_lhs=*/false,
             [&](const Index* varvals, const long long* offs) {
-              out.push_back(flat_of(read.idx, p.core.refs, varvals, offs,
-                                    scratch.stack));
+              out.push_back(flat_of(*gi, p.refs, varvals, offs, scratch.stack));
             });
 }
 
-Index run_irregular_scatter(const IrregularPlan& p, PlanScratch& scratch,
-                            std::vector<double>& values,
-                            std::vector<Index>& dest_ids) {
+Index run_scatter_plan(const ExecPlan& p, PlanScratch& scratch,
+                       std::vector<double>& values,
+                       std::vector<Index>& dest_ids) {
   return walk_nest(
-      p.core, scratch, /*track_lhs=*/false,
+      p, scratch, /*track_lhs=*/false,
       [&](const Index* varvals, const long long* offs) {
         // Rhs before destination, like the tree walk: an out-of-range
         // destination must not suppress rhs evaluation side ordering.
-        const Value v =
-            eval_tape(p.core.rhs, p.core.refs, varvals, offs, scratch.stack);
+        const Value v = eval_tape(p.rhs, p.refs, varvals, offs, scratch.stack);
         values.push_back(v.as_d());
-        dest_ids.push_back(
-            flat_of(p.lhs_idx, p.core.refs, varvals, offs, scratch.stack));
+        dest_ids.push_back(flat_of(p.dests, p.refs, varvals, offs,
+                                   scratch.stack));
       });
 }
 
 PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {
   auto plan = std::make_shared<ExecPlan>();
   try {
-    Builder(s, env, *plan, /*irregular=*/false).build();
+    Builder(s, env, *plan).build();
   } catch (const Decline& d) {
     return PlanEntry{nullptr, d.reason, d.structural};
   }
@@ -1527,21 +1480,7 @@ PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {
 }
 
 bool rebind_exec_plan(const SpmdStmt& s, Env& env, ExecPlan& p) {
-  return Builder(s, env, p, /*irregular=*/false).rebind();
-}
-
-IrrPlanEntry build_irregular_plan(const SpmdStmt& s, Env& env) {
-  auto irr = std::make_shared<IrregularPlan>();
-  try {
-    Builder(s, env, irr->core, /*irregular=*/true).build_irr(*irr);
-  } catch (const Decline& d) {
-    return IrrPlanEntry{nullptr, d.reason, d.structural};
-  }
-  return IrrPlanEntry{std::move(irr), {}, false};
-}
-
-bool rebind_irregular_plan(const SpmdStmt& s, Env& env, IrregularPlan& p) {
-  return Builder(s, env, p.core, /*irregular=*/true).rebind();
+  return Builder(s, env, p).rebind();
 }
 
 std::vector<std::string> plan_key_scalars(const SpmdStmt& s, const Env& env) {

@@ -27,13 +27,19 @@
 //     before reduce_tree), or the payload of a replicated lhs's
 //     concatenation write-back.
 //
+// PARTI gathers and scatters (paper §5.3, schedule2/schedule3) plan like
+// any other statement: a gathered read becomes an iteration-order buffer
+// reference plus a GlobalIndexer whose walk over the planned nest is the
+// inspector (run_gather_needs, only on a schedule-cache miss), and a
+// scattered lhs becomes the kScatter sink, streaming (value, destination
+// id) pairs for the scatter post-action.
+//
 // Plans are cached per processor in the statement plan cache
 // (exec/statement_plan.hpp), one entry per statement: when the bound,
 // guard or subscript scalars change between executions the entry is
 // re-bound in place (rebind_exec_plan) instead of rebuilt.  Statements the
-// planner declines — PARTI gather/scatter, masked or non-replicated
-// buffered writes, non-affine subscripts — go to the irregular planner or
-// the tree walk; the decline itself is cached.
+// planner declines — schedule1 reads, masked buffered writes, non-affine
+// subscripts — go to the tree walk; the decline itself is cached.
 #include <memory>
 #include <mutex>
 #include <set>
@@ -126,7 +132,7 @@ enum class Op : unsigned char {
 /// A whole-array element access compiled into a tape (kElem): the rank
 /// subscript values come off the stack and the element is read directly
 /// from storage the executing processor holds in full.  Only fully
-/// replicated arrays qualify — the irregular lhs indirection arrays
+/// replicated arrays qualify — the scattered lhs indirection arrays
 /// (H(BIN(I)): BIN carries no RefInfo because no communication serves it).
 struct ElemRef {
   std::string array;
@@ -160,7 +166,7 @@ struct RefPlan {
     kLogicalDirect,  ///< ... LOGICAL chunk
     kRealSlab,       ///< multicast/transfer slab, offset into Buf::dvals
     kScalarSlot,     ///< broadcast element in Buf::scalar
-    kRealIterBuf,    ///< gathered value per iteration, Buf::dvals (irregular)
+    kRealIterBuf,    ///< gathered value per iteration, Buf::dvals (gather)
     kIntIterBuf,     ///< ... Buf::ivals
   };
   Kind kind = Kind::kRealDirect;
@@ -200,8 +206,8 @@ struct RefPlan {
 
 /// Evaluate a postfix tape against bound references.  `varvals` holds the
 /// current loop-variable values (kVar), `offs` the flat offset of each
-/// reference (kRef, indexed by Ins::a).  Shared by run_exec_plan and the
-/// irregular inspector/executor runners.
+/// reference (kRef, indexed by Ins::a).  Shared by every plan runner, the
+/// gather inspector included.
 [[nodiscard]] Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
                               const Index* varvals, const long long* offs,
                               std::vector<Value>& stack);
@@ -246,10 +252,24 @@ struct ReduceAcc {
 
 /// Where each unmasked iteration's rhs value goes.
 enum class Sink : unsigned char {
-  kStore,   ///< FORALL: store into the owned lhs element (ExecPlan::lhs)
-  kReduce,  ///< reduction: fold into a ReduceAcc (run_reduce_plan)
-  kConcat,  ///< replicated lhs: append to the concatenation payload
-            ///< (run_concat_plan), written back by the concat comm slot
+  kStore,    ///< FORALL: store into the owned lhs element (ExecPlan::lhs)
+  kReduce,   ///< reduction: fold into a ReduceAcc (run_reduce_plan)
+  kConcat,   ///< replicated lhs: append to the concatenation payload
+             ///< (run_concat_plan), written back by the concat comm slot
+  kScatter,  ///< vector-subscripted lhs: stream (value, destination id)
+             ///< pairs (run_scatter_plan) for the PARTI scatter
+};
+
+/// Subscript tapes of one vector-subscripted reference, folded to 0-based
+/// flat global element ids (row-major over the array's global extents —
+/// the id space PARTI schedules speak).
+struct GlobalIndexer {
+  int ref_id = -1;                  ///< into SpmdStmt::refs
+  std::string array;                ///< for out-of-range diagnostics
+  std::vector<Tape> subs;           ///< one per array dimension
+  std::vector<long long> lowers;    ///< declared lower bound per dim
+  std::vector<Index> extents;       ///< global extent per dim
+  std::vector<long long> gstrides;  ///< row-major global strides
 };
 
 /// One loop level's bind-phase inputs, resolved at build: the bounds as
@@ -281,6 +301,10 @@ struct ExecPlan {
   /// global element ids rather than storage offsets (the concat slot's
   /// run-table source; nothing is loaded or stored through it).
   RefPlan gids;
+  /// One per live kGather pre-action: the needs of the gathered read
+  /// (whose values the tapes load from its iteration-order buffer).
+  std::vector<GlobalIndexer> gathers;
+  GlobalIndexer dests;        ///< kScatter: the lhs destination ids
   Tape mask;                  ///< empty = unconditional
   Tape rhs;
   /// Bind-phase inputs (one per s.indices / s.guards entry) and the
@@ -316,8 +340,9 @@ struct PlanEntry {
 [[nodiscard]] std::vector<std::string> plan_key_scalars(
     const compile::SpmdStmt& s, const Env& env);
 
-/// Lower one kForall (owner-computes or replicated concatenation lhs) or
-/// kReduce statement into a plan for this processor, or decline.
+/// Lower one kForall (owner-computes, replicated concatenation or scattered
+/// lhs, gathered reads allowed) or kReduce statement into a plan for this
+/// processor, or decline.
 [[nodiscard]] PlanEntry build_exec_plan(const compile::SpmdStmt& s, Env& env);
 
 /// Re-bind `p` (built by build_exec_plan for `s`) to the current values of
@@ -357,6 +382,20 @@ struct PlanScratch {
 [[nodiscard]] Index run_concat_plan(const ExecPlan& p, PlanScratch& scratch,
                                     std::vector<double>& out);
 
+/// Inspector of the gather of reference `ref_id`: append the flat global
+/// id of its element for every local iteration (mask ignored, exactly like
+/// the tree walk's needs enumeration), in iteration order.  Only called
+/// when the schedule cache misses.  No-op for masked-out or empty nests.
+void run_gather_needs(const ExecPlan& p, int ref_id, PlanScratch& scratch,
+                      std::vector<Index>& out);
+
+/// Run a kScatter plan's nest: evaluate the rhs per local iteration and
+/// stream (value, destination flat global id) pairs for the scatter.
+/// Returns the iteration count.
+[[nodiscard]] Index run_scatter_plan(const ExecPlan& p, PlanScratch& scratch,
+                                     std::vector<double>& values,
+                                     std::vector<Index>& dest_ids);
+
 /// Process-wide, cross-run store of the *pointer-free* plan metadata
 /// (service mode).  Plan bodies bind raw storage pointers (RefPlan bases,
 /// Buf and Value slots) into one run's Env, so they can never outlive a
@@ -365,7 +404,7 @@ struct PlanScratch {
 /// planning for good) and key-scalar name lists (skip plan_key_scalars).
 /// Entries are namespaced by a caller-chosen prefix — the artifact content
 /// hash — so statement ids from different programs never collide; one
-/// statement cache per node covers both planners, so one namespace per
+/// statement cache per node covers every plan, so one namespace per
 /// artifact suffices.  Thread-safe with a shared-lock read path.
 class SharedPlanMeta {
  public:

@@ -31,19 +31,14 @@ StatementPlan build_statement_plan(const compile::SpmdStmt& s, Env& env,
                                    CommPlans& comm,
                                    std::span<const std::string> key_names) {
   StatementPlan e;
-  PlanEntry reg = build_exec_plan(s, env);
-  if (reg.plan) {
-    e.plan = std::move(reg.plan);
-    e.comm = comm.build(s, key_names, e.plan.get());
+  PlanEntry built = build_exec_plan(s, env);
+  if (!built.plan) {
+    e.decline = std::move(built.decline);
+    e.structural = built.structural;
     return e;
   }
-  IrrPlanEntry irr = build_irregular_plan(s, env);
-  if (irr.plan) {
-    e.irregular = std::move(irr.plan);
-    return e;
-  }
-  e.decline = "regular: " + reg.decline + "; irregular: " + irr.decline;
-  e.structural = reg.structural && irr.structural;
+  e.plan = std::move(built.plan);
+  e.comm = comm.build(s, key_names, e.plan.get());
   return e;
 }
 
@@ -51,20 +46,18 @@ bool rebind_statement_plan(const compile::SpmdStmt& s, Env& env,
                            CommPlans& comm,
                            std::span<const std::string> key_names,
                            StatementPlan& e) {
-  if (e.plan) {
-    if (!rebind_exec_plan(s, env, *e.plan)) return false;
-    comm.rebind(s, e.comm, key_names, e.plan.get());
-    if (e.native && !native::repack(*e.plan, *e.native)) e.native.reset();
-    return true;
-  }
-  if (e.irregular) return rebind_irregular_plan(s, env, *e.irregular);
-  return false;  // a decline under other values: plan afresh
+  // A decline under other values plans afresh.
+  if (!e.plan || !rebind_exec_plan(s, env, *e.plan)) return false;
+  comm.rebind(s, e.comm, key_names, e.plan.get());
+  if (e.native && !native::repack(*e.plan, *e.native)) e.native.reset();
+  return true;
 }
 
 StatementPlanStats::Kind& StatementPlanCache::kind_of(const StatementPlan& e) {
-  if (e.plan) return stats_.regular;
-  if (e.irregular) return stats_.irregular;
-  return stats_.declined;
+  if (!e.plan) return stats_.declined;
+  if (e.comm.gathers || e.plan->sink == Sink::kScatter)
+    return stats_.irregular;
+  return stats_.regular;
 }
 
 StatementPlanCache::Slot& StatementPlanCache::slot_of(int stmt_id) {
@@ -165,8 +158,7 @@ void StatementPlanCache::invalidate_array(const std::string& array) {
     if (!slot.entry) continue;
     const StatementPlan& e = *slot.entry;
     // The native attachment binds a subset of the plan's arrays.
-    if (in(e.comm.arrays) || (e.plan && in(e.plan->arrays)) ||
-        (e.irregular && in(e.irregular->core.arrays))) {
+    if (in(e.comm.arrays) || (e.plan && in(e.plan->arrays))) {
       ++kind_of(e).invalidations;
       if (e.native) ++stats_.native_invalidations;
       slot.entry.reset();

@@ -2,21 +2,21 @@
 // The statement plan cache: one per-node memo of everything the node
 // program decides once per FORALL or reduction (paper §4–§6) — set_BOUND
 // ranges and strength-reduced references (ExecPlan, whose sink is an lhs
-// store, a reduction accumulator or a concatenation payload), the PARTI
-// inspector/executor split (IrregularPlan), the compiled communication
-// (CommPlans StmtPlan: pre-action slots and the concat write-back) and
-// the JIT kernel attachment (native::Attachment).
+// store, a reduction accumulator, a concatenation payload or a PARTI
+// scatter stream, and whose gathered reads carry their inspector tapes),
+// the compiled communication (CommPlans StmtPlan: pre-action slots, PARTI
+// gathers among them, and the concat write-back) and the JIT kernel
+// attachment (native::Attachment).
 //
-// One entry per statement id.  An entry is regular (ExecPlan + comm slots
-// + native attachment), irregular (IrregularPlan) or a memoized decline.
-// Its key is the exact values of the runtime scalars the plan bakes in
-// (plan_key_scalars), read through slots into the node's scalar table and
-// compared by kind and bit pattern.  When they change, the entry is
-// re-bound in place (rebind_statement_plan) — the generated node program
-// calls set_BOUND with the current K rather than emitting a loop per K —
-// and only a structural change rebuilds it in its slot.  One invalidation
-// rule: invalidate_array drops a whole entry as soon as any of its parts
-// binds the array.  See docs/EXECUTION.md.
+// One entry per statement id: a plan (ExecPlan + comm slots + native
+// attachment) or a memoized decline.  Its key is the exact values of the
+// runtime scalars the plan bakes in (plan_key_scalars), read through slots
+// into the node's scalar table and compared by kind and bit pattern.  When
+// they change, the entry is re-bound in place (rebind_statement_plan) — the
+// generated node program calls set_BOUND with the current K rather than
+// emitting a loop per K — and only a structural change rebuilds it in its
+// slot.  One invalidation rule: invalidate_array drops a whole entry as
+// soon as any of its parts binds the array.  See docs/EXECUTION.md.
 #include <functional>
 #include <memory>
 #include <span>
@@ -24,26 +24,21 @@
 #include <vector>
 
 #include "exec/comm_plan.hpp"
-#include "exec/irregular_plan.hpp"
 #include "native/native_exec.hpp"
 
 namespace f90d::exec {
 
-/// One cache entry.  At most one of `plan` / `irregular` is set; neither
-/// set is a decline.
+/// One cache entry: a plan, or a decline when `plan` is null.
 struct StatementPlan {
-  PlanPtr plan;           ///< regular: compiled loop nest and tapes
-  IrrPlanPtr irregular;   ///< irregular: inspector/executor plan
-  std::string decline;    ///< decline: both planners' reasons
-  /// Decline independent of runtime scalars (both planners said so).
+  PlanPtr plan;           ///< compiled loop nest and tapes
+  std::string decline;    ///< decline: the planner's reason
+  /// Decline independent of runtime scalars.
   bool structural = false;
-  CommPlans::StmtPlan comm;                    ///< regular: communication
-  std::unique_ptr<native::Attachment> native;  ///< regular: first native run
+  CommPlans::StmtPlan comm;                    ///< communication
+  std::unique_ptr<native::Attachment> native;  ///< first native run
 };
 
-/// Build one statement's entry: the regular planner first, the irregular
-/// planner when the regular one declines (at most one of them accepts a
-/// given statement).  A regular plan gets its communication compiled
+/// Build one statement's entry.  A plan gets its communication compiled
 /// through `comm` right away, under the same key scalars.
 [[nodiscard]] StatementPlan build_statement_plan(
     const compile::SpmdStmt& s, Env& env, CommPlans& comm,
@@ -61,7 +56,9 @@ struct StatementPlan {
                                          std::span<const std::string> key_names,
                                          StatementPlan& e);
 
-/// The one counter set, split by entry kind.
+/// The one counter set, split by entry kind: an irregular entry is a plan
+/// with PARTI gather slots or a kScatter sink, a regular one any other
+/// plan.
 struct StatementPlanStats {
   struct Kind {
     int hits = 0;     ///< lookups answered by the live entry, rebinds included

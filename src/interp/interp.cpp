@@ -76,12 +76,12 @@ exec::MapResolver map_resolver(const Init& init) {
 // --- node program -------------------------------------------------------------
 // The node program is a thin driver over the exec layer: every FORALL and
 // reduction is first looked up in the statement plan cache
-// (exec/statement_plan.hpp), whose entries run the strength-reduced loop
-// nest (into an lhs store, a reduction accumulator or a concatenation
-// payload) or the planned PARTI inspector/executor; statements both
-// planners decline (masked concatenation, schedule1 reads, non-affine
-// subscripts) fall back to the tree walk below, which operates on the same
-// exec::Env state.
+// (exec/statement_plan.hpp), whose entries run their compiled
+// communication (PARTI gathers included) and the strength-reduced loop
+// nest into an lhs store, a reduction accumulator, a concatenation payload
+// or a scatter stream; statements the planner declines (masked buffered
+// writes, schedule1 reads, non-affine subscripts) fall back to the tree
+// walk below, which operates on the same exec::Env state.
 
 class Node {
  public:
@@ -106,8 +106,8 @@ class Node {
 
   /// Callbacks the comm-plan builder uses to bake descriptors: the same
   /// expression evaluation as the tree walk, plus the tree walk itself for
-  /// declined slots.  The lambdas capture `this` and fire only after
-  /// construction completes.
+  /// declined slots and its schedule machinery for gathers.  The lambdas
+  /// capture `this` and fire only after construction completes.
   exec::CommHooks make_comm_hooks() {
     exec::CommHooks h;
     h.eval = [this](const Expr& e) { return eval(e); };
@@ -119,6 +119,10 @@ class Node {
     };
     h.legacy = [this](const SpmdStmt& s, const CommAction& a) {
       run_action(s, a, std::nullopt);
+    };
+    h.gather = [this](const SpmdStmt& s, const CommAction& a,
+                      const std::function<void(std::vector<Index>&)>& needs) {
+      gather_via_schedule(s, a, s.refs[static_cast<size_t>(a.ref_id)], needs);
     };
     return h;
   }
@@ -359,13 +363,21 @@ class Node {
   }
 
   // --- statements ----------------------------------------------------------------
+  /// An error already prefixed with the source line of the statement that
+  /// raised it, so enclosing DO and IF statements pass it through.
+  struct LocatedError : Error {
+    using Error::Error;
+  };
+
   void exec(const SpmdStmt& s) {
     try {
       exec_inner(s);
+    } catch (const LocatedError&) {
+      throw;  // raised inside a DO or IF body: prefixed once already
     } catch (const Error& e) {
-      if (s.kind == SpmdKind::kSeqDo || s.kind == SpmdKind::kIf) throw;
-      throw Error(strformat("at source line %d (stmt kind %d): %s", s.loc.line,
-                            static_cast<int>(s.kind), e.what()));
+      throw LocatedError(strformat("at source line %d (stmt kind %d): %s",
+                                   s.loc.line, static_cast<int>(s.kind),
+                                   e.what()));
     }
   }
 
@@ -436,8 +448,8 @@ class Node {
 
   /// Planned fast path: one statement-cache lookup per FORALL or reduction
   /// finds this statement's entry — built on first use, re-bound in place
-  /// when its key scalars changed — and runs it.  Returns false when both
-  /// planners declined — the caller falls back to the tree walk.
+  /// when its key scalars changed — and runs it.  Returns false when the
+  /// planner declined — the caller falls back to the tree walk.
   /// Structural declines are remembered per statement so fallback
   /// statements skip the key compare entirely.
   bool try_planned(const SpmdStmt& s) {
@@ -455,26 +467,22 @@ class Node {
                    std::span<const std::string> names) {
           return exec::rebind_statement_plan(s, env_, comm_plans_, names, e);
         });
-    if (entry.plan) {
-      run_regular(s, entry);
-      return true;
-    }
-    if (entry.irregular) {
-      run_irregular(s, *entry.irregular);
-      return true;
-    }
-    return false;
+    if (!entry.plan) return false;
+    run_planned(s, entry);
+    return true;
   }
 
-  /// Regular entry: pre-communication through the entry's compiled comm
-  /// slots (bit-identical messages and charges to the tree walk's pre
-  /// actions), then the loop nest into the plan's sink.  The planner
-  /// admits no schedule-based read buffers, so no guarded iteration
-  /// ranges are needed here.
-  void run_regular(const SpmdStmt& s, exec::StatementPlan& entry) {
-    comm_plans_.run(s, entry.comm);
+  /// Pre-communication through the entry's compiled comm slots
+  /// (bit-identical messages and charges to the tree walk's pre actions;
+  /// a gather slot inspects through the plan's indexers, only when the
+  /// shared ScheduleCache misses), then the loop nest into the plan's
+  /// sink, then its post step.
+  void run_planned(const SpmdStmt& s, exec::StatementPlan& entry) {
     const exec::ExecPlan& plan = *entry.plan;
+    comm_plans_.run(s, entry.comm, plan);
     Index iters = -1;
+    std::vector<double> values;   // kScatter: rhs values
+    std::vector<Index> dest_ids;  // kScatter: destination ids
     switch (plan.sink) {
       case exec::Sink::kStore:
         // Backend ladder: native kernel when enabled and attachable, tape
@@ -497,47 +505,17 @@ class Node {
         iters = exec::run_concat_plan(plan, plan_scratch_,
                                       comm_plans_.concat_payload(entry.comm));
         break;
+      case exec::Sink::kScatter:
+        iters = exec::run_scatter_plan(plan, plan_scratch_, values, dest_ids);
+        break;
     }
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
-    comm_plans_.run_post(entry.comm);
-  }
-
-  /// Irregular entry: the planned PARTI inspector/executor.  The plan
-  /// replays the local iteration space through compiled subscript tapes;
-  /// the needs enumeration (the inspector) only runs when the shared
-  /// ScheduleCache misses, so steady-state DO trips skip the subscript
-  /// walk entirely.  Schedules, gathers and scatters go through the exact
-  /// same machinery as the tree walk — same keys, same messages, same
-  /// simulated cost.
-  void run_irregular(const SpmdStmt& s, const exec::IrregularPlan& plan) {
-    // Non-schedule pre actions (ghost fills, broadcasts, slabs) run
-    // through the tree walk's machinery in the tree walk's order: they
-    // sort ahead of the schedule class, preserving source order among
-    // themselves.
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated && a.kind != CommKind::kGather) run_action(s, a, {});
-    // Gathers in descending ref-id order (inner indirections first); the
-    // inspector closure fires only on a schedule-cache miss.
-    for (const exec::IrrRead& rd : plan.reads) {
-      gather_via_schedule(s, *rd.action,
-                          s.refs[static_cast<size_t>(rd.ref_id)],
-                          [&](std::vector<Index>& needs) {
-                            exec::run_irregular_needs(plan, rd, plan_scratch_,
-                                                      needs);
-                          });
-    }
-    Index iters = 0;
-    std::vector<double> values;
-    std::vector<Index> dest_ids;
-    if (plan.lhs_buffered)
-      iters = exec::run_irregular_scatter(plan, plan_scratch_, values,
-                                          dest_ids);
+    // The scatter is the tree walk's post-action, fed the plan's streams.
+    if (plan.sink == exec::Sink::kScatter)
+      run_post_actions(s, values, dest_ids);
     else
-      iters = exec::run_exec_plan(plan.core, plan_scratch_);
-    proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
-    proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
-    run_post_actions(s, values, dest_ids);
+      comm_plans_.run_post(entry.comm);
   }
 
   /// Collective zero-trip test: FORALL bounds are replicated scalar
@@ -1090,9 +1068,7 @@ class Node {
   // --- scalar assignment / reduction ------------------------------------------
   void exec_scalar_assign(const SpmdStmt& s) {
     bind_refs(s);
-    std::optional<std::vector<PlanLoop>> none;
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) run_action(s, a, none);
+    run_pre_actions(s, std::nullopt);
     const Value v = eval(*s.rhs);
     const Symbol& sm = env_.sym(s.target);
     env_.scalars[s.target] = sm.type == ast::BaseType::kInteger
@@ -1115,9 +1091,7 @@ class Node {
     ++tree_walk_stmts_;
     bind_refs(s);
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
-    std::optional<std::vector<PlanLoop>> ranges_for_actions = my_ranges;
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) run_action(s, a, ranges_for_actions);
+    run_pre_actions(s, my_ranges);
 
     exec::ReduceOp op{};
     if (!exec::reduce_op_of(s.reduce_op, op))
@@ -1227,8 +1201,8 @@ class Node {
     shared_.result.schedules_built = schedules_built_;
     shared_.result.gather_bytes = gather_bytes_;
     shared_.result.scatter_bytes = scatter_bytes_;
-    // Statement-cache counters by entry kind.  Every regular entry owns
-    // its comm slots, so its hits/misses/drops are also comm-plan ones.
+    // Statement-cache counters by entry kind.  Every entry owns its comm
+    // slots, so its hits/misses/drops are also comm-plan ones.
     const exec::StatementPlanStats& ps = stmt_plans_.stats();
     shared_.result.shared_plan_hits = ps.shared_hits;
     shared_.result.plan_hits = ps.regular.hits;
@@ -1246,10 +1220,13 @@ class Node {
     shared_.result.native_fallbacks = ns.fallbacks;
     shared_.result.native_invalidations = ps.native_invalidations;
     const exec::CommPlanStats& cs = comm_plans_.stats();
-    shared_.result.comm_plan_hits = ps.regular.hits + cs.hits;
-    shared_.result.comm_plan_misses = ps.regular.misses + cs.misses;
+    shared_.result.comm_plan_hits =
+        ps.regular.hits + ps.irregular.hits + cs.hits;
+    shared_.result.comm_plan_misses =
+        ps.regular.misses + ps.irregular.misses + cs.misses;
     shared_.result.comm_plan_invalidations =
-        ps.regular.invalidations + cs.invalidations;
+        ps.regular.invalidations + ps.irregular.invalidations +
+        cs.invalidations;
     shared_.result.comm_plan_fast_bytes = cs.bytes_memcpy_fast_path;
     shared_.result.pool_reuses = proc_.stats().pool_reuses;
     shared_.result.tree_walk_stmts = tree_walk_stmts_;

@@ -36,7 +36,7 @@ struct RunOptions {
   bool skeleton = false;
   bool schedule_cache = true;
   /// Compile FORALLs to cached statement plans (exec/statement_plan.hpp:
-  /// execution plan or irregular plan, plus compiled pre-communication)
+  /// execution plan plus compiled communication, PARTI gathers included)
   /// before running them; off forces the tree-walking fallback everywhere,
   /// the reference semantics for differential testing and ablation
   /// benches.  Skeleton mode never plans.
@@ -97,13 +97,14 @@ struct ProgramResult {
   /// per-processor but see the same statement sequence), split by entry
   /// kind.  Hits are lookups answered by the statement's live entry,
   /// rebinds the subset that re-bound it in place to new key-scalar values
-  /// (a new pivot K, say); misses are entry builds.  Irregular entries:
-  /// planned-inspector reuse across DO trips.
+  /// (a new pivot K, say); misses are entry builds.  Irregular entries
+  /// (plans with PARTI gathers or a scatter sink): planned-inspector reuse
+  /// across DO trips.
   int irregular_hits = 0;
   int irregular_rebinds = 0;
   int irregular_misses = 0;
   int irregular_invalidations = 0;
-  /// Regular entries (execution plans).  Memoized declines count in
+  /// Regular entries (every other plan).  Memoized declines count in
   /// neither family.
   int plan_hits = 0;
   int plan_rebinds = 0;
@@ -126,8 +127,8 @@ struct ProgramResult {
   long long native_compiles = 0;
   long long native_dlopens = 0;
   double native_compile_ms = 0;
-  /// Communication-plan statistics (processor 0): regular statement-cache
-  /// entries (each owns its compiled pre-communication) plus compiled
+  /// Communication-plan statistics (processor 0): statement-cache entries
+  /// of both kinds (each owns its compiled communication) plus compiled
   /// PARTI executors, served / built / dropped or rebuilt after a
   /// redistribute/remap, and payload bytes moved through coalesced
   /// contiguous-memcpy pack/unpack runs.  Tree-walk runs only count the

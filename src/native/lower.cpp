@@ -201,9 +201,10 @@ class Lowerer {
 
   Lowered run() {
     if (nv_ == 0) fail("empty loop nest");
-    // Reductions and concatenations stay on the tape: their sinks feed a
-    // collective the node program runs after the nest.
-    if (p_.sink != exec::Sink::kStore) fail("reduction or concatenation sink");
+    // Reductions, concatenations and scatters stay on the tape: their
+    // sinks feed a collective the node program runs after the nest.
+    if (p_.sink != exec::Sink::kStore)
+      fail("reduction, concatenation or scatter sink");
     switch (p_.lhs.kind) {
       case RefPlan::Kind::kRealDirect:
       case RefPlan::Kind::kIntDirect:
@@ -260,7 +261,7 @@ class Lowerer {
         case RefPlan::Kind::kScalarSlot: continue;  // value arrives via ds/is/ls
         case RefPlan::Kind::kRealIterBuf:
         case RefPlan::Kind::kIntIterBuf:
-          fail("iteration buffer (irregular plan)");
+          fail("iteration buffer (PARTI gather)");
       }
       os << "  " << ty << "* b" << r << " = (" << ty << "*)base[" << r
          << "];\n";
@@ -452,12 +453,12 @@ class Lowerer {
             }
             case RefPlan::Kind::kRealIterBuf:
             case RefPlan::Kind::kIntIterBuf:
-              fail("iteration buffer (irregular plan)");
+              fail("iteration buffer (PARTI gather)");
           }
           break;
         }
         case Op::kElem:
-          fail("whole-array element access (irregular plan)");
+          fail("whole-array element access");
         case Op::kNeg: {
           const Tmp v = pop(stack);
           if (v.k == K::kI)

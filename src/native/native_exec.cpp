@@ -47,8 +47,11 @@ void pack(const ExecPlan& p, Attachment& at) {
 Index NativeExec::try_run(const ExecPlan& plan,
                           std::unique_ptr<Attachment>& slot) {
   // Degenerate plans (guarded out, empty nest, zero-trip level) are cheap
-  // on the interpreter and never worth a compile.
-  if (plan.masked_out || plan.loops.empty()) return -1;
+  // on the interpreter and never worth a compile.  Gathered reads load
+  // from iteration-order buffers the kernel ABI has no argument for, so
+  // PARTI plans stay on the tape without an attach.
+  if (plan.masked_out || plan.loops.empty() || !plan.gathers.empty())
+    return -1;
   for (const exec::PlanLoop& l : plan.loops)
     if (l.count == 0) return -1;
 
@@ -116,8 +119,8 @@ void NativeExec::attach(const ExecPlan& p, Attachment& at) {
       case RefPlan::Kind::kScalarSlot: break;  // value travels via ds/is/ls
       case RefPlan::Kind::kRealIterBuf:
       case RefPlan::Kind::kIntIterBuf:
-        // Unreachable: the Lowerer declines irregular iteration buffers,
-        // so such plans never compile, and attach only follows a compile.
+        // Unreachable: the Lowerer declines iteration buffers, so such
+        // plans never compile, and attach only follows a compile.
         at.base[r] = nullptr;
         break;
     }

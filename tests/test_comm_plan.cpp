@@ -252,6 +252,70 @@ TEST(CommPlanOrder, PreActionsRunInDependencyOrder) {
   EXPECT_EQ(order, (std::vector<int>{3, 7, 6, 1, 2, 4, 0}));
 }
 
+/// One FORALL whose pre-actions come out of ref order: a gather of
+/// B(U(I)) (ref 1), a broadcast of B(K) (ref 3) and a ghost fill for
+/// C(I-1) (ref 4), which run ghost fill, broadcast, gather.  K moves the
+/// broadcast root on every DO trip.
+interp::ProgramResult run_mixed_pre(const interp::RunOptions& ro) {
+  const std::string src = R"(PROGRAM MIXED
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N)
+      REAL B(N)
+      REAL C(N)
+      INTEGER U(N)
+      INTEGER K
+C$ PROCESSORS P(4)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ ALIGN U(I) WITH T(I)
+      DO K = 1, 13, 4
+        FORALL (I = 2:N) A(I) = B(U(I)) + 0.5 * B(K) + C(I-1)
+      END DO
+      END PROGRAM MIXED
+)";
+  interp::Init init;
+  init.real["B"] = [](std::span<const Index> g) { return 0.25 * g[0] - 1.0; };
+  init.real["C"] = [](std::span<const Index> g) { return 3.0 / (g[0] + 1); };
+  init.ints["U"] = [](std::span<const Index> g) { return (g[0] * 5 + 3) % 16 + 1; };
+  return harness::run_source(src, init, ro, {}, charging());
+}
+
+TEST(CommPlanOrder, GhostFillBroadcastAndGatherMatchOnEveryBackend) {
+  const auto tree = run_mixed_pre(tree_walk());
+  const auto plan = run_mixed_pre(comm_on());
+  const auto nat = run_mixed_pre(comm_on_native());
+  ASSERT_FALSE(tree.real_arrays.at("A").empty());
+  EXPECT_GT(tree.machine.exec_time, 0.0);
+  EXPECT_EQ(plan.tree_walk_stmts, 0);  // the FORALL ran planned
+  for (const interp::ProgramResult* r : {&plan, &nat}) {
+    EXPECT_EQ(r->real_arrays, tree.real_arrays);
+    EXPECT_EQ(r->machine.exec_time, tree.machine.exec_time);
+    EXPECT_EQ(r->machine.proc_times, tree.machine.proc_times);
+  }
+}
+
+TEST(CommPlanStats, IrregularEntriesRunTheirBroadcastFromASlot) {
+  // The gathering FORALL is an irregular entry; its broadcast and ghost
+  // fill run from the entry's baked slots, so its lookups count as
+  // comm-plan ones on top of the PARTI executors both paths share.
+  const auto tree = run_mixed_pre(tree_walk());
+  const auto plan = run_mixed_pre(comm_on());
+  EXPECT_EQ(plan.irregular_misses, 1);
+  EXPECT_EQ(plan.irregular_hits, 3);
+  EXPECT_EQ(plan.plan_misses + plan.plan_hits, 0);
+  EXPECT_EQ(plan.comm_plan_hits, tree.comm_plan_hits + plan.irregular_hits);
+  EXPECT_EQ(plan.comm_plan_misses,
+            tree.comm_plan_misses + plan.irregular_misses);
+  EXPECT_EQ(plan.schedule_hits, tree.schedule_hits);
+  EXPECT_EQ(plan.machine.total_messages(), tree.machine.total_messages());
+  EXPECT_EQ(plan.machine.total_bytes(), tree.machine.total_bytes());
+  EXPECT_EQ(plan.machine.exec_time, tree.machine.exec_time);
+}
+
 TEST(CommPlanStats, WarmTripsHitTheCache) {
   interp::Init init;
   init.real["A"] = [](std::span<const Index> g) {

@@ -97,9 +97,9 @@ TEST_P(ExecPlanSweep, IrregularFallsBackToParti) {
   auto on = harness::run_irregular(24, 2, nprocs(), plans_on(), ipsc());
   auto off = harness::run_irregular(24, 2, nprocs(), plans_off(), ipsc());
   expect_bit_identical(on, off, 1e-9, "irregular");
-  // The vector-subscript kernel is structurally outside the planner: the
-  // decline is discovered once, then the statement bypasses planning (no
-  // cache hits), and PARTI schedule reuse still works underneath.
+  // The vector-subscript kernel gathers and scatters: it is an irregular
+  // entry, never a regular plan (no regular hits), and PARTI schedule
+  // reuse still works underneath.
   EXPECT_EQ(on.plan_hits, 0);
   if (nprocs() > 1) {
     EXPECT_GT(on.schedule_hits, 0);
@@ -778,26 +778,31 @@ TEST(StatementPlanCache, InvalidateArrayDropsWholeEntry) {
     e1.native = std::make_unique<native::Attachment>();  // a first native run
     const std::weak_ptr<exec::ExecPlan> plan1 = e1.plan;
     (void)get(2, [] { return regular_entry({"C"}); });
+    // 3: a PARTI entry whose scatter sink binds D; 0: one whose gather
+    // slot reads E.  Both count as irregular entries.
     (void)get(3, [] {
-      exec::StatementPlan e;
-      auto irr = std::make_shared<exec::IrregularPlan>();
-      irr->core.arrays = {"D"};
-      e.irregular = irr;
+      exec::StatementPlan e = regular_entry({"D"});
+      e.plan->sink = exec::Sink::kScatter;
+      return e;
+    });
+    (void)get(0, [] {
+      exec::StatementPlan e = regular_entry({"E"});
+      e.comm.gathers = true;
       return e;
     });
     (void)get(1, [] { return regular_entry({}); });
     EXPECT_EQ(cache.stats().regular.misses, 2);
     EXPECT_EQ(cache.stats().regular.hits, 1);
     EXPECT_EQ(cache.stats().regular.rebinds, 0);
-    EXPECT_EQ(cache.stats().irregular.misses, 1);
-    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.stats().irregular.misses, 2);
+    EXPECT_EQ(cache.size(), 4u);
 
     // An array bound only by the comm slots drops the whole entry — plan,
     // comm slots and native attachment — and counts it once.
     cache.invalidate_array("B");
     EXPECT_EQ(cache.stats().regular.invalidations, 1);
     EXPECT_EQ(cache.stats().native_invalidations, 1);
-    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.size(), 3u);
     EXPECT_TRUE(plan1.expired());
 
     // Re-lookup rebuilds; an array bound only by the exec plan drops it too.
@@ -806,19 +811,22 @@ TEST(StatementPlanCache, InvalidateArrayDropsWholeEntry) {
     cache.invalidate_array("A");
     EXPECT_EQ(cache.stats().regular.invalidations, 2);
     EXPECT_EQ(cache.stats().native_invalidations, 1);  // no attachment now
-    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.size(), 3u);
 
-    // Irregular entries follow the same rule through their core plan.
+    // Entries with a scatter or a gather follow the same rule, and count
+    // as irregular drops.
     cache.invalidate_array("D");
     EXPECT_EQ(cache.stats().irregular.invalidations, 1);
+    cache.invalidate_array("E");
+    EXPECT_EQ(cache.stats().irregular.invalidations, 2);
+    EXPECT_EQ(cache.stats().regular.invalidations, 2);
     EXPECT_EQ(cache.size(), 1u);  // 2 (binds only C) survives
   });
 }
 
 TEST(StatementPlanCache, StructuralDeclineRecordedOnce) {
-  // B(2*I+1) is a schedule1 read: the regular planner declines it
-  // (schedule-based read buffer) and so does the irregular one (peer-range
-  // enumeration), both independently of runtime scalars.
+  // B(2*I+1) is a schedule1 read: the planner declines it (peer-range
+  // enumeration) independently of runtime scalars.
   const std::string src = edge_prelude(16, 4, "BLOCK") +
                           R"(      DO IT = 1, 3
         FORALL (I = 1:7) A(I) = B(2*I + 1)
@@ -882,7 +890,7 @@ TEST(StatementPlanCache, SharedMetaUsesOneNamespacePerArtifact) {
     declined.stmt_id = keyed.stmt_id + 1;
     auto structural = [](std::span<const std::string>) {
       exec::StatementPlan e;
-      e.decline = "both planners";
+      e.decline = "structural";
       e.structural = true;
       return e;
     };
@@ -1187,6 +1195,56 @@ C$ ALIGN A(I) WITH T(I)
     EXPECT_EQ(r.scalars.at("SMX"), std::numeric_limits<double>::lowest());
     EXPECT_EQ(r.scalars.at("SMN"), std::numeric_limits<double>::max());
     EXPECT_EQ(r.scalars.at("KMX"), 0);
+  }
+}
+
+TEST(PlannedReduction, StridedSectionsReadTheirGatherOnEveryBackend) {
+  // A section with a stride other than +1 is not aligned with the
+  // partitioning of its own elements, so its iterations are split evenly
+  // over the processors, the elements arrive by a PARTI gather and the
+  // reduction reads the gather buffer, not local storage.
+  for (const auto& [p, dist] : {std::pair{2, "BLOCK"}, {3, "CYCLIC"},
+                                {4, "CYCLIC(3)"}}) {
+    const std::string src = strformat(R"(PROGRAM STRIDED
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL S1, S2, S3, S4, S5
+C$ PROCESSORS P(%d)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(%s)
+C$ ALIGN A(I) WITH T(I)
+      FORALL (I = 1:N) A(I) = I
+      S1 = SUM(A(1:8:2))
+      S2 = SUM(A(5:1:-1))
+      S3 = SUM(A(8:1:-1))
+      S4 = SUM(A(7:1:-2))
+      S5 = SUM(A(1:5))
+      END PROGRAM STRIDED
+)",
+                                      p, dist);
+    double sim_time = -1;
+    for (const char* backend : {"tree", "plan", "native"}) {
+      const std::string what = strformat("P(%d) %s %s", p, dist, backend);
+      service::RunSpec spec;
+      spec.run.exec_plans = std::string(backend) != "tree";
+      spec.run.native_backend = std::string(backend) == "native";
+      spec.cost = ipsc();
+      const service::Outcome out = service::compile_and_run(src, spec);
+      ASSERT_TRUE(out.ok) << what << ": " << out.error;
+      const std::map<std::string, double>& sc = out.result.scalars;
+      EXPECT_EQ(sc.at("S1"), 16.0) << what;
+      EXPECT_EQ(sc.at("S2"), 15.0) << what;
+      EXPECT_EQ(sc.at("S3"), 36.0) << what;
+      EXPECT_EQ(sc.at("S4"), 16.0) << what;
+      EXPECT_EQ(sc.at("S5"), 15.0) << what;
+      EXPECT_GT(out.result.schedules_built, 0) << what;
+      EXPECT_GT(out.result.machine.exec_time, 0.0) << what;
+      if (sim_time >= 0) {
+        EXPECT_EQ(out.result.machine.exec_time, sim_time) << what;
+      }
+      sim_time = out.result.machine.exec_time;
+    }
   }
 }
 

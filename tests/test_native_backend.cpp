@@ -134,8 +134,8 @@ TEST_P(NativeBackendSweep, FftButterfly) {
 }
 
 TEST_P(NativeBackendSweep, IrregularStaysOnParti) {
-  // The vector-subscript kernel is structurally outside the planner, so
-  // the native backend never even sees a plan for it.
+  // The vector-subscript kernel is planned with a gather and a scatter
+  // sink, neither of which has a kernel form: it runs on the tape.
   auto nat =
       harness::run_irregular(24, 2, nprocs(), backend_native(), charging());
   auto tree =

@@ -192,6 +192,12 @@ TEST(ServiceCoreTest, ZeroStrideEndsInADiagnosticOnEveryBackend) {
       EXPECT_FALSE(out.ok) << backend << ": " << body;
       EXPECT_NE(out.error.find("zero stride for index"), std::string::npos)
           << backend << ": " << out.error;
+      // Located once: a DO header's own error carries the DO's line, and
+      // no enclosing statement prefixes it again.
+      const size_t at = out.error.find("at source line");
+      EXPECT_NE(at, std::string::npos) << backend << ": " << out.error;
+      EXPECT_EQ(out.error.find("at source line", at + 1), std::string::npos)
+          << backend << ": " << out.error;
     }
   }
   EXPECT_EQ(core.failures(), 12);
