@@ -759,6 +759,10 @@ class Generator {
     n->loc = s.loc;
     n->target = s.target;
     n->reduce_op = s.reduce_op;
+    if (s.loc_lo) {
+      n->loc_lo = s.loc_lo->clone();
+      n->loc_st = s.loc_st->clone();
+    }
     n->rhs = s.rhs->clone();
     if (s.mask) n->mask = s.mask->clone();
 

@@ -420,6 +420,13 @@ class Normalizer {
       }
       n.specs.push_back(std::move(spec));
     }
+    // The location is the first index variable's value; a position-based
+    // axis maps it back to the index it stands for.
+    if ((n.reduce_op == "MAXLOC" || n.reduce_op == "MINLOC") &&
+        !axes.empty() && !axes.front().value_based) {
+      n.loc_lo = axes.front().lo->clone();
+      n.loc_st = axes.front().st->clone();
+    }
     rewrite_sections(*arg, axes, false, n.loc);
     n.rhs = std::move(arg);
   }

@@ -53,6 +53,10 @@ struct NormStmt {
   std::string reduce_op;   ///< SUM / MAXVAL / MAXLOC / ...
   // kReduce reuses `specs` for the reduction iteration space, `rhs` for the
   // elementwise argument, `mask` for masked reductions.
+  /// MAXLOC/MINLOC whose first axis iterates section positions (a stride
+  /// other than +1): the location is loc_lo + loc_st * position.  Null when
+  /// the first index variable already iterates the index values.
+  ast::ExprPtr loc_lo, loc_st;
 
   // kArrayIntrinsic
   std::string intrinsic;

@@ -192,6 +192,9 @@ struct SpmdStmt {
 
   // kReduce: reduce_op over `indices` iteration space of rhs
   std::string reduce_op;
+  /// MAXLOC/MINLOC over a position-based first axis: the location is
+  /// loc_lo + loc_st * position (NormStmt::loc_lo).  Null otherwise.
+  ast::ExprPtr loc_lo, loc_st;
 
   // kArrayIntrinsic
   std::string intrinsic;

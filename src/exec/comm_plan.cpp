@@ -715,8 +715,6 @@ CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
     Slot slot;
     slot.action = a;
     bake(s, slot, key_names, plan.arrays);
-    plan.gathers =
-        plan.gathers || std::holds_alternative<GatherSlot>(slot.plan);
     plan.slots.push_back(std::move(slot));
   }
   if (xp != nullptr && xp->sink == Sink::kConcat) {
@@ -818,10 +816,7 @@ void CommPlans::run_slot(const SpmdStmt& s, Slot& slot, const ExecPlan& xp) {
   } else if (std::holds_alternative<SlabPlan>(slot.plan)) {
     run_slab(std::get<SlabPlan>(slot.plan));
   } else if (std::holds_alternative<GatherSlot>(slot.plan)) {
-    const int ref_id = slot.action->ref_id;
-    hooks_.gather(s, *slot.action, [&](std::vector<Index>& needs) {
-      run_gather_needs(xp, ref_id, inspect_, needs);
-    });
+    hooks_.gather(s, *slot.action, xp);
   } else {
     hooks_.legacy(s, *slot.action);
   }

@@ -91,11 +91,11 @@ struct CommHooks {
   /// Run one action through the tree walk (declined slots).
   std::function<void(const compile::SpmdStmt&, const compile::CommAction&)>
       legacy;
-  /// Run one PARTI gather through the tree walk's schedule machinery.
-  /// `needs` is the inspector: it appends this processor's needs in
-  /// iteration order and is called only on a schedule-cache miss.
+  /// Run one PARTI gather through the tree walk's schedule machinery,
+  /// with the execution plan's indexer walk (run_gather_needs) as the
+  /// inspector on a schedule-cache miss.
   std::function<void(const compile::SpmdStmt&, const compile::CommAction&,
-                     const std::function<void(std::vector<Index>&)>& needs)>
+                     const ExecPlan&)>
       gather;
 };
 
@@ -152,7 +152,6 @@ class CommPlans {
     std::vector<Slot> slots;
     std::vector<Slot> post;           ///< kConcat plans: the concat slot
     std::vector<std::string> arrays;  ///< storage the slots bake (invalidation)
-    bool gathers = false;             ///< some slot is a PARTI gather
   };
 
   CommPlans(Env& env, CommHooks hooks)
@@ -179,7 +178,8 @@ class CommPlans {
 
   /// Run every slot of `plan` (built from `s` with execution plan `xp`):
   /// bit-identical messages, tags and charges to the tree walk's pre
-  /// actions.  Gather slots inspect through `xp`'s indexers.
+  /// actions.  Gather slots pass `xp` to the gather hook, whose inspector
+  /// walks its indexers.
   void run(const compile::SpmdStmt& s, StmtPlan& plan, const ExecPlan& xp);
 
   /// The concat slot's payload, reset to this processor's bound run table:
@@ -342,7 +342,6 @@ class CommPlans {
   Env* env_;
   CommHooks hooks_;
   CommPlanStats stats_;
-  PlanScratch inspect_;  ///< gather inspectors' nest walk
   std::map<const parti::Schedule*, SchedEntry> scheds_;
 };
 

@@ -319,7 +319,7 @@ void ReduceAcc::fold(double x, Index at) {
 }
 
 Value finish_reduce(comm::GridComm& gc, const ReduceAcc& acc,
-                    ast::BaseType target) {
+                    ast::BaseType target, Index loc_lo, Index loc_st) {
   const ReduceOp op = acc.op;
   if (op == ReduceOp::kMaxloc || op == ReduceOp::kMinloc) {
     struct VL {
@@ -336,7 +336,7 @@ Value finish_reduce(comm::GridComm& gc, const ReduceAcc& acc,
       if (beats(op, y.v, x.v)) return y;
       return x.loc <= y.loc ? x : y;
     });
-    return Value::integer(box[0].valid ? box[0].loc : 0);
+    return Value::integer(box[0].valid ? loc_lo + loc_st * box[0].loc : 0);
   }
   std::vector<double> box{acc.v};
   switch (op) {
@@ -435,14 +435,16 @@ class Builder {
     } else if (s_.lhs_buffered) {
       plan_.sink = concat_lhs() ? Sink::kConcat : Sink::kScatter;
     }
-    // Masked-out and empty-nest plans build no body; their gather slots
-    // still take part in the collective schedule builds, with empty needs.
+    // Masked-out and empty-nest plans build no body and their gathers no
+    // indexer; the gathers still take part in the collective schedule
+    // builds, with empty needs.
+    for (const CommAction& a : s_.pre)
+      if (!a.eliminated && a.kind == CommKind::kGather)
+        plan_.gathers.emplace_back().ref_id = a.ref_id;
     resolve_binds();
     if (!bind_nest()) return;
     index_refs();
-    for (const CommAction& a : s_.pre)
-      if (!a.eliminated && a.kind == CommKind::kGather)
-        plan_.gathers.push_back(build_indexer(a.ref_id));
+    for (GlobalIndexer& g : plan_.gathers) g = build_indexer(g.ref_id);
     switch (plan_.sink) {
       case Sink::kStore:
         plan_.lhs = make_ref(s_.refs.at(0), /*is_write=*/true);
@@ -1443,7 +1445,8 @@ Index run_concat_plan(const ExecPlan& p, PlanScratch& scratch,
 
 void run_gather_needs(const ExecPlan& p, int ref_id, PlanScratch& scratch,
                       std::vector<Index>& out) {
-  // A plan without a body has no indexers and no local iteration.
+  // A plan without a body has no local iteration.
+  if (!p.has_body) return;
   const auto gi = std::find_if(
       p.gathers.begin(), p.gathers.end(),
       [ref_id](const GlobalIndexer& g) { return g.ref_id == ref_id; });

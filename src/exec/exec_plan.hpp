@@ -245,10 +245,12 @@ struct ReduceAcc {
 /// Combine the partials of every processor through one allreduce tree
 /// (collective) and convert the result for a target of type `target`.
 /// MAXLOC/MINLOC reduce a (value, location, valid) record — the location
-/// of the lowest index among equal extrema, 0 when no element was folded
-/// anywhere; the other ops reduce one double.
+/// of the lowest index among equal extrema, reported as loc_lo + loc_st *
+/// location (SpmdStmt::loc_lo), 0 when no element was folded anywhere;
+/// the other ops reduce one double.
 [[nodiscard]] Value finish_reduce(comm::GridComm& gc, const ReduceAcc& acc,
-                                  ast::BaseType target);
+                                  ast::BaseType target, Index loc_lo = 0,
+                                  Index loc_st = 1);
 
 /// Where each unmasked iteration's rhs value goes.
 enum class Sink : unsigned char {
@@ -302,7 +304,8 @@ struct ExecPlan {
   /// run-table source; nothing is loaded or stored through it).
   RefPlan gids;
   /// One per live kGather pre-action: the needs of the gathered read
-  /// (whose values the tapes load from its iteration-order buffer).
+  /// (whose values the tapes load from its iteration-order buffer).  A
+  /// plan without a body keeps only each indexer's ref_id.
   std::vector<GlobalIndexer> gathers;
   GlobalIndexer dests;        ///< kScatter: the lhs destination ids
   Tape mask;                  ///< empty = unconditional

@@ -55,7 +55,7 @@ bool rebind_statement_plan(const compile::SpmdStmt& s, Env& env,
 
 StatementPlanStats::Kind& StatementPlanCache::kind_of(const StatementPlan& e) {
   if (!e.plan) return stats_.declined;
-  if (e.comm.gathers || e.plan->sink == Sink::kScatter)
+  if (!e.plan->gathers.empty() || e.plan->sink == Sink::kScatter)
     return stats_.irregular;
   return stats_.regular;
 }

@@ -57,8 +57,8 @@ struct StatementPlan {
                                          StatementPlan& e);
 
 /// The one counter set, split by entry kind: an irregular entry is a plan
-/// with PARTI gather slots or a kScatter sink, a regular one any other
-/// plan.
+/// with PARTI gathers (ExecPlan::gathers) or a kScatter sink, a regular
+/// one any other plan.
 struct StatementPlanStats {
   struct Kind {
     int hits = 0;     ///< lookups answered by the live entry, rebinds included

@@ -121,8 +121,12 @@ class Node {
       run_action(s, a, std::nullopt);
     };
     h.gather = [this](const SpmdStmt& s, const CommAction& a,
-                      const std::function<void(std::vector<Index>&)>& needs) {
-      gather_via_schedule(s, a, s.refs[static_cast<size_t>(a.ref_id)], needs);
+                      const exec::ExecPlan& xp) {
+      gather_via_schedule(s, a, s.refs[static_cast<size_t>(a.ref_id)],
+                          [&](std::vector<Index>& needs) {
+                            exec::run_gather_needs(xp, a.ref_id, plan_scratch_,
+                                                   needs);
+                          });
     };
     return h;
   }
@@ -497,8 +501,7 @@ class Node {
         exec::ReduceAcc acc = exec::ReduceAcc::identity(plan.reduce);
         iters = exec::run_reduce_plan(plan, plan_scratch_, acc);
         proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
-        env_.scalars[s.target] =
-            exec::finish_reduce(gc_, acc, env_.sym(s.target).type);
+        env_.scalars[s.target] = finish_reduce(s, acc);
         return;
       }
       case exec::Sink::kConcat:
@@ -1119,8 +1122,20 @@ class Node {
     }
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     // Reduction tree (paper Table 3 category 2).
-    env_.scalars[s.target] =
-        exec::finish_reduce(gc_, acc, env_.sym(s.target).type);
+    env_.scalars[s.target] = finish_reduce(s, acc);
+  }
+
+  /// The reduction tree and the result for `s`'s target; a MAXLOC/MINLOC
+  /// over a position-based first axis reports the index the winning
+  /// position stands for.
+  Value finish_reduce(const SpmdStmt& s, const exec::ReduceAcc& acc) {
+    Index lo = 0;
+    Index st = 1;
+    if (s.loc_lo) {
+      lo = eval(*s.loc_lo).as_i();
+      st = eval(*s.loc_st).as_i();
+    }
+    return exec::finish_reduce(gc_, acc, env_.sym(s.target).type, lo, st);
   }
 
   // --- whole-array intrinsics ---------------------------------------------------

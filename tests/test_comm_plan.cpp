@@ -12,6 +12,7 @@
 
 #include "compile/driver.hpp"
 #include "exec/comm_plan.hpp"
+#include "exec/statement_plan.hpp"
 #include "harness.hpp"
 #include "parti/schedule.hpp"
 
@@ -256,8 +257,8 @@ TEST(CommPlanOrder, PreActionsRunInDependencyOrder) {
 /// B(U(I)) (ref 1), a broadcast of B(K) (ref 3) and a ghost fill for
 /// C(I-1) (ref 4), which run ghost fill, broadcast, gather.  K moves the
 /// broadcast root on every DO trip.
-interp::ProgramResult run_mixed_pre(const interp::RunOptions& ro) {
-  const std::string src = R"(PROGRAM MIXED
+const char* mixed_pre_source() {
+  return R"(PROGRAM MIXED
       INTEGER N
       PARAMETER (N = 16)
       REAL A(N)
@@ -277,11 +278,14 @@ C$ ALIGN U(I) WITH T(I)
       END DO
       END PROGRAM MIXED
 )";
+}
+
+interp::ProgramResult run_mixed_pre(const interp::RunOptions& ro) {
   interp::Init init;
   init.real["B"] = [](std::span<const Index> g) { return 0.25 * g[0] - 1.0; };
   init.real["C"] = [](std::span<const Index> g) { return 3.0 / (g[0] + 1); };
   init.ints["U"] = [](std::span<const Index> g) { return (g[0] * 5 + 3) % 16 + 1; };
-  return harness::run_source(src, init, ro, {}, charging());
+  return harness::run_source(mixed_pre_source(), init, ro, {}, charging());
 }
 
 TEST(CommPlanOrder, GhostFillBroadcastAndGatherMatchOnEveryBackend) {
@@ -299,9 +303,45 @@ TEST(CommPlanOrder, GhostFillBroadcastAndGatherMatchOnEveryBackend) {
 }
 
 TEST(CommPlanStats, IrregularEntriesRunTheirBroadcastFromASlot) {
-  // The gathering FORALL is an irregular entry; its broadcast and ghost
-  // fill run from the entry's baked slots, so its lookups count as
-  // comm-plan ones on top of the PARTI executors both paths share.
+  // The gathering FORALL's compiled communication: the ghost fill and the
+  // broadcast bake, the gather runs through the gather hook, and no slot
+  // falls back to the legacy action.
+  const compile::Compiled c = compile::compile_source(mixed_pre_source());
+  const compile::SpmdStmt* forall = nullptr;
+  for (const compile::SpmdStmtPtr& s : c.program.body)
+    for (const compile::SpmdStmtPtr& b : s->body)
+      if (b->kind == compile::SpmdKind::kForall) forall = b.get();
+  ASSERT_NE(forall, nullptr);
+  std::vector<int> legacy(4, -1), gathers(4, -1);
+  machine::SimMachine m(4, charging(), machine::make_hypercube());
+  (void)m.run([&](machine::Proc& proc) {
+    comm::GridComm gc(proc, c.mapping.grid);
+    exec::Env env(c, gc);
+    env.scalars.at("K") = exec::Value::integer(5);
+    const size_t me = static_cast<size_t>(gc.my_logical());
+    legacy[me] = gathers[me] = 0;
+    exec::CommHooks hooks;
+    // The broadcast subscript is the DO variable K.
+    hooks.eval = [&env](const ast::Expr& e) {
+      require(e.kind == ast::ExprKind::kVarRef, "scalar subscript");
+      return env.scalars.at(e.name);
+    };
+    hooks.legacy = [&](const compile::SpmdStmt&, const compile::CommAction&) {
+      ++legacy[me];
+    };
+    hooks.gather = [&](const compile::SpmdStmt&, const compile::CommAction&,
+                       const exec::ExecPlan&) { ++gathers[me]; };
+    exec::CommPlans comm(env, hooks);
+    exec::StatementPlan e = exec::build_statement_plan(
+        *forall, env, comm, exec::plan_key_scalars(*forall, env));
+    ASSERT_NE(e.plan, nullptr) << e.decline;
+    comm.run(*forall, e.comm, *e.plan);
+  });
+  EXPECT_EQ(legacy, std::vector<int>(4, 0));
+  EXPECT_EQ(gathers, std::vector<int>(4, 1));
+
+  // End to end its lookups count as comm-plan ones on top of the PARTI
+  // executors both paths share, with the tree walk's traffic.
   const auto tree = run_mixed_pre(tree_walk());
   const auto plan = run_mixed_pre(comm_on());
   EXPECT_EQ(plan.irregular_misses, 1);

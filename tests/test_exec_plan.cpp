@@ -778,8 +778,8 @@ TEST(StatementPlanCache, InvalidateArrayDropsWholeEntry) {
     e1.native = std::make_unique<native::Attachment>();  // a first native run
     const std::weak_ptr<exec::ExecPlan> plan1 = e1.plan;
     (void)get(2, [] { return regular_entry({"C"}); });
-    // 3: a PARTI entry whose scatter sink binds D; 0: one whose gather
-    // slot reads E.  Both count as irregular entries.
+    // 3: a PARTI entry whose scatter sink binds D; 0: one with a gathered
+    // read of E.  Both count as irregular entries.
     (void)get(3, [] {
       exec::StatementPlan e = regular_entry({"D"});
       e.plan->sink = exec::Sink::kScatter;
@@ -787,7 +787,7 @@ TEST(StatementPlanCache, InvalidateArrayDropsWholeEntry) {
     });
     (void)get(0, [] {
       exec::StatementPlan e = regular_entry({"E"});
-      e.comm.gathers = true;
+      e.plan->gathers.emplace_back().ref_id = 1;
       return e;
     });
     (void)get(1, [] { return regular_entry({}); });
@@ -1198,28 +1198,40 @@ C$ ALIGN A(I) WITH T(I)
   }
 }
 
-TEST(PlannedReduction, StridedSectionsReadTheirGatherOnEveryBackend) {
+TEST(PlannedReduction, StridedSectionReductionsReadTheirGather) {
   // A section with a stride other than +1 is not aligned with the
   // partitioning of its own elements, so its iterations are split evenly
   // over the processors, the elements arrive by a PARTI gather and the
-  // reduction reads the gather buffer, not local storage.
+  // reduction reads the gather buffer, not local storage.  MAXLOC/MINLOC
+  // over such a section iterate positions and report the index the
+  // winning position stands for; ties keep the first in section order.
   for (const auto& [p, dist] : {std::pair{2, "BLOCK"}, {3, "CYCLIC"},
                                 {4, "CYCLIC(3)"}}) {
     const std::string src = strformat(R"(PROGRAM STRIDED
       INTEGER N
       PARAMETER (N = 8)
       REAL A(N)
+      REAL B(N)
       REAL S1, S2, S3, S4, S5
+      INTEGER K1, K2, K3, K4, K5, K6
 C$ PROCESSORS P(%d)
 C$ TEMPLATE T(N)
 C$ DISTRIBUTE T(%s)
 C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
       FORALL (I = 1:N) A(I) = I
+      FORALL (I = 1:N) B(I) = (I - 4) * (I - 4)
       S1 = SUM(A(1:8:2))
       S2 = SUM(A(5:1:-1))
       S3 = SUM(A(8:1:-1))
       S4 = SUM(A(7:1:-2))
       S5 = SUM(A(1:5))
+      K1 = MINLOC(B(1:8:2))
+      K2 = MAXLOC(B(7:1:-2))
+      K3 = MINLOC(B(8:1:-1))
+      K4 = MAXLOC(B(2:8:3))
+      K5 = MAXLOC(B(5:1:2))
+      K6 = MINLOC(B(1:6))
       END PROGRAM STRIDED
 )",
                                       p, dist);
@@ -1238,8 +1250,19 @@ C$ ALIGN A(I) WITH T(I)
       EXPECT_EQ(sc.at("S3"), 36.0) << what;
       EXPECT_EQ(sc.at("S4"), 16.0) << what;
       EXPECT_EQ(sc.at("S5"), 15.0) << what;
+      EXPECT_EQ(sc.at("K1"), 3) << what;  // B(3) = B(5) = 1
+      EXPECT_EQ(sc.at("K2"), 7) << what;  // B(7) = B(1) = 9
+      EXPECT_EQ(sc.at("K3"), 4) << what;
+      EXPECT_EQ(sc.at("K4"), 8) << what;
+      EXPECT_EQ(sc.at("K5"), 0) << what;  // empty section
+      EXPECT_EQ(sc.at("K6"), 4) << what;  // unit stride: the index itself
       EXPECT_GT(out.result.schedules_built, 0) << what;
       EXPECT_GT(out.result.machine.exec_time, 0.0) << what;
+      // The planner declines gathered reductions: the nine strided ones
+      // tree-walk on every backend, the FORALLs, S5 and K6 run planned.
+      EXPECT_EQ(out.result.tree_walk_stmts,
+                std::string(backend) == "tree" ? 13 : 9)
+          << what;
       if (sim_time >= 0) {
         EXPECT_EQ(out.result.machine.exec_time, sim_time) << what;
       }
