@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
                     "bytes, %lld scatter bytes\n",
                     r.schedules_built, r.gather_bytes, r.scatter_bytes);
         std::printf("  comm plans   : %lld built, %lld reused, %lld "
-                    "invalidated\n",
+                    "invalidated (statement-cache entries' comm slots)\n",
                     r.comm_plan_misses, r.comm_plan_hits,
                     r.comm_plan_invalidations);
         std::printf("  zero-copy    : %lld bytes on the memcpy fast path, "

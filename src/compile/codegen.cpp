@@ -345,7 +345,11 @@ class Generator {
         for (const AffineSub& sub : n->refs[0].subs)
           single_index = single_index &&
                          classify_write(sub) == Table2Write::kPostcompWrite;
-        a.kind = single_index ? CommKind::kPostcompWrite : CommKind::kScatter;
+        // schedule1_write enumerates every peer's destinations locally,
+        // which a mask would have to filter; a masked write scatters, and
+        // its masked-out iterations simply send nothing.
+        a.kind = single_index && !n->mask ? CommKind::kPostcompWrite
+                                          : CommKind::kScatter;
         a.ref_id = 0;
         a.sched_key = opt_.reuse_schedules ? sched_key(*n, n->refs[0], "w")
                                            : std::string{};
@@ -708,7 +712,9 @@ class Generator {
     return false;
   }
 
-  /// Schedule-cache key: array mapping + subscripts + iteration bounds.
+  /// Schedule-cache key: array mapping + subscripts + iteration bounds,
+  /// and for a write its mask, since masked-out iterations contribute no
+  /// destination.
   std::string sched_key(const SpmdStmt& n, const RefInfo& ref,
                         const char* rw) const {
     std::ostringstream os;
@@ -724,6 +730,7 @@ class Generator {
       if (ip.st) os << ":" << ast::to_fortran(*ip.st);
       os << ";";
     }
+    if (rw[0] == 'w' && n.mask) os << "?" << ast::to_fortran(*n.mask);
     return os.str();
   }
 

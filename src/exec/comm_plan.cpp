@@ -70,15 +70,6 @@ bool resolve_view(Env& env, const std::string& name, ArrayView& v) {
   return true;
 }
 
-/// Current storage base of a REAL or INTEGER array, null otherwise.
-char* storage_base(Env& env, const std::string& name) {
-  if (auto it = env.dar.find(name); it != env.dar.end())
-    return reinterpret_cast<char*>(it->second.storage().data());
-  if (auto it = env.iar.find(name); it != env.iar.end())
-    return reinterpret_cast<char*>(it->second.storage().data());
-  return nullptr;
-}
-
 /// Can this expression be evaluated once at plan-build time and baked?
 /// Every scalar it reads must be covered by the plan key (same value =>
 /// same plan), every variable in `bound` is supplied by the table builder,
@@ -776,8 +767,8 @@ void CommPlans::bake(const SpmdStmt& s, Slot& slot,
         break;
       }
       case CommKind::kGather:
-        // The schedule and its executor are keyed by schedule identity in
-        // the interpreter's ScheduleCache and scheds_, not baked here.
+        // The schedule lives in the interpreter's ScheduleCache, localized
+        // by its inspector; nothing is baked here.
         slot.plan = GatherSlot{};
         return;
       default:
@@ -820,219 +811,6 @@ void CommPlans::run_slot(const SpmdStmt& s, Slot& slot, const ExecPlan& xp) {
   } else {
     hooks_.legacy(s, *slot.action);
   }
-}
-
-// --- PARTI executors ---------------------------------------------------------
-
-CommPlans::SchedEntry* CommPlans::sched_entry(const parti::SchedulePtr& sched,
-                                              const std::string& array,
-                                              bool write) {
-  auto it = scheds_.find(sched.get());
-  if (it != scheds_.end() && it->second.array != array) {
-    scheds_.erase(it);
-    it = scheds_.end();
-  }
-  // Baked offsets address the storage the entry was built against; an
-  // array whose storage moved (redistribute/remap escape hatch) rebuilds.
-  if (it != scheds_.end() && it->second.base != storage_base(*env_, array)) {
-    ++stats_.invalidations;
-    scheds_.erase(it);
-    it = scheds_.end();
-  }
-  if (it == scheds_.end()) {
-    SchedEntry e;
-    e.owner = sched;
-    e.array = array;
-    ArrayView v;
-    if (!resolve_view(*env_, array, v)) return nullptr;
-    if (v.ty == ElemTy::kLogical) return nullptr;
-    e.ty = v.ty;
-    e.base = v.base;
-    it = scheds_.emplace(sched.get(), std::move(e)).first;
-  }
-  SchedEntry& e = it->second;
-
-  const bool ready = write ? e.write_ready : e.read_ready;
-  const bool failed = write ? e.write_failed : e.read_failed;
-  if (failed) return nullptr;
-  if (ready) {
-    ++stats_.hits;
-    return &e;
-  }
-
-  // Resolve the per-peer global-id lists to flat byte offsets once.  A
-  // failure here is exactly a failure the generic executor would hit too
-  // (unowned id, out-of-range local) — decline and let it raise.
-  ArrayView v;
-  if (!resolve_view(*env_, array, v)) return nullptr;
-  const Dad& dad = *v.dad;
-  auto storage_offsets = [&](const std::vector<std::vector<Index>>& gidx,
-                             std::vector<std::vector<Index>>& out) -> bool {
-    out.assign(gidx.size(), {});
-    std::vector<Index> g;
-    for (size_t q = 0; q < gidx.size(); ++q) {
-      out[q].reserve(gidx[q].size());
-      for (Index flat : gidx[q]) {
-        rts::unflatten_global(dad, flat, g);
-        Index off = 0;
-        for (int d = 0; d < dad.rank(); ++d) {
-          const Index l = dad.local_of_global(d, g[static_cast<size_t>(d)]);
-          const Index shifted = l + dad.dim(d).overlap_lo;
-          if (shifted < 0 || shifted >= v.aext[static_cast<size_t>(d)])
-            return false;
-          off += shifted * v.stride[static_cast<size_t>(d)];
-        }
-        out[q].push_back(off * static_cast<Index>(v.elem));
-      }
-    }
-    return true;
-  };
-
-  bool ok;
-  try {
-    if (!write) {
-      ok = storage_offsets(sched->push_gidx, e.push_off);
-      if (ok) {
-        e.slot_off.assign(sched->slot_of.size(), {});
-        for (size_t q = 0; q < sched->slot_of.size(); ++q) {
-          e.slot_off[q].reserve(sched->slot_of[q].size());
-          for (Index slot : sched->slot_of[q])
-            e.slot_off[q].push_back(slot * 8);
-        }
-      }
-    } else {
-      ok = storage_offsets(sched->place_gidx, e.place_off);
-      if (ok) {
-        e.pos_off.assign(sched->send_pos.size(), {});
-        for (size_t q = 0; q < sched->send_pos.size(); ++q) {
-          e.pos_off[q].reserve(sched->send_pos[q].size());
-          for (Index pos : sched->send_pos[q]) e.pos_off[q].push_back(pos * 8);
-        }
-      }
-    }
-  } catch (const Error&) {
-    ok = false;  // the generic executor raises the original diagnostic
-  }
-  if (!ok) {
-    (write ? e.write_failed : e.read_failed) = true;
-    return nullptr;
-  }
-  (write ? e.write_ready : e.read_ready) = true;
-  ++stats_.misses;
-  return &e;
-}
-
-template <typename T>
-void CommPlans::read_impl(const parti::Schedule& sc, SchedEntry& e,
-                          std::vector<T>& out) {
-  comm::GridComm& gc = env_->gc;
-  machine::Proc& proc = gc.proc();
-  const int p = gc.nprocs();
-  const int me = gc.my_logical();
-  require(sc.nprocs == p, "schedule built for this machine size");
-  out.assign(static_cast<size_t>(sc.tmp_size), T{});
-  char* outb = reinterpret_cast<char*>(out.data());
-
-  {  // local traffic: elements I both own and need
-    const auto& ids = e.push_off[static_cast<size_t>(me)];
-    const auto& slots = e.slot_off[static_cast<size_t>(me)];
-    require(ids.size() == slots.size(), "self push/slot lists conform");
-    for (size_t j = 0; j < ids.size(); ++j)
-      std::memcpy(outb + slots[j], e.base + ids[j], sizeof(T));
-    proc.charge_copy(static_cast<double>(ids.size() * sizeof(T)));
-  }
-
-  constexpr int kTag = 8101;
-  for (int step = 1; step < p; ++step) {
-    const int to = (me + step) % p;
-    const auto& offs = e.push_off[static_cast<size_t>(to)];
-    std::vector<std::byte> payload =
-        proc.acquire_payload(offs.size() * sizeof(T));
-    for (size_t j = 0; j < offs.size(); ++j)
-      std::memcpy(payload.data() + j * sizeof(T), e.base + offs[j], sizeof(T));
-    gc.send_payload_logical(to, kTag + step, std::move(payload));
-  }
-  for (int step = 1; step < p; ++step) {
-    const int from = (me - step % p + p) % p;
-    machine::Message m = gc.recv_message_logical(from, kTag + step);
-    const auto& slots = e.slot_off[static_cast<size_t>(from)];
-    require(m.payload.size() == slots.size() * sizeof(T),
-            "gather payload matches schedule");
-    for (size_t j = 0; j < slots.size(); ++j)
-      std::memcpy(outb + slots[j], m.payload.data() + j * sizeof(T), sizeof(T));
-    proc.release_payload(std::move(m.payload));
-  }
-}
-
-template <typename T, typename Cast>
-void CommPlans::write_impl(const parti::Schedule& sc, SchedEntry& e,
-                           std::span<const double> values, Cast cast) {
-  comm::GridComm& gc = env_->gc;
-  machine::Proc& proc = gc.proc();
-  const int p = gc.nprocs();
-  const int me = gc.my_logical();
-  require(sc.nprocs == p, "schedule built for this machine size");
-  const char* valb = reinterpret_cast<const char*>(values.data());
-
-  {  // self traffic
-    const auto& pos = sc.send_pos[static_cast<size_t>(me)];
-    const auto& ids = e.place_off[static_cast<size_t>(me)];
-    require(pos.size() == ids.size(), "self pos/place lists conform");
-    for (size_t j = 0; j < pos.size(); ++j) {
-      const T v = cast(values[static_cast<size_t>(pos[j])]);
-      std::memcpy(e.base + ids[j], &v, sizeof(T));
-    }
-    proc.charge_copy(static_cast<double>(pos.size() * sizeof(T)));
-  }
-
-  constexpr int kTag = 8201;
-  for (int step = 1; step < p; ++step) {
-    const int to = (me + step) % p;
-    const auto& poff = e.pos_off[static_cast<size_t>(to)];
-    std::vector<std::byte> payload =
-        proc.acquire_payload(poff.size() * sizeof(T));
-    for (size_t j = 0; j < poff.size(); ++j) {
-      double dv;
-      std::memcpy(&dv, valb + poff[j], sizeof(double));
-      const T v = cast(dv);
-      std::memcpy(payload.data() + j * sizeof(T), &v, sizeof(T));
-    }
-    gc.send_payload_logical(to, kTag + step, std::move(payload));
-  }
-  for (int step = 1; step < p; ++step) {
-    const int from = (me - step % p + p) % p;
-    machine::Message m = gc.recv_message_logical(from, kTag + step);
-    const auto& ids = e.place_off[static_cast<size_t>(from)];
-    require(m.payload.size() == ids.size() * sizeof(T),
-            "scatter payload matches schedule");
-    for (size_t j = 0; j < ids.size(); ++j)
-      std::memcpy(e.base + ids[j], m.payload.data() + j * sizeof(T), sizeof(T));
-    proc.release_payload(std::move(m.payload));
-  }
-}
-
-bool CommPlans::execute_read(const parti::SchedulePtr& sched,
-                             const std::string& array, Buf& b) {
-  SchedEntry* e = sched_entry(sched, array, /*write=*/false);
-  if (e == nullptr) return false;
-  if (e->ty == ElemTy::kInt)
-    read_impl<long long>(*sched, *e, b.ivals);
-  else
-    read_impl<double>(*sched, *e, b.dvals);
-  return true;
-}
-
-bool CommPlans::execute_write(const parti::SchedulePtr& sched,
-                              const std::string& array,
-                              std::span<const double> values) {
-  SchedEntry* e = sched_entry(sched, array, /*write=*/true);
-  if (e == nullptr) return false;
-  if (e->ty == ElemTy::kInt)
-    write_impl<long long>(*sched, *e, values,
-                          [](double v) { return static_cast<long long>(v); });
-  else
-    write_impl<double>(*sched, *e, values, [](double v) { return v; });
-  return true;
 }
 
 }  // namespace f90d::exec

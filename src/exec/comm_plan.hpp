@@ -5,10 +5,10 @@
 // The tree-walking pre-communication actions re-derive the same facts on
 // every trip of a DO loop: which neighbour an overlap_shift talks to, which
 // storage cells form the boundary slab, which processor owns a broadcast
-// element, which local offsets a slab multicast packs, which owned cells a
-// PARTI executor pushes per peer.  A CommPlan resolves all of it once per
-// statement and processor — and re-binds the scalar-dependent parts in
-// place when the baked runtime scalars change — into flat descriptors:
+// element, which local offsets a slab multicast packs.  A CommPlan resolves
+// all of it once per statement and processor — and re-binds the
+// scalar-dependent parts in place when the baked runtime scalars change —
+// into flat descriptors:
 //
 //   ShiftPlan   overlap_shift lowered to two strided-copy descriptors
 //               (pack boundary slab / unpack ghost area) whose innermost
@@ -20,10 +20,6 @@
 //               offset tables (real local_of_global per value, so BLOCK,
 //               CYCLIC(k) and collapsed dims all work), feeding the buffer
 //               vector in place;
-//   SchedExec   PARTI read/write executors with the per-peer global-id
-//               lists pre-resolved to flat byte offsets, packing pooled
-//               payload buffers (machine::PayloadPool) instead of typed
-//               temporaries;
 //   ConcatPlan  the replicated-lhs write-back (a post-action): the run
 //               table of this processor's contribution bound from the
 //               execution plan's global-id recurrence, the payload the
@@ -31,9 +27,11 @@
 //               write-back through precomputed strides — one contiguous
 //               copy per run when local and global layouts coincide;
 //   GatherSlot  a PARTI schedule2 gather, run through the interpreter's
-//               schedule machinery (ScheduleCache, keys, the compiled
-//               executors below) with the execution plan's indexer walk
-//               as the inspector.
+//               schedule machinery (ScheduleCache, keys and the one PARTI
+//               executor, parti::execute_read) with the execution plan's
+//               indexer walk as the inspector.  The schedule's inspector
+//               already localized it to storage offsets, so nothing about
+//               it is baked here.
 //
 // Faithfulness contract: a compiled plan issues exactly the collective
 // calls, tags, message sizes (including zero-byte sends), virtual-time
@@ -48,13 +46,10 @@
 // (rebind), dropped together when any part binds a redistributed array.
 // A kScatter plan's scatter is not a slot: the interpreter runs it after
 // the nest through the tree walk's post-action code.  CommPlans itself
-// only keeps the PARTI executor state, keyed by schedule identity; those
-// entries re-check the array's storage base on every lookup, so they need
-// no invalidation call of their own (docs/EXECUTION.md).
+// holds no per-schedule state: PARTI schedules live in the interpreter's
+// ScheduleCache, localized by their inspector (docs/EXECUTION.md).
 #include <cstddef>
 #include <functional>
-#include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <variant>
@@ -62,16 +57,12 @@
 
 #include "exec/exec_env.hpp"
 #include "exec/exec_plan.hpp"
-#include "parti/schedule.hpp"
 
 namespace f90d::exec {
 
-/// PARTI executor counters (statement plans are counted by the statement
-/// cache that owns them).
+/// Comm-plan traffic counters (the plans themselves are counted by the
+/// statement cache that owns them).
 struct CommPlanStats {
-  long long hits = 0;           ///< executor calls served from a compiled entry
-  long long misses = 0;         ///< executor entries compiled
-  long long invalidations = 0;  ///< entries rebuilt: array storage moved
   /// Bytes moved through coalesced contiguous memcpy runs (pack+unpack
   /// fast path; strided element copies are not counted).
   long long bytes_memcpy_fast_path = 0;
@@ -120,9 +111,8 @@ enum class ElemTy { kReal, kInt, kLogical };
 /// Baked storage geometry of one distributed array piece: everything a plan
 /// needs to turn (global indices, iteration values) into flat byte offsets.
 /// Storage pointers are stable for the whole run (DistArray::data_ is
-/// allocated once); statement plans are dropped with their cache entry and
-/// executor entries re-check the base, covering the redistribute escape
-/// hatch.
+/// allocated once); statement plans are dropped with their cache entry,
+/// covering the redistribute escape hatch.
 struct ArrayView {
   char* base = nullptr;
   ElemTy ty = ElemTy::kReal;
@@ -194,20 +184,6 @@ class CommPlans {
   /// (this processor's own runs included, as in the tree walk, so the
   /// values land after the whole rhs was evaluated).
   void run_post(StmtPlan& plan);
-
-  /// Compiled PARTI read executor into `b` (dvals or ivals by element
-  /// type).  Returns false when the schedule/array cannot be compiled —
-  /// the caller falls back to parti::execute_read.  Identical messages,
-  /// tags, charges and buffer contents as the generic executor.
-  bool execute_read(const parti::SchedulePtr& sched, const std::string& array,
-                    Buf& b);
-
-  /// Compiled PARTI write executor (overwrite combine, the interpreter's
-  /// only use).  `values` are iteration-ordered doubles; integer
-  /// destinations convert exactly like the tree walk.  Returns false to
-  /// fall back.
-  bool execute_write(const parti::SchedulePtr& sched, const std::string& array,
-                     std::span<const double> values);
 
   [[nodiscard]] const CommPlanStats& stats() const { return stats_; }
 
@@ -281,27 +257,6 @@ class CommPlans {
         plan;
   };
 
-  /// Compiled executor state for one PARTI schedule.  Keyed by schedule
-  /// identity; `owner` keeps the Schedule alive so the key cannot be
-  /// recycled (no ABA) while the entry exists.
-  struct SchedEntry {
-    parti::SchedulePtr owner;
-    std::string array;
-    ElemTy ty = ElemTy::kReal;
-    char* base = nullptr;
-    /// Per peer: byte offsets into storage of push_gidx / place_gidx ids,
-    /// byte offsets into the temporary buffer of slot_of slots, and byte
-    /// offsets into the value vector of send_pos positions.
-    std::vector<std::vector<Index>> push_off;
-    std::vector<std::vector<Index>> slot_off;
-    std::vector<std::vector<Index>> place_off;
-    std::vector<std::vector<Index>> pos_off;
-    bool read_ready = false;
-    bool write_ready = false;
-    bool read_failed = false;
-    bool write_failed = false;
-  };
-
   // --- build ---------------------------------------------------------------
   /// Bake one slot's plan into `slot.plan` (reusing the alternative it
   /// already holds); a failed or throwing bake leaves a legacy slot.
@@ -320,19 +275,12 @@ class CommPlans {
   void build_concat(const compile::SpmdStmt& s, ConcatPlan& out);
   /// The run table of a concat slot from `xp`'s current binding.
   static void bind_concat(const ExecPlan& xp, ConcatPlan& out);
-  SchedEntry* sched_entry(const parti::SchedulePtr& sched,
-                          const std::string& array, bool write);
 
   // --- run ------------------------------------------------------------------
   void run_slot(const compile::SpmdStmt& s, Slot& slot, const ExecPlan& xp);
   void run_shift(ShiftPlan& p);
   void run_bcast(BcastPlan& p);
   void run_slab(SlabPlan& p);
-  template <typename T>
-  void read_impl(const parti::Schedule& sc, SchedEntry& e, std::vector<T>& out);
-  template <typename T, typename Cast>
-  void write_impl(const parti::Schedule& sc, SchedEntry& e,
-                  std::span<const double> values, Cast cast);
   /// Strided copy through a CopyDesc; `to_buffer` packs storage->buf,
   /// otherwise unpacks buf->storage.  Library code, not a JIT kernel: a
   /// copy has nothing to specialise beyond its depth and direction.
@@ -342,7 +290,6 @@ class CommPlans {
   Env* env_;
   CommHooks hooks_;
   CommPlanStats stats_;
-  std::map<const parti::Schedule*, SchedEntry> scheds_;
 };
 
 }  // namespace f90d::exec

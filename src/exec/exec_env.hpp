@@ -12,6 +12,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comm/grid_comm.hpp"
@@ -70,7 +71,19 @@ struct Value {
 struct Buf {
   std::vector<double> dvals;
   std::vector<long long> ivals;
+  std::vector<unsigned char> lvals;  ///< gathered LOGICAL elements
   Value scalar;
+
+  /// The iteration buffer of a gather from T storage.
+  template <typename T>
+  std::vector<T>& iter_vals() {
+    if constexpr (std::is_same_v<T, double>)
+      return dvals;
+    else if constexpr (std::is_same_v<T, long long>)
+      return ivals;
+    else
+      return lvals;
+  }
 };
 
 /// Resolves an INDIRECT map array's initial contents: given the map array
@@ -112,6 +125,18 @@ class Env {
   std::map<std::string, rts::DistArray<double>> dar;
   std::map<std::string, rts::DistArray<long long>> iar;
   std::map<std::string, rts::DistArray<unsigned char>> lar;
+
+  /// Calls f with array `n`'s typed storage (dar, iar or lar by its
+  /// declared type) and returns what f returns.
+  template <typename F>
+  decltype(auto) with_storage(const std::string& n, F&& f) {
+    switch (sym(n).type) {
+      case ast::BaseType::kInteger: return f(iar.at(n));
+      case ast::BaseType::kLogical: return f(lar.at(n));
+      case ast::BaseType::kReal: break;
+    }
+    return f(dar.at(n));
+  }
   std::map<std::string, Value> scalars;
   std::vector<Buf> bufs;
   /// Monotone per-array write-version counters.  Bumped identically on

@@ -526,8 +526,10 @@ class Builder {
       if (!s_.post.empty()) decline("post-communication actions");
       return;
     }
-    if (s_.mask) decline("masked buffered lhs (read-back semantics)");
     if (concat_lhs()) {
+      // The concat slot's run table is bound from every iteration's
+      // destination, masked-out ones included.
+      if (s_.mask) decline("masked concatenation");
       if (gathers) decline("gathered concatenation");
       return;
     }
@@ -735,13 +737,17 @@ class Builder {
         break;
       case Access::kIterBuf: {
         if (is_write) decline("iteration-buffered write reference");
-        const Symbol& sm = env_.sym(ref.array);
-        if (sm.type == ast::BaseType::kInteger)
-          r.kind = RefPlan::Kind::kIntIterBuf;
-        else if (sm.type == ast::BaseType::kReal)
-          r.kind = RefPlan::Kind::kRealIterBuf;
-        else
-          decline("logical gather buffer");
+        switch (env_.sym(ref.array).type) {
+          case ast::BaseType::kReal:
+            r.kind = RefPlan::Kind::kRealIterBuf;
+            break;
+          case ast::BaseType::kInteger:
+            r.kind = RefPlan::Kind::kIntIterBuf;
+            break;
+          case ast::BaseType::kLogical:
+            r.kind = RefPlan::Kind::kLogicalIterBuf;
+            break;
+        }
         r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
         break;
       }
@@ -1210,6 +1216,8 @@ Value load_ref(const RefPlan& r, long long off) {
       return Value::real(r.buf->dvals[static_cast<size_t>(off)]);
     case RefPlan::Kind::kIntIterBuf:
       return Value::integer(r.buf->ivals[static_cast<size_t>(off)]);
+    case RefPlan::Kind::kLogicalIterBuf:
+      return Value::logical(r.buf->lvals[static_cast<size_t>(off)] != 0);
     case RefPlan::Kind::kScalarSlot:
       return r.buf->scalar;
   }
@@ -1463,6 +1471,10 @@ Index run_scatter_plan(const ExecPlan& p, PlanScratch& scratch,
   return walk_nest(
       p, scratch, /*track_lhs=*/false,
       [&](const Index* varvals, const long long* offs) {
+        // A masked-out iteration contributes no (dest, value) pair.
+        if (!p.mask.empty() &&
+            !eval_tape(p.mask, p.refs, varvals, offs, scratch.stack).as_b())
+          return;
         // Rhs before destination, like the tree walk: an out-of-range
         // destination must not suppress rhs evaluation side ordering.
         const Value v = eval_tape(p.rhs, p.refs, varvals, offs, scratch.stack);

@@ -168,6 +168,7 @@ struct RefPlan {
     kScalarSlot,     ///< broadcast element in Buf::scalar
     kRealIterBuf,    ///< gathered value per iteration, Buf::dvals (gather)
     kIntIterBuf,     ///< ... Buf::ivals
+    kLogicalIterBuf, ///< ... Buf::lvals
   };
   Kind kind = Kind::kRealDirect;
   double* dbase = nullptr;

@@ -79,9 +79,9 @@ exec::MapResolver map_resolver(const Init& init) {
 // (exec/statement_plan.hpp), whose entries run their compiled
 // communication (PARTI gathers included) and the strength-reduced loop
 // nest into an lhs store, a reduction accumulator, a concatenation payload
-// or a scatter stream; statements the planner declines (masked buffered
-// writes, schedule1 reads, non-affine subscripts) fall back to the tree
-// walk below, which operates on the same exec::Env state.
+// or a scatter stream; statements the planner declines (masked
+// concatenations, schedule1 reads, non-affine subscripts) fall back to the
+// tree walk below, which operates on the same exec::Env state.
 
 class Node {
  public:
@@ -229,10 +229,13 @@ class Node {
       }
       case Access::kIterBuf: {
         const Buf& b = env_.bufs[static_cast<size_t>(ref->buffer_id)];
-        const Symbol& s = env_.sym(e.name);
-        if (s.type == ast::BaseType::kInteger)
-          return Value::integer(b.ivals[static_cast<size_t>(flat_iter_)]);
-        return Value::real(b.dvals[static_cast<size_t>(flat_iter_)]);
+        const size_t k = static_cast<size_t>(flat_iter_);
+        switch (env_.sym(e.name).type) {
+          case ast::BaseType::kInteger: return Value::integer(b.ivals[k]);
+          case ast::BaseType::kLogical: return Value::logical(b.lvals[k] != 0);
+          case ast::BaseType::kReal: break;
+        }
+        return Value::real(b.dvals[k]);
       }
       case Access::kSlabBuf: {
         const Buf& b = env_.bufs[static_cast<size_t>(ref->buffer_id)];
@@ -568,15 +571,8 @@ class Node {
       } else {
         iterate(s, *my_ranges, [&]() {
           ++iters;
-          if (s.mask && !opt_.skeleton && !eval(*s.mask).as_b()) {
-            if (s.lhs_buffered) {
-              // Keep slots aligned with iteration order for executors.
-              eval_subs(*s.lhs, gidx_scratch_);
-              dest_ids.push_back(flat_global_of(s.refs[0].array, gidx_scratch_));
-              values.push_back(read_back(s, gidx_scratch_));
-            }
-            return;
-          }
+          // A masked-out iteration writes nothing: no (dest, value) pair.
+          if (s.mask && !opt_.skeleton && !eval(*s.mask).as_b()) return;
           const Value v =
               opt_.skeleton ? Value::real(0.0) : eval(*s.rhs);
           if (s.lhs_buffered) {
@@ -594,27 +590,6 @@ class Node {
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
 
     run_post_actions(s, values, dest_ids);
-  }
-
-  /// Re-read the current lhs element (masked iterations keep old values in
-  /// the buffered-write path).
-  double read_back(const SpmdStmt& s, const std::vector<Index>& g) {
-    const std::string& name = s.refs[0].array;
-    // The element may live remotely for buffered writes; a masked slot will
-    // simply rewrite whatever value the owner already has, so send 0 when
-    // not locally available (the combine overwrite is benign only when the
-    // owner re-receives its own value; to stay safe, read ghost when owned).
-    auto& dad = env_.dads.at(name);
-    std::vector<int> coords = gc_.my_coords();
-    bool owned = true;
-    for (int d = 0; d < dad.rank(); ++d) {
-      const rts::DimMap& m = dad.dim(d);
-      if (m.kind == DistKind::kCollapsed) continue;
-      owned = owned && dad.owner_coord(d, g[static_cast<size_t>(d)]) ==
-                           coords[static_cast<size_t>(m.grid_dim)];
-    }
-    if (!owned) return 0.0;
-    return env_.read_element(name, g, false).as_d();
   }
 
   [[nodiscard]] bool stmt_has_iterbuf(const SpmdStmt& s) const {
@@ -830,58 +805,107 @@ class Node {
       const SpmdStmt& s, const CommAction& a, const RefInfo& ref,
       const std::function<void(std::vector<Index>&)>& my_needs_fn) {
     const Dad& dad = env_.dads.at(ref.array);
-    parti::SchedulePtr sched;
-    const std::string key = runtime_key(s, a);
-    auto build = [&]() -> parti::SchedulePtr {
-      ++schedules_built_;
-      // My needs, in iteration order (the inspector).
-      std::vector<Index> needs;
-      my_needs_fn(needs);
-      if (a.kind == CommKind::kGather) return parti::schedule2(gc_, dad, needs);
-      // schedule1: compute any peer's needs locally.
-      auto needs_of_peer = [&](int q, std::vector<Index>& out) {
-        const std::vector<int> qc = c_.mapping.grid.coords_of(q);
-        auto qr = ranges_for_coords(s, qc);
-        if (!qr) return;
-        iterate(s, *qr, [&]() {
-          eval_subs(*ref.expr, gidx_scratch_);
-          out.push_back(flat_global_of(ref.array, gidx_scratch_));
+    const parti::SchedulePtr sched =
+        schedule_for(s, a, ref.array, [&]() -> parti::SchedulePtr {
+          // My needs, in iteration order (the inspector).
+          std::vector<Index> needs;
+          my_needs_fn(needs);
+          if (a.kind == CommKind::kGather)
+            return parti::schedule2(gc_, dad, needs);
+          // schedule1: compute any peer's needs locally.
+          return parti::schedule1_read(
+              gc_, dad, needs, [&](int q, std::vector<Index>& out) {
+                peer_ids(s, *ref.expr, ref.array, q, out);
+              });
         });
-      };
-      return parti::schedule1_read(gc_, dad, needs, needs_of_peer);
-    };
-    if (!key.empty() && opt_.schedule_cache) {
-      std::vector<std::string> deps = schedule_dep_arrays(s, a);
-      deps.push_back(ref.array);
-      sched = cache_.get_or_build(key, deps, build);
-    } else {
-      sched = build();
-    }
-
     Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
-    const Symbol& sm = env_.sym(ref.array);
-    // Compiled executor first (pre-resolved offsets, pooled payloads);
-    // falls back to the generic executor when the entry declines.  Both
-    // produce identical buffers, messages and charges.
-    const bool compiled = comm_plans_.execute_read(sched, ref.array, b);
-    if (sm.type == ast::BaseType::kInteger) {
-      if (!compiled)
-        b.ivals = parti::execute_read(gc_, *sched, env_.iar.at(ref.array));
-      gather_bytes_ +=
-          sched->remote_read_bytes(gc_.my_logical(), sizeof(long long));
-    } else {
-      if (!compiled)
-        b.dvals = parti::execute_read(gc_, *sched, env_.dar.at(ref.array));
-      gather_bytes_ +=
-          sched->remote_read_bytes(gc_.my_logical(), sizeof(double));
+    const std::size_t elem = env_.with_storage(ref.array, [&](auto& arr) {
+      using T = typename std::decay_t<decltype(arr)>::value_type;
+      parti::execute_read(gc_, *sched, arr, b.iter_vals<T>());
+      return sizeof(T);
+    });
+    gather_bytes_ += sched->remote_read_bytes(gc_.my_logical(), elem);
+  }
+
+  /// Run the write schedule of one post action: ship the iteration-ordered
+  /// `values` to their `dest_ids` in the lhs array's own element type.
+  void scatter_via_schedule(const SpmdStmt& s, const CommAction& a,
+                            const std::vector<double>& values,
+                            const std::vector<Index>& dest_ids) {
+    const RefInfo& lhs = s.refs[0];
+    const Dad& dad = env_.dads.at(lhs.array);
+    const parti::SchedulePtr sched =
+        schedule_for(s, a, lhs.array, [&]() -> parti::SchedulePtr {
+          if (a.kind == CommKind::kScatter)
+            return parti::schedule3(gc_, dad, dest_ids);
+          return parti::schedule1_write(
+              gc_, dad, dest_ids, [&](int q, std::vector<Index>& out) {
+                peer_ids(s, *s.lhs, lhs.array, q, out);
+              });
+        });
+    const std::size_t elem = env_.with_storage(lhs.array, [&](auto& arr) {
+      parti::execute_write(gc_, *sched, arr, std::span<const double>(values));
+      return sizeof(typename std::decay_t<decltype(arr)>::value_type);
+    });
+    scatter_bytes_ += sched->remote_write_bytes(gc_.my_logical(), elem);
+  }
+
+  /// The schedule of one PARTI action: found in the ScheduleCache under its
+  /// runtime key — its dependencies are the arrays its lists were computed
+  /// from and `array`, whose storage they were localized against — or
+  /// built by `inspect` on a miss (always, with no key or caching off).
+  parti::SchedulePtr schedule_for(
+      const SpmdStmt& s, const CommAction& a, const std::string& array,
+      const std::function<parti::SchedulePtr()>& inspect) {
+    auto build = [&]() {
+      ++schedules_built_;
+      return inspect();
+    };
+    const std::string key = runtime_key(s, a);
+    if (key.empty() || !opt_.schedule_cache) return build();
+    std::vector<std::string> deps = schedule_dep_arrays(s, a);
+    deps.push_back(array);
+    return cache_.get_or_build(key, deps, build);
+  }
+
+  /// schedule1's local peer enumeration: the global flat ids of `array`
+  /// that element expression `e` takes over processor q's iteration
+  /// ranges, in q's iteration order.
+  void peer_ids(const SpmdStmt& s, const Expr& e, const std::string& array,
+                int q, std::vector<Index>& out) {
+    auto qr = ranges_for_coords(s, c_.mapping.grid.coords_of(q));
+    if (!qr) return;
+    iterate(s, *qr, [&]() {
+      eval_subs(e, gidx_scratch_);
+      out.push_back(flat_global_of(array, gidx_scratch_));
+    });
+  }
+
+  /// Visits the expressions a schedule's lists are computed from: the
+  /// FORALL bounds, the reference's subscripts and — for a write, whose
+  /// masked-out iterations contribute no destination — the mask.
+  template <typename F>
+  static void for_each_schedule_input(const SpmdStmt& s, const CommAction& a,
+                                      F&& f) {
+    for (const IndexPartition& ip : s.indices) {
+      f(*ip.lo);
+      f(*ip.hi);
+      if (ip.st) f(*ip.st);
     }
+    const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
+    for (const ExprPtr& x : ref.expr->args)
+      if (x) f(*x);
+    if (s.mask && (a.kind == CommKind::kScatter ||
+                   a.kind == CommKind::kPostcompWrite))
+      f(*s.mask);
   }
 
   /// Arrays whose *values* feed the needs/destination computation of a
   /// schedule action: indirection arrays appearing in the reference's
-  /// subscripts or the statement's bounds.  These are the schedule's data
-  /// dependencies — the send/receive lists go stale when their contents
-  /// change, even though the DAD signature does not.
+  /// subscripts or the statement's bounds, and a write's mask arrays.
+  /// These are the schedule's data dependencies — the send/receive lists
+  /// go stale when their contents change, even though the DAD signature
+  /// does not.
   std::vector<std::string> schedule_dep_arrays(const SpmdStmt& s,
                                                const CommAction& a) {
     std::set<std::string> deps;
@@ -892,14 +916,7 @@ class Node {
       for (const ExprPtr& x : e.args)
         if (x) self(*x, self);
     };
-    for (const IndexPartition& ip : s.indices) {
-      walk(*ip.lo, walk);
-      walk(*ip.hi, walk);
-      if (ip.st) walk(*ip.st, walk);
-    }
-    const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
-    for (const ExprPtr& x : ref.expr->args)
-      if (x) walk(*x, walk);
+    for_each_schedule_input(s, a, [&](const Expr& e) { walk(e, walk); });
     return {deps.begin(), deps.end()};
   }
 
@@ -920,14 +937,7 @@ class Node {
       for (const ExprPtr& x : e.args)
         if (x) self(*x, self);
     };
-    for (const IndexPartition& ip : s.indices) {
-      walk(*ip.lo, walk);
-      walk(*ip.hi, walk);
-      if (ip.st) walk(*ip.st, walk);
-    }
-    const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
-    for (const ExprPtr& x : ref.expr->args)
-      if (x) walk(*x, walk);
+    for_each_schedule_input(s, a, [&](const Expr& e) { walk(e, walk); });
     // Exact values: a REAL scalar keys by its bit pattern, so 1.2 and 1.4
     // (both 1 as integers) never share a schedule.
     for (const std::string& nm : names) {
@@ -1015,53 +1025,9 @@ class Node {
           break;
         }
         case CommKind::kPostcompWrite:
-        case CommKind::kScatter: {
-          parti::SchedulePtr sched;
-          const std::string key = runtime_key(s, a);
-          auto build = [&]() -> parti::SchedulePtr {
-            ++schedules_built_;
-            if (a.kind == CommKind::kScatter)
-              return parti::schedule3(gc_, dad, dest_ids);
-            auto dests_of_peer = [&](int q, std::vector<Index>& out) {
-              const std::vector<int> qc = c_.mapping.grid.coords_of(q);
-              auto qr = ranges_for_coords(s, qc);
-              if (!qr) return;
-              iterate(s, *qr, [&]() {
-                eval_subs(*s.lhs, gidx_scratch_);
-                out.push_back(flat_global_of(lhs.array, gidx_scratch_));
-              });
-            };
-            return parti::schedule1_write(gc_, dad, dest_ids, dests_of_peer);
-          };
-          if (!key.empty() && opt_.schedule_cache) {
-            std::vector<std::string> deps = schedule_dep_arrays(s, a);
-            deps.push_back(lhs.array);
-            sched = cache_.get_or_build(key, deps, build);
-          } else {
-            sched = build();
-          }
-          const Symbol& sm = env_.sym(lhs.array);
-          const bool compiled = comm_plans_.execute_write(
-              sched, lhs.array, std::span<const double>(values));
-          if (sm.type == ast::BaseType::kInteger) {
-            if (!compiled) {
-              std::vector<long long> iv(values.size());
-              for (size_t k = 0; k < values.size(); ++k)
-                iv[k] = static_cast<long long>(values[k]);
-              parti::execute_write(gc_, *sched, env_.iar.at(lhs.array),
-                                   std::span<const long long>(iv));
-            }
-            scatter_bytes_ +=
-                sched->remote_write_bytes(gc_.my_logical(), sizeof(long long));
-          } else {
-            if (!compiled)
-              parti::execute_write(gc_, *sched, env_.dar.at(lhs.array),
-                                   std::span<const double>(values));
-            scatter_bytes_ +=
-                sched->remote_write_bytes(gc_.my_logical(), sizeof(double));
-          }
+        case CommKind::kScatter:
+          scatter_via_schedule(s, a, values, dest_ids);
           break;
-        }
         default:
           throw RtsError("unexpected post-action");
       }
@@ -1234,15 +1200,12 @@ class Node {
     shared_.result.native_attaches = ns.attaches;
     shared_.result.native_fallbacks = ns.fallbacks;
     shared_.result.native_invalidations = ps.native_invalidations;
-    const exec::CommPlanStats& cs = comm_plans_.stats();
-    shared_.result.comm_plan_hits =
-        ps.regular.hits + ps.irregular.hits + cs.hits;
-    shared_.result.comm_plan_misses =
-        ps.regular.misses + ps.irregular.misses + cs.misses;
+    shared_.result.comm_plan_hits = ps.regular.hits + ps.irregular.hits;
+    shared_.result.comm_plan_misses = ps.regular.misses + ps.irregular.misses;
     shared_.result.comm_plan_invalidations =
-        ps.regular.invalidations + ps.irregular.invalidations +
-        cs.invalidations;
-    shared_.result.comm_plan_fast_bytes = cs.bytes_memcpy_fast_path;
+        ps.regular.invalidations + ps.irregular.invalidations;
+    shared_.result.comm_plan_fast_bytes =
+        comm_plans_.stats().bytes_memcpy_fast_path;
     shared_.result.pool_reuses = proc_.stats().pool_reuses;
     shared_.result.tree_walk_stmts = tree_walk_stmts_;
   }

@@ -128,11 +128,11 @@ struct ProgramResult {
   long long native_dlopens = 0;
   double native_compile_ms = 0;
   /// Communication-plan statistics (processor 0): statement-cache entries
-  /// of both kinds (each owns its compiled communication) plus compiled
-  /// PARTI executors, served / built / dropped or rebuilt after a
-  /// redistribute/remap, and payload bytes moved through coalesced
-  /// contiguous-memcpy pack/unpack runs.  Tree-walk runs only count the
-  /// executors, which serve both paths.
+  /// of both kinds (plan_* + irregular_*; each owns its compiled
+  /// communication) served / built / dropped after a redistribute/remap,
+  /// and payload bytes moved through coalesced contiguous-memcpy
+  /// pack/unpack runs.  PARTI schedules are counted by schedule_* alone;
+  /// tree-walk runs build no comm plans.
   long long comm_plan_hits = 0;
   long long comm_plan_misses = 0;
   long long comm_plan_invalidations = 0;

@@ -77,7 +77,8 @@ char ref_class(RefPlan::Kind k) {
     case RefPlan::Kind::kLogicalDirect: return 'l';
     case RefPlan::Kind::kScalarSlot: return 's';
     case RefPlan::Kind::kRealIterBuf:
-    case RefPlan::Kind::kIntIterBuf: return 'x';
+    case RefPlan::Kind::kIntIterBuf:
+    case RefPlan::Kind::kLogicalIterBuf: return 'x';
   }
   return 'x';
 }
@@ -261,6 +262,7 @@ class Lowerer {
         case RefPlan::Kind::kScalarSlot: continue;  // value arrives via ds/is/ls
         case RefPlan::Kind::kRealIterBuf:
         case RefPlan::Kind::kIntIterBuf:
+        case RefPlan::Kind::kLogicalIterBuf:
           fail("iteration buffer (PARTI gather)");
       }
       os << "  " << ty << "* b" << r << " = (" << ty << "*)base[" << r
@@ -453,6 +455,7 @@ class Lowerer {
             }
             case RefPlan::Kind::kRealIterBuf:
             case RefPlan::Kind::kIntIterBuf:
+            case RefPlan::Kind::kLogicalIterBuf:
               fail("iteration buffer (PARTI gather)");
           }
           break;

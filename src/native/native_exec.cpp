@@ -119,6 +119,7 @@ void NativeExec::attach(const ExecPlan& p, Attachment& at) {
       case RefPlan::Kind::kScalarSlot: break;  // value travels via ds/is/ls
       case RefPlan::Kind::kRealIterBuf:
       case RefPlan::Kind::kIntIterBuf:
+      case RefPlan::Kind::kLogicalIterBuf:
         // Unreachable: the Lowerer declines iteration buffers, so such
         // plans never compile, and attach only follows a compile.
         at.base[r] = nullptr;

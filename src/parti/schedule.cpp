@@ -20,11 +20,46 @@ bool holds_copy(const rts::Dad& dad, const std::vector<int>& coords,
 std::shared_ptr<Schedule> fresh(int nprocs) {
   auto s = std::make_shared<Schedule>();
   s->nprocs = nprocs;
-  s->push_gidx.resize(static_cast<size_t>(nprocs));
+  s->push_off.resize(static_cast<size_t>(nprocs));
   s->slot_of.resize(static_cast<size_t>(nprocs));
   s->send_pos.resize(static_cast<size_t>(nprocs));
-  s->place_gidx.resize(static_cast<size_t>(nprocs));
+  s->place_off.resize(static_cast<size_t>(nprocs));
   return s;
+}
+
+/// The localize step: rewrites every global flat id in `lists` as the
+/// element offset of that element in this processor's allocated piece of
+/// an array mapped by `dad` (owned-local index shifted by the overlap,
+/// row-major over the allocated extents — exactly DistArray::at_global's
+/// cell), and records those extents in the schedule.  Each inspector
+/// collects global ids in push_off / place_off and localizes them last.
+void localize(const rts::Dad& dad, const std::vector<int>& coords,
+              std::vector<std::vector<Index>>& lists, Schedule& s) {
+  const int r = dad.rank();
+  s.aext.resize(static_cast<size_t>(r));
+  for (int d = 0; d < r; ++d) {
+    const rts::DimMap& m = dad.dim(d);
+    const int c = m.kind == rts::DistKind::kCollapsed
+                      ? 0
+                      : coords[static_cast<size_t>(m.grid_dim)];
+    s.aext[static_cast<size_t>(d)] = dad.alloc_extent(d, c);
+  }
+  std::vector<Index> g;
+  for (std::vector<Index>& ids : lists) {
+    for (Index& id : ids) {
+      rts::unflatten_global(dad, id, g);
+      Index off = 0;
+      for (int d = 0; d < r; ++d) {
+        const Index l = dad.local_of_global(d, g[static_cast<size_t>(d)]) +
+                        dad.dim(d).overlap_lo;
+        const Index ext = s.aext[static_cast<size_t>(d)];
+        require(l >= 0 && l < ext,
+                "local index within allocated extent (incl. overlap)");
+        off = off * ext + l;
+      }
+      id = off;
+    }
+  }
 }
 
 }  // namespace
@@ -56,9 +91,10 @@ SchedulePtr schedule1_read(
     for (Index gid : peer_needs) {
       rts::unflatten_global(source_dad, gid, g);
       if (source_dad.owner_logical(g, q_coords) == gc.my_logical())
-        s->push_gidx[static_cast<size_t>(q)].push_back(gid);
+        s->push_off[static_cast<size_t>(q)].push_back(gid);
     }
   }
+  localize(source_dad, gc.my_coords(), s->push_off, *s);
   gc.proc().charge_int_ops(
       6.0 * static_cast<double>(my_needs.size()) * 2.0);
   s->inspector_messages = 0;
@@ -93,9 +129,10 @@ SchedulePtr schedule1_write(
     for (Index gid : peer_dests) {
       rts::unflatten_global(dest_dad, gid, g);
       if (holds_copy(dest_dad, gc.my_coords(), g))
-        s->place_gidx[static_cast<size_t>(q)].push_back(gid);
+        s->place_off[static_cast<size_t>(q)].push_back(gid);
     }
   }
+  localize(dest_dad, gc.my_coords(), s->place_off, *s);
   gc.proc().charge_int_ops(6.0 * static_cast<double>(my_dests.size()) * 2.0);
   s->inspector_messages = 0;
   return s;
@@ -121,7 +158,7 @@ SchedulePtr schedule2(comm::GridComm& gc, const rts::Dad& source_dad,
 
   // Fan-in: "each processor transmits a list of required array elements
   // (local_list) to the appropriate processors."
-  s->push_gidx[static_cast<size_t>(me)] = req_ids[static_cast<size_t>(me)];
+  s->push_off[static_cast<size_t>(me)] = req_ids[static_cast<size_t>(me)];
   constexpr int kTag = 8301;
   for (int step = 1; step < p; ++step) {
     const int to = (me + step) % p;
@@ -130,9 +167,10 @@ SchedulePtr schedule2(comm::GridComm& gc, const rts::Dad& source_dad,
   }
   for (int step = 1; step < p; ++step) {
     const int from = (me - step % p + p) % p;
-    s->push_gidx[static_cast<size_t>(from)] =
+    s->push_off[static_cast<size_t>(from)] =
         gc.recv_logical<Index>(from, kTag + step);
   }
+  localize(source_dad, gc.my_coords(), s->push_off, *s);
   s->inspector_messages = 2 * (p - 1);
   return s;
 }
@@ -161,7 +199,7 @@ SchedulePtr schedule3(comm::GridComm& gc, const rts::Dad& dest_dad,
   // One id-list exchange tells owners where arriving values are stored
   // ("schedule3 does not need to send local index in a separate
   //  communication step" — ids and placement travel together here).
-  s->place_gidx[static_cast<size_t>(me)] = ids[static_cast<size_t>(me)];
+  s->place_off[static_cast<size_t>(me)] = ids[static_cast<size_t>(me)];
   constexpr int kTag = 8401;
   for (int step = 1; step < p; ++step) {
     const int to = (me + step) % p;
@@ -170,9 +208,10 @@ SchedulePtr schedule3(comm::GridComm& gc, const rts::Dad& dest_dad,
   }
   for (int step = 1; step < p; ++step) {
     const int from = (me - step % p + p) % p;
-    s->place_gidx[static_cast<size_t>(from)] =
+    s->place_off[static_cast<size_t>(from)] =
         gc.recv_logical<Index>(from, kTag + step);
   }
+  localize(dest_dad, gc.my_coords(), s->place_off, *s);
   s->inspector_messages = 2 * (p - 1);
   return s;
 }

@@ -22,9 +22,21 @@
 // "The same schedule can be reused repeatedly to carry out a particular
 //  pattern of data exchange ... the cost of generating the schedules can be
 //  amortized" — see ScheduleCache.
+//
+// The inspectors also *localize* the schedule, as PARTI's do: every push
+// list and placement list is resolved, once, from global element ids to
+// element offsets into the owner's allocated piece of the array (overlap
+// areas included — the cell DistArray::at_global reaches).  The executor
+// then copies by offset: no global-id arithmetic, no per-element index
+// vectors, no per-call state beyond the caller's buffer.  A schedule
+// records the allocated extents it was localized against, and the
+// executor refuses an array of any other shape.
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comm/grid_comm.hpp"
@@ -39,19 +51,25 @@ struct Schedule {
   int nprocs = 0;
 
   // --- read side (values flow owner -> requester) -------------------------
-  /// Global flat ids of my owned source elements each peer asked for, in
-  /// the peer's iteration order.
-  std::vector<std::vector<Index>> push_gidx;
+  /// Element offsets (into my allocated source piece) of the owned elements
+  /// each peer asked for, in the peer's iteration order.
+  std::vector<std::vector<Index>> push_off;
   /// For elements I receive from each peer: slots in my temporary buffer.
   std::vector<std::vector<Index>> slot_of;
-  /// Size of my temporary buffer (= number of iterations I execute).
+  /// Size of my temporary buffer (= number of iterations I execute); on the
+  /// write side, the length of the value vector `send_pos` indexes.
   Index tmp_size = 0;
 
   // --- write side (values flow computer -> owner) --------------------------
   /// Positions (into my iteration-ordered value vector) to ship per peer.
   std::vector<std::vector<Index>> send_pos;
-  /// Global flat ids where arriving values are stored, per peer.
-  std::vector<std::vector<Index>> place_gidx;
+  /// Element offsets (into my allocated destination piece) where arriving
+  /// values are stored, per peer.
+  std::vector<std::vector<Index>> place_off;
+
+  /// Allocated extents (owned + overlap) of the array piece the offsets
+  /// address.
+  std::vector<Index> aext;
 
   /// Number of messages the inspector itself exchanged (0 for schedule1).
   int inspector_messages = 0;
@@ -61,20 +79,34 @@ struct Schedule {
   /// self-copies excluded).  Feeds the --stats gather-byte counter.
   [[nodiscard]] long long remote_read_bytes(int me,
                                             std::size_t elem_size) const {
-    long long n = 0;
-    for (int q = 0; q < nprocs; ++q)
-      if (q != me) n += static_cast<long long>(slot_of[static_cast<size_t>(q)].size());
-    return n * static_cast<long long>(elem_size);
+    return remote_elements(slot_of, me) * static_cast<long long>(elem_size);
   }
   /// Same for the write executor (elements received for placement from
   /// remote peers).
   [[nodiscard]] long long remote_write_bytes(int me,
                                              std::size_t elem_size) const {
+    return remote_elements(place_off, me) * static_cast<long long>(elem_size);
+  }
+
+  /// The executors' shape check: `a`'s allocated extents are the ones the
+  /// offsets were resolved against.
+  template <typename T>
+  void require_localized_for(const rts::DistArray<T>& a) const {
+    bool same = static_cast<int>(aext.size()) == a.rank();
+    for (int d = 0; same && d < a.rank(); ++d)
+      same = aext[static_cast<size_t>(d)] == a.alloc_extent(d);
+    require(same,
+            "PARTI schedule localized against this array's allocated extents");
+  }
+
+ private:
+  [[nodiscard]] long long remote_elements(
+      const std::vector<std::vector<Index>>& per_peer, int me) const {
     long long n = 0;
     for (int q = 0; q < nprocs; ++q)
       if (q != me)
-        n += static_cast<long long>(place_gidx[static_cast<size_t>(q)].size());
-    return n * static_cast<long long>(elem_size);
+        n += static_cast<long long>(per_peer[static_cast<size_t>(q)].size());
+    return n;
   }
 };
 
@@ -110,133 +142,164 @@ SchedulePtr schedule2(comm::GridComm& gc, const rts::Dad& source_dad,
 SchedulePtr schedule3(comm::GridComm& gc, const rts::Dad& dest_dad,
                       const std::vector<Index>& my_dests);
 
-/// Executor, read side: returns my iteration-ordered temporary buffer
-/// tmp[k] = source(need k).  Used by precomp_read and gather.
+namespace detail {
+/// An iteration value (the interpreter's doubles) as a storage element,
+/// converted like exec::Value::real(v).as_d/as_i/as_b: INTEGER truncates,
+/// LOGICAL is "nonzero".
 template <typename T>
-std::vector<T> execute_read(comm::GridComm& gc, const Schedule& sched,
-                            rts::DistArray<T>& source);
+T element_of(double v) {
+  if constexpr (std::is_same_v<T, unsigned char>)
+    return static_cast<unsigned char>(v != 0.0 ? 1 : 0);
+  else
+    return static_cast<T>(v);
+}
+}  // namespace detail
 
-/// Executor, write side: ships values[k] (my iteration order) to the owners
-/// of the destination elements recorded in the schedule.  `combine` merges
-/// each arriving value into the current element (overwrite when absent) —
-/// pass e.g. a sum to give duplicate destination ids accumulate semantics;
-/// arriving values are applied in a fixed processor order (self, then peers
-/// ascending by ring distance), so the result is machine-independent.
-/// Used by postcomp_write, scatter.
+/// Executor, read side: fills `out` (my iteration-ordered temporary buffer,
+/// owned by the caller so its capacity is reused) with out[k] =
+/// source(need k).  Typed over REAL (double), INTEGER (long long) and
+/// LOGICAL (unsigned char) storage.  Used by precomp_read and gather.
+template <typename T>
+void execute_read(comm::GridComm& gc, const Schedule& sched,
+                  const rts::DistArray<T>& source, std::vector<T>& out);
+
+/// Executor, write side: ships values[k] (my iteration order), converted to
+/// the destination's element type, to the owners of the destination
+/// elements recorded in the schedule.  `combine` merges each arriving value
+/// into the current element (overwrite when absent) — pass e.g. a sum to
+/// give duplicate destination ids accumulate semantics; arriving values are
+/// applied in a fixed processor order (self, then peers ascending by ring
+/// distance), so the result is machine-independent.  Used by
+/// postcomp_write, scatter.
 template <typename T>
 void execute_write(comm::GridComm& gc, const Schedule& sched,
-                   rts::DistArray<T>& dest, std::span<const T> values,
+                   rts::DistArray<T>& dest, std::span<const double> values,
                    const std::function<T(const T&, const T&)>& combine = {});
 
 /// Paper-named wrappers.
 template <typename T>
 std::vector<T> precomp_read(comm::GridComm& gc, const Schedule& sched,
-                            rts::DistArray<T>& source) {
-  return execute_read(gc, sched, source);
+                            const rts::DistArray<T>& source) {
+  std::vector<T> tmp;
+  execute_read(gc, sched, source, tmp);
+  return tmp;
 }
 template <typename T>
 std::vector<T> gather(comm::GridComm& gc, const Schedule& sched,
-                      rts::DistArray<T>& source) {
-  return execute_read(gc, sched, source);
+                      const rts::DistArray<T>& source) {
+  return precomp_read(gc, sched, source);
 }
 template <typename T>
 void postcomp_write(comm::GridComm& gc, const Schedule& sched,
-                    rts::DistArray<T>& dest, std::span<const T> values) {
+                    rts::DistArray<T>& dest, std::span<const double> values) {
   execute_write(gc, sched, dest, values);
 }
 template <typename T>
 void scatter(comm::GridComm& gc, const Schedule& sched,
-             rts::DistArray<T>& dest, std::span<const T> values) {
+             rts::DistArray<T>& dest, std::span<const double> values) {
   execute_write(gc, sched, dest, values);
 }
 
 // --- executor definitions ---------------------------------------------------
+// Remote elements travel in pooled payload buffers (packed and unpacked by
+// memcpy: a payload is bytes, not T-aligned storage), one message per peer
+// in ring order, zero-byte messages included.
 
 template <typename T>
-std::vector<T> execute_read(comm::GridComm& gc, const Schedule& sched,
-                            rts::DistArray<T>& source) {
+void execute_read(comm::GridComm& gc, const Schedule& sched,
+                  const rts::DistArray<T>& source, std::vector<T>& out) {
+  machine::Proc& proc = gc.proc();
   const int p = gc.nprocs();
   const int me = gc.my_logical();
   require(sched.nprocs == p, "schedule built for this machine size");
-  std::vector<T> tmp(static_cast<size_t>(sched.tmp_size), T{});
-  std::vector<Index> g;
-
-  auto value_at = [&](Index flat) -> T {
-    rts::unflatten_global(source.dad(), flat, g);
-    return source.at_global(g);
-  };
+  sched.require_localized_for(source);
+  out.assign(static_cast<size_t>(sched.tmp_size), T{});
+  const T* src = source.storage().data();
 
   // Local traffic: elements I both own and need.
   {
-    const auto& ids = sched.push_gidx[static_cast<size_t>(me)];
+    const auto& offs = sched.push_off[static_cast<size_t>(me)];
     const auto& slots = sched.slot_of[static_cast<size_t>(me)];
-    require(ids.size() == slots.size(), "self push/slot lists conform");
-    for (size_t j = 0; j < ids.size(); ++j)
-      tmp[static_cast<size_t>(slots[j])] = value_at(ids[j]);
-    gc.proc().charge_copy(static_cast<double>(ids.size() * sizeof(T)));
+    require(offs.size() == slots.size(), "self push/slot lists conform");
+    for (size_t j = 0; j < offs.size(); ++j)
+      out[static_cast<size_t>(slots[j])] = src[offs[j]];
+    proc.charge_copy(static_cast<double>(offs.size() * sizeof(T)));
   }
 
   constexpr int kTag = 8101;
-  std::vector<T> out_buf;
   for (int step = 1; step < p; ++step) {
     const int to = (me + step) % p;
-    const auto& ids = sched.push_gidx[static_cast<size_t>(to)];
-    out_buf.clear();
-    out_buf.reserve(ids.size());
-    for (Index flat : ids) out_buf.push_back(value_at(flat));
-    gc.send_logical<T>(to, kTag + step, std::span<const T>(out_buf));
+    const auto& offs = sched.push_off[static_cast<size_t>(to)];
+    std::vector<std::byte> payload =
+        proc.acquire_payload(offs.size() * sizeof(T));
+    for (size_t j = 0; j < offs.size(); ++j)
+      std::memcpy(payload.data() + j * sizeof(T), src + offs[j], sizeof(T));
+    gc.send_payload_logical(to, kTag + step, std::move(payload));
   }
   for (int step = 1; step < p; ++step) {
     const int from = (me - step % p + p) % p;
-    auto incoming = gc.recv_logical<T>(from, kTag + step);
+    machine::Message m = gc.recv_message_logical(from, kTag + step);
     const auto& slots = sched.slot_of[static_cast<size_t>(from)];
-    require(incoming.size() == slots.size(), "gather payload matches schedule");
-    for (size_t j = 0; j < incoming.size(); ++j)
-      tmp[static_cast<size_t>(slots[j])] = incoming[j];
+    require(m.payload.size() == slots.size() * sizeof(T),
+            "gather payload matches schedule");
+    for (size_t j = 0; j < slots.size(); ++j)
+      std::memcpy(&out[static_cast<size_t>(slots[j])],
+                  m.payload.data() + j * sizeof(T), sizeof(T));
+    proc.release_payload(std::move(m.payload));
   }
-  return tmp;
 }
 
 template <typename T>
 void execute_write(comm::GridComm& gc, const Schedule& sched,
-                   rts::DistArray<T>& dest, std::span<const T> values,
+                   rts::DistArray<T>& dest, std::span<const double> values,
                    const std::function<T(const T&, const T&)>& combine) {
+  machine::Proc& proc = gc.proc();
   const int p = gc.nprocs();
   const int me = gc.my_logical();
   require(sched.nprocs == p, "schedule built for this machine size");
-  std::vector<Index> g;
-
-  auto place = [&](Index flat, const T& v) {
-    rts::unflatten_global(dest.dad(), flat, g);
-    T& slot = dest.at_global(g);
+  sched.require_localized_for(dest);
+  require(values.size() == static_cast<size_t>(sched.tmp_size),
+          "scatter values match the schedule's iterations");
+  T* dst = dest.storage().data();
+  auto place = [&](Index off, const T& v) {
+    T& slot = dst[off];
     slot = combine ? combine(slot, v) : v;
   };
 
   {
     const auto& pos = sched.send_pos[static_cast<size_t>(me)];
-    const auto& ids = sched.place_gidx[static_cast<size_t>(me)];
-    require(pos.size() == ids.size(), "self pos/place lists conform");
+    const auto& offs = sched.place_off[static_cast<size_t>(me)];
+    require(pos.size() == offs.size(), "self pos/place lists conform");
     for (size_t j = 0; j < pos.size(); ++j)
-      place(ids[j], values[static_cast<size_t>(pos[j])]);
-    gc.proc().charge_copy(static_cast<double>(pos.size() * sizeof(T)));
+      place(offs[j],
+            detail::element_of<T>(values[static_cast<size_t>(pos[j])]));
+    proc.charge_copy(static_cast<double>(pos.size() * sizeof(T)));
   }
 
   constexpr int kTag = 8201;
-  std::vector<T> out_buf;
   for (int step = 1; step < p; ++step) {
     const int to = (me + step) % p;
     const auto& pos = sched.send_pos[static_cast<size_t>(to)];
-    out_buf.clear();
-    out_buf.reserve(pos.size());
-    for (Index k : pos) out_buf.push_back(values[static_cast<size_t>(k)]);
-    gc.send_logical<T>(to, kTag + step, std::span<const T>(out_buf));
+    std::vector<std::byte> payload =
+        proc.acquire_payload(pos.size() * sizeof(T));
+    for (size_t j = 0; j < pos.size(); ++j) {
+      const T v = detail::element_of<T>(values[static_cast<size_t>(pos[j])]);
+      std::memcpy(payload.data() + j * sizeof(T), &v, sizeof(T));
+    }
+    gc.send_payload_logical(to, kTag + step, std::move(payload));
   }
   for (int step = 1; step < p; ++step) {
     const int from = (me - step % p + p) % p;
-    auto incoming = gc.recv_logical<T>(from, kTag + step);
-    const auto& ids = sched.place_gidx[static_cast<size_t>(from)];
-    require(incoming.size() == ids.size(), "scatter payload matches schedule");
-    for (size_t j = 0; j < incoming.size(); ++j) place(ids[j], incoming[j]);
+    machine::Message m = gc.recv_message_logical(from, kTag + step);
+    const auto& offs = sched.place_off[static_cast<size_t>(from)];
+    require(m.payload.size() == offs.size() * sizeof(T),
+            "scatter payload matches schedule");
+    for (size_t j = 0; j < offs.size(); ++j) {
+      T v;
+      std::memcpy(&v, m.payload.data() + j * sizeof(T), sizeof(T));
+      place(offs[j], v);
+    }
+    proc.release_payload(std::move(m.payload));
   }
 }
 

@@ -18,6 +18,8 @@ namespace f90d::rts {
 template <typename T>
 class DistArray {
  public:
+  using value_type = T;
+
   /// Allocate the local chunk for the processor at `my_coords` (zero-filled).
   DistArray(Dad dad, std::vector<int> my_coords)
       : dad_(std::move(dad)), coords_(std::move(my_coords)) {

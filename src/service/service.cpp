@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <utility>
 
 #include "support/json.hpp"
@@ -196,6 +197,13 @@ Outcome ServiceCore::submit(const std::string& source, const RunSpec& spec) {
     // Run-time failure (e.g. zero-filled indirection arrays out of range).
     out.key = a->key;
     out.error = e.what();
+    ++failures_;
+    return out;
+  } catch (const std::exception& e) {
+    // Any other exception is a defect, but one request must not take the
+    // daemon down with it: answer it as an internal error.
+    out.key = a->key;
+    out.error = std::string("internal error: ") + e.what();
     ++failures_;
     return out;
   }

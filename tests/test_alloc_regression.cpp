@@ -7,7 +7,10 @@
 // array — so the per-trip heap-allocation slope of a warm loop is exactly
 // zero.  The same holds when a loop-variant scalar changes every trip: the
 // statement's entry, its broadcast slot and its kernel arguments are
-// re-bound in the storage they already own.  A regression that
+// re-bound in the storage they already own.  The PARTI executor copies by
+// the offsets its inspector localized, into caller-owned buffers and pooled
+// payloads, so warm gathers and scatters allocate nothing either.  A
+// regression that
 // re-introduces per-message (or even per-statement) allocation shows up as
 // a positive slope and trips this test.
 //
@@ -18,6 +21,7 @@
 
 #include "harness.hpp"
 #include "native/jit.hpp"
+#include "parti/schedule.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define F90D_ALLOC_COUNTING 0
@@ -201,6 +205,56 @@ TEST(AllocRegression, WarmNativeJacobiTripsDoNotAllocate) {
   // Warm trips find the kernel attachment in the statement's cache entry
   // and reuse its packed argument vectors.
   EXPECT_LE(allocs_per_trip, 0) << "warm native trips allocate again";
+}
+
+/// The allocations of one four-processor machine run that builds a gather
+/// (schedule2) and a scatter (schedule3) schedule per element type over a
+/// CYCLIC(3) array, then runs `trips` REAL and INTEGER gathers and
+/// scatters on them.
+long long parti_executor_allocs(int trips) {
+  const long long a0 = g_allocs.load();
+  harness::on_machine(4, [&](comm::GridComm& gc) {
+    const Index n = 40;
+    const rts::Dad dad =
+        harness::dist1d(n, gc.grid(), rts::DistKind::kCyclic, 0, 0, 3);
+    rts::DistArray<double> a(dad, gc);
+    rts::DistArray<long long> k(dad, gc);
+    std::vector<Index> needs, dests;
+    std::vector<double> values;
+    const Index cnt = dad.local_extent(0, gc.coord(0));
+    for (Index l = 0; l < cnt; ++l) {
+      const Index i = dad.global_of_local(0, l, gc.coord(0));
+      needs.push_back((i * 13 + 5) % n);
+      dests.push_back((i * 7 + 3) % n);
+      values.push_back(0.5 * static_cast<double>(i));
+    }
+    const parti::SchedulePtr rs = parti::schedule2(gc, dad, needs);
+    const parti::SchedulePtr ws = parti::schedule3(gc, dad, dests);
+    const parti::SchedulePtr rsk = parti::schedule2(gc, dad, needs);
+    const parti::SchedulePtr wsk = parti::schedule3(gc, dad, dests);
+    std::vector<double> got;
+    std::vector<long long> got_int;
+    for (int t = 0; t < trips; ++t) {
+      parti::execute_read(gc, *rs, a, got);
+      parti::execute_read(gc, *rsk, k, got_int);
+      parti::execute_write(gc, *ws, a, std::span<const double>(values));
+      parti::execute_write(gc, *wsk, k, std::span<const double>(values));
+    }
+  });
+  return g_allocs.load() - a0;
+}
+
+TEST(AllocRegression, WarmPartiExecutorsDoNotAllocate) {
+  const int kCold = 4, kHot = 20, kExtra = kHot - kCold;
+  (void)parti_executor_allocs(kCold);  // one-time process set-up
+  const long long cold = parti_executor_allocs(kCold);
+  const long long hot = parti_executor_allocs(kHot);
+  const long long allocs_per_trip = (hot - cold) / kExtra;
+  RecordProperty("allocs_per_trip", std::to_string(allocs_per_trip));
+  // Every processor receives as many pooled payloads per call as it sends,
+  // so warm pools serve every message; the gather buffers keep their
+  // capacity across calls.
+  EXPECT_LE(allocs_per_trip, 0) << "warm PARTI executor calls allocate";
 }
 
 /// One fill_global and one gather_global_root of a (rows x 24) array with

@@ -4,11 +4,12 @@
 // AND exactly equal in simulated time / wire traffic (the plans only remove
 // host-side recomputation), on the charging iPSC/860 cost model so the
 // time equalities are not 0 == 0; overlap shifts at every copy depth the
-// strided copy has a case for; the compiled PARTI executors against the
-// generic ones on the same schedules, cache hit/miss/invalidation
-// accounting, pooled payload reuse, and the redistribution invalidation
-// contract.
+// strided copy has a case for; the PARTI executor against values computed
+// from global ids, cache hit/miss/invalidation accounting, pooled payload
+// reuse, and the redistribution invalidation contract.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "compile/driver.hpp"
 #include "exec/comm_plan.hpp"
@@ -340,16 +341,17 @@ TEST(CommPlanStats, IrregularEntriesRunTheirBroadcastFromASlot) {
   EXPECT_EQ(legacy, std::vector<int>(4, 0));
   EXPECT_EQ(gathers, std::vector<int>(4, 1));
 
-  // End to end its lookups count as comm-plan ones on top of the PARTI
-  // executors both paths share, with the tree walk's traffic.
+  // End to end its lookups are the run's only comm-plan ones (PARTI
+  // schedules are counted by the schedule cache alone), with the tree
+  // walk's traffic.
   const auto tree = run_mixed_pre(tree_walk());
   const auto plan = run_mixed_pre(comm_on());
   EXPECT_EQ(plan.irregular_misses, 1);
   EXPECT_EQ(plan.irregular_hits, 3);
   EXPECT_EQ(plan.plan_misses + plan.plan_hits, 0);
-  EXPECT_EQ(plan.comm_plan_hits, tree.comm_plan_hits + plan.irregular_hits);
-  EXPECT_EQ(plan.comm_plan_misses,
-            tree.comm_plan_misses + plan.irregular_misses);
+  EXPECT_EQ(tree.comm_plan_hits + tree.comm_plan_misses, 0);
+  EXPECT_EQ(plan.comm_plan_hits, plan.irregular_hits);
+  EXPECT_EQ(plan.comm_plan_misses, plan.irregular_misses);
   EXPECT_EQ(plan.schedule_hits, tree.schedule_hits);
   EXPECT_EQ(plan.machine.total_messages(), tree.machine.total_messages());
   EXPECT_EQ(plan.machine.total_bytes(), tree.machine.total_bytes());
@@ -376,8 +378,8 @@ TEST(CommPlanStats, WarmTripsHitTheCache) {
 }
 
 TEST(CommPlanStats, DisabledRunsCollectNoCommPlanStats) {
-  // Jacobi has no PARTI schedules, so the executors (which serve both
-  // paths) never run, and the tree walk compiles no statement plans.
+  // The tree walk compiles no statement plans, so it counts no comm plans
+  // (Jacobi has no PARTI schedules either).
   auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", tree_walk());
   // DiffRun has no comm-plan counters; re-run through run_source.
   interp::Init init;
@@ -394,24 +396,36 @@ TEST(CommPlanStats, DisabledRunsCollectNoCommPlanStats) {
   EXPECT_LE(harness::max_abs_diff(r), 1e-9);
 }
 
-// --- compiled executors vs the generic PARTI executors ----------------------
+// --- the PARTI executor against an independent reference -------------------
 
 /// One processor's view after a gather and a scatter, REAL and INTEGER
-/// (negative values read, negative and fractional values written), each
-/// run twice on the same schedules (build, then reuse).
+/// (negative values read, negative and fractional values written), run
+/// twice on the same schedules: the second gather reads what the first
+/// scatter wrote.  `messages`/`bytes` count the executors alone; their
+/// expected values are derived from the schedule lists.
 struct ExecOutcome {
-  std::vector<double> gathered;
-  std::vector<long long> gathered_int;
-  std::vector<double> a_storage;
-  std::vector<long long> k_storage;
+  std::vector<double> gathered[2];
+  std::vector<long long> gathered_int[2];
+  std::vector<Index> needs;
+  std::vector<std::pair<Index, double>> a_owned;     ///< (global id, value)
+  std::vector<std::pair<Index, long long>> k_owned;  ///< (global id, value)
   double clock = 0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  long long compiled_hits = 0;
-  long long compiled_misses = 0;
+  std::uint64_t expected_messages = 0;
+  std::uint64_t expected_bytes = 0;
 };
 
-std::vector<ExecOutcome> run_executors(bool compiled, const char* dist) {
+constexpr Index kExecN = 40;
+
+/// Iteration i needs element (13i+5) mod N and writes element (7i+3) mod N
+/// (gcd(7, 40) = 1: a permutation) with this value.
+double exec_value(Index i) {
+  // Negative and fractional: the INTEGER write truncates toward zero.
+  return (i % 3 == 0 ? -0.75 : 1.25) * static_cast<double>(i) - 0.5;
+}
+
+std::vector<ExecOutcome> run_executors(const char* dist) {
   const std::string src = strformat(R"(PROGRAM EXECS
       INTEGER N
       PARAMETER (N = 40)
@@ -439,75 +453,96 @@ C$ ALIGN K(I) WITH T(I)
     a.fill_global([](std::span<const Index> g) { return 100.0 + g[0]; });
     k.fill_global([](std::span<const Index> g) { return 7 * g[0] - 100; });
     const rts::Dad& dad = env.dads.at("A");
-    std::vector<Index> needs, dests;
+    ExecOutcome& o = out[static_cast<size_t>(gc.my_logical())];
+    std::vector<Index> dests;
     std::vector<double> values;
     const Index cnt = dad.local_extent(0, gc.coord(0));
     for (Index l = 0; l < cnt; ++l) {
       const Index i = dad.global_of_local(0, l, gc.coord(0));
-      needs.push_back((i * 13 + 5) % 40);
-      dests.push_back((i * 7 + 3) % 40);  // gcd(7, 40) = 1: a permutation
-      // Negative and fractional: the INTEGER write truncates toward zero.
-      values.push_back((i % 3 == 0 ? -0.75 : 1.25) * static_cast<double>(i) -
-                       0.5);
+      o.needs.push_back((i * 13 + 5) % kExecN);
+      dests.push_back((i * 7 + 3) % kExecN);
+      values.push_back(exec_value(i));
     }
-    const parti::SchedulePtr rs = parti::schedule2(gc, dad, needs);
+    const parti::SchedulePtr rs = parti::schedule2(gc, dad, o.needs);
     const parti::SchedulePtr ws = parti::schedule3(gc, dad, dests);
     const rts::Dad& kdad = env.dads.at("K");
-    const parti::SchedulePtr rsk = parti::schedule2(gc, kdad, needs);
+    const parti::SchedulePtr rsk = parti::schedule2(gc, kdad, o.needs);
     const parti::SchedulePtr wsk = parti::schedule3(gc, kdad, dests);
-    exec::CommPlans plans(env, {});
-    ExecOutcome& o = out[static_cast<size_t>(gc.my_logical())];
+    const std::uint64_t msgs0 = proc.stats().messages_sent;
+    const std::uint64_t bytes0 = proc.stats().bytes_sent;
     const std::span<const double> vals(values);
     for (int trip = 0; trip < 2; ++trip) {
-      exec::Buf b, bi;
-      if (compiled) {
-        ASSERT_TRUE(plans.execute_read(rs, "A", b));
-        ASSERT_TRUE(plans.execute_read(rsk, "K", bi));
-        ASSERT_TRUE(plans.execute_write(ws, "A", vals));
-        ASSERT_TRUE(plans.execute_write(wsk, "K", vals));
-      } else {
-        b.dvals = parti::execute_read(gc, *rs, a);
-        bi.ivals = parti::execute_read(gc, *rsk, k);
-        parti::execute_write(gc, *ws, a, vals);
-        std::vector<long long> iv(values.size());
-        for (size_t j = 0; j < values.size(); ++j)
-          iv[j] = static_cast<long long>(values[j]);
-        parti::execute_write(gc, *wsk, k, std::span<const long long>(iv));
-      }
-      o.gathered = b.dvals;
-      o.gathered_int = bi.ivals;
+      parti::execute_read(gc, *rs, a, o.gathered[trip]);
+      parti::execute_read(gc, *rsk, k, o.gathered_int[trip]);
+      parti::execute_write(gc, *ws, a, vals);
+      parti::execute_write(gc, *wsk, k, vals);
     }
-    o.a_storage = a.storage();
-    o.k_storage = k.storage();
+    a.for_each_owned([&](const std::vector<Index>& g, double& v) {
+      o.a_owned.emplace_back(g[0], v);
+    });
+    k.for_each_owned([&](const std::vector<Index>& g, long long& v) {
+      o.k_owned.emplace_back(g[0], v);
+    });
     o.clock = proc.clock();
-    o.messages = proc.stats().messages_sent;
-    o.bytes = proc.stats().bytes_sent;
-    o.compiled_hits = plans.stats().hits;
-    o.compiled_misses = plans.stats().misses;
+    o.messages = proc.stats().messages_sent - msgs0;
+    o.bytes = proc.stats().bytes_sent - bytes0;
+    // One message per peer per executor call, zero-byte ones included;
+    // a read ships each peer its push list, a write each peer's positions.
+    const int me = gc.my_logical();
+    for (int q = 0; q < 4; ++q) {
+      if (q == me) continue;
+      const size_t uq = static_cast<size_t>(q);
+      o.expected_messages += 2 * 4;
+      o.expected_bytes +=
+          2 * (rs->push_off[uq].size() * sizeof(double) +
+               rsk->push_off[uq].size() * sizeof(long long) +
+               ws->send_pos[uq].size() * sizeof(double) +
+               wsk->send_pos[uq].size() * sizeof(long long));
+    }
   });
   return out;
 }
 
-TEST(CommPlanExecutors, CompiledMatchesGenericOnSameSchedules) {
+TEST(CommPlanExecutors, ExecutorMatchesGlobalIdReference) {
+  // The value each global element holds after a scatter: written by the
+  // one iteration whose destination it is.
+  std::vector<double> scattered(static_cast<size_t>(kExecN));
+  for (Index i = 0; i < kExecN; ++i)
+    scattered[static_cast<size_t>((i * 7 + 3) % kExecN)] = exec_value(i);
+  // Per-rank simulated clocks of the executors this one replaced, on the
+  // same schedules and calls.
+  const std::map<std::string, std::vector<double>> clocks = {
+      {"BLOCK", {0.0029755200000000002, 0.0029755200000000002,
+                 0.0029755200000000002, 0.0029755200000000002}},
+      {"CYCLIC(3)", {0.0030651200000000006, 0.00304784, 0.0030564800000000003,
+                     0.0030651200000000006}}};
   for (const char* dist : {"BLOCK", "CYCLIC(3)"}) {
-    const auto gen = run_executors(/*compiled=*/false, dist);
-    const auto cmp = run_executors(/*compiled=*/true, dist);
-    for (size_t r = 0; r < gen.size(); ++r) {
+    const auto got = run_executors(dist);
+    size_t owned = 0;
+    for (size_t r = 0; r < got.size(); ++r) {
+      const ExecOutcome& o = got[r];
       const std::string what = std::string(dist) + " rank " + std::to_string(r);
-      EXPECT_FALSE(gen[r].gathered.empty()) << what;
-      EXPECT_EQ(cmp[r].gathered, gen[r].gathered) << what;
-      EXPECT_EQ(cmp[r].gathered_int, gen[r].gathered_int) << what;
-      EXPECT_EQ(cmp[r].a_storage, gen[r].a_storage) << what;
-      EXPECT_EQ(cmp[r].k_storage, gen[r].k_storage) << what;
-      EXPECT_EQ(cmp[r].clock, gen[r].clock) << what;
-      EXPECT_EQ(cmp[r].messages, gen[r].messages) << what;
-      EXPECT_EQ(cmp[r].bytes, gen[r].bytes) << what;
-      EXPECT_GT(gen[r].messages, 0u) << what;
-      EXPECT_GT(gen[r].clock, 0.0) << what;
-      // Four compiled entries built on the first trip, reused on the second.
-      EXPECT_EQ(cmp[r].compiled_misses, 4) << what;
-      EXPECT_EQ(cmp[r].compiled_hits, 4) << what;
+      ASSERT_FALSE(o.needs.empty()) << what;
+      for (size_t j = 0; j < o.needs.size(); ++j) {
+        const Index g = o.needs[j];
+        const double w = scattered[static_cast<size_t>(g)];
+        EXPECT_EQ(o.gathered[0][j], 100.0 + static_cast<double>(g)) << what;
+        EXPECT_EQ(o.gathered_int[0][j], 7 * g - 100) << what;
+        EXPECT_EQ(o.gathered[1][j], w) << what;
+        EXPECT_EQ(o.gathered_int[1][j], static_cast<long long>(w)) << what;
+      }
+      for (const auto& [g, v] : o.a_owned)
+        EXPECT_EQ(v, scattered[static_cast<size_t>(g)]) << what << " A " << g;
+      for (const auto& [g, v] : o.k_owned)
+        EXPECT_EQ(v, static_cast<long long>(scattered[static_cast<size_t>(g)]))
+            << what << " K " << g;
+      owned += o.a_owned.size();
+      EXPECT_EQ(o.messages, o.expected_messages) << what;
+      EXPECT_EQ(o.bytes, o.expected_bytes) << what;
+      EXPECT_GT(o.bytes, 0u) << what;
+      EXPECT_EQ(o.clock, clocks.at(dist)[r]) << what;
     }
+    EXPECT_EQ(owned, static_cast<size_t>(kExecN)) << dist;
   }
 }
 

@@ -4,7 +4,12 @@
 // with the sequential oracle, the tree walk and the irregular plan must
 // produce identical values AND identical simulated times, and steady-state
 // runs must reuse their PARTI schedules instead of re-running the inspector.
+// Small LOGICAL gathers/scatters and masked buffered writes check the one
+// PARTI executor against sequential oracles on every backend.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
 
 #include "harness.hpp"
 
@@ -12,6 +17,7 @@ namespace f90d {
 namespace {
 
 using harness::DiffRun;
+using interp::Index;
 
 constexpr const char* kDists[] = {"BLOCK", "INDIRECT(MAP)"};
 
@@ -142,6 +148,197 @@ TEST(IrregularWorkloads, ParticleBinScatterScheduleReused) {
     EXPECT_GE(r.schedule_hits, steps - 1) << dist;
     EXPECT_GE(r.irregular_hits, steps - 1) << dist;
   }
+}
+
+// --- LOGICAL gathers and scatters, masked buffered writes --------------------
+
+struct Backend {
+  const char* name;
+  interp::RunOptions ro;
+};
+
+std::vector<Backend> backends() {
+  interp::RunOptions native;
+  native.native_backend = true;
+  return {{"tree", tree_walk()}, {"plan", {}}, {"native", native}};
+}
+
+/// N-element REAL A, B, C, INTEGER U, LOGICAL M, L, all aligned to one
+/// template distributed `dist` over P(p), and a replicated INTEGER V; then
+/// `body`.
+std::string small_source(int n, int p, const char* dist,
+                         const std::string& body) {
+  return strformat(R"(PROGRAM SMALL
+      INTEGER N
+      PARAMETER (N = %d)
+      REAL A(N)
+      REAL B(N)
+      REAL C(N)
+      INTEGER U(N)
+      INTEGER V(N)
+      LOGICAL M(N)
+      LOGICAL L(N)
+      INTEGER K
+C$ PROCESSORS P(%d)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(%s)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ ALIGN U(I) WITH T(I)
+C$ ALIGN M(I) WITH T(I)
+C$ ALIGN L(I) WITH T(I)
+%s      END PROGRAM SMALL
+)",
+                   n, p, dist, body.c_str());
+}
+
+/// A(I) = 10*I, B(I) = I, M(I) = I > 5 (1-based I), and U(I) = V(I) =
+/// `u`(I-1)+1.
+interp::Init small_init(const std::function<Index(Index)>& u) {
+  interp::Init init;
+  init.real["A"] = [](std::span<const Index> g) { return 10.0 * (g[0] + 1); };
+  init.real["B"] = [](std::span<const Index> g) { return g[0] + 1.0; };
+  init.ints["U"] = [u](std::span<const Index> g) { return u(g[0]) + 1; };
+  init.ints["V"] = init.ints["U"];
+  init.logical["M"] = [](std::span<const Index> g) { return g[0] + 1 > 5; };
+  return init;
+}
+
+/// Runs `src` on every backend: each must give `want` for every array it
+/// names, and the same charged simulated time as the tree walk.  Returns
+/// the plan backend's FORALL executions that fell back to the tree walk.
+long long expect_backends_match(
+    const std::string& src, const interp::Init& init,
+    const std::map<std::string, std::vector<double>>& want,
+    const std::string& what) {
+  double tree_time = -1;
+  long long plan_fallbacks = -1;
+  for (const Backend& b : backends()) {
+    const auto r = harness::run_source(src, init, b.ro, {}, ipsc());
+    if (std::string(b.name) == "plan") plan_fallbacks = r.tree_walk_stmts;
+    for (const auto& [name, w] : want)
+      EXPECT_EQ(r.real_arrays.at(name), w) << what << " " << b.name << " " << name;
+    EXPECT_GT(r.machine.exec_time, 0.0) << what << " " << b.name;
+    if (tree_time < 0) tree_time = r.machine.exec_time;
+    EXPECT_EQ(r.machine.exec_time, tree_time) << what << " " << b.name;
+  }
+  return plan_fallbacks;
+}
+
+TEST(IrregularLogical, GathersAndScattersMatchOracleOnEveryBackend) {
+  // A LOGICAL gather in a mask and as a value, and a LOGICAL scatter;
+  // C and B make the LOGICAL results visible.
+  const std::string body = R"(      FORALL (I = 1:N, M(U(I))) A(I) = 1.0
+      FORALL (I = 1:N) L(U(I)) = M(I)
+      FORALL (I = 1:N, L(I)) C(I) = 2.0
+      FORALL (I = 1:N) L(I) = M(U(I))
+      FORALL (I = 1:N, L(I)) B(I) = -1.0
+)";
+  const int n = 8;
+  auto u = [n](Index i) { return (3 * (i + 1)) % n; };  // a permutation
+  std::vector<double> a(n), b(n), c(n, 0.0);
+  for (Index i = 0; i < n; ++i) {
+    const auto m = [](Index j) { return j + 1 > 5; };
+    const size_t k = static_cast<size_t>(i);
+    a[k] = m(u(i)) ? 1.0 : 10.0 * (i + 1);
+    b[k] = m(u(i)) ? -1.0 : i + 1.0;
+    if (m(i)) c[static_cast<size_t>(u(i))] = 2.0;
+  }
+  for (const char* dist : {"BLOCK", "CYCLIC"})
+    for (int p : {2, 4})
+      expect_backends_match(small_source(n, p, dist, body), small_init(u),
+                            {{"A", a}, {"B", b}, {"C", c}},
+                            strformat("%s P(%d)", dist, p));
+}
+
+TEST(IrregularMasked, MaskedOutIterationsLeaveRemoteDestinations) {
+  // U and V reverse the index, so the scatter forms and the
+  // postcomp_write form name the same destinations; only iterations 5..8
+  // pass the mask, and their destinations 4..1 must keep every other
+  // element as it was.  Through the replicated V the statement is planned
+  // (a masked kScatter sink); the other forms run on the tree walk.
+  const int n = 8;
+  auto u = [n](Index i) { return n - 1 - i; };
+  const std::vector<double> want = {8, 7, 6, 5, 50, 60, 70, 80};
+  for (const char* lhs : {"A(U(I))", "A(N+1-I)", "A(V(I))"})
+    for (const char* dist : {"BLOCK", "CYCLIC"})
+      for (int p : {2, 4}) {
+        const std::string body =
+            strformat("      FORALL (I = 1:N, B(I) .GT. 4.0) %s = B(I)\n", lhs);
+        const long long fallbacks = expect_backends_match(
+            small_source(n, p, dist, body), small_init(u), {{"A", want}},
+            strformat("%s %s P(%d)", lhs, dist, p));
+        if (std::string(lhs) == "A(V(I))") {
+          EXPECT_EQ(fallbacks, 0) << dist << " P(" << p << ")";
+        }
+      }
+}
+
+TEST(IrregularMasked, WritesToOneLhsKeepTheirOwnSchedules) {
+  // Same lhs, subscripts and bounds, different masks: complementary masks
+  // reading the same array, and an unmasked write followed by a mask that
+  // reads no array or scalar.  Each mask sends its own destinations, so no
+  // statement may replay another's write schedule.
+  const int n = 8;
+  auto u = [n](Index i) { return (3 * (i + 1)) % n; };  // a permutation
+  for (const char* lhs : {"(U(I))", "(N+1-I)", "(V(I))"}) {
+    const std::string body = strformat(
+        R"(      FORALL (I = 1:N, B(I) .GT. 4.0) A%s = B(I)
+      FORALL (I = 1:N, B(I) .LE. 4.0) A%s = -B(I)
+      FORALL (I = 1:N) C%s = B(I)
+      FORALL (I = 1:N, I .NE. 3) C%s = 2.0 * B(I)
+)",
+        lhs, lhs, lhs, lhs);
+    auto dest = [&](Index i) {
+      return static_cast<size_t>(std::string(lhs) == "(N+1-I)" ? n - 1 - i
+                                                               : u(i));
+    };
+    std::vector<double> a(n), c(n);
+    for (Index i = 0; i < n; ++i) {
+      const double b = i + 1.0;
+      a[dest(i)] = b > 4.0 ? b : -b;
+      c[dest(i)] = i + 1 != 3 ? 2.0 * b : b;
+    }
+    for (const char* dist : {"BLOCK", "CYCLIC"})
+      for (int p : {2, 4})
+        expect_backends_match(small_source(n, p, dist, body), small_init(u),
+                              {{"A", a}, {"C", c}},
+                              strformat("A%s %s P(%d)", lhs, dist, p));
+  }
+}
+
+TEST(IrregularMasked, MaskChangingBetweenTripsRebuildsTheSchedule) {
+  // The first mask reads only B, which the loop rewrites; the second reads
+  // only the DO variable K.  Each trip changes which iterations send, so
+  // each write schedule must be keyed by its mask's arrays and scalars.
+  const std::string body = R"(      DO K = 1, 3
+        FORALL (I = 1:N, B(I) .GT. 8.0) A(V(I)) = B(I) + K
+        FORALL (I = 1:N, I .NE. K + 2) C(U(I)) = B(I)
+        FORALL (I = 1:N) B(I) = B(I) + 1.0
+      END DO
+)";
+  const int n = 12;
+  auto u = [n](Index i) { return (5 * i + 2) % n; };  // a permutation
+  std::vector<double> a(n), b(n), c(n, 0.0);
+  for (Index i = 0; i < n; ++i) {
+    a[static_cast<size_t>(i)] = 10.0 * (i + 1);
+    b[static_cast<size_t>(i)] = i + 1.0;
+  }
+  for (int k = 1; k <= 3; ++k) {
+    for (Index i = 0; i < n; ++i)
+      if (b[static_cast<size_t>(i)] > 8.0)
+        a[static_cast<size_t>(u(i))] = b[static_cast<size_t>(i)] + k;
+    for (Index i = 0; i < n; ++i)
+      if (i + 1 != k + 2)
+        c[static_cast<size_t>(u(i))] = b[static_cast<size_t>(i)];
+    for (double& x : b) x += 1.0;
+  }
+  for (const char* dist : {"BLOCK", "CYCLIC"})
+    for (int p : {2, 4})
+      expect_backends_match(small_source(n, p, dist, body), small_init(u),
+                            {{"A", a}, {"B", b}, {"C", c}},
+                            strformat("%s P(%d)", dist, p));
 }
 
 }  // namespace

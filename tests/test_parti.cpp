@@ -204,6 +204,165 @@ TEST_P(PartiProcs, ScheduleReusedAcrossArrays) {
 
 INSTANTIATE_TEST_SUITE_P(Procs, PartiProcs, ::testing::Values(1, 2, 4, 8, 16));
 
+// --- the localize step --------------------------------------------------------
+
+DimMap dim(DistKind k, int grid_dim, Index extent, Index block = 1,
+           int overlap = 0) {
+  DimMap m;
+  m.kind = k;
+  m.grid_dim = k == DistKind::kCollapsed ? -1 : grid_dim;
+  m.template_extent = extent;
+  m.block = block;
+  m.overlap_lo = m.overlap_hi = overlap;
+  return m;
+}
+
+template <typename F>
+void on_grid(const std::vector<int>& shape, F&& body) {
+  const comm::ProcGrid grid(shape);
+  SimMachine m(grid.size(), CostModel::ipsc860(), machine::make_hypercube());
+  m.run([&](machine::Proc& proc) {
+    comm::GridComm gc(proc, grid);
+    body(gc);
+  });
+}
+
+/// Every processor needs, and writes, every element in global-id order.
+/// Each localized push list must hold, in the peer's order, the offsets of
+/// exactly the elements the peer asks this processor for, and each
+/// placement list those of every element this processor holds — each the
+/// cell at_global reaches for that id.
+void expect_offsets_address_at_global(const std::vector<int>& shape,
+                                      const std::vector<Index>& extents,
+                                      const std::vector<DimMap>& dims) {
+  on_grid(shape, [&](comm::GridComm& gc) {
+    const Dad dad(extents, dims, gc.grid());
+    DistArray<double> a(dad, gc);
+    Index total = 1;
+    for (Index e : extents) total *= e;
+    std::vector<Index> all(static_cast<size_t>(total));
+    for (Index k = 0; k < total; ++k) all[static_cast<size_t>(k)] = k;
+    const auto read = parti::schedule2(gc, dad, all);
+    const auto write = parti::schedule3(gc, dad, all);
+    for (const auto* s : {read.get(), write.get()}) {
+      ASSERT_EQ(s->aext.size(), extents.size());
+      for (int d = 0; d < a.rank(); ++d)
+        EXPECT_EQ(s->aext[static_cast<size_t>(d)], a.alloc_extent(d));
+    }
+    const double* base = a.storage().data();
+    std::vector<Index> g;
+    size_t held = 0;
+    for (int q = 0; q < gc.nprocs(); ++q) {
+      const std::vector<int> qc = gc.grid().coords_of(q);
+      const auto& push = read->push_off[static_cast<size_t>(q)];
+      const auto& place = write->place_off[static_cast<size_t>(q)];
+      size_t jp = 0, jw = 0;
+      for (Index id : all) {
+        rts::unflatten_global(dad, id, g);
+        const bool pushed = dad.owner_logical(g, qc) == gc.my_logical();
+        if (!pushed && !a.owns_global(g)) continue;
+        const Index cell = &a.at_global(g) - base;
+        if (pushed) {
+          ASSERT_LT(jp, push.size()) << "peer " << q << " id " << id;
+          EXPECT_EQ(push[jp++], cell) << "peer " << q << " id " << id;
+        }
+        if (a.owns_global(g)) {
+          ASSERT_LT(jw, place.size()) << "peer " << q << " id " << id;
+          EXPECT_EQ(place[jw++], cell) << "peer " << q << " id " << id;
+        }
+      }
+      EXPECT_EQ(jp, push.size()) << "peer " << q;
+      EXPECT_EQ(jw, place.size()) << "peer " << q;
+      held = jw;
+    }
+    size_t owned = 0;
+    a.for_each_owned([&](const std::vector<Index>&, double&) { ++owned; });
+    EXPECT_EQ(held, owned);
+  });
+}
+
+TEST(PartiLocalize, OffsetsAddressAtGlobal) {
+  using K = DistKind;
+  {
+    SCOPED_TRACE("BLOCK");
+    expect_offsets_address_at_global({4}, {10}, {dim(K::kBlock, 0, 10)});
+  }
+  {
+    SCOPED_TRACE("CYCLIC(3)");
+    expect_offsets_address_at_global({4}, {23}, {dim(K::kCyclic, 0, 23, 3)});
+  }
+  {
+    SCOPED_TRACE("INDIRECT");
+    DimMap ind = dim(K::kIndirect, 0, 12);
+    ind.map_name = "MAP";
+    ind.table = rts::IndirectTable::build(
+        {3, 0, 0, 2, 1, 3, 3, 0, 2, 1, 1, 0}, 4, "MAP");
+    expect_offsets_address_at_global({4}, {12}, {ind});
+  }
+  {
+    SCOPED_TRACE("replicated along grid dimension 1");
+    expect_offsets_address_at_global({2, 2}, {10}, {dim(K::kBlock, 0, 10)});
+  }
+  {
+    SCOPED_TRACE("overlap areas (BLOCK x collapsed)");
+    expect_offsets_address_at_global(
+        {4}, {9, 5},
+        {dim(K::kBlock, 0, 9, 1, 1), dim(K::kCollapsed, 0, 5, 1, 1)});
+  }
+}
+
+TEST(PartiLocalize, ExtentMismatchIsRefused) {
+  on_machine(2, [&](comm::GridComm& gc) {
+    const Dad plain = block1d(8, gc.grid());
+    DimMap m = plain.dim(0);
+    m.overlap_lo = m.overlap_hi = 1;
+    const Dad ghosted({8}, {m}, gc.grid());
+    DistArray<double> a(ghosted, gc);
+    std::vector<Index> needs = {static_cast<Index>(gc.my_logical())};
+    const auto sched = parti::schedule2(gc, plain, needs);
+    std::vector<double> out;
+    try {
+      parti::execute_read(gc, *sched, a, out);
+      FAIL() << "expected the localized-extents diagnostic";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("allocated extents"),
+                std::string::npos)
+          << e.what();
+    }
+  });
+}
+
+/// LOGICAL storage travels as one byte per element: gathered values read
+/// back as stored, scattered values land as "nonzero".
+TEST(PartiLocalize, LogicalGatherAndScatter) {
+  on_machine(4, [&](comm::GridComm& gc) {
+    const Index n = 16;
+    const Dad dad = block1d(n, gc.grid());
+    DistArray<unsigned char> l(dad, gc);
+    l.fill_global([](std::span<const Index> g) {
+      return static_cast<unsigned char>(g[0] % 3 == 0 ? 1 : 0);
+    });
+    std::vector<Index> ids;
+    std::vector<double> vals;
+    const Index cnt = dad.local_extent(0, gc.coord(0));
+    for (Index k = 0; k < cnt; ++k) {
+      const Index i = dad.global_of_local(0, k, gc.coord(0));
+      ids.push_back(n - 1 - i);
+      vals.push_back(i % 2 == 0 ? 0.0 : -2.5);
+    }
+    const auto got = parti::gather(gc, *parti::schedule2(gc, dad, ids), l);
+    ASSERT_EQ(got.size(), ids.size());
+    for (size_t k = 0; k < ids.size(); ++k)
+      EXPECT_EQ(got[k], ids[k] % 3 == 0 ? 1 : 0) << "id " << ids[k];
+    parti::scatter(gc, *parti::schedule3(gc, dad, ids), l,
+                   std::span<const double>(vals));
+    l.for_each_owned([&](const std::vector<Index>& g, unsigned char& v) {
+      // Element g was written by iteration n-1-g.
+      EXPECT_EQ(v, (n - 1 - g[0]) % 2 == 0 ? 0 : 1) << "element " << g[0];
+    });
+  });
+}
+
 TEST(ScheduleCache, HitsMissesAndDisable) {
   parti::ScheduleCache cache;
   int builds = 0;

@@ -147,6 +147,40 @@ C$ ALIGN A(I) WITH T(I)
   EXPECT_TRUE(service::request(opt_.socket_path, ping).ok);
 }
 
+TEST_F(ServerTest, LogicalGatherAndScatterAnswerAndTheServerStillAnswersPing) {
+  // LOGICAL gathers and scatters used to escape as a non-f90d exception
+  // and take the daemon down; they run now, and any such escape would be
+  // answered as an error.
+  WireRequest req;
+  req.source = R"(PROGRAM LGS
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      LOGICAL M(N)
+      LOGICAL L(N)
+      INTEGER U(N)
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN M(I) WITH T(I)
+C$ ALIGN L(I) WITH T(I)
+C$ ALIGN U(I) WITH T(I)
+      FORALL (I = 1:N) U(I) = N + 1 - I
+      FORALL (I = 1:N) M(I) = I .GT. 5
+      FORALL (I = 1:N, M(U(I))) A(I) = 1.0
+      FORALL (I = 1:N) L(U(I)) = M(I)
+      END PROGRAM LGS
+)";
+  const ClientResult res = service::request(opt_.socket_path, req);
+  ASSERT_TRUE(res.connected) << res.error;
+  EXPECT_TRUE(res.ok) << res.body;
+
+  WireRequest ping;
+  ping.verb = "PING";
+  EXPECT_TRUE(service::request(opt_.socket_path, ping).ok);
+}
+
 TEST_F(ServerTest, StatsVerbReportsServiceAggregates) {
   WireRequest run;
   run.source = self_init_source(64, 4);
