@@ -100,7 +100,6 @@ struct PhaseRecord {
   long long schedule_hits = 0;
   long long schedule_misses = 0;
   long long shared_schedule_hits = 0;
-  long long shared_plan_hits = 0;
   long long native_cache_hits = 0;
 
   [[nodiscard]] double pct(double q) const {
@@ -211,7 +210,6 @@ PhaseRecord run_service_phase(const Config& cfg, f90d::service::ServiceCore* cor
       rec.schedule_hits += out.result.schedule_hits;
       rec.schedule_misses += out.result.schedule_misses;
       rec.shared_schedule_hits += out.result.shared_schedule_hits;
-      rec.shared_plan_hits += out.result.shared_plan_hits;
       rec.native_cache_hits += out.result.native_cache_hits;
     } else {
       f90d::service::WireRequest req;
@@ -266,7 +264,6 @@ void emit_phase(JsonWriter& w, const PhaseRecord& rec) {
       .field("shared_schedule_hit_rate",
              PhaseRecord::rate(rec.shared_schedule_hits,
                                rec.shared_schedule_hits + rec.schedule_misses))
-      .field("shared_plan_hits", rec.shared_plan_hits)
       .field("native_cache_hits", rec.native_cache_hits)
       .end_object();
 }

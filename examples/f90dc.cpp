@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
                     "fell back\n",
                     r.tree_walk_stmts);
         std::printf("  irregular    : %d built, %d reused (%d re-bound), "
-                    "%d invalidated (PARTI gather/scatter plans)\n",
+                    "%d invalidated (PARTI read/write plans: schedule1-3)\n",
                     r.irregular_misses, r.irregular_hits, r.irregular_rebinds,
                     r.irregular_invalidations);
         std::printf("  PARTI traffic: %lld schedules built, %lld gather "

@@ -289,15 +289,20 @@ class Generator {
         break;
     }
 
-    // ---- collect rhs references -------------------------------------------------
+    // ---- collect read references ------------------------------------------------
     n->refs.push_back(std::move(lhs_ref));  // refs[0] = lhs
     collect_refs(*n->rhs, vars, n->refs);
     if (n->mask) collect_refs(*n->mask, vars, n->refs);
+    const size_t n_rhs_refs = n->refs.size();
+    // Arrays read by the lhs subscripts (the indirection array U of
+    // A(U(I))) come last, so no rhs or mask ref id moves.  They are tagged
+    // like any read but do not take part in choosing the partition.
+    for (const ExprPtr& a : n->lhs->args) collect_refs(*a, vars, n->refs);
 
     if (mode == LhsMode::kReplicated) {
       // Iterations follow the owners of the distributed rhs data; fixed
       // positions become processor guards (paper Algorithm 1, line 11 path).
-      for (size_t r = 1; r < n->refs.size(); ++r) {
+      for (size_t r = 1; r < n_rhs_refs; ++r) {
         RefInfo& ref = n->refs[r];
         const Dad* dad = dad_of(ref.array);
         if (dad == nullptr || dad->fully_replicated()) continue;
@@ -328,7 +333,7 @@ class Generator {
       }
     }
 
-    // ---- Algorithm 1: tag every rhs reference ------------------------------------
+    // ---- Algorithm 1: tag every read reference -----------------------------------
     for (size_t r = 1; r < n->refs.size(); ++r)
       tag_ref(*n, n->refs[r], mode == LhsMode::kCanonical ||
                                   mode == LhsMode::kVector);
@@ -433,7 +438,7 @@ class Generator {
       if (a) collect_refs(*a, vars, refs);
   }
 
-  /// Algorithm 1 body: tag one rhs reference.
+  /// Algorithm 1 body: tag one read reference (rhs, mask or lhs subscript).
   void tag_ref(SpmdStmt& n, RefInfo& ref, bool canonical_lhs) {
     const Dad* dad = dad_of(ref.array);
     if (dad == nullptr || dad->fully_replicated()) {

@@ -179,7 +179,9 @@ struct SpmdStmt {
   std::vector<ProcGuard> guards;
   std::vector<CommAction> pre;
   std::vector<CommAction> post;
-  std::vector<RefInfo> refs;      ///< refs[0] is the lhs
+  /// refs[0] is the lhs, then the rhs, mask and lhs-subscript reads (in
+  /// that order, each pre-order).
+  std::vector<RefInfo> refs;
   ast::ExprPtr lhs;               ///< elementwise lhs (ArrayRef)
   ast::ExprPtr rhs;               ///< elementwise rhs
   ast::ExprPtr mask;              ///< optional

@@ -112,9 +112,9 @@ void collect_vars(const Expr& e, const std::set<std::string>& among,
 
 /// Per-dimension local index of a global index, mirroring
 /// DistArray::at_global_ghost (owned cells resolve through mu, BLOCK ghost
-/// cells through the block origin).  Returns false exactly when the legacy
-/// access would fail its own requires — the caller declines to the legacy
-/// action, which reproduces the original diagnostic.
+/// cells through the block origin).  Returns false exactly when the tree
+/// walk's access would fail its own requires — the statement declines, and
+/// the tree walk reproduces the original diagnostic.
 bool ghost_local(const ArrayView& v, const std::vector<int>& coords, int d,
                  Index gd, Index& l) {
   const Dad& dad = *v.dad;
@@ -248,7 +248,7 @@ bool CommPlans::build_shift(const CommAction& a, const RefInfo& ref,
   const int amount = static_cast<int>(a.shift_amount);
   const DimMap& m = dad.dim(d);
   if (m.kind == DistKind::kCollapsed || amount == 0) {
-    out.noop = true;  // the legacy primitive returns before taking a tag
+    out.noop = true;  // the tree walk's primitive returns before taking a tag
     return true;
   }
   if (m.kind != DistKind::kBlock) return false;
@@ -698,15 +698,14 @@ std::vector<const CommAction*> pre_actions_in_order(const SpmdStmt& s) {
   return order;
 }
 
-CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
-                                     std::span<const std::string> key_names,
-                                     const ExecPlan* xp) {
+std::optional<CommPlans::StmtPlan> CommPlans::build(
+    const SpmdStmt& s, std::span<const std::string> key_names,
+    const ExecPlan* xp) {
   StmtPlan plan;
   for (const CommAction* a : pre_actions_in_order(s)) {
-    Slot slot;
+    Slot& slot = plan.slots.emplace_back();
     slot.action = a;
-    bake(s, slot, key_names, plan.arrays);
-    plan.slots.push_back(std::move(slot));
+    if (!bake(s, slot, key_names, plan.arrays)) return std::nullopt;
   }
   if (xp != nullptr && xp->sink == Sink::kConcat) {
     Slot slot;
@@ -722,7 +721,7 @@ CommPlans::StmtPlan CommPlans::build(const SpmdStmt& s,
   return plan;
 }
 
-void CommPlans::bake(const SpmdStmt& s, Slot& slot,
+bool CommPlans::bake(const SpmdStmt& s, Slot& slot,
                      std::span<const std::string> key_names,
                      std::vector<std::string>& arrays) {
   const CommAction& a = *slot.action;
@@ -732,67 +731,64 @@ void CommPlans::bake(const SpmdStmt& s, Slot& slot,
       arrays.push_back(name);
   };
   // A build failure — including a thrown runtime error (out-of-range
-  // subscript, non-affine sub, unowned element) — declines the slot; the
-  // legacy action then raises the original diagnostic at run time.
+  // subscript, non-affine sub, unowned element) — declines the statement;
+  // the tree walk then raises the original diagnostic at run time.
   try {
     switch (a.kind) {
       case CommKind::kOverlapShift: {
         ShiftPlan p;
-        if (build_shift(a, ref, p)) {
-          slot.plan = std::move(p);
-          binds(ref.array);
-          return;
-        }
-        break;
+        if (!build_shift(a, ref, p)) return false;
+        slot.plan = std::move(p);
+        binds(ref.array);
+        return true;
       }
       case CommKind::kBcastElement: {
         if (!std::holds_alternative<BcastPlan>(slot.plan))
           slot.plan = BcastPlan{};
-        if (build_bcast(a, ref, key_names, std::get<BcastPlan>(slot.plan))) {
-          binds(ref.array);
-          return;
-        }
-        break;
+        if (!build_bcast(a, ref, key_names, std::get<BcastPlan>(slot.plan)))
+          return false;
+        binds(ref.array);
+        return true;
       }
       case CommKind::kMulticast:
       case CommKind::kTransfer: {
         if (!std::holds_alternative<SlabPlan>(slot.plan))
           slot.plan = SlabPlan{};
-        if (build_slab(s, a, ref, key_names, std::get<SlabPlan>(slot.plan))) {
-          binds(ref.array);
-          if (a.kind == CommKind::kTransfer)
-            binds(s.refs[0].array);  // dest coords bake the lhs DAD
-          return;
-        }
-        break;
+        if (!build_slab(s, a, ref, key_names, std::get<SlabPlan>(slot.plan)))
+          return false;
+        binds(ref.array);
+        if (a.kind == CommKind::kTransfer)
+          binds(s.refs[0].array);  // dest coords bake the lhs DAD
+        return true;
       }
+      case CommKind::kPrecompRead:
+      case CommKind::kTemporaryShift:
       case CommKind::kGather:
         // The schedule lives in the interpreter's ScheduleCache, localized
         // by its inspector; nothing is baked here.
         slot.plan = GatherSlot{};
-        return;
+        return true;
       default:
-        break;
+        return false;
     }
   } catch (const Error&) {
+    return false;
   }
-  slot.plan = LegacySlot{};
 }
 
-void CommPlans::rebind(const SpmdStmt& s, StmtPlan& plan,
+bool CommPlans::rebind(const SpmdStmt& s, StmtPlan& plan,
                        std::span<const std::string> key_names,
                        const ExecPlan* xp) {
   for (Slot& slot : plan.post)
     if (xp != nullptr) bind_concat(*xp, std::get<ConcatPlan>(slot.plan));
   for (Slot& slot : plan.slots) {
     const CommKind k = slot.action->kind;
-    // A slot that bakes again after running legacy may add an array to
-    // the entry's list; one that stops baking leaves its array listed
-    // (invalidating too eagerly is harmless).
-    if (k == CommKind::kBcastElement || k == CommKind::kMulticast ||
-        k == CommKind::kTransfer)
-      bake(s, slot, key_names, plan.arrays);
+    if ((k == CommKind::kBcastElement || k == CommKind::kMulticast ||
+         k == CommKind::kTransfer) &&
+        !bake(s, slot, key_names, plan.arrays))
+      return false;
   }
+  return true;
 }
 
 void CommPlans::run(const SpmdStmt& s, StmtPlan& plan, const ExecPlan& xp) {
@@ -806,10 +802,8 @@ void CommPlans::run_slot(const SpmdStmt& s, Slot& slot, const ExecPlan& xp) {
     run_bcast(std::get<BcastPlan>(slot.plan));
   } else if (std::holds_alternative<SlabPlan>(slot.plan)) {
     run_slab(std::get<SlabPlan>(slot.plan));
-  } else if (std::holds_alternative<GatherSlot>(slot.plan)) {
-    hooks_.gather(s, *slot.action, xp);
   } else {
-    hooks_.legacy(s, *slot.action);
+    hooks_.gather(s, *slot.action, xp);
   }
 }
 

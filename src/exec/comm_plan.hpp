@@ -26,30 +26,33 @@
 //               plan's values are appended to, concat_tree, and the
 //               write-back through precomputed strides — one contiguous
 //               copy per run when local and global layouts coincide;
-//   GatherSlot  a PARTI schedule2 gather, run through the interpreter's
-//               schedule machinery (ScheduleCache, keys and the one PARTI
-//               executor, parti::execute_read) with the execution plan's
-//               indexer walk as the inspector.  The schedule's inspector
-//               already localized it to storage offsets, so nothing about
-//               it is baked here.
+//   GatherSlot  a PARTI iteration-buffer read (schedule1 precomp_read or
+//               temporary_shift, schedule2 gather), run through the
+//               interpreter's schedule machinery (ScheduleCache, keys and
+//               the one PARTI executor, parti::execute_read) with the
+//               execution plan's indexer walk as this processor's
+//               inspector.  The schedule's inspector already localized it
+//               to storage offsets, so nothing about it is baked here.
 //
 // Faithfulness contract: a compiled plan issues exactly the collective
 // calls, tags, message sizes (including zero-byte sends), virtual-time
 // charges and element values of the tree-walk path it replaces — the plans
-// only remove host-side recomputation and heap churn.  Anything a plan
-// cannot bake faithfully is declined slot-by-slot and runs the legacy
-// action through a callback.
+// only remove host-side recomputation and heap churn.  A slot a plan
+// cannot bake faithfully declines the whole statement, which then runs on
+// the tree walk: a statement plans whole or not at all.
 //
 // Ownership: a statement's compiled communication (StmtPlan) is built
 // together with its execution plan and lives in the same statement-cache
 // entry (exec/statement_plan.hpp) — same key scalars, re-bound together
 // (rebind), dropped together when any part binds a redistributed array.
-// A kScatter plan's scatter is not a slot: the interpreter runs it after
-// the nest through the tree walk's post-action code.  CommPlans itself
+// A kScatter plan's scatter or postcomp_write is not a slot: the
+// interpreter runs it after the nest through the tree walk's post-action
+// code.  CommPlans itself
 // holds no per-schedule state: PARTI schedules live in the interpreter's
 // ScheduleCache, localized by their inspector (docs/EXECUTION.md).
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
@@ -79,12 +82,9 @@ struct CommHooks {
   /// Same, with one forall variable temporarily bound to `val` (offset
   /// table construction).
   std::function<Value(const ast::Expr&, const std::string&, Index)> eval_bound;
-  /// Run one action through the tree walk (declined slots).
-  std::function<void(const compile::SpmdStmt&, const compile::CommAction&)>
-      legacy;
-  /// Run one PARTI gather through the tree walk's schedule machinery,
-  /// with the execution plan's indexer walk (run_gather_needs) as the
-  /// inspector on a schedule-cache miss.
+  /// Run one PARTI iteration-buffer read through the tree walk's schedule
+  /// machinery, with the execution plan's indexer walk (run_gather_needs)
+  /// as this processor's inspector on a schedule-cache miss.
   std::function<void(const compile::SpmdStmt&, const compile::CommAction&,
                      const ExecPlan&)>
       gather;
@@ -136,8 +136,8 @@ class CommPlans {
 
  public:
   /// One statement's compiled communication: a slot per non-eliminated
-  /// pre-action in the tree walk's order, each a baked plan, a gather or a
-  /// legacy slot, and the concatenation slot of a kConcat execution plan.
+  /// pre-action in the tree walk's order, each a baked plan or a gather,
+  /// and the concatenation slot of a kConcat execution plan.
   struct StmtPlan {
     std::vector<Slot> slots;
     std::vector<Slot> post;           ///< kConcat plans: the concat slot
@@ -147,24 +147,25 @@ class CommPlans {
   CommPlans(Env& env, CommHooks hooks)
       : env_(&env), hooks_(std::move(hooks)) {}
 
-  /// Compile `s`'s pre-communication.  `key_names` are the scalar names
-  /// the statement's cache key covers — a plan only bakes values derived
-  /// from covered scalars (anything else is declined to the legacy action,
-  /// so a stale bake is impossible by construction).
+  /// Compile `s`'s pre-communication, or nothing when a slot cannot be
+  /// baked: the statement then declines whole.  `key_names` are the scalar
+  /// names the statement's cache key covers — a plan only bakes values
+  /// derived from covered scalars (anything else declines, so a stale bake
+  /// is impossible by construction).
   /// `xp` is the statement's execution plan, bound to the same values: a
   /// kConcat plan gets its concat slot bound from it.
-  [[nodiscard]] StmtPlan build(const compile::SpmdStmt& s,
-                               std::span<const std::string> key_names,
-                               const ExecPlan* xp = nullptr);
+  [[nodiscard]] std::optional<StmtPlan> build(
+      const compile::SpmdStmt& s, std::span<const std::string> key_names,
+      const ExecPlan* xp = nullptr);
 
   /// Re-bind `plan` (built from `s`) in place to the key scalars' current
   /// values: broadcast roots and offsets, slab roots, destinations and
-  /// offset tables.  Shift slots depend on no scalar and are kept.  A slot
-  /// the new values cannot bake runs its legacy action until a later
-  /// rebind bakes it again, so the result always equals a fresh build.
-  void rebind(const compile::SpmdStmt& s, StmtPlan& plan,
-              std::span<const std::string> key_names,
-              const ExecPlan* xp = nullptr);
+  /// offset tables.  Shift slots depend on no scalar and are kept.  False
+  /// when a slot cannot be baked under the new values: the caller rebuilds
+  /// the entry (which then declines).  The result equals a fresh build.
+  [[nodiscard]] bool rebind(const compile::SpmdStmt& s, StmtPlan& plan,
+                            std::span<const std::string> key_names,
+                            const ExecPlan* xp = nullptr);
 
   /// Run every slot of `plan` (built from `s` with execution plan `xp`):
   /// bit-identical messages, tags and charges to the tree walk's pre
@@ -247,23 +248,20 @@ class CommPlans {
     std::vector<std::pair<Index, Index>> runs;  ///< bind scratch
   };
 
-  struct LegacySlot {};  ///< run through hooks_.legacy
   struct GatherSlot {};  ///< run through hooks_.gather
 
   struct Slot {
     const compile::CommAction* action = nullptr;
-    std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan, ConcatPlan,
-                 GatherSlot>
-        plan;
+    std::variant<GatherSlot, ShiftPlan, BcastPlan, SlabPlan, ConcatPlan> plan;
   };
 
   // --- build ---------------------------------------------------------------
   /// Bake one slot's plan into `slot.plan` (reusing the alternative it
-  /// already holds); a failed or throwing bake leaves a legacy slot.
-  /// Adds the array(s) a baked plan binds to `arrays` unless listed.
-  void bake(const compile::SpmdStmt& s, Slot& slot,
-            std::span<const std::string> key_names,
-            std::vector<std::string>& arrays);
+  /// already holds).  False on a failed or throwing bake.  Adds the
+  /// array(s) a baked plan binds to `arrays` unless listed.
+  [[nodiscard]] bool bake(const compile::SpmdStmt& s, Slot& slot,
+                          std::span<const std::string> key_names,
+                          std::vector<std::string>& arrays);
   bool build_shift(const compile::CommAction& a, const compile::RefInfo& ref,
                    ShiftPlan& out);
   bool build_bcast(const compile::CommAction& a, const compile::RefInfo& ref,

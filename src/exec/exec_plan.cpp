@@ -373,7 +373,6 @@ namespace {
 /// becomes a cached PlanEntry with a null plan.
 struct Decline {
   std::string reason;
-  bool structural = true;
 };
 
 /// Add an affine (stride-per-counter) contribution into a merged term.
@@ -439,7 +438,7 @@ class Builder {
     // indexer; the gathers still take part in the collective schedule
     // builds, with empty needs.
     for (const CommAction& a : s_.pre)
-      if (!a.eliminated && a.kind == CommKind::kGather)
+      if (!a.eliminated && is_iteration_buffer(a.kind))
         plan_.gathers.emplace_back().ref_id = a.ref_id;
     resolve_binds();
     if (!bind_nest()) return;
@@ -478,8 +477,8 @@ class Builder {
   }
 
  private:
-  [[noreturn]] static void decline(std::string reason, bool structural = true) {
-    throw Decline{std::move(reason), structural};
+  [[noreturn]] static void decline(std::string reason) {
+    throw Decline{std::move(reason)};
   }
 
   /// The statement's only live post-action is a concatenation write-back
@@ -503,23 +502,10 @@ class Builder {
     if (reduce && !s_.rhs) decline("incomplete reduction");
     if (!reduce && (s_.refs.empty() || !s_.lhs || !s_.rhs))
       decline("incomplete forall");
-    // Gathers (schedule2) enumerate needs from this processor's own
-    // iteration space, which the plan's indexers replay; the schedule1
-    // kinds also need every *peer's* range enumerated, so they stay on the
-    // tree walk.
-    bool gathers = false;
-    for (const CommAction& a : s_.pre) {
-      if (a.eliminated) continue;
-      if (a.kind == CommKind::kPrecompRead ||
-          a.kind == CommKind::kTemporaryShift)
-        decline("schedule1 read (peer-range enumeration)");
-      gathers = gathers || a.kind == CommKind::kGather;
-    }
     if (reduce) {
       ReduceOp op{};
       if (!reduce_op_of(s_.reduce_op, op))
         decline("unsupported reduction " + s_.reduce_op);
-      if (gathers) decline("gathered reduction");
       return;
     }
     if (!s_.lhs_buffered) {
@@ -530,18 +516,21 @@ class Builder {
       // The concat slot's run table is bound from every iteration's
       // destination, masked-out ones included.
       if (s_.mask) decline("masked concatenation");
-      if (gathers) decline("gathered concatenation");
+      for (const CommAction& a : s_.pre)
+        if (!a.eliminated && is_iteration_buffer(a.kind))
+          decline("gathered concatenation");
       return;
     }
+    // The scatter (schedule3) and postcomp_write (schedule1) both run as
+    // the tree walk's post-action, fed the plan's streams.
     bool scatter = false;
     for (const CommAction& a : s_.post) {
       if (a.eliminated) continue;
-      if (a.kind != CommKind::kScatter) decline("non-scatter write combining");
+      if (a.kind != CommKind::kScatter && a.kind != CommKind::kPostcompWrite)
+        decline("non-scatter write combining");
       scatter = true;
     }
     if (!scatter) decline("buffered lhs without scatter");
-    if (env_.sym(s_.refs.at(0).array).type != ast::BaseType::kReal)
-      decline("non-REAL scattered lhs");
   }
 
   void push_scalar(const std::string& name, Tape& t) const {
@@ -699,7 +688,7 @@ class Builder {
       const Index lo = eval_bound(lb.lo).as_i();
       const Index hi = eval_bound(lb.hi).as_i();
       const Index st = lb.st.empty() ? 1 : eval_bound(lb.st).as_i();
-      if (st == 0) decline("zero stride", /*structural=*/false);
+      if (st == 0) decline("zero stride");
       derive_level(s_.indices[k], lb.dad, lb.lower,
                    env_.compiled.mapping.grid, coords_, lo, hi, st,
                    plan_.loops[k]);
@@ -842,7 +831,7 @@ class Builder {
       long long mx = c0;
       add_dim_terms(sub, /*simple=*/true, gstride, rp, mn, mx);
       if (mn < 0 || mx >= dad.extent(d))
-        decline("concatenation subscript out of range", /*structural=*/false);
+        decline("concatenation subscript out of range");
       rp.base += gstride * c0;
       gstride *= dad.extent(d);
     }
@@ -984,7 +973,7 @@ class Builder {
             rp.runtime[du].empty() ? 0 : eval_bound(rp.runtime[du]).as_i();
         const Index g = sub.cst + rt - rp.lowers[du];
         if (g < 0 || g >= dad.extent(d) || !dad.owns(d, g, coord))
-          decline("scalar subscript on an unowned line", /*structural=*/false);
+          decline("scalar subscript on an unowned line");
         c0 = dad.local_of_global(d, g);
       } else {
         // CYCLIC / CYCLIC(k) / strided alignment: only the identity access
@@ -1022,8 +1011,7 @@ class Builder {
       const long long hi_ok =
           is_write ? lext - 1 : lext + static_cast<long long>(m.overlap_hi) - 1;
       if (mn < lo_ok || mx > hi_ok)
-        decline("subscript range outside local allocation",
-                /*structural=*/false);
+        decline("subscript range outside local allocation");
       base += sd * (c0 + m.overlap_lo);
     }
     rp.base = base;
@@ -1116,12 +1104,12 @@ class Builder {
       case ExprKind::kArrayRef: {
         if (env_.compiled.sema.symbols.count(e.name) &&
             env_.compiled.sema.symbols.at(e.name).is_array()) {
+          // Codegen gives every array read of a FORALL or reduction —
+          // rhs, mask and lhs subscripts — its RefInfo.
           auto rit = ref_of_.find(&e);
-          if (rit != ref_of_.end()) {
-            out.push_back({Op::kRef, ref_id_of(rit->second), nullptr, {}});
-            return;
-          }
-          emit_elem(e, t);
+          if (rit == ref_of_.end())
+            decline("array element without reference info");
+          out.push_back({Op::kRef, ref_id_of(rit->second), nullptr, {}});
           return;
         }
         Op op{};
@@ -1138,58 +1126,6 @@ class Builder {
       default:
         decline("unsupported expression kind in forall body");
     }
-  }
-
-  /// Array references with no RefInfo: codegen classifies only the reads
-  /// that may need communication, so a fully replicated array subscripting
-  /// a buffered lhs (H(BIN(I))) reaches the tape compiler unclassified.
-  /// It is readable in place on every processor — compile a direct
-  /// element access over its (whole-array) local storage.
-  void emit_elem(const Expr& e, Tape& t) {
-    auto dit = env_.dads.find(e.name);
-    if (dit == env_.dads.end() || !dit->second.fully_replicated())
-      decline("distributed array element without reference info");
-    const Dad& dad = dit->second;
-    const int rank = dad.rank();
-    if (static_cast<int>(e.args.size()) != rank)
-      decline("subscript rank mismatch");
-    ElemRef er;
-    er.array = e.name;
-    std::vector<Index> aext;
-    switch (env_.sym(e.name).type) {
-      case ast::BaseType::kReal: {
-        const auto& a = env_.dar.at(e.name);
-        er.dbase = a.storage().data();
-        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-      case ast::BaseType::kInteger: {
-        const auto& a = env_.iar.at(e.name);
-        er.ibase = a.storage().data();
-        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-      case ast::BaseType::kLogical: {
-        const auto& a = env_.lar.at(e.name);
-        er.lbase = a.storage().data();
-        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-    }
-    er.strides.assign(static_cast<size_t>(rank), 1);
-    for (int d = rank - 2; d >= 0; --d)
-      er.strides[static_cast<size_t>(d)] =
-          er.strides[static_cast<size_t>(d + 1)] * aext[static_cast<size_t>(d + 1)];
-    for (int d = 0; d < rank; ++d) {
-      er.lowers.push_back(env_.lower_of(e.name, d));
-      er.extents.push_back(dad.extent(d));
-      er.shifts.push_back(dad.dim(d).overlap_lo);
-      emit(*e.args[static_cast<size_t>(d)], t);
-    }
-    arrays_.insert(e.name);
-    t.elems.push_back(std::move(er));
-    t.ins.push_back(
-        {Op::kElem, static_cast<int>(t.elems.size()) - 1, nullptr, {}});
   }
 
   const SpmdStmt& s_;
@@ -1241,31 +1177,6 @@ Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
         stack.push_back(load_ref(refs[static_cast<size_t>(ins.a)],
                                  offs[ins.a]));
         break;
-      case Op::kElem: {
-        const ElemRef& er = t.elems[static_cast<size_t>(ins.a)];
-        const size_t rank = er.lowers.size();
-        long long off = 0;
-        for (size_t d = 0; d < rank; ++d) {
-          const long long sub =
-              stack[stack.size() - rank + d].as_i();
-          const long long rel = sub - er.lowers[d];
-          if (rel < 0 || rel >= er.extents[d])
-            throw RtsError(strformat(
-                "subscript %lld of %s is out of range [%lld, %lld] in "
-                "dimension %d",
-                sub, er.array.c_str(), er.lowers[d],
-                er.lowers[d] + er.extents[d] - 1, static_cast<int>(d) + 1));
-          off += (rel + er.shifts[d]) * er.strides[d];
-        }
-        stack.resize(stack.size() - rank);
-        if (er.dbase != nullptr)
-          stack.push_back(Value::real(er.dbase[off]));
-        else if (er.ibase != nullptr)
-          stack.push_back(Value::integer(er.ibase[off]));
-        else
-          stack.push_back(Value::logical(er.lbase[off] != 0));
-        break;
-      }
       case Op::kNeg:
       case Op::kNot:
         stack.back() = un_value(ins.op, stack.back());
@@ -1489,9 +1400,9 @@ PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {
   try {
     Builder(s, env, *plan).build();
   } catch (const Decline& d) {
-    return PlanEntry{nullptr, d.reason, d.structural};
+    return PlanEntry{nullptr, d.reason};
   }
-  return PlanEntry{std::move(plan), {}, false};
+  return PlanEntry{std::move(plan), {}};
 }
 
 bool rebind_exec_plan(const SpmdStmt& s, Env& env, ExecPlan& p) {
@@ -1517,78 +1428,6 @@ std::vector<std::string> plan_key_scalars(const SpmdStmt& s, const Env& env) {
     for (const AffineSub& sub : ref.subs)
       if (sub.runtime) walk(*sub.runtime, walk);
   return std::vector<std::string>(names.begin(), names.end());
-}
-
-// ---------------------------------------------------------------------------
-// SharedPlanMeta
-
-std::string SharedPlanMeta::slot(const std::string& ns, int stmt_id) {
-  return ns + "#" + std::to_string(stmt_id);
-}
-
-bool SharedPlanMeta::declined_structurally(const std::string& ns,
-                                           int stmt_id) const {
-  std::shared_lock lk(mu_);
-  const bool hit = declines_.count(slot(ns, stmt_id)) > 0;
-  if (hit) {
-    std::lock_guard slk(stats_mu_);
-    ++stats_.decline_hits;
-  }
-  return hit;
-}
-
-void SharedPlanMeta::record_structural_decline(const std::string& ns,
-                                               int stmt_id) {
-  {
-    std::unique_lock lk(mu_);
-    if (!declines_.insert(slot(ns, stmt_id)).second) return;
-  }
-  std::lock_guard slk(stats_mu_);
-  ++stats_.installs;
-}
-
-bool SharedPlanMeta::lookup_key_scalars(const std::string& ns, int stmt_id,
-                                        std::vector<std::string>& out) const {
-  std::shared_lock lk(mu_);
-  auto it = scalars_.find(slot(ns, stmt_id));
-  if (it == scalars_.end()) return false;
-  out = it->second;
-  {
-    std::lock_guard slk(stats_mu_);
-    ++stats_.scalar_hits;
-  }
-  return true;
-}
-
-void SharedPlanMeta::install_key_scalars(
-    const std::string& ns, int stmt_id,
-    const std::vector<std::string>& scalars) {
-  {
-    std::unique_lock lk(mu_);
-    if (!scalars_.emplace(slot(ns, stmt_id), scalars).second) return;
-  }
-  std::lock_guard slk(stats_mu_);
-  ++stats_.installs;
-}
-
-SharedPlanMeta::Stats SharedPlanMeta::stats() const {
-  std::lock_guard lk(stats_mu_);
-  return stats_;
-}
-
-std::size_t SharedPlanMeta::size() const {
-  std::shared_lock lk(mu_);
-  return declines_.size() + scalars_.size();
-}
-
-void SharedPlanMeta::clear() {
-  {
-    std::unique_lock lk(mu_);
-    declines_.clear();
-    scalars_.clear();
-  }
-  std::lock_guard slk(stats_mu_);
-  stats_ = Stats{};
 }
 
 }  // namespace f90d::exec

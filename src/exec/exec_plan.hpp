@@ -27,26 +27,25 @@
 //     before reduce_tree), or the payload of a replicated lhs's
 //     concatenation write-back.
 //
-// PARTI gathers and scatters (paper §5.3, schedule2/schedule3) plan like
-// any other statement: a gathered read becomes an iteration-order buffer
-// reference plus a GlobalIndexer whose walk over the planned nest is the
-// inspector (run_gather_needs, only on a schedule-cache miss), and a
-// scattered lhs becomes the kScatter sink, streaming (value, destination
-// id) pairs for the scatter post-action.
+// PARTI reads and writes (paper §5.3: schedule1, schedule2, schedule3)
+// plan like any other statement: an iteration-buffer read — a
+// precomp_read, temporary_shift or gather — becomes an iteration-order
+// buffer reference plus a GlobalIndexer whose walk over the planned nest
+// is this processor's inspector (run_gather_needs, only on a
+// schedule-cache miss), and a scattered or postcomp_write lhs becomes the
+// kScatter sink, streaming (value, destination id) pairs for the
+// post-action.
 //
 // Plans are cached per processor in the statement plan cache
 // (exec/statement_plan.hpp), one entry per statement: when the bound,
 // guard or subscript scalars change between executions the entry is
-// re-bound in place (rebind_exec_plan) instead of rebuilt.  Statements the
-// planner declines — schedule1 reads, masked buffered writes, non-affine
-// subscripts — go to the tree walk; the decline itself is cached.
+// re-bound in place (rebind_exec_plan) instead of rebuilt.  A statement
+// the planner declines — a masked or gathered concatenation, a non-affine
+// shape, a value it cannot bake — runs whole on the tree walk; the
+// decline is cached under its key values like any entry.
 #include <memory>
-#include <mutex>
-#include <set>
-#include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compile/spmd_ir.hpp"
@@ -121,7 +120,7 @@ struct OffsetTerm {
 
 /// Postfix tape instruction.  Operands live on an explicit Value stack.
 enum class Op : unsigned char {
-  kConst, kScalar, kVar, kRef, kElem,
+  kConst, kScalar, kVar, kRef,
   kNeg, kNot,
   kAdd, kSub, kMul, kDiv, kPow,
   kEq, kNe, kLt, kLe, kGt, kGe, kAnd, kOr,
@@ -129,32 +128,15 @@ enum class Op : unsigned char {
   kToReal, kToInt, kNint,
 };
 
-/// A whole-array element access compiled into a tape (kElem): the rank
-/// subscript values come off the stack and the element is read directly
-/// from storage the executing processor holds in full.  Only fully
-/// replicated arrays qualify — the scattered lhs indirection arrays
-/// (H(BIN(I)): BIN carries no RefInfo because no communication serves it).
-struct ElemRef {
-  std::string array;
-  const double* dbase = nullptr;  ///< exactly one base is set, by type
-  const long long* ibase = nullptr;
-  const unsigned char* lbase = nullptr;
-  std::vector<long long> lowers;   ///< declared lower bound per dimension
-  std::vector<Index> extents;      ///< global extent per dimension
-  std::vector<long long> strides;  ///< row-major allocation stride per dim
-  std::vector<long long> shifts;   ///< overlap_lo allocation shift per dim
-};
-
 struct Ins {
   Op op = Op::kConst;
-  int a = 0;                      ///< kVar: loop level; kRef: ref id; kElem: elem id; kMin/kMax: argc
+  int a = 0;                      ///< kVar: loop level; kRef: ref id; kMin/kMax: argc
   const Value* scalar = nullptr;  ///< kScalar: bound slot in Env::scalars
   Value cst;                      ///< kConst
 };
 
 struct Tape {
   std::vector<Ins> ins;
-  std::vector<ElemRef> elems;  ///< kElem descriptors, addressed by Ins::a
   [[nodiscard]] bool empty() const { return ins.empty(); }
 };
 
@@ -304,9 +286,10 @@ struct ExecPlan {
   /// global element ids rather than storage offsets (the concat slot's
   /// run-table source; nothing is loaded or stored through it).
   RefPlan gids;
-  /// One per live kGather pre-action: the needs of the gathered read
-  /// (whose values the tapes load from its iteration-order buffer).  A
-  /// plan without a body keeps only each indexer's ref_id.
+  /// One per live iteration-buffer pre-action (is_iteration_buffer): the
+  /// needs of the gathered read (whose values the tapes load from its
+  /// iteration-order buffer).  A plan without a body keeps only each
+  /// indexer's ref_id.
   std::vector<GlobalIndexer> gathers;
   GlobalIndexer dests;        ///< kScatter: the lhs destination ids
   Tape mask;                  ///< empty = unconditional
@@ -327,12 +310,10 @@ struct ExecPlan {
 using PlanPtr = std::shared_ptr<ExecPlan>;
 
 /// Build outcome.  A null plan is a decline: the statement runs on the
-/// tree-walk fallback.  `structural` declines do not depend on runtime
-/// scalar values, so the driver can skip planning the statement for good.
+/// tree-walk fallback.
 struct PlanEntry {
   PlanPtr plan;
   std::string decline;
-  bool structural = false;
 };
 
 /// The names of every runtime scalar a statement's plan bakes in (loop
@@ -399,46 +380,5 @@ void run_gather_needs(const ExecPlan& p, int ref_id, PlanScratch& scratch,
 [[nodiscard]] Index run_scatter_plan(const ExecPlan& p, PlanScratch& scratch,
                                      std::vector<double>& values,
                                      std::vector<Index>& dest_ids);
-
-/// Process-wide, cross-run store of the *pointer-free* plan metadata
-/// (service mode).  Plan bodies bind raw storage pointers (RefPlan bases,
-/// Buf and Value slots) into one run's Env, so they can never outlive a
-/// run; what CAN be shared is the per-statement analysis that is identical
-/// for every run of the same compiled artifact: structural declines (skip
-/// planning for good) and key-scalar name lists (skip plan_key_scalars).
-/// Entries are namespaced by a caller-chosen prefix — the artifact content
-/// hash — so statement ids from different programs never collide; one
-/// statement cache per node covers every plan, so one namespace per
-/// artifact suffices.  Thread-safe with a shared-lock read path.
-class SharedPlanMeta {
- public:
-  struct Stats {
-    long long decline_hits = 0;  ///< structural declines answered here
-    long long scalar_hits = 0;   ///< key-scalar lists answered here
-    long long installs = 0;
-  };
-
-  [[nodiscard]] bool declined_structurally(const std::string& ns,
-                                           int stmt_id) const;
-  void record_structural_decline(const std::string& ns, int stmt_id);
-
-  /// Copy the memoized key-scalar list for (ns, stmt_id) into `out`.
-  bool lookup_key_scalars(const std::string& ns, int stmt_id,
-                          std::vector<std::string>& out) const;
-  void install_key_scalars(const std::string& ns, int stmt_id,
-                           const std::vector<std::string>& scalars);
-
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
- private:
-  static std::string slot(const std::string& ns, int stmt_id);
-  mutable std::shared_mutex mu_;
-  std::set<std::string> declines_;
-  std::unordered_map<std::string, std::vector<std::string>> scalars_;
-  mutable std::mutex stats_mu_;
-  mutable Stats stats_;
-};
 
 }  // namespace f90d::exec

@@ -34,11 +34,16 @@ StatementPlan build_statement_plan(const compile::SpmdStmt& s, Env& env,
   PlanEntry built = build_exec_plan(s, env);
   if (!built.plan) {
     e.decline = std::move(built.decline);
-    e.structural = built.structural;
+    return e;
+  }
+  std::optional<CommPlans::StmtPlan> slots =
+      comm.build(s, key_names, built.plan.get());
+  if (!slots) {
+    e.decline = "communication slot not bakeable";
     return e;
   }
   e.plan = std::move(built.plan);
-  e.comm = comm.build(s, key_names, e.plan.get());
+  e.comm = std::move(*slots);
   return e;
 }
 
@@ -47,8 +52,9 @@ bool rebind_statement_plan(const compile::SpmdStmt& s, Env& env,
                            std::span<const std::string> key_names,
                            StatementPlan& e) {
   // A decline under other values plans afresh.
-  if (!e.plan || !rebind_exec_plan(s, env, *e.plan)) return false;
-  comm.rebind(s, e.comm, key_names, e.plan.get());
+  if (!e.plan || !rebind_exec_plan(s, env, *e.plan) ||
+      !comm.rebind(s, e.comm, key_names, e.plan.get()))
+    return false;
   if (e.native && !native::repack(*e.plan, *e.native)) e.native.reset();
   return true;
 }
@@ -69,14 +75,7 @@ StatementPlanCache::Slot& StatementPlanCache::slot_of(int stmt_id) {
 
 void StatementPlanCache::resolve_key(const compile::SpmdStmt& s,
                                      const Env& env, Slot& slot) {
-  if (!(shared_ &&
-        shared_->lookup_key_scalars(shared_ns_, s.stmt_id, slot.key_names))) {
-    slot.key_names = plan_key_scalars(s, env);
-    if (shared_)
-      shared_->install_key_scalars(shared_ns_, s.stmt_id, slot.key_names);
-  } else {
-    ++stats_.shared_hits;
-  }
+  slot.key_names = plan_key_scalars(s, env);
   // Env::scalars holds every non-array symbol from construction on and
   // never erases one, so the slots stay valid for the whole run.
   slot.key_slots.clear();
@@ -84,14 +83,6 @@ void StatementPlanCache::resolve_key(const compile::SpmdStmt& s,
     slot.key_slots.push_back(&env.scalars.at(nm));
   slot.bound.resize(slot.key_slots.size());
   slot.keyed = true;
-}
-
-void StatementPlanCache::built(int stmt_id, Slot& slot) {
-  ++kind_of(*slot.entry).misses;
-  if (slot.entry->structural && !slot.structural) {
-    slot.structural = true;
-    if (shared_) shared_->record_structural_decline(shared_ns_, stmt_id);
-  }
 }
 
 StatementPlan& StatementPlanCache::get(const compile::SpmdStmt& s,
@@ -108,7 +99,7 @@ StatementPlan& StatementPlanCache::get(const compile::SpmdStmt& s,
   }
   if (!slot.entry) {
     slot.entry = std::make_unique<StatementPlan>(build(slot.key_names));
-    built(s.stmt_id, slot);
+    ++kind_of(*slot.entry).misses;
     return *slot.entry;
   }
   StatementPlan& e = *slot.entry;
@@ -128,20 +119,8 @@ StatementPlan& StatementPlanCache::get(const compile::SpmdStmt& s,
   }
   if (attached) ++stats_.native_invalidations;
   e = build(slot.key_names);
-  built(s.stmt_id, slot);
+  ++kind_of(e).misses;
   return e;
-}
-
-bool StatementPlanCache::declined_structurally(int stmt_id) {
-  if (stmt_id >= 0 && static_cast<size_t>(stmt_id) < slots_.size() &&
-      slots_[static_cast<size_t>(stmt_id)].structural)
-    return true;
-  if (shared_ && shared_->declined_structurally(shared_ns_, stmt_id)) {
-    slot_of(stmt_id).structural = true;
-    ++stats_.shared_hits;
-    return true;
-  }
-  return false;
 }
 
 std::size_t StatementPlanCache::size() const {

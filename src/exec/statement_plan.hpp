@@ -9,14 +9,15 @@
 // attachment (native::Attachment).
 //
 // One entry per statement id: a plan (ExecPlan + comm slots + native
-// attachment) or a memoized decline.  Its key is the exact values of the
-// runtime scalars the plan bakes in (plan_key_scalars), read through slots
-// into the node's scalar table and compared by kind and bit pattern.  When
-// they change, the entry is re-bound in place (rebind_statement_plan) — the
-// generated node program calls set_BOUND with the current K rather than
-// emitting a loop per K — and only a structural change rebuilds it in its
-// slot.  One invalidation rule: invalidate_array drops a whole entry as
-// soon as any of its parts binds the array.  See docs/EXECUTION.md.
+// attachment) or a decline, which runs the whole statement on the tree
+// walk.  Its key is the exact values of the runtime scalars the plan bakes
+// in (plan_key_scalars), read through slots into the node's scalar table
+// and compared by kind and bit pattern.  When they change, the entry is
+// re-bound in place (rebind_statement_plan) — the generated node program
+// calls set_BOUND with the current K rather than emitting a loop per K —
+// and only a structural change, or a decline, rebuilds it in its slot.
+// One invalidation rule: invalidate_array drops a whole entry as soon as
+// any of its parts binds the array.  See docs/EXECUTION.md.
 #include <functional>
 #include <memory>
 #include <span>
@@ -32,14 +33,13 @@ namespace f90d::exec {
 struct StatementPlan {
   PlanPtr plan;           ///< compiled loop nest and tapes
   std::string decline;    ///< decline: the planner's reason
-  /// Decline independent of runtime scalars.
-  bool structural = false;
   CommPlans::StmtPlan comm;                    ///< communication
   std::unique_ptr<native::Attachment> native;  ///< first native run
 };
 
 /// Build one statement's entry.  A plan gets its communication compiled
-/// through `comm` right away, under the same key scalars.
+/// through `comm` right away, under the same key scalars; a slot that
+/// cannot be baked declines the entry.
 [[nodiscard]] StatementPlan build_statement_plan(
     const compile::SpmdStmt& s, Env& env, CommPlans& comm,
     std::span<const std::string> key_names);
@@ -49,16 +49,16 @@ struct StatementPlan {
 /// slots' roots, offsets and tables, and the native attachment's packed
 /// arguments (the attachment keeps its kernel while the plan's structural
 /// key is unchanged, and is dropped for a re-attach otherwise).  False
-/// when the new values change the entry's structure or `e` is a decline:
-/// the caller rebuilds it.
+/// when the new values change the entry's structure, a comm slot cannot
+/// be re-baked, or `e` is a decline: the caller rebuilds it.
 [[nodiscard]] bool rebind_statement_plan(const compile::SpmdStmt& s,
                                          Env& env, CommPlans& comm,
                                          std::span<const std::string> key_names,
                                          StatementPlan& e);
 
 /// The one counter set, split by entry kind: an irregular entry is a plan
-/// with PARTI gathers (ExecPlan::gathers) or a kScatter sink, a regular
-/// one any other plan.
+/// with PARTI iteration-buffer reads (ExecPlan::gathers: schedule1 and
+/// schedule2) or a kScatter sink, a regular one any other plan.
 struct StatementPlanStats {
   struct Kind {
     int hits = 0;     ///< lookups answered by the live entry, rebinds included
@@ -70,8 +70,6 @@ struct StatementPlanStats {
   /// Native attachments dropped: with their entry (invalidated or
   /// rebuilt), or by a rebind whose re-pack refused.
   long long native_invalidations = 0;
-  /// Declines and key-scalar lists answered by the SharedPlanMeta store.
-  int shared_hits = 0;
 };
 
 class StatementPlanCache {
@@ -84,19 +82,14 @@ class StatementPlanCache {
                                     std::span<const std::string> key_names)>;
 
   /// The live entry of `s`.  The first lookup resolves the statement's key
-  /// scalars (plan_key_scalars, or the SharedPlanMeta store) to slots in
-  /// `env.scalars` and builds the entry (a miss).  Later lookups compare
+  /// scalars (plan_key_scalars) to slots in `env.scalars` and builds the
+  /// entry (a miss).  Later lookups compare
   /// the slots' values with the ones the entry is bound to: equal returns
   /// it (a hit); different re-binds it (a hit and a rebind) or, when
   /// `rebind` refuses, rebuilds it in its slot (a miss).  The entry stays
   /// at the same address until invalidate_array drops it.
   StatementPlan& get(const compile::SpmdStmt& s, const Env& env,
                      const Build& build, const Rebind& rebind);
-
-  /// True when `stmt_id` was declined for reasons independent of runtime
-  /// scalar values.  Consults the attached SharedPlanMeta on a local miss
-  /// and pulls hits local.
-  [[nodiscard]] bool declined_structurally(int stmt_id);
 
   /// Drop every entry any part of which binds `array` (plan storage, comm
   /// slots, native attachment).  Must be called by any operation that may
@@ -107,19 +100,10 @@ class StatementPlanCache {
   /// Live entries (at most one per statement).
   [[nodiscard]] std::size_t size() const;
 
-  /// Attach the cross-run metadata store (service mode).  `ns` identifies
-  /// the compiled artifact; statement ids are unique within it.  Null
-  /// detaches.
-  void set_shared(SharedPlanMeta* meta, std::string ns) {
-    shared_ = meta;
-    shared_ns_ = std::move(ns);
-  }
-
  private:
   /// Everything the cache keeps for one statement id.
   struct Slot {
     bool keyed = false;  ///< key names resolved to slots
-    bool structural = false;
     std::vector<std::string> key_names;
     std::vector<const Value*> key_slots;  ///< into Env::scalars
     std::vector<Value> bound;             ///< values the entry is bound to
@@ -128,13 +112,9 @@ class StatementPlanCache {
 
   Slot& slot_of(int stmt_id);
   void resolve_key(const compile::SpmdStmt& s, const Env& env, Slot& slot);
-  /// Record a freshly built entry's counters and structural decline.
-  void built(int stmt_id, Slot& slot);
   StatementPlanStats::Kind& kind_of(const StatementPlan& e);
 
   std::vector<Slot> slots_;  ///< by statement id
-  SharedPlanMeta* shared_ = nullptr;
-  std::string shared_ns_;
   StatementPlanStats stats_;
 };
 

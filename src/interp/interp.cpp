@@ -79,9 +79,10 @@ exec::MapResolver map_resolver(const Init& init) {
 // (exec/statement_plan.hpp), whose entries run their compiled
 // communication (PARTI gathers included) and the strength-reduced loop
 // nest into an lhs store, a reduction accumulator, a concatenation payload
-// or a scatter stream; statements the planner declines (masked
-// concatenations, schedule1 reads, non-affine subscripts) fall back to the
-// tree walk below, which operates on the same exec::Env state.
+// or a scatter stream.  A statement the planner declines (masked or
+// gathered concatenations, non-affine shapes, values a plan cannot bake)
+// runs whole on the tree walk below, which operates on the same exec::Env
+// state; no statement mixes the two.
 
 class Node {
  public:
@@ -99,15 +100,13 @@ class Node {
     cache_.set_enabled(opt_.schedule_cache);
     if (opt_.schedule_session != nullptr)
       cache_.set_session(opt_.schedule_session, gc_.my_logical());
-    if (opt_.plan_meta != nullptr)
-      stmt_plans_.set_shared(opt_.plan_meta, opt_.cache_prefix);
     apply_init();
   }
 
   /// Callbacks the comm-plan builder uses to bake descriptors: the same
-  /// expression evaluation as the tree walk, plus the tree walk itself for
-  /// declined slots and its schedule machinery for gathers.  The lambdas
-  /// capture `this` and fire only after construction completes.
+  /// expression evaluation as the tree walk, plus its schedule machinery
+  /// for PARTI reads.  The lambdas capture `this` and fire only after
+  /// construction completes.
   exec::CommHooks make_comm_hooks() {
     exec::CommHooks h;
     h.eval = [this](const Expr& e) { return eval(e); };
@@ -116,9 +115,6 @@ class Node {
       const exec::Value v = eval(e);
       frame_.erase(var);
       return v;
-    };
-    h.legacy = [this](const SpmdStmt& s, const CommAction& a) {
-      run_action(s, a, std::nullopt);
     };
     h.gather = [this](const SpmdStmt& s, const CommAction& a,
                       const exec::ExecPlan& xp) {
@@ -456,15 +452,12 @@ class Node {
   /// Planned fast path: one statement-cache lookup per FORALL or reduction
   /// finds this statement's entry — built on first use, re-bound in place
   /// when its key scalars changed — and runs it.  Returns false when the
-  /// planner declined — the caller falls back to the tree walk.
-  /// Structural declines are remembered per statement so fallback
-  /// statements skip the key compare entirely.
+  /// planner declined — the caller runs the statement on the tree walk.
   bool try_planned(const SpmdStmt& s) {
     if (opt_.skeleton || !opt_.exec_plans) return false;
     // Unnumbered statements (hand-built programs that bypassed the driver)
     // have no stable cache identity: run them on the tree walk.
     if (s.stmt_id < 0) return false;
-    if (stmt_plans_.declined_structurally(s.stmt_id)) return false;
     exec::StatementPlan& entry = stmt_plans_.get(
         s, env_,
         [this, &s](std::span<const std::string> names) {
@@ -598,19 +591,24 @@ class Node {
     return false;
   }
 
+  /// Throws the out-of-range diagnostic unless the 0-based index `gd`
+  /// lies in dimension `d` of `name`.
+  void require_in_range(const std::string& name, int d, Index gd) {
+    const Index extent = env_.dads.at(name).extent(d);
+    if (gd >= 0 && gd < extent) return;
+    const long long lo = env_.lower_of(name, d);
+    throw RtsError(strformat(
+        "subscript %lld of %s is out of range [%lld, %lld] in dimension %d",
+        static_cast<long long>(gd) + lo, name.c_str(), lo,
+        lo + static_cast<long long>(extent) - 1, d + 1));
+  }
+
   Index flat_global_of(const std::string& name, std::span<const Index> g) {
     const Dad& dad = env_.dads.at(name);
     Index flat = 0;
     for (int d = 0; d < dad.rank(); ++d) {
       const Index gd = g[static_cast<size_t>(d)];
-      if (gd < 0 || gd >= dad.extent(d)) {
-        const long long lo = env_.lower_of(name, d);
-        throw RtsError(strformat(
-            "subscript %lld of %s is out of range [%lld, %lld] in dimension "
-            "%d",
-            static_cast<long long>(gd) + lo, name.c_str(), lo,
-            lo + static_cast<long long>(dad.extent(d)) - 1, d + 1));
-      }
+      require_in_range(name, d, gd);
       flat = flat * dad.extent(d) + gd;
     }
     return flat;
@@ -680,9 +678,11 @@ class Node {
   void run_bcast_element(const CommAction& a, const RefInfo& ref) {
     const Dad& dad = env_.dads.at(ref.array);
     std::vector<Index> g(ref.subs.size());
-    for (size_t d = 0; d < ref.subs.size(); ++d)
-      g[d] = eval(*ref.expr->args[d]).as_i() -
-             env_.lower_of(ref.array, static_cast<int>(d));
+    for (size_t d = 0; d < ref.subs.size(); ++d) {
+      const int dd = static_cast<int>(d);
+      g[d] = eval(*ref.expr->args[d]).as_i() - env_.lower_of(ref.array, dd);
+      require_in_range(ref.array, dd, g[d]);
+    }
     const std::vector<int> zeros(static_cast<size_t>(c_.mapping.grid.ndims()),
                                  0);
     const int root = dad.owner_logical(g, zeros);
@@ -708,6 +708,7 @@ class Node {
     for (const auto& [d, sub] : a.root_subs) {
       const Index val =
           eval(*affine_to_expr(sub)).as_i() - env_.lower_of(ref.array, d);
+      require_in_range(ref.array, d, val);
       const int owner = dad.owner_coord(d, val);
       const int gd = dad.dim(d).grid_dim;
       comm_dims.emplace_back(gd, owner);
@@ -745,6 +746,7 @@ class Node {
           const Dad& ldad = env_.dads.at(s.refs[0].array);
           const Index dval = eval(*affine_to_expr(dsub)).as_i() -
                              env_.lower_of(s.refs[0].array, ld);
+          require_in_range(s.refs[0].array, ld, dval);
           dest_coord = ldad.owner_coord(ld, dval);
         }
         std::vector<double> out;
@@ -1185,7 +1187,6 @@ class Node {
     // Statement-cache counters by entry kind.  Every entry owns its comm
     // slots, so its hits/misses/drops are also comm-plan ones.
     const exec::StatementPlanStats& ps = stmt_plans_.stats();
-    shared_.result.shared_plan_hits = ps.shared_hits;
     shared_.result.plan_hits = ps.regular.hits;
     shared_.result.plan_rebinds = ps.regular.rebinds;
     shared_.result.plan_misses = ps.regular.misses;

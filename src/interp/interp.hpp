@@ -24,9 +24,6 @@
 namespace f90d::parti {
 class SharedScheduleSession;
 }
-namespace f90d::exec {
-class SharedPlanMeta;
-}
 
 namespace f90d::interp {
 
@@ -53,12 +50,9 @@ struct RunOptions {
   /// cross-run sharing (the default, and the behaviour all non-service
   /// callers keep).
   parti::SharedScheduleSession* schedule_session = nullptr;
-  /// Service mode: process-wide store of pointer-free plan metadata
-  /// (structural declines, key-scalar lists).  Null = no sharing.
-  exec::SharedPlanMeta* plan_meta = nullptr;
   /// Namespace for shared-cache keys: must identify the compiled artifact
   /// AND the initial data (e.g. "<content-hash>|<init-tag>") — schedule
-  /// contents depend on both.  Required when either pointer above is set.
+  /// contents depend on both.  Required when schedule_session is set.
   std::string cache_prefix;
 };
 
@@ -82,10 +76,9 @@ struct ProgramResult {
   int schedule_misses = 0;
   int schedule_invalidations = 0;
   /// Service mode: local misses answered by the cross-run shared schedule
-  /// store / plan-metadata store (processor 0's counters; zero unless
-  /// RunOptions::schedule_session / plan_meta were set).
+  /// store (processor 0's counter; zero unless RunOptions::schedule_session
+  /// was set).
   int shared_schedule_hits = 0;
-  int shared_plan_hits = 0;
   /// Inspector/executor observability (processor 0's node counters):
   /// schedules actually built by an inspector (= misses plus uncached
   /// builds) and remote payload bytes moved by the read (gather) and write
@@ -98,8 +91,8 @@ struct ProgramResult {
   /// kind.  Hits are lookups answered by the statement's live entry,
   /// rebinds the subset that re-bound it in place to new key-scalar values
   /// (a new pivot K, say); misses are entry builds.  Irregular entries
-  /// (plans with PARTI gathers or a scatter sink): planned-inspector reuse
-  /// across DO trips.
+  /// (plans with PARTI reads — schedule1 or schedule2 — or a scatter
+  /// sink): planned-inspector reuse across DO trips.
   int irregular_hits = 0;
   int irregular_rebinds = 0;
   int irregular_misses = 0;

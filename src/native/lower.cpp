@@ -160,7 +160,7 @@ class ShapeWalk {
           put8(k, static_cast<unsigned>(ins.op));
           // kVar reads its loop level, kRef its reference id, and every
           // intrinsic (the ops from kAbs on) its argument count; the
-          // fixed-arity operators and kElem (always declined) read none.
+          // fixed-arity operators read none.
           if (ins.op == Op::kVar || ins.op == Op::kRef || ins.op >= Op::kAbs)
             put32(k, ins.a);
           break;
@@ -460,8 +460,6 @@ class Lowerer {
           }
           break;
         }
-        case Op::kElem:
-          fail("whole-array element access");
         case Op::kNeg: {
           const Tmp v = pop(stack);
           if (v.k == K::kI)

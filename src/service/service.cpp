@@ -184,7 +184,6 @@ Outcome ServiceCore::submit(const std::string& source, const RunSpec& spec) {
                                        a->key + "|" + spec.init_tag + "|", p);
   if (opt_.share_caches && !spec.compile_only) {
     ro.schedule_session = &session;
-    ro.plan_meta = &plan_meta_;
     ro.cache_prefix = a->key + "|" + spec.init_tag;
   }
   try {
@@ -212,7 +211,6 @@ Outcome ServiceCore::submit(const std::string& source, const RunSpec& spec) {
 std::string ServiceCore::stats_json() const {
   const ArtifactCache::Stats as = artifacts_.stats();
   const parti::SharedScheduleStore::Stats ss = schedules_.stats();
-  const exec::SharedPlanMeta::Stats ps = plan_meta_.stats();
   JsonWriter w;
   w.begin_object()
       .field("requests", requests_.load())
@@ -230,13 +228,6 @@ std::string ServiceCore::stats_json() const {
       .field("hits", ss.hits)
       .field("misses", ss.misses)
       .field("installs", ss.installs)
-      .end_object()
-      .key("shared_plan_meta")
-      .begin_object()
-      .field("entries", static_cast<long long>(plan_meta_.size()))
-      .field("decline_hits", ps.decline_hits)
-      .field("scalar_hits", ps.scalar_hits)
-      .field("installs", ps.installs)
       .end_object()
       .end_object();
   return w.str();

@@ -11,9 +11,8 @@
 //     request with the same source + compile options, and identical
 //     in-flight requests coalesce onto one compile (ArtifactCache);
 //   * runs share the process-global caches: the PARTI schedule store
-//     (parti::SharedScheduleStore), the plan metadata store
-//     (exec::SharedPlanMeta) and the native JIT cache
-//     (native::NativeCache) are all thread-safe, so a worker pool can
+//     (parti::SharedScheduleStore) and the native JIT cache
+//     (native::NativeCache) are both thread-safe, so a worker pool can
 //     run many simulations concurrently and warm requests never
 //     serialize on a cache lock;
 //   * one code path: the CLI (examples/f90dc.cpp), the test harness
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "compile/driver.hpp"
-#include "exec/exec_plan.hpp"
 #include "interp/interp.hpp"
 #include "machine/topology.hpp"
 #include "parti/schedule_cache.hpp"
@@ -137,7 +135,7 @@ struct Outcome {
 struct ServiceOptions {
   std::size_t max_source_bytes = 1u << 20;  ///< reject larger sources
   int max_procs = 256;                      ///< reject larger grids
-  /// Attach the shared schedule/plan stores to every run (the point of the
+  /// Attach the shared schedule store to every run (the point of the
   /// service; off only for differential tests of the sharing itself).
   bool share_caches = true;
 };
@@ -156,7 +154,6 @@ class ServiceCore {
   [[nodiscard]] const ServiceOptions& options() const { return opt_; }
   [[nodiscard]] ArtifactCache& artifacts() { return artifacts_; }
   [[nodiscard]] parti::SharedScheduleStore& schedules() { return schedules_; }
-  [[nodiscard]] exec::SharedPlanMeta& plan_meta() { return plan_meta_; }
   [[nodiscard]] long long requests() const { return requests_.load(); }
   [[nodiscard]] long long failures() const { return failures_.load(); }
 
@@ -168,7 +165,6 @@ class ServiceCore {
   ServiceOptions opt_;
   ArtifactCache artifacts_;
   parti::SharedScheduleStore schedules_;
-  exec::SharedPlanMeta plan_meta_;
   std::atomic<long long> requests_{0};
   std::atomic<long long> failures_{0};
 };

@@ -38,7 +38,6 @@ std::string run_stats_json(const Outcome& out) {
       .field("misses", r.plan_misses)
       .field("invalidations", r.plan_invalidations)
       .field("entries", r.plan_entries)
-      .field("shared_hits", r.shared_plan_hits)
       .field("tree_walk_stmts", r.tree_walk_stmts)
       .end_object();
   w.key("irregular_cache")

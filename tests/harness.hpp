@@ -171,16 +171,20 @@ inline std::vector<double> jacobi_oracle(int n, int iters) {
   return a;
 }
 
-inline DiffRun run_jacobi(
-    int n, int iters, int p, int q, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init jacobi_init() {
   interp::Init init;
   init.real["A"] = [](std::span<const Index> g) {
     return jacobi_entry(g[0], g[1]);
   };
-  auto result =
-      run_source(apps::jacobi_source(n, p, q, iters, dist), init, ro, {}, cost);
+  return init;
+}
+
+inline DiffRun run_jacobi(
+    int n, int iters, int p, int q, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
+  auto result = run_source(apps::jacobi_source(n, p, q, iters, dist),
+                           jacobi_init(), ro, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), jacobi_oracle(n, iters)};
   fill_counters(d, result);
   return d;
@@ -224,18 +228,19 @@ struct CountedRun {
   std::uint64_t bytes = 0;
 };
 
-inline CountedRun run_jacobi_hoisted(int n, int iters, int p, int q,
-                                     const char* dist = "BLOCK",
-                                     const compile::CodegenOptions& opt = {}) {
-  interp::Init init;
-  init.real["A"] = [](std::span<const Index> g) {
-    return jacobi_entry(g[0], g[1]);
-  };
+inline interp::Init jacobi_hoisted_init() {
+  interp::Init init = jacobi_init();
   init.real["C"] = [](std::span<const Index> g) {
     return jacobi_c_entry(g[0], g[1]);
   };
+  return init;
+}
+
+inline CountedRun run_jacobi_hoisted(int n, int iters, int p, int q,
+                                     const char* dist = "BLOCK",
+                                     const compile::CodegenOptions& opt = {}) {
   auto result = run_source(apps::jacobi_hoisted_source(n, p, q, iters, dist),
-                           init, {}, opt);
+                           jacobi_hoisted_init(), {}, opt);
   return CountedRun{DiffRun{"A", result.real_arrays.at("A"),
                             jacobi_hoisted_oracle(n, iters),
                             result.schedule_hits, result.schedule_misses},
@@ -294,15 +299,20 @@ inline auto gauss_defined_region(int n) {
   };
 }
 
-inline DiffRun run_gauss(
-    int n, int p, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init gauss_init(int n) {
   interp::Init init;
   init.real["A"] = [n](std::span<const Index> g) {
     return apps::gauss_matrix_entry(n, g[0], g[1]);
   };
-  auto result = run_source(apps::gauss_source(n, p, dist), init, ro, {}, cost);
+  return init;
+}
+
+inline DiffRun run_gauss(
+    int n, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
+  auto result =
+      run_source(apps::gauss_source(n, p, dist), gauss_init(n), ro, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), gauss_oracle(n)};
   fill_counters(d, result);
   return d;
@@ -311,11 +321,8 @@ inline DiffRun run_gauss(
 /// Gauss with explicit codegen options, counted (comm_opt property tests).
 inline CountedRun run_gauss_counted(int n, int p, const char* dist,
                                     const compile::CodegenOptions& opt) {
-  interp::Init init;
-  init.real["A"] = [n](std::span<const Index> g) {
-    return apps::gauss_matrix_entry(n, g[0], g[1]);
-  };
-  auto result = run_source(apps::gauss_source(n, p, dist), init, {}, opt);
+  auto result =
+      run_source(apps::gauss_source(n, p, dist), gauss_init(n), {}, opt);
   return CountedRun{DiffRun{"A", result.real_arrays.at("A"), gauss_oracle(n),
                             result.schedule_hits, result.schedule_misses},
                     result.machine.total_messages(),
@@ -338,9 +345,7 @@ inline std::vector<double> irregular_oracle(int n) {
   return a;
 }
 
-inline DiffRun run_irregular(
-    int n, int steps, int p, const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init irregular_init(int n) {
   interp::Init init;
   init.ints["U"] = [n](std::span<const Index> g) {
     return irregular_u(n, g[0]) + 1;  // Fortran arrays are 1-based
@@ -350,8 +355,14 @@ inline DiffRun run_irregular(
   };
   init.real["B"] = [](std::span<const Index> g) { return g[0] * 2.0; };
   init.real["C"] = [](std::span<const Index> g) { return g[0] * 100.0; };
-  auto result =
-      run_source(apps::irregular_source(n, p, steps), init, ro, {}, cost);
+  return init;
+}
+
+inline DiffRun run_irregular(
+    int n, int steps, int p, const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
+  auto result = run_source(apps::irregular_source(n, p, steps),
+                           irregular_init(n), ro, {}, cost);
   DiffRun d{"A", result.real_arrays.at("A"), irregular_oracle(n)};
   fill_counters(d, result);
   return d;
@@ -380,10 +391,7 @@ inline std::vector<double> spmv_ell_oracle(int n, int nk, int steps) {
   return y;
 }
 
-inline DiffRun run_spmv_ell(
-    int n, int nk, int steps, int p, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init spmv_ell_init(int n, int p) {
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return map_owner(g[0], p) + 1;  // directive values are 1-based
@@ -394,8 +402,15 @@ inline DiffRun run_spmv_ell(
   init.real["A"] = [](std::span<const Index> g) { return spmv_a(g[0], g[1]); };
   init.real["X"] = [](std::span<const Index> g) { return spmv_x(g[0]); };
   init.real["Y"] = [](std::span<const Index>) { return 0.0; };
-  auto result = run_source(apps::spmv_ell_source(n, nk, p, steps, dist), init,
-                           ro, {}, cost);
+  return init;
+}
+
+inline DiffRun run_spmv_ell(
+    int n, int nk, int steps, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
+  auto result = run_source(apps::spmv_ell_source(n, nk, p, steps, dist),
+                           spmv_ell_init(n, p), ro, {}, cost);
   DiffRun d{"Y", result.real_arrays.at("Y"), spmv_ell_oracle(n, nk, steps)};
   fill_counters(d, result);
   return d;
@@ -422,10 +437,7 @@ inline std::vector<double> mesh_sweep_oracle(int nn, int ne, int steps) {
   return f;
 }
 
-inline DiffRun run_mesh_sweep(
-    int nn, int ne, int steps, int p, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init mesh_sweep_init(int nn, int p) {
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return map_owner(g[0], p) + 1;
@@ -437,8 +449,15 @@ inline DiffRun run_mesh_sweep(
     return mesh_e2(nn, g[0]) + 1;
   };
   init.real["XN"] = [](std::span<const Index> g) { return mesh_xn0(g[0]); };
+  return init;
+}
+
+inline DiffRun run_mesh_sweep(
+    int nn, int ne, int steps, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   auto result = run_source(apps::mesh_sweep_source(nn, ne, p, steps, dist),
-                           init, ro, {}, cost);
+                           mesh_sweep_init(nn, p), ro, {}, cost);
   DiffRun d{"F", result.real_arrays.at("F"), mesh_sweep_oracle(nn, ne, steps)};
   fill_counters(d, result);
   return d;
@@ -459,10 +478,7 @@ inline std::vector<double> particle_bin_oracle(int np, int steps) {
   return h;
 }
 
-inline DiffRun run_particle_bin(
-    int np, int steps, int p, const char* dist = "BLOCK",
-    const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init particle_bin_init(int np, int p) {
   interp::Init init;
   init.ints["MAP"] = [p](std::span<const Index> g) {
     return map_owner(g[0], p) + 1;
@@ -472,8 +488,15 @@ inline DiffRun run_particle_bin(
   };
   init.real["W"] = [](std::span<const Index> g) { return pbin_w0(g[0]); };
   init.real["H"] = [](std::span<const Index>) { return 0.0; };
-  auto result = run_source(apps::particle_bin_source(np, p, steps, dist), init,
-                           ro, {}, cost);
+  return init;
+}
+
+inline DiffRun run_particle_bin(
+    int np, int steps, int p, const char* dist = "BLOCK",
+    const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
+  auto result = run_source(apps::particle_bin_source(np, p, steps, dist),
+                           particle_bin_init(np, p), ro, {}, cost);
   DiffRun d{"H", result.real_arrays.at("H"), particle_bin_oracle(np, steps)};
   fill_counters(d, result);
   return d;
@@ -503,14 +526,18 @@ inline std::vector<double> fft_oracle(int nx, int stages) {
   return x;
 }
 
-inline DiffRun run_fft(
-    int nx, int stages, int p, const interp::RunOptions& ro = {},
-    const machine::CostModel& cost = machine::CostModel::ideal()) {
+inline interp::Init fft_init() {
   interp::Init init;
   init.real["X"] = [](std::span<const Index> g) { return g[0] + 1.0; };
   init.real["TERM2"] = [](std::span<const Index> g) { return g[0] * 0.5; };
+  return init;
+}
+
+inline DiffRun run_fft(
+    int nx, int stages, int p, const interp::RunOptions& ro = {},
+    const machine::CostModel& cost = machine::CostModel::ideal()) {
   auto result =
-      run_source(apps::fft_source(nx, p, stages), init, ro, {}, cost);
+      run_source(apps::fft_source(nx, p, stages), fft_init(), ro, {}, cost);
   DiffRun d{"X", result.real_arrays.at("X"), fft_oracle(nx, stages)};
   fill_counters(d, result);
   return d;

@@ -1,5 +1,5 @@
 // Communication-plan layer (exec/comm_plan.hpp): differential sweeps of
-// planned statements (compiled comm slots) against the tree walk (legacy
+// planned statements (compiled comm slots) against the tree walk (its
 // per-action communication) that must be bit-identical in array contents
 // AND exactly equal in simulated time / wire traffic (the plans only remove
 // host-side recomputation), on the charging iPSC/860 cost model so the
@@ -25,7 +25,7 @@ using interp::Index;
 
 interp::RunOptions comm_on() { return {}; }
 
-/// The reference: the tree walk runs every pre action through the legacy
+/// The reference: the tree walk runs every pre action through the
 /// per-action communication code.
 interp::RunOptions tree_walk() {
   interp::RunOptions ro;
@@ -304,31 +304,29 @@ TEST(CommPlanOrder, GhostFillBroadcastAndGatherMatchOnEveryBackend) {
 }
 
 TEST(CommPlanStats, IrregularEntriesRunTheirBroadcastFromASlot) {
-  // The gathering FORALL's compiled communication: the ghost fill and the
-  // broadcast bake, the gather runs through the gather hook, and no slot
-  // falls back to the legacy action.
+  // The gathering FORALL's compiled communication: the broadcast bakes
+  // and the gather runs through the gather hook (the ghost fill is hoisted
+  // out of the DO loop).  A slot that cannot bake declines the whole
+  // entry, so a plan with both slots means every slot baked.
   const compile::Compiled c = compile::compile_source(mixed_pre_source());
   const compile::SpmdStmt* forall = nullptr;
   for (const compile::SpmdStmtPtr& s : c.program.body)
     for (const compile::SpmdStmtPtr& b : s->body)
       if (b->kind == compile::SpmdKind::kForall) forall = b.get();
   ASSERT_NE(forall, nullptr);
-  std::vector<int> legacy(4, -1), gathers(4, -1);
+  std::vector<int> slots(4, -1), gathers(4, -1);
   machine::SimMachine m(4, charging(), machine::make_hypercube());
   (void)m.run([&](machine::Proc& proc) {
     comm::GridComm gc(proc, c.mapping.grid);
     exec::Env env(c, gc);
     env.scalars.at("K") = exec::Value::integer(5);
     const size_t me = static_cast<size_t>(gc.my_logical());
-    legacy[me] = gathers[me] = 0;
+    gathers[me] = 0;
     exec::CommHooks hooks;
     // The broadcast subscript is the DO variable K.
     hooks.eval = [&env](const ast::Expr& e) {
       require(e.kind == ast::ExprKind::kVarRef, "scalar subscript");
       return env.scalars.at(e.name);
-    };
-    hooks.legacy = [&](const compile::SpmdStmt&, const compile::CommAction&) {
-      ++legacy[me];
     };
     hooks.gather = [&](const compile::SpmdStmt&, const compile::CommAction&,
                        const exec::ExecPlan&) { ++gathers[me]; };
@@ -336,9 +334,10 @@ TEST(CommPlanStats, IrregularEntriesRunTheirBroadcastFromASlot) {
     exec::StatementPlan e = exec::build_statement_plan(
         *forall, env, comm, exec::plan_key_scalars(*forall, env));
     ASSERT_NE(e.plan, nullptr) << e.decline;
+    slots[me] = static_cast<int>(e.comm.slots.size());
     comm.run(*forall, e.comm, *e.plan);
   });
-  EXPECT_EQ(legacy, std::vector<int>(4, 0));
+  EXPECT_EQ(slots, std::vector<int>(4, 2));
   EXPECT_EQ(gathers, std::vector<int>(4, 1));
 
   // End to end its lookups are the run's only comm-plan ones (PARTI

@@ -611,8 +611,8 @@ TEST(ExecPlanRebind, ZeroStrideDeclinesThenRebuildsInSlot) {
   EXPECT_NE(tree_err.find("zero stride"), std::string::npos) << tree_err;
   EXPECT_EQ(plan_err, tree_err);
 
-  // In the cache: K = 2 builds, K = 1 re-binds, K = 0 declines (a miss,
-  // not structural), and K = 1 again rebuilds the plan in the same slot.
+  // In the cache: K = 2 builds, K = 1 re-binds, K = 0 declines (a miss),
+  // and K = 1 again rebuilds the plan in the same slot.
   auto compiled = compile::compile_source(src);
   const compile::SpmdStmt& s = only_forall(compiled);
   machine::SimMachine m = harness::make_machine(4);
@@ -639,8 +639,6 @@ TEST(ExecPlanRebind, ZeroStrideDeclinesThenRebuildsInSlot) {
     expect_same_binding(*first->plan, *exec::build_exec_plan(s, env).plan);
     const exec::StatementPlan& declined = get(0);
     EXPECT_EQ(declined.plan, nullptr);
-    EXPECT_FALSE(declined.structural);
-    EXPECT_FALSE(cache.declined_structurally(s.stmt_id));
     const exec::StatementPlan& again = get(1);
     EXPECT_EQ(&again, first);  // rebuilt in its slot
     ASSERT_NE(again.plan, nullptr);
@@ -824,20 +822,31 @@ TEST(StatementPlanCache, InvalidateArrayDropsWholeEntry) {
   });
 }
 
-TEST(StatementPlanCache, StructuralDeclineRecordedOnce) {
-  // B(2*I+1) is a schedule1 read: the planner declines it (peer-range
-  // enumeration) independently of runtime scalars.
-  const std::string src = edge_prelude(16, 4, "BLOCK") +
-                          R"(      DO IT = 1, 3
-        FORALL (I = 1:7) A(I) = B(2*I + 1)
+TEST(StatementPlanCache, DeclineIsMemoizedPerKeyValue) {
+  // A masked concatenation into the replicated L declines whatever K is.
+  // The decline is an ordinary entry: built once per key value, a hit
+  // while K is unchanged, and rebuilt in its slot when K changes.
+  const std::string src = R"(PROGRAM CAT
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N)
+      REAL L(N)
+      INTEGER K
+C$ PROCESSORS P(4)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+      DO K = 1, 2
+        FORALL (I = K:N, A(I) .GT. 2.0) L(I) = A(I)
       END DO
-      END PROGRAM EDGE
+      END PROGRAM CAT
 )";
   auto compiled = compile::compile_source(src);
   const compile::SpmdStmt& s = only_forall(compiled);
 
   struct Counts {
-    int builds = 0, skipped = 0;
+    int builds = 0;
+    bool same_slot = true;
     exec::StatementPlanStats stats;
     std::string decline;
   };
@@ -849,12 +858,9 @@ TEST(StatementPlanCache, StructuralDeclineRecordedOnce) {
     exec::CommPlans comm(env, {});
     exec::StatementPlanCache cache;
     Counts& c = per_rank[static_cast<size_t>(proc.rank())];
-    // The interpreter's lookup sequence, one pass per DO trip.
-    for (int trip = 0; trip < 3; ++trip) {
-      if (cache.declined_structurally(s.stmt_id)) {
-        ++c.skipped;
-        continue;
-      }
+    const exec::StatementPlan* first = nullptr;
+    for (long long k : {1, 1, 2, 2, 2, 1}) {
+      env.scalars.at("K") = exec::Value::integer(k);
       const exec::StatementPlan& e = cache.get(
           s, env,
           [&](std::span<const std::string> names) {
@@ -864,72 +870,21 @@ TEST(StatementPlanCache, StructuralDeclineRecordedOnce) {
           [&](exec::StatementPlan& x, std::span<const std::string> names) {
             return exec::rebind_statement_plan(s, env, comm, names, x);
           });
+      if (first == nullptr) first = &e;
+      c.same_slot = c.same_slot && &e == first && e.plan == nullptr;
       c.decline = e.decline;
     }
     c.stats = cache.stats();
   });
   for (const Counts& c : per_rank) {
-    EXPECT_EQ(c.builds, 1) << c.decline;
-    EXPECT_EQ(c.skipped, 2);  // later trips skip the key compare entirely
-    EXPECT_EQ(c.stats.declined.misses, 1);
-    EXPECT_EQ(c.stats.declined.hits, 0);
+    EXPECT_EQ(c.decline, "masked concatenation");
+    EXPECT_TRUE(c.same_slot);
+    EXPECT_EQ(c.builds, 3);  // K = 1, 2, 1
+    EXPECT_EQ(c.stats.declined.misses, 3);
+    EXPECT_EQ(c.stats.declined.hits, 3);
+    EXPECT_EQ(c.stats.declined.rebinds, 0);
     EXPECT_EQ(c.stats.regular.misses + c.stats.irregular.misses, 0);
   }
-}
-
-TEST(StatementPlanCache, SharedMetaUsesOneNamespacePerArtifact) {
-  const std::string src = edge_prelude(16, 1, "BLOCK") +
-                          R"(      DO K = 1, 3
-        FORALL (I = K:N) A(I) = B(I)
-      END DO
-      END PROGRAM EDGE
-)";
-  with_env(src, [](const compile::Compiled& compiled, exec::Env& env) {
-    const compile::SpmdStmt& keyed = only_forall(compiled);
-    compile::SpmdStmt declined(compile::SpmdKind::kForall);
-    declined.stmt_id = keyed.stmt_id + 1;
-    auto structural = [](std::span<const std::string>) {
-      exec::StatementPlan e;
-      e.decline = "structural";
-      e.structural = true;
-      return e;
-    };
-    std::vector<std::string> seen;
-    auto record = [&](std::span<const std::string> names) {
-      seen.assign(names.begin(), names.end());
-      return exec::StatementPlan{};
-    };
-    exec::SharedPlanMeta meta;
-    {
-      exec::StatementPlanCache cache;
-      cache.set_shared(&meta, "artifact-1");
-      (void)cache.get(keyed, env, record, never_rebind);
-      (void)cache.get(declined, env, structural, never_rebind);
-    }
-    EXPECT_EQ(seen, (std::vector<std::string>{"K", "N"}));
-    // Under the artifact's single namespace: each statement's key-scalar
-    // list, plus the structural decline.
-    EXPECT_EQ(meta.size(), 3u);
-    EXPECT_EQ(meta.stats().installs, 3);
-
-    // A later run of the same artifact answers both from the store.
-    seen.clear();
-    exec::StatementPlanCache warm;
-    warm.set_shared(&meta, "artifact-1");
-    EXPECT_TRUE(warm.declined_structurally(declined.stmt_id));
-    (void)warm.get(keyed, env, record, never_rebind);
-    EXPECT_EQ(seen, (std::vector<std::string>{"K", "N"}));
-    EXPECT_EQ(warm.stats().shared_hits, 2);
-    EXPECT_EQ(meta.stats().scalar_hits, 1);
-
-    // Another artifact's statement ids never collide with them.
-    exec::StatementPlanCache other;
-    other.set_shared(&meta, "artifact-2");
-    EXPECT_FALSE(other.declined_structurally(declined.stmt_id));
-    (void)other.get(keyed, env, record, never_rebind);
-    EXPECT_EQ(other.stats().shared_hits, 0);
-    EXPECT_EQ(meta.size(), 4u);
-  });
 }
 
 // --- planned reductions and concatenation --------------------------------------
@@ -1258,10 +1213,10 @@ C$ ALIGN B(I) WITH T(I)
       EXPECT_EQ(sc.at("K6"), 4) << what;  // unit stride: the index itself
       EXPECT_GT(out.result.schedules_built, 0) << what;
       EXPECT_GT(out.result.machine.exec_time, 0.0) << what;
-      // The planner declines gathered reductions: the nine strided ones
-      // tree-walk on every backend, the FORALLs, S5 and K6 run planned.
+      // Gathered reductions plan like any other statement: with plans on,
+      // nothing tree-walks.
       EXPECT_EQ(out.result.tree_walk_stmts,
-                std::string(backend) == "tree" ? 13 : 9)
+                std::string(backend) == "tree" ? 13 : 0)
           << what;
       if (sim_time >= 0) {
         EXPECT_EQ(out.result.machine.exec_time, sim_time) << what;
@@ -1355,7 +1310,8 @@ TEST(PlannedConcatenation, TwoDimensionalIntegerAndLogicalLhs) {
 }
 
 TEST(PlannedConcatenation, MaskedConcatenationDeclines) {
-  // Masked iterations re-send the old value (read-back semantics): the
+  // The concat slot's run table covers every iteration, masked-out ones
+  // included, while a masked-out iteration contributes nothing: the
   // statement stays on the tree walk, on every trip.
   const std::string body = R"(      DO K = 1, 3
         FORALL (I = 1:N, A(I, K) .GT. 2.0) L(I) = A(I, K) * 2.0
@@ -1367,7 +1323,7 @@ TEST(PlannedConcatenation, MaskedConcatenationDeclines) {
   expect_same_run(tree, plan, "masked concat");
   EXPECT_EQ(plan.tree_walk_stmts, 3);
   EXPECT_EQ(tree.tree_walk_stmts, 3);
-  // The decline is structural: one memoized entry, never a plan.
+  // One entry, declined under every key value, never a plan.
   expect_plan_counts(plan, 0, 0, 0, 1, "masked concat");
 }
 
@@ -1389,6 +1345,65 @@ TEST(PlannedReduction, GaussRunsNoStatementOnTheTreeWalk) {
   EXPECT_GT(tree.tree_walk_stmts, 0);
   EXPECT_EQ(plan.plan_entries, 6);
   EXPECT_LE(plan.plan_misses, 6);
+}
+
+// --- coverage pin: every app source plans whole --------------------------------
+
+/// Runs `src` with plans off and on: with plans on no FORALL or reduction
+/// may fall back to the tree walk, and every array and the simulated time
+/// must equal the tree walk's.
+void expect_fully_planned(const std::string& src, const interp::Init& init,
+                          const std::string& what) {
+  const auto tree = harness::run_source(src, init, plans_off(), {}, ipsc());
+  const auto plan = harness::run_source(src, init, plans_on(), {}, ipsc());
+  EXPECT_EQ(plan.tree_walk_stmts, 0) << what;
+  EXPECT_GT(tree.tree_walk_stmts, 0) << what;
+  EXPECT_EQ(plan.real_arrays, tree.real_arrays) << what;
+  EXPECT_EQ(plan.int_arrays, tree.int_arrays) << what;
+  EXPECT_GT(tree.machine.exec_time, 0.0) << what;
+  EXPECT_EQ(plan.machine.exec_time, tree.machine.exec_time) << what;
+}
+
+/// `src` with the BLOCK of its one DISTRIBUTE directive replaced by `dist`
+/// (for the app sources that take no distribution).
+std::string with_dist(std::string src, const char* dist) {
+  const size_t at = src.find("(BLOCK)");
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) src.replace(at, 7, std::string("(") + dist + ")");
+  return src;
+}
+
+TEST(PlanCoverage, EveryAppSourceRunsNoStatementOnTheTreeWalk) {
+  for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)"}) {
+    const std::string d = dist;
+    expect_fully_planned(apps::jacobi_source(12, 2, 2, 3, dist),
+                         harness::jacobi_init(), "jacobi " + d);
+    expect_fully_planned(apps::jacobi_hoisted_source(12, 2, 2, 3, dist),
+                         harness::jacobi_hoisted_init(), "jacobi_hoisted " + d);
+    expect_fully_planned(apps::gauss_source(12, 4, dist),
+                         harness::gauss_init(12), "gauss " + d);
+    expect_fully_planned(with_dist(apps::fft_source(16, 4, 3), dist),
+                         harness::fft_init(), "fft " + d);
+    // The kernel's U and V are replicated; the variant aligns them with
+    // the data, so their reads are distributed too.
+    const std::string irr = with_dist(apps::irregular_source(24, 4, 2), dist);
+    expect_fully_planned(irr, harness::irregular_init(24), "irregular " + d);
+    std::string aligned = irr;
+    const std::string anchor = "C$ ALIGN C(I) WITH T(I)\n";
+    aligned.insert(aligned.find(anchor) + anchor.size(),
+                   "C$ ALIGN U(I) WITH T(I)\nC$ ALIGN V(I) WITH T(I)\n");
+    expect_fully_planned(aligned, harness::irregular_init(24),
+                         "irregular aligned " + d);
+  }
+  for (const char* dist : {"BLOCK", "CYCLIC", "CYCLIC(2)", "INDIRECT(MAP)"}) {
+    const std::string d = dist;
+    expect_fully_planned(apps::spmv_ell_source(19, 3, 4, 2, dist),
+                         harness::spmv_ell_init(19, 4), "spmv " + d);
+    expect_fully_planned(apps::mesh_sweep_source(17, 23, 4, 2, dist),
+                         harness::mesh_sweep_init(17, 4), "mesh " + d);
+    expect_fully_planned(apps::particle_bin_source(21, 4, 2, dist),
+                         harness::particle_bin_init(21, 4), "particle_bin " + d);
+  }
 }
 
 }  // namespace

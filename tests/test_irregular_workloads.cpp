@@ -206,24 +206,24 @@ interp::Init small_init(const std::function<Index(Index)>& u) {
 }
 
 /// Runs `src` on every backend: each must give `want` for every array it
-/// names, and the same charged simulated time as the tree walk.  Returns
-/// the plan backend's FORALL executions that fell back to the tree walk.
-long long expect_backends_match(
+/// names, and the same charged simulated time as the tree walk; with
+/// plans on, no statement may fall back to the tree walk.
+void expect_backends_match(
     const std::string& src, const interp::Init& init,
     const std::map<std::string, std::vector<double>>& want,
     const std::string& what) {
   double tree_time = -1;
-  long long plan_fallbacks = -1;
   for (const Backend& b : backends()) {
     const auto r = harness::run_source(src, init, b.ro, {}, ipsc());
-    if (std::string(b.name) == "plan") plan_fallbacks = r.tree_walk_stmts;
+    if (std::string(b.name) != "tree") {
+      EXPECT_EQ(r.tree_walk_stmts, 0) << what << " " << b.name;
+    }
     for (const auto& [name, w] : want)
       EXPECT_EQ(r.real_arrays.at(name), w) << what << " " << b.name << " " << name;
     EXPECT_GT(r.machine.exec_time, 0.0) << what << " " << b.name;
     if (tree_time < 0) tree_time = r.machine.exec_time;
     EXPECT_EQ(r.machine.exec_time, tree_time) << what << " " << b.name;
   }
-  return plan_fallbacks;
 }
 
 TEST(IrregularLogical, GathersAndScattersMatchOracleOnEveryBackend) {
@@ -256,8 +256,7 @@ TEST(IrregularMasked, MaskedOutIterationsLeaveRemoteDestinations) {
   // U and V reverse the index, so the scatter forms and the
   // postcomp_write form name the same destinations; only iterations 5..8
   // pass the mask, and their destinations 4..1 must keep every other
-  // element as it was.  Through the replicated V the statement is planned
-  // (a masked kScatter sink); the other forms run on the tree walk.
+  // element as it was.  Every form plans (a masked kScatter sink).
   const int n = 8;
   auto u = [n](Index i) { return n - 1 - i; };
   const std::vector<double> want = {8, 7, 6, 5, 50, 60, 70, 80};
@@ -266,12 +265,9 @@ TEST(IrregularMasked, MaskedOutIterationsLeaveRemoteDestinations) {
       for (int p : {2, 4}) {
         const std::string body =
             strformat("      FORALL (I = 1:N, B(I) .GT. 4.0) %s = B(I)\n", lhs);
-        const long long fallbacks = expect_backends_match(
-            small_source(n, p, dist, body), small_init(u), {{"A", want}},
-            strformat("%s %s P(%d)", lhs, dist, p));
-        if (std::string(lhs) == "A(V(I))") {
-          EXPECT_EQ(fallbacks, 0) << dist << " P(" << p << ")";
-        }
+        expect_backends_match(small_source(n, p, dist, body), small_init(u),
+                              {{"A", want}},
+                              strformat("%s %s P(%d)", lhs, dist, p));
       }
 }
 
@@ -339,6 +335,65 @@ TEST(IrregularMasked, MaskChangingBetweenTripsRebuildsTheSchedule) {
       expect_backends_match(small_source(n, p, dist, body), small_init(u),
                             {{"A", a}, {"B", b}, {"C", c}},
                             strformat("%s P(%d)", dist, p));
+}
+
+// --- distributed indirection arrays in an lhs subscript ----------------------
+
+/// N-element REAL A, B, C and INTEGER U aligned to T (distributed `dist`),
+/// and INTEGER W aligned to a second template distributed `other`, so
+/// W(I) is not owned where iteration I runs; then `body`.
+std::string lhs_source(int n, int p, const char* dist, const char* other,
+                       const std::string& body) {
+  return strformat(R"(PROGRAM LHS
+      INTEGER N
+      PARAMETER (N = %d)
+      REAL A(N)
+      REAL B(N)
+      REAL C(N)
+      INTEGER U(N)
+      INTEGER W(N)
+C$ PROCESSORS P(%d)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(%s)
+C$ TEMPLATE T2(N)
+C$ DISTRIBUTE T2(%s)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ ALIGN U(I) WITH T(I)
+C$ ALIGN W(I) WITH T2(I)
+%s      END PROGRAM LHS
+)",
+                   n, p, dist, other, body.c_str());
+}
+
+TEST(IrregularLhs, DistributedIndirectionArraysInTheLhsPlan) {
+  // U(I) is read where I runs; W(I) arrives by a PARTI read.  Each lhs
+  // subscript's reference is tagged like any read, so every statement
+  // plans, and the scatter matches the tree walk on every backend.
+  const std::string body = R"(      FORALL (I = 1:N) A(U(I)) = B(I)
+      FORALL (I = 1:N) C(W(I)) = B(I) + 1.0
+      FORALL (I = 1:N, B(I) .GT. 4.0) A(W(I)) = -B(I)
+)";
+  const int n = 8;
+  auto u = [n](Index i) { return (3 * (i + 1)) % n; };  // a permutation
+  auto w = [n](Index i) { return (5 * i + 2) % n; };    // another one
+  interp::Init init = small_init(u);
+  init.ints["W"] = [w](std::span<const Index> g) { return w(g[0]) + 1; };
+  std::vector<double> a(n), b(n), c(n, 0.0);
+  for (Index i = 0; i < n; ++i) {
+    b[static_cast<size_t>(i)] = i + 1.0;
+    a[static_cast<size_t>(u(i))] = i + 1.0;
+    c[static_cast<size_t>(w(i))] = i + 2.0;
+  }
+  for (Index i = 0; i < n; ++i)
+    if (i + 1 > 4) a[static_cast<size_t>(w(i))] = -(i + 1.0);
+  for (const auto& [dist, other] :
+       {std::pair{"BLOCK", "CYCLIC"}, {"CYCLIC", "BLOCK"}})
+    for (int p : {2, 4})
+      expect_backends_match(lhs_source(n, p, dist, other, body), init,
+                            {{"A", a}, {"B", b}, {"C", c}},
+                            strformat("%s/%s P(%d)", dist, other, p));
 }
 
 }  // namespace

@@ -203,6 +203,60 @@ TEST(ServiceCoreTest, ZeroStrideEndsInADiagnosticOnEveryBackend) {
   EXPECT_EQ(core.failures(), 12);
 }
 
+TEST(ServiceCoreTest, OutOfRangeBroadcastAndMulticastSubscriptsDiagnose) {
+  // K lies past B's last row: the broadcast of B(K) and the multicast of
+  // the row B(K, :) must name the subscript, not trip an internal check.
+  // The planned backends decline the statement (its slot cannot bake), so
+  // the tree walk raises the same diagnostic on every backend.
+  const std::string one_d = R"(PROGRAM BOUND1
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL B(N)
+      INTEGER K
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+      K = N + 3
+      FORALL (I = 1:N) A(I) = B(K)
+      END PROGRAM BOUND1
+)";
+  const std::string two_d = R"(PROGRAM BOUND2
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N, N)
+      REAL B(N, N)
+      INTEGER K
+C$ PROCESSORS P(2, 2)
+C$ TEMPLATE T(N, N)
+C$ DISTRIBUTE T(BLOCK, BLOCK)
+C$ ALIGN A(I, J) WITH T(I, J)
+C$ ALIGN B(I, J) WITH T(I, J)
+      K = N + 3
+      FORALL (I = 1:N, J = 1:N) A(I, J) = B(K, J)
+      END PROGRAM BOUND2
+)";
+  ServiceCore core;
+  for (const std::string* src : {&one_d, &two_d}) {
+    for (const char* backend : {"tree", "plan", "native"}) {
+      RunSpec spec;
+      spec.run.exec_plans = std::string(backend) != "tree";
+      spec.run.native_backend = std::string(backend) == "native";
+      const Outcome out = core.submit(*src, spec);
+      EXPECT_FALSE(out.ok) << backend;
+      EXPECT_NE(out.error.find(
+                    "subscript 11 of B is out of range [1, 8] in dimension 1"),
+                std::string::npos)
+          << backend << ": " << out.error;
+      EXPECT_EQ(out.error.find("internal invariant"), std::string::npos)
+          << backend << ": " << out.error;
+    }
+  }
+  EXPECT_EQ(core.failures(), 6);
+}
+
 TEST(ServiceStats, RunStatsJsonCarriesTheRunCounters) {
   const Outcome out =
       service::compile_and_run(self_init_source(96, 4), RunSpec{});
@@ -233,7 +287,7 @@ TEST(ServiceStats, CoreStatsJsonAggregates) {
   double v = 0;
   ASSERT_TRUE(json_find_number(doc, "requests", v));
   EXPECT_EQ(static_cast<int>(v), 2);
-  for (const char* key : {"artifacts", "shared_schedules", "shared_plan_meta"})
+  for (const char* key : {"artifacts", "shared_schedules"})
     EXPECT_NE(doc.find(std::string("\"") + key + "\""), std::string::npos)
         << key;
 }
