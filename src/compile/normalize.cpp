@@ -96,6 +96,7 @@ class Normalizer {
         for (const ExprPtr& e : s.items) {
           ExprPtr c = e->clone();
           hoist_intrinsics(c, out);
+          hoist_elements(c, out);
           n->items.push_back(std::move(c));
         }
         out.push_back(std::move(n));
@@ -386,6 +387,26 @@ class Normalizer {
       return;
     }
     for (ExprPtr& a : e->args) hoist_intrinsics(a, out);
+  }
+
+  /// Replace every array element read in `e` by a compiler temporary of
+  /// the array's type, assigned just before: as for `X = A(7)`, the scalar
+  /// assignment broadcasts a distributed element to every processor, so
+  /// the PRINT that follows reads only scalars.
+  void hoist_elements(ExprPtr& e, std::vector<NormStmtPtr>& out) {
+    if (!e) return;
+    if (e->kind == ExprKind::kArrayRef && is_array(e->name) &&
+        !has_triplet(*e)) {
+      const std::string tmp = fresh_temp(syms_.at(e->name).type);
+      auto n = std::make_unique<NormStmt>(NKind::kScalarAssign);
+      n->loc = e->loc;
+      n->target = tmp;
+      n->rhs = std::move(e);
+      out.push_back(std::move(n));
+      e = make_var(tmp);
+      return;
+    }
+    for (ExprPtr& a : e->args) hoist_elements(a, out);
   }
 
   /// Give a Reduce statement its own iteration space: synthesize axis

@@ -29,45 +29,26 @@ namespace {
 /// vector, keeping warm communication allocation-free.
 constexpr size_t kMaxCopyLevels = 8;
 
-template <typename T>
-void fill_view(rts::DistArray<T>& a, ArrayView& v) {
-  v.base = reinterpret_cast<char*>(a.storage().data());
-  v.elem = sizeof(T);
-  v.dad = &a.dad();
-  const int r = a.rank();
-  v.lext.resize(static_cast<size_t>(r));
-  v.aext.resize(static_cast<size_t>(r));
-  for (int d = 0; d < r; ++d) {
-    v.lext[static_cast<size_t>(d)] = a.local_extent(d);
-    v.aext[static_cast<size_t>(d)] = a.alloc_extent(d);
-  }
-  v.stride.assign(static_cast<size_t>(r), 1);
-  for (int d = r - 2; d >= 0; --d)
-    v.stride[static_cast<size_t>(d)] =
-        v.stride[static_cast<size_t>(d + 1)] * v.aext[static_cast<size_t>(d + 1)];
-}
-
-bool resolve_view(Env& env, const std::string& name, ArrayView& v) {
-  auto sit = env.compiled.sema.symbols.find(name);
-  if (sit == env.compiled.sema.symbols.end() || !sit->second.is_array())
-    return false;
-  if (sit->second.type == ast::BaseType::kReal) {
-    auto it = env.dar.find(name);
-    if (it == env.dar.end()) return false;
-    v.ty = ElemTy::kReal;
-    fill_view(it->second, v);
-  } else if (sit->second.type == ast::BaseType::kInteger) {
-    auto it = env.iar.find(name);
-    if (it == env.iar.end()) return false;
-    v.ty = ElemTy::kInt;
-    fill_view(it->second, v);
-  } else {
-    auto it = env.lar.find(name);
-    if (it == env.lar.end()) return false;
-    v.ty = ElemTy::kLogical;
-    fill_view(it->second, v);
-  }
-  return true;
+/// The baked storage geometry of array `name`.
+void resolve_view(Env& env, const std::string& name, ArrayView& v) {
+  env.with_storage(name, [&](auto& a) {
+    using T = typename std::decay_t<decltype(a)>::value_type;
+    v.base = reinterpret_cast<char*>(a.storage().data());
+    v.ty = kElemType<T>;
+    v.elem = sizeof(T);
+    v.dad = &a.dad();
+    const int r = a.rank();
+    v.lext.resize(static_cast<size_t>(r));
+    v.aext.resize(static_cast<size_t>(r));
+    for (int d = 0; d < r; ++d) {
+      v.lext[static_cast<size_t>(d)] = a.local_extent(d);
+      v.aext[static_cast<size_t>(d)] = a.alloc_extent(d);
+    }
+    v.stride.assign(static_cast<size_t>(r), 1);
+    for (int d = r - 2; d >= 0; --d)
+      v.stride[static_cast<size_t>(d)] = v.stride[static_cast<size_t>(d + 1)] *
+                                         v.aext[static_cast<size_t>(d + 1)];
+  });
 }
 
 /// Can this expression be evaluated once at plan-build time and baked?
@@ -242,7 +223,7 @@ void CommPlans::run_copy(const CopyDesc& d, char* storage, std::byte* buf,
 bool CommPlans::build_shift(const CommAction& a, const RefInfo& ref,
                             ShiftPlan& out) {
   ArrayView v;
-  if (!resolve_view(*env_, ref.array, v)) return false;
+  resolve_view(*env_, ref.array, v);
   const Dad& dad = *v.dad;
   const int d = a.array_dim;
   const int amount = static_cast<int>(a.shift_amount);
@@ -320,7 +301,7 @@ bool CommPlans::build_bcast(const CommAction& a, const RefInfo& ref,
     if (!expr_bakeable(*ref.expr->args[d], *env_, key_names, none))
       return false;
   ArrayView& v = out.view;
-  if (!resolve_view(*env_, ref.array, v)) return false;
+  resolve_view(*env_, ref.array, v);
   const Dad& dad = *v.dad;
   std::vector<Index>& g = out.g;
   g.resize(ref.subs.size());
@@ -333,7 +314,6 @@ bool CommPlans::build_bcast(const CommAction& a, const RefInfo& ref,
       static_cast<size_t>(env_->compiled.mapping.grid.ndims()), 0);
   out.root = dad.owner_logical_in(g, out.coords);
   out.is_root = env_->gc.my_logical() == out.root;
-  out.ty = v.ty;
   out.buffer_id = a.buffer_id;
   if (out.is_root) {
     Index flat = 0;
@@ -352,33 +332,16 @@ bool CommPlans::build_bcast(const CommAction& a, const RefInfo& ref,
 }
 
 void CommPlans::run_bcast(BcastPlan& p) {
-  std::vector<double>& data = p.scratch;
+  std::vector<std::byte>& data = p.scratch;
   data.clear();
   if (p.is_root) {
-    double val = 0;
-    switch (p.ty) {
-      case ElemTy::kReal:
-        std::memcpy(&val, p.base + p.byte_off, sizeof(double));
-        break;
-      case ElemTy::kInt: {
-        long long iv = 0;
-        std::memcpy(&iv, p.base + p.byte_off, sizeof(long long));
-        val = static_cast<double>(iv);
-        break;
-      }
-      case ElemTy::kLogical:
-        val = *reinterpret_cast<const unsigned char*>(p.base + p.byte_off) != 0
-                  ? 1.0
-                  : 0.0;
-        break;
-    }
-    data.push_back(val);
+    data.resize(p.view.elem);
+    std::memcpy(data.data(), p.base + p.byte_off, p.view.elem);
   }
   env_->gc.bcast_all(p.root, data);
-  Buf& b = env_->bufs[static_cast<size_t>(p.buffer_id)];
-  b.scalar = p.ty == ElemTy::kInt
-                 ? Value::integer(static_cast<long long>(data.at(0)))
-                 : Value::real(data.at(0));
+  require(data.size() == p.view.elem, "broadcast element arrived");
+  env_->bufs[static_cast<size_t>(p.buffer_id)].scalar =
+      load_elem(p.view.ty, data.data(), 0);
 }
 
 // --- slab multicast / transfer ----------------------------------------------
@@ -388,10 +351,7 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
                            std::span<const std::string> key_names,
                            SlabPlan& out) {
   ArrayView& v = out.view;
-  if (!resolve_view(*env_, ref.array, v)) return false;
-  // Slab buffers are double-typed end to end (Buf::dvals); the tree walk
-  // has the same restriction.
-  if (v.ty != ElemTy::kReal) return false;
+  resolve_view(*env_, ref.array, v);
   const Dad& dad = *v.dad;
   const comm::GridComm& gc = env_->gc;
   const std::set<std::string> none;
@@ -411,7 +371,6 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
   }
   out.on_root = on_root;
   out.is_transfer = a.kind == CommKind::kTransfer;
-  out.ty = v.ty;
   out.base = v.base;
   out.buffer_id = a.buffer_id;
 
@@ -507,19 +466,21 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
 
 void CommPlans::run_slab(SlabPlan& p) {
   Buf& b = env_->bufs[static_cast<size_t>(p.buffer_id)];
-  std::vector<double>& slab = b.dvals;
+  std::vector<std::byte>& slab = b.col;
+  b.ty = p.view.ty;
   slab.clear();
   if (p.on_root && p.slab_size > 0) {
-    slab.reserve(static_cast<size_t>(p.slab_size));
+    const size_t elem = p.view.elem;
+    slab.resize(static_cast<size_t>(p.slab_size) * elem);
+    std::byte* out = slab.data();
     const size_t nv = p.counts.size();
     std::vector<Index> c(nv, 0);
     for (;;) {
       Index off = p.base_off;
       for (size_t k = 0; k < nv; ++k)
         off += p.tabs[k][static_cast<size_t>(c[k])];
-      double val;
-      std::memcpy(&val, p.base + off, sizeof(double));
-      slab.push_back(val);
+      std::memcpy(out, p.base + off, elem);
+      out += elem;
       bool done = nv == 0;  // odometer, last variable fastest (SlabBuf order)
       size_t k = nv;
       while (k > 0) {
@@ -539,7 +500,7 @@ void CommPlans::run_slab(SlabPlan& p) {
       const auto& [gd, owner] = p.comm_dims[k];
       p.scratch.clear();
       const bool received = gc.transfer(
-          gd, owner, p.dest_coords[k], std::span<const double>(slab),
+          gd, owner, p.dest_coords[k], std::span<const std::byte>(slab),
           p.scratch);
       if (received)
         slab.swap(p.scratch);
@@ -554,7 +515,7 @@ void CommPlans::run_slab(SlabPlan& p) {
 void CommPlans::build_concat(const SpmdStmt& s, ConcatPlan& out) {
   const std::string& name = s.refs.at(0).array;
   ArrayView v;
-  require(resolve_view(*env_, name, v), "concatenation lhs storage resolves");
+  resolve_view(*env_, name, v);
   const Dad& dad = *v.dad;
   out.ty = v.ty;
   out.base = v.base;
@@ -643,7 +604,7 @@ void CommPlans::run_post(StmtPlan& plan) {
         require(start >= 0 && count >= 0 && start + count <= p.total &&
                     vpos + static_cast<size_t>(count) <= blk.size(),
                 "concatenation run inside the array");
-        if (p.contiguous && p.ty == ElemTy::kReal) {
+        if (p.contiguous && p.ty == ast::BaseType::kReal) {
           std::memcpy(p.base + start * static_cast<Index>(sizeof(double)),
                       blk.data() + vpos,
                       static_cast<size_t>(count) * sizeof(double));
@@ -659,22 +620,7 @@ void CommPlans::run_post(StmtPlan& plan) {
             rest /= p.gext[d];
           }
           // write_element's conversions: as_d / as_i / as_b of a REAL.
-          const double x = blk[vpos++];
-          switch (p.ty) {
-            case ElemTy::kReal:
-              std::memcpy(p.base + off * static_cast<Index>(sizeof(double)),
-                          &x, sizeof(double));
-              break;
-            case ElemTy::kInt: {
-              const long long iv = static_cast<long long>(x);
-              std::memcpy(p.base + off * static_cast<Index>(sizeof(long long)),
-                          &iv, sizeof(long long));
-              break;
-            }
-            case ElemTy::kLogical:
-              p.base[off] = static_cast<char>(x != 0.0 ? 1 : 0);
-              break;
-          }
+          store_elem(p.ty, p.base, off, Value::real(blk[vpos++]));
         }
       }
       pos = vpos;

@@ -105,9 +105,6 @@ struct CopyDesc {
   std::vector<Index> strides;  ///< byte stride per level
 };
 
-/// Element type of a baked storage view (the three DistArray payloads).
-enum class ElemTy { kReal, kInt, kLogical };
-
 /// Baked storage geometry of one distributed array piece: everything a plan
 /// needs to turn (global indices, iteration values) into flat byte offsets.
 /// Storage pointers are stable for the whole run (DistArray::data_ is
@@ -115,8 +112,8 @@ enum class ElemTy { kReal, kInt, kLogical };
 /// covering the redistribute escape hatch.
 struct ArrayView {
   char* base = nullptr;
-  ElemTy ty = ElemTy::kReal;
-  std::size_t elem = 0;
+  ast::BaseType ty = ast::BaseType::kReal;
+  std::size_t elem = 0;  ///< elem_size(ty)
   const rts::Dad* dad = nullptr;
   std::vector<Index> lext;    ///< owned local extents
   std::vector<Index> aext;    ///< allocated extents (owned + overlap)
@@ -203,12 +200,12 @@ class CommPlans {
   struct BcastPlan {
     int root = 0;  ///< logical rank owning the element
     bool is_root = false;
-    ElemTy ty = ElemTy::kReal;
     const char* base = nullptr;   ///< storage base (root only)
     Index byte_off = 0;           ///< flat byte offset of the element (root)
     int buffer_id = -1;
-    std::vector<double> scratch;  ///< persistent bcast payload
-    // Bind scratch, kept so a rebind allocates nothing.
+    std::vector<std::byte> scratch;  ///< persistent bcast payload
+    // Bind scratch, kept so a rebind allocates nothing; its element type
+    // and size are the broadcast element's.
     ArrayView view;
     std::vector<Index> g;      ///< global element index
     std::vector<int> coords;   ///< owner grid coordinates
@@ -217,8 +214,6 @@ class CommPlans {
   struct SlabPlan {
     bool on_root = false;
     bool is_transfer = false;
-    ElemTy ty = ElemTy::kReal;  ///< source storage type (the slab itself
-                                ///< packs as double, like the tree walk)
     const char* base = nullptr;
     std::vector<std::pair<int, int>> comm_dims;  ///< (grid_dim, root coord)
     std::vector<int> dest_coords;                ///< transfer destinations
@@ -227,8 +222,8 @@ class CommPlans {
     std::vector<Index> counts;             ///< per slab var (spec order)
     std::vector<std::vector<Index>> tabs;  ///< per slab var: byte offsets
     int buffer_id = -1;
-    std::vector<double> scratch;  ///< transfer receive side
-    ArrayView view;               ///< bind scratch
+    std::vector<std::byte> scratch;  ///< transfer receive side
+    ArrayView view;  ///< bind scratch; the slab packs in its element type
   };
 
   struct ConcatPlan {
@@ -237,7 +232,7 @@ class CommPlans {
     std::vector<double> header;
     std::vector<double> blk;  ///< payload, then the concatenation
     Index values = 0;         ///< elements this processor contributes
-    ElemTy ty = ElemTy::kReal;
+    ast::BaseType ty = ast::BaseType::kReal;
     char* base = nullptr;
     /// Element strides of the local copy per global dimension (overlap
     /// shift folded into `shift`) and the global extents.

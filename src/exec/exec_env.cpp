@@ -2,7 +2,6 @@
 
 namespace f90d::exec {
 
-using frontend::Symbol;
 using rts::Dad;
 using rts::DistArray;
 
@@ -49,17 +48,9 @@ Env::Env(const compile::Compiled& c, comm::GridComm& grid_comm,
       if (dad.dim(d).kind == rts::DistKind::kIndirect)
         dad.dim(d).table = table_for(dad.dim(d));
     dads.emplace(name, dad);
-    switch (sym(name).type) {
-      case ast::BaseType::kReal:
-        dar.emplace(name, DistArray<double>(dad, gc));
-        break;
-      case ast::BaseType::kInteger:
-        iar.emplace(name, DistArray<long long>(dad, gc));
-        break;
-      case ast::BaseType::kLogical:
-        lar.emplace(name, DistArray<unsigned char>(dad, gc));
-        break;
-    }
+    with_elem(sym(name).type, [&](auto x) {
+      arrays_.emplace(name, DistArray<decltype(x)>(dad, gc));
+    });
   }
   for (const auto& [name, s] : c.sema.symbols) {
     if (s.is_array()) continue;
@@ -89,39 +80,17 @@ Value Env::read_element(const std::string& name, std::span<const Index> g,
 
 Value Env::read_element_inner(const std::string& name,
                               std::span<const Index> g, bool ghost) {
-  const Symbol& s = sym(name);
-  switch (s.type) {
-    case ast::BaseType::kReal: {
-      auto& a = dar.at(name);
-      return Value::real(ghost ? a.at_global_ghost(g) : a.at_global(g));
-    }
-    case ast::BaseType::kInteger: {
-      auto& a = iar.at(name);
-      return Value::integer(ghost ? a.at_global_ghost(g) : a.at_global(g));
-    }
-    case ast::BaseType::kLogical: {
-      auto& a = lar.at(name);
-      return Value::logical((ghost ? a.at_global_ghost(g) : a.at_global(g)) !=
-                            0);
-    }
-  }
-  return Value::real(0);
+  return with_storage(name, [&](auto& a) {
+    return value_of(ghost ? a.at_global_ghost(g) : a.at_global(g));
+  });
 }
 
 void Env::write_element(const std::string& name, std::span<const Index> g,
                         const Value& v) {
-  const Symbol& s = sym(name);
-  switch (s.type) {
-    case ast::BaseType::kReal:
-      dar.at(name).at_global(g) = v.as_d();
-      break;
-    case ast::BaseType::kInteger:
-      iar.at(name).at_global(g) = v.as_i();
-      break;
-    case ast::BaseType::kLogical:
-      lar.at(name).at_global(g) = static_cast<unsigned char>(v.as_b() ? 1 : 0);
-      break;
-  }
+  with_storage(name, [&](auto& a) {
+    using T = typename std::decay_t<decltype(a)>::value_type;
+    a.at_global(g) = element_of<T>(v);
+  });
 }
 
 }  // namespace f90d::exec

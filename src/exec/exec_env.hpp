@@ -8,11 +8,14 @@
 // scalar slots directly, while the tree-walking fallback in interp/ keeps
 // operating on the same state.  Layering: compile/ produces the IR, exec/
 // holds the runtime state and the compiled plans, interp/ drives both.
+#include <cstddef>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "comm/grid_comm.hpp"
@@ -63,28 +66,106 @@ struct Value {
   }
 };
 
-/// One communication buffer: iteration-ordered values (kIterBuf), a packed
-/// slab (kSlabBuf), or a broadcast scalar slot (kScalarSlot).  Buffer
-/// objects live for the whole run (the vector is sized once), so plans may
-/// hold stable `Buf*` pointers even though the payload vectors are replaced
-/// by every communication action.
+// --- the typed store's element codec -----------------------------------------
+// Every array and every comm buffer keeps its elements in its declared
+// Fortran type's storage type: REAL as double, INTEGER as long long, LOGICAL
+// as one byte (0 or 1).  with_elem is the one place a base type picks its
+// storage type; everything that reads or writes a type-erased element goes
+// through load_elem / store_elem below.
+
+/// The base type whose elements are stored as T.
+template <typename T>
+inline constexpr ast::BaseType kElemType =
+    std::is_same_v<T, double>      ? ast::BaseType::kReal
+    : std::is_same_v<T, long long> ? ast::BaseType::kInteger
+                                   : ast::BaseType::kLogical;
+
+/// Calls f with a zero element of `ty`'s storage type and returns what f
+/// returns.
+template <typename F>
+decltype(auto) with_elem(ast::BaseType ty, F&& f) {
+  switch (ty) {
+    case ast::BaseType::kInteger: return f(0LL);
+    case ast::BaseType::kLogical: return f(static_cast<unsigned char>(0));
+    case ast::BaseType::kReal: break;
+  }
+  return f(0.0);
+}
+
+inline Value value_of(double x) { return Value::real(x); }
+inline Value value_of(long long x) { return Value::integer(x); }
+inline Value value_of(unsigned char x) { return Value::logical(x != 0); }
+
+/// `v` as a T element: Value::as_d, as_i or as_b.
+template <typename T>
+T element_of(const Value& v) {
+  if constexpr (std::is_same_v<T, double>)
+    return v.as_d();
+  else if constexpr (std::is_same_v<T, long long>)
+    return v.as_i();
+  else
+    return static_cast<unsigned char>(v.as_b() ? 1 : 0);
+}
+
+/// Bytes per element of base type `ty`: what one element costs on the wire.
+inline std::size_t elem_size(ast::BaseType ty) {
+  return with_elem(ty, [](auto x) { return sizeof(x); });
+}
+
+/// Element `off` of `ty`-typed storage starting at `base`.
+inline Value load_elem(ast::BaseType ty, const void* base, long long off) {
+  return with_elem(ty, [&](auto x) {
+    std::memcpy(&x, static_cast<const char*>(base) + off * sizeof(x),
+                sizeof(x));
+    return value_of(x);
+  });
+}
+
+/// Store `v`, converted to `ty`, as element `off` of the storage at `base`.
+inline void store_elem(ast::BaseType ty, void* base, long long off,
+                       const Value& v) {
+  with_elem(ty, [&](auto x) {
+    x = element_of<decltype(x)>(v);
+    std::memcpy(static_cast<char*>(base) + off * sizeof(x), &x, sizeof(x));
+  });
+}
+
+/// One communication buffer: an iteration-ordered column (kIterBuf) or a
+/// packed slab (kSlabBuf), both in the referenced array's element type, or
+/// a broadcast element (kScalarSlot), which keeps its type in its Value.
+/// Buffer objects live for the whole run (the vector is sized once), so
+/// plans may hold stable `Buf*` pointers even though every communication
+/// action refills the column.
 struct Buf {
-  std::vector<double> dvals;
-  std::vector<long long> ivals;
-  std::vector<unsigned char> lvals;  ///< gathered LOGICAL elements
+  ast::BaseType ty = ast::BaseType::kReal;  ///< element type of `col`
+  std::vector<std::byte> col;  ///< elements, elem_size(ty) bytes each
   Value scalar;
 
-  /// The iteration buffer of a gather from T storage.
+  /// Refill the column with `n` zero elements of T, returned for writing.
   template <typename T>
-  std::vector<T>& iter_vals() {
-    if constexpr (std::is_same_v<T, double>)
-      return dvals;
-    else if constexpr (std::is_same_v<T, long long>)
-      return ivals;
-    else
-      return lvals;
+  std::span<T> reset(std::size_t n) {
+    ty = kElemType<T>;
+    col.assign(n * sizeof(T), std::byte{0});
+    return {reinterpret_cast<T*>(col.data()), n};
+  }
+  [[nodiscard]] Value at(Index k) const {
+    require(k >= 0 && static_cast<std::size_t>(k + 1) * elem_size(ty) <=
+                          col.size(),
+            "buffer element within its column");
+    return load_elem(ty, col.data(), k);
+  }
+  /// Append `v`, converted to the column's type.
+  void push(const Value& v) {
+    const std::size_t n = col.size();
+    col.resize(n + elem_size(ty));
+    store_elem(ty, col.data() + n, 0, v);
   }
 };
+
+/// One distributed array piece in its declared element type.
+using TypedArray =
+    std::variant<rts::DistArray<double>, rts::DistArray<long long>,
+                 rts::DistArray<unsigned char>>;
 
 /// Resolves an INDIRECT map array's initial contents: given the map array
 /// name and its extent, returns the 1-based owner numbers per template cell
@@ -122,21 +203,37 @@ class Env {
   const compile::Compiled& compiled;
   comm::GridComm& gc;
   std::map<std::string, rts::Dad> dads;
-  std::map<std::string, rts::DistArray<double>> dar;
-  std::map<std::string, rts::DistArray<long long>> iar;
-  std::map<std::string, rts::DistArray<unsigned char>> lar;
 
-  /// Calls f with array `n`'s typed storage (dar, iar or lar by its
-  /// declared type) and returns what f returns.
+  /// Calls f with array `n`'s storage, a DistArray<T> of its declared
+  /// element type, and returns what f returns: the one way to reach typed
+  /// storage.
   template <typename F>
   decltype(auto) with_storage(const std::string& n, F&& f) {
-    switch (sym(n).type) {
-      case ast::BaseType::kInteger: return f(iar.at(n));
-      case ast::BaseType::kLogical: return f(lar.at(n));
-      case ast::BaseType::kReal: break;
-    }
-    return f(dar.at(n));
+    auto it = arrays_.find(n);
+    if (it == arrays_.end()) throw RtsError("no array storage for " + n);
+    return std::visit(std::forward<F>(f), it->second);
   }
+  /// Array `n`'s storage as DistArray<T>.  When `n` is declared with
+  /// another type, throws "<who>: <n> is <TYPE>, but <why>".
+  template <typename T>
+  rts::DistArray<T>& array_as(const std::string& n, const std::string& who,
+                              const std::string& why) {
+    return with_storage(n, [&](auto& a) -> rts::DistArray<T>& {
+      if constexpr (std::is_same_v<std::decay_t<decltype(a)>,
+                                   rts::DistArray<T>>) {
+        return a;
+      } else {
+        throw RtsError(who + ": " + n + " is " + ast::to_string(sym(n).type) +
+                       ", but " + why);
+      }
+    });
+  }
+  /// Calls f(name, storage) for every array, in name order.
+  template <typename F>
+  void for_each_array(F&& f) {
+    for (auto& [n, a] : arrays_) std::visit([&](auto& x) { f(n, x); }, a);
+  }
+
   std::map<std::string, Value> scalars;
   std::vector<Buf> bufs;
   /// Monotone per-array write-version counters.  Bumped identically on
@@ -152,6 +249,8 @@ class Env {
   void bump_version(const std::string& n) { ++versions[n]; }
 
  private:
+  std::map<std::string, TypedArray> arrays_;
+
   Value read_element_inner(const std::string& name, std::span<const Index> g,
                            bool ghost);
 };

@@ -707,42 +707,18 @@ class Builder {
     plan_.has_body = true;
   }
 
-  /// Structural part of a reference (kind, storage, strides), then its
-  /// first binding.
+  /// Structural part of a reference (access, element type, storage,
+  /// strides), then its first binding.
   RefPlan make_ref(const RefInfo& ref, bool is_write) {
     RefPlan r;
     r.src = &ref;
-    switch (ref.access) {
-      case Access::kScalarSlot:
-        r.kind = RefPlan::Kind::kScalarSlot;
-        r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
-        break;
-      case Access::kSlabBuf:
-        if (is_write) decline("slab-buffered lhs");
-        if (env_.sym(ref.array).type != ast::BaseType::kReal)
-          decline("non-REAL slab buffer");
-        r.kind = RefPlan::Kind::kRealSlab;
-        r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
-        break;
-      case Access::kIterBuf: {
-        if (is_write) decline("iteration-buffered write reference");
-        switch (env_.sym(ref.array).type) {
-          case ast::BaseType::kReal:
-            r.kind = RefPlan::Kind::kRealIterBuf;
-            break;
-          case ast::BaseType::kInteger:
-            r.kind = RefPlan::Kind::kIntIterBuf;
-            break;
-          case ast::BaseType::kLogical:
-            r.kind = RefPlan::Kind::kLogicalIterBuf;
-            break;
-        }
-        r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
-        break;
-      }
-      case Access::kDirect:
-        make_direct(ref, r);
-        break;
+    r.access = ref.access;
+    if (ref.access == Access::kDirect) {
+      make_direct(ref, r);
+    } else {
+      if (is_write) decline("buffered write reference");
+      r.ty = env_.sym(ref.array).type;
+      r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
     }
     bind_ref(r, is_write);
     if (ref.access == Access::kIterBuf || ref.access == Access::kDirect)
@@ -752,33 +728,13 @@ class Builder {
 
   void make_direct(const RefInfo& ref, RefPlan& rp) {
     std::vector<Index> aext;
-    int rank = 0;
-    switch (env_.sym(ref.array).type) {
-      case ast::BaseType::kReal: {
-        auto& a = env_.dar.at(ref.array);
-        rp.kind = RefPlan::Kind::kRealDirect;
-        rp.dbase = a.storage().data();
-        rank = a.rank();
-        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-      case ast::BaseType::kInteger: {
-        auto& a = env_.iar.at(ref.array);
-        rp.kind = RefPlan::Kind::kIntDirect;
-        rp.ibase = a.storage().data();
-        rank = a.rank();
-        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-      case ast::BaseType::kLogical: {
-        auto& a = env_.lar.at(ref.array);
-        rp.kind = RefPlan::Kind::kLogicalDirect;
-        rp.lbase = a.storage().data();
-        rank = a.rank();
-        for (int d = 0; d < rank; ++d) aext.push_back(a.alloc_extent(d));
-        break;
-      }
-    }
+    env_.with_storage(ref.array, [&](auto& a) {
+      using T = typename std::decay_t<decltype(a)>::value_type;
+      rp.ty = kElemType<T>;
+      rp.data = a.storage().data();
+      for (int d = 0; d < a.rank(); ++d) aext.push_back(a.alloc_extent(d));
+    });
+    const int rank = static_cast<int>(aext.size());
     if (static_cast<int>(ref.subs.size()) != rank)
       decline("subscript rank mismatch");
     rp.dim_strides.assign(static_cast<size_t>(rank), 1);
@@ -1140,24 +1096,11 @@ class Builder {
 // --- runner ------------------------------------------------------------------
 
 Value load_ref(const RefPlan& r, long long off) {
-  switch (r.kind) {
-    case RefPlan::Kind::kRealDirect:
-      return Value::real(r.dbase[off]);
-    case RefPlan::Kind::kIntDirect:
-      return Value::integer(r.ibase[off]);
-    case RefPlan::Kind::kLogicalDirect:
-      return Value::logical(r.lbase[off] != 0);
-    case RefPlan::Kind::kRealSlab:
-    case RefPlan::Kind::kRealIterBuf:
-      return Value::real(r.buf->dvals[static_cast<size_t>(off)]);
-    case RefPlan::Kind::kIntIterBuf:
-      return Value::integer(r.buf->ivals[static_cast<size_t>(off)]);
-    case RefPlan::Kind::kLogicalIterBuf:
-      return Value::logical(r.buf->lvals[static_cast<size_t>(off)] != 0);
-    case RefPlan::Kind::kScalarSlot:
-      return r.buf->scalar;
+  switch (r.access) {
+    case Access::kDirect: return load_elem(r.ty, r.data, off);
+    case Access::kScalarSlot: return r.buf->scalar;
+    default: return load_elem(r.ty, r.buf->col.data(), off);
   }
-  return Value::real(0);
 }
 
 }  // namespace
@@ -1325,23 +1268,10 @@ Index flat_of(const GlobalIndexer& gi, const std::vector<RefPlan>& refs,
 
 Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
   const size_t nr = p.refs.size();
+  require(p.lhs.access == Access::kDirect, "exec plan stores a direct lhs");
   return run_nest(p, scratch,
                   [&](const Value& v, const Index*, const long long* offs) {
-                    const long long off = offs[nr];
-                    switch (p.lhs.kind) {
-                      case RefPlan::Kind::kRealDirect:
-                        p.lhs.dbase[off] = v.as_d();
-                        break;
-                      case RefPlan::Kind::kIntDirect:
-                        p.lhs.ibase[off] = v.as_i();
-                        break;
-                      case RefPlan::Kind::kLogicalDirect:
-                        p.lhs.lbase[off] =
-                            static_cast<unsigned char>(v.as_b() ? 1 : 0);
-                        break;
-                      default:
-                        throw RtsError("exec plan: bad lhs kind");
-                    }
+                    store_elem(p.lhs.ty, p.lhs.data, offs[nr], v);
                   });
 }
 

@@ -140,30 +140,23 @@ struct Tape {
   [[nodiscard]] bool empty() const { return ins.empty(); }
 };
 
-/// A pre-bound array reference: storage pointer + offset recurrence.
+/// A pre-bound array reference: how it is reached, its element type and
+/// storage pointer, and its offset recurrence.
 struct RefPlan {
-  enum class Kind {
-    kRealDirect,     ///< flat offset into the local REAL chunk (incl. ghosts)
-    kIntDirect,      ///< ... INTEGER chunk
-    kLogicalDirect,  ///< ... LOGICAL chunk
-    kRealSlab,       ///< multicast/transfer slab, offset into Buf::dvals
-    kScalarSlot,     ///< broadcast element in Buf::scalar
-    kRealIterBuf,    ///< gathered value per iteration, Buf::dvals (gather)
-    kIntIterBuf,     ///< ... Buf::ivals
-    kLogicalIterBuf, ///< ... Buf::lvals
-  };
-  Kind kind = Kind::kRealDirect;
-  double* dbase = nullptr;
-  long long* ibase = nullptr;
-  unsigned char* lbase = nullptr;
-  Buf* buf = nullptr;            ///< kRealSlab / kScalarSlot
+  /// kDirect: `data` is the array's local piece (ghosts included);
+  /// kIterBuf / kSlabBuf: the elements are `buf`'s column; kScalarSlot:
+  /// the broadcast element is `buf`'s scalar.
+  compile::Access access = compile::Access::kDirect;
+  ast::BaseType ty = ast::BaseType::kReal;  ///< the referenced array's
+  void* data = nullptr;                     ///< kDirect storage
+  Buf* buf = nullptr;                       ///< the buffer kinds
   long long base = 0;            ///< flat offset at all-counters-zero
   std::vector<OffsetTerm> terms; ///< one per loop level
   /// The statement reference this binds; rebinding re-derives base/terms.
   const compile::RefInfo* src = nullptr;
-  /// Direct kinds: row-major allocation stride per array dimension.
+  /// kDirect: row-major allocation stride per array dimension.
   std::vector<long long> dim_strides;
-  /// Direct kinds, resolved at build so a rebind does no name lookups:
+  /// kDirect, resolved at build so a rebind does no name lookups:
   /// the array's descriptor, its declared lower bound per dimension, and
   /// each dimension's runtime subscript term compiled to a scalar tape
   /// (empty = none).

@@ -73,6 +73,27 @@ exec::MapResolver map_resolver(const Init& init) {
   };
 }
 
+/// Init's initializers for the arrays stored as T (LOGICAL ones give bool).
+template <typename T>
+const auto& init_of(const Init& init) {
+  if constexpr (std::is_same_v<T, double>)
+    return init.real;
+  else if constexpr (std::is_same_v<T, long long>)
+    return init.ints;
+  else
+    return init.logical;
+}
+
+/// ProgramResult's gathered arrays stored as T (LOGICAL arrays are not
+/// gathered).
+template <typename T>
+auto& result_arrays(ProgramResult& r) {
+  if constexpr (std::is_same_v<T, double>)
+    return r.real_arrays;
+  else
+    return r.int_arrays;
+}
+
 // --- node program -------------------------------------------------------------
 // The node program is a thin driver over the exec layer: every FORALL and
 // reduction is first looked up in the statement plan cache
@@ -142,21 +163,15 @@ class Node {
  private:
   // --- environment ------------------------------------------------------------
   void apply_init() {
-    for (auto& [name, a] : env_.dar) {
-      auto f = init_.real.find(name);
-      if (f != init_.real.end()) a.fill_global(f->second);
-    }
-    for (auto& [name, a] : env_.iar) {
-      auto f = init_.ints.find(name);
-      if (f != init_.ints.end()) a.fill_global(f->second);
-    }
-    for (auto& [name, a] : env_.lar) {
-      auto f = init_.logical.find(name);
-      if (f != init_.logical.end())
-        a.fill_global([&](std::span<const Index> g) {
-          return static_cast<unsigned char>(f->second(g) ? 1 : 0);
-        });
-    }
+    env_.for_each_array([&](const std::string& name, auto& a) {
+      using T = typename std::decay_t<decltype(a)>::value_type;
+      const auto& fns = init_of<T>(init_);
+      auto f = fns.find(name);
+      if (f == fns.end()) return;
+      a.fill_global([&](std::span<const Index> g) {
+        return static_cast<T>(f->second(g));
+      });
+    });
     for (auto& [name, v] : env_.scalars) {
       const Symbol& s = env_.sym(name);
       if (s.is_parameter) continue;
@@ -223,27 +238,15 @@ class Node {
         eval_subs(e, gidx_scratch_);
         return env_.read_element(e.name, gidx_scratch_, /*ghost=*/true);
       }
-      case Access::kIterBuf: {
-        const Buf& b = env_.bufs[static_cast<size_t>(ref->buffer_id)];
-        const size_t k = static_cast<size_t>(flat_iter_);
-        switch (env_.sym(e.name).type) {
-          case ast::BaseType::kInteger: return Value::integer(b.ivals[k]);
-          case ast::BaseType::kLogical: return Value::logical(b.lvals[k] != 0);
-          case ast::BaseType::kReal: break;
-        }
-        return Value::real(b.dvals[k]);
-      }
+      case Access::kIterBuf:
+        return env_.bufs[static_cast<size_t>(ref->buffer_id)].at(flat_iter_);
       case Access::kSlabBuf: {
-        const Buf& b = env_.bufs[static_cast<size_t>(ref->buffer_id)];
         Index idx = 0;
         for (const std::string& v : ref->slab_vars) {
           const auto& vb = var_state_.at(v);
           idx = idx * vb.count + vb.counter;
         }
-        const Symbol& s = env_.sym(e.name);
-        if (s.type == ast::BaseType::kInteger)
-          return Value::integer(b.ivals[static_cast<size_t>(idx)]);
-        return Value::real(b.dvals[static_cast<size_t>(idx)]);
+        return env_.bufs[static_cast<size_t>(ref->buffer_id)].at(idx);
       }
       case Access::kScalarSlot:
         return env_.bufs[static_cast<size_t>(ref->buffer_id)].scalar;
@@ -662,19 +665,14 @@ class Node {
   }
 
   void run_overlap_shift(const CommAction& a, const RefInfo& ref) {
-    const Symbol& sm = env_.sym(ref.array);
-    if (sm.type == ast::BaseType::kReal)
-      rts::overlap_shift(gc_, env_.dar.at(ref.array), a.array_dim,
+    env_.with_storage(ref.array, [&](auto& arr) {
+      rts::overlap_shift(gc_, arr, a.array_dim,
                          static_cast<int>(a.shift_amount));
-    else if (sm.type == ast::BaseType::kInteger)
-      rts::overlap_shift(gc_, env_.iar.at(ref.array), a.array_dim,
-                         static_cast<int>(a.shift_amount));
-    else
-      rts::overlap_shift(gc_, env_.lar.at(ref.array), a.array_dim,
-                         static_cast<int>(a.shift_amount));
+    });
   }
 
-  /// Owner (canonical line) broadcasts one element to all.
+  /// Owner (canonical line) broadcasts one element, sizeof(T) bytes in its
+  /// array's element type T, to all.
   void run_bcast_element(const CommAction& a, const RefInfo& ref) {
     const Dad& dad = env_.dads.at(ref.array);
     std::vector<Index> g(ref.subs.size());
@@ -686,14 +684,16 @@ class Node {
     const std::vector<int> zeros(static_cast<size_t>(c_.mapping.grid.ndims()),
                                  0);
     const int root = dad.owner_logical(g, zeros);
-    std::vector<double> data;
-    if (gc_.my_logical() == root)
-      data.push_back(env_.read_element(ref.array, g, false).as_d());
-    gc_.bcast_all(root, data);
-    Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
-    b.scalar = env_.sym(ref.array).type == ast::BaseType::kInteger
-                   ? Value::integer(static_cast<long long>(data.at(0)))
-                   : Value::real(data.at(0));
+    Value& slot = env_.bufs[static_cast<size_t>(a.buffer_id)].scalar;
+    env_.with_storage(ref.array, [&](auto& arr) {
+      using T = typename std::decay_t<decltype(arr)>::value_type;
+      std::vector<T> data;
+      if (gc_.my_logical() == root)
+        data.push_back(exec::element_of<T>(
+            env_.read_element(ref.array, g, /*ghost=*/false)));
+      gc_.bcast_all(root, data);
+      slot = exec::value_of(data.at(0));
+    });
   }
 
   /// Multicast / transfer: the owning grid line packs the slab the
@@ -728,14 +728,17 @@ class Node {
     Index slab_size = 1;
     for (const PlanLoop& r : slab_ranges) slab_size *= r.count;
 
-    std::vector<double> slab;
+    // The slab travels in the array's element type: elem_size bytes each.
+    Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
+    b.ty = env_.sym(ref.array).type;
+    b.col.clear();
     if (on_root && slab_size > 0) {
-      slab.reserve(static_cast<size_t>(slab_size));
-      pack_slab(ref, slab_vars, slab_ranges, 0, slab);
+      b.col.reserve(static_cast<size_t>(slab_size) * exec::elem_size(b.ty));
+      pack_slab(ref, slab_vars, slab_ranges, 0, b);
     }
 
     if (a.kind == CommKind::kMulticast) {
-      for (const auto& [gd, owner] : comm_dims) gc_.multicast(gd, owner, slab);
+      for (const auto& [gd, owner] : comm_dims) gc_.multicast(gd, owner, b.col);
     } else {
       // transfer: source line -> destination line given by the lhs pair.
       for (size_t k = 0; k < comm_dims.size(); ++k) {
@@ -749,26 +752,22 @@ class Node {
           require_in_range(s.refs[0].array, ld, dval);
           dest_coord = ldad.owner_coord(ld, dval);
         }
-        std::vector<double> out;
-        const bool received =
-            gc_.transfer(gd, owner, dest_coord, std::span<const double>(slab),
-                         out);
-        if (received) slab = std::move(out);
-        else if (gc_.coord(gd) != owner) slab.clear();
+        std::vector<std::byte> out;
+        const bool received = gc_.transfer(
+            gd, owner, dest_coord, std::span<const std::byte>(b.col), out);
+        if (received) b.col = std::move(out);
+        else if (gc_.coord(gd) != owner) b.col.clear();
       }
     }
-    Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
-    b.dvals = std::move(slab);
   }
 
   /// Recursively pack the slab in slab-variable order (last var fastest,
   /// matching the SlabBuf read index).
   void pack_slab(const RefInfo& ref, const std::vector<std::string>& vars,
-                 const std::vector<PlanLoop>& ranges, size_t k,
-                 std::vector<double>& out) {
+                 const std::vector<PlanLoop>& ranges, size_t k, Buf& out) {
     if (k == vars.size()) {
       eval_subs(*ref.expr, gidx_scratch_);
-      out.push_back(env_.read_element(ref.array, gidx_scratch_, true).as_d());
+      out.push(env_.read_element(ref.array, gidx_scratch_, true));
       return;
     }
     VarState st;
@@ -823,7 +822,9 @@ class Node {
     Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
     const std::size_t elem = env_.with_storage(ref.array, [&](auto& arr) {
       using T = typename std::decay_t<decltype(arr)>::value_type;
-      parti::execute_read(gc_, *sched, arr, b.iter_vals<T>());
+      parti::execute_read(
+          gc_, *sched, arr,
+          b.reset<T>(static_cast<std::size_t>(sched->tmp_size)));
       return sizeof(T);
     });
     gather_bytes_ += sched->remote_read_bytes(gc_.my_logical(), elem);
@@ -992,38 +993,26 @@ class Node {
             if (values.empty()) blk.clear();  // nothing to contribute
           }
           gc_.concat_tree<double>(blk);
-          // Resolve the destination's typed storage once per action; each
-          // element keeps write_element's as_d/as_i/as_b conversion.
-          rts::DistArray<double>* dst_d = nullptr;
-          rts::DistArray<long long>* dst_i = nullptr;
-          rts::DistArray<unsigned char>* dst_l = nullptr;
-          switch (env_.sym(lhs.array).type) {
-            case ast::BaseType::kReal: dst_d = &env_.dar.at(lhs.array); break;
-            case ast::BaseType::kInteger: dst_i = &env_.iar.at(lhs.array); break;
-            case ast::BaseType::kLogical: dst_l = &env_.lar.at(lhs.array); break;
-          }
-          std::vector<Index> g;
-          size_t pos = 0;
-          while (pos < blk.size()) {
-            const size_t nruns = static_cast<size_t>(blk[pos++]);
-            size_t vpos = pos + 2 * nruns;  // values follow the run table
-            for (size_t rr = 0; rr < nruns; ++rr, pos += 2) {
-              const Index start = static_cast<Index>(blk[pos]);
-              const Index count = static_cast<Index>(blk[pos + 1]);
-              for (Index k = 0; k < count; ++k) {
-                rts::unflatten_global(dad, start + k, g);
-                const Value v = Value::real(blk[vpos++]);
-                if (dst_d != nullptr)
-                  dst_d->at_global(g) = v.as_d();
-                else if (dst_i != nullptr)
-                  dst_i->at_global(g) = v.as_i();
-                else
-                  dst_l->at_global(g) =
-                      static_cast<unsigned char>(v.as_b() ? 1 : 0);
+          // Each element keeps write_element's as_d/as_i/as_b conversion.
+          env_.with_storage(lhs.array, [&](auto& dst) {
+            using T = typename std::decay_t<decltype(dst)>::value_type;
+            std::vector<Index> g;
+            size_t pos = 0;
+            while (pos < blk.size()) {
+              const size_t nruns = static_cast<size_t>(blk[pos++]);
+              size_t vpos = pos + 2 * nruns;  // values follow the run table
+              for (size_t rr = 0; rr < nruns; ++rr, pos += 2) {
+                const Index start = static_cast<Index>(blk[pos]);
+                const Index count = static_cast<Index>(blk[pos + 1]);
+                for (Index k = 0; k < count; ++k) {
+                  rts::unflatten_global(dad, start + k, g);
+                  dst.at_global(g) =
+                      exec::element_of<T>(Value::real(blk[vpos++]));
+                }
               }
+              pos = vpos;
             }
-            pos = vpos;
-          }
+          });
           break;
         }
         case CommKind::kPostcompWrite:
@@ -1107,64 +1096,84 @@ class Node {
   }
 
   // --- whole-array intrinsics ---------------------------------------------------
+  /// Argument `k` of `s` as a whole array stored as T.  A differently typed
+  /// array ends in a diagnostic naming it and `why` it must be T.
+  template <typename T>
+  DistArray<T>& array_arg(const SpmdStmt& s, size_t k, const std::string& why) {
+    require(k < s.call_args.size() &&
+                s.call_args[k]->kind == ExprKind::kVarRef,
+            "array intrinsic argument is a whole array name");
+    return env_.array_as<T>(s.call_args[k]->name, s.intrinsic, why);
+  }
+
+  /// A whole-array intrinsic in its destination's element type T: the
+  /// array arguments must be T as well, masks LOGICAL, MATMUL's REAL.
   void exec_array_intrinsic(const SpmdStmt& s) {
-    auto array_arg = [&](size_t k) -> const std::string& {
-      require(k < s.call_args.size() &&
-                  s.call_args[k]->kind == ExprKind::kVarRef,
-              "array intrinsic argument is a whole array name");
-      return s.call_args[k]->name;
-    };
     auto int_arg = [&](size_t k) { return eval(*s.call_args[k]).as_i(); };
+    env_.with_storage(s.dest_array, [&](auto& dest) {
+      using T = typename std::decay_t<decltype(dest)>::value_type;
+      const std::string like = "the destination " + s.dest_array + " is " +
+                               ast::to_string(exec::kElemType<T>);
+      auto source = [&](size_t k) -> DistArray<T>& {
+        return array_arg<T>(s, k, like);
+      };
+      auto mask = [&](size_t k) -> DistArray<unsigned char>& {
+        return array_arg<unsigned char>(s, k, "a mask must be LOGICAL");
+      };
+      DistArray<T> result = [&]() -> DistArray<T> {
+        if (s.intrinsic == "CSHIFT") {
+          const Index sh = int_arg(1);
+          const int dim =
+              s.call_args.size() > 2 ? static_cast<int>(int_arg(2)) - 1 : 0;
+          return rts::cshift(gc_, source(0), dim, sh);
+        }
+        if (s.intrinsic == "EOSHIFT") {
+          const Index sh = int_arg(1);
+          const T boundary =
+              s.call_args.size() > 2
+                  ? exec::element_of<T>(eval(*s.call_args[2]))
+                  : T{};
+          const int dim =
+              s.call_args.size() > 3 ? static_cast<int>(int_arg(3)) - 1 : 0;
+          return rts::eoshift(gc_, source(0), dim, sh, boundary);
+        }
+        if (s.intrinsic == "SPREAD") {
+          const int dim = static_cast<int>(int_arg(1)) - 1;
+          const Index nc = int_arg(2);
+          return rts::spread(gc_, source(0), dim, nc);
+        }
+        if (s.intrinsic == "TRANSPOSE") return rts::transpose(gc_, source(0));
+        if (s.intrinsic == "MATMUL") {
+          if constexpr (std::is_same_v<T, double>) {
+            return rts::matmul_dist(gc_, source(0), source(1));
+          } else {
+            throw RtsError("MATMUL: the destination " + s.dest_array +
+                           " is " + ast::to_string(exec::kElemType<T>) +
+                           ", but MATMUL takes REAL arrays");
+          }
+        }
+        if (s.intrinsic == "RESHAPE")
+          return rts::reshape(gc_, source(0), dest.dad());
+        if (s.intrinsic == "PACK")
+          return rts::pack(gc_, source(0), mask(1), dest.dad());
+        if (s.intrinsic == "UNPACK")
+          return rts::unpack(gc_, source(0), mask(1), source(2));
+        throw RtsError("unsupported array intrinsic " + s.intrinsic);
+      }();
 
-    DistArray<double>* dest = &env_.dar.at(s.dest_array);
-    DistArray<double> result = [&]() -> DistArray<double> {
-      if (s.intrinsic == "CSHIFT") {
-        const Index sh = int_arg(1);
-        const int dim =
-            s.call_args.size() > 2 ? static_cast<int>(int_arg(2)) - 1 : 0;
-        return rts::cshift(gc_, env_.dar.at(array_arg(0)), dim, sh);
+      // Route the result into the destination's own mapping.
+      auto store = [&](DistArray<T>& from) {
+        from.for_each_owned([&](const std::vector<Index>& g, T& v) {
+          dest.at_global(g) = v;
+        });
+      };
+      if (result.dad().same_mapping(dest.dad())) {
+        store(result);
+      } else {
+        DistArray<T> re = rts::redistribute(gc_, result, dest.dad());
+        store(re);
       }
-      if (s.intrinsic == "EOSHIFT") {
-        const Index sh = int_arg(1);
-        const double boundary =
-            s.call_args.size() > 2 ? eval(*s.call_args[2]).as_d() : 0.0;
-        const int dim =
-            s.call_args.size() > 3 ? static_cast<int>(int_arg(3)) - 1 : 0;
-        return rts::eoshift(gc_, env_.dar.at(array_arg(0)), dim, sh, boundary);
-      }
-      if (s.intrinsic == "SPREAD") {
-        const int dim = static_cast<int>(int_arg(1)) - 1;
-        const Index nc = int_arg(2);
-        return rts::spread(gc_, env_.dar.at(array_arg(0)), dim, nc);
-      }
-      if (s.intrinsic == "TRANSPOSE")
-        return rts::transpose(gc_, env_.dar.at(array_arg(0)));
-      if (s.intrinsic == "MATMUL")
-        return rts::matmul_dist(gc_, env_.dar.at(array_arg(0)),
-                                env_.dar.at(array_arg(1)));
-      if (s.intrinsic == "RESHAPE")
-        return rts::reshape(gc_, env_.dar.at(array_arg(0)), dest->dad());
-      if (s.intrinsic == "PACK")
-        return rts::pack(gc_, env_.dar.at(array_arg(0)),
-                         env_.lar.at(array_arg(1)), dest->dad());
-      if (s.intrinsic == "UNPACK")
-        return rts::unpack(gc_, env_.dar.at(array_arg(0)),
-                           env_.lar.at(array_arg(1)),
-                           env_.dar.at(array_arg(2)));
-      throw RtsError("unsupported array intrinsic " + s.intrinsic);
-    }();
-
-    // Route the result into the destination's own mapping.
-    if (result.dad().same_mapping(dest->dad())) {
-      result.for_each_owned([&](const std::vector<Index>& g, double& v) {
-        dest->at_global(g) = v;
-      });
-    } else {
-      DistArray<double> re = rts::redistribute(gc_, result, dest->dad());
-      re.for_each_owned([&](const std::vector<Index>& g, double& v) {
-        dest->at_global(g) = v;
-      });
-    }
+    });
     // Redistribution/remap contract (docs/EXECUTION.md): any operation
     // that may replace an array's descriptor or storage invalidates the
     // plans bound to it — and the PARTI schedules whose send/receive lists
@@ -1226,20 +1235,16 @@ class Node {
     // instrumentation, not simulated traffic — but it is host wall: every
     // processor packs its owned runs and the root places them, one copy
     // per run (DistArray::gather_global_root).
-    for (auto& [name, arr] : env_.dar) {
-      auto full = arr.gather_global_root(gc_);
-      if (gc_.my_logical() == 0) {
-        std::lock_guard<std::mutex> lock(shared_.mu);
-        shared_.result.real_arrays[name] = std::move(full);
+    env_.for_each_array([&](const std::string& name, auto& arr) {
+      using T = typename std::decay_t<decltype(arr)>::value_type;
+      if constexpr (!std::is_same_v<T, unsigned char>) {
+        auto full = arr.gather_global_root(gc_);
+        if (gc_.my_logical() == 0) {
+          std::lock_guard<std::mutex> lock(shared_.mu);
+          result_arrays<T>(shared_.result)[name] = std::move(full);
+        }
       }
-    }
-    for (auto& [name, arr] : env_.iar) {
-      auto full = arr.gather_global_root(gc_);
-      if (gc_.my_logical() == 0) {
-        std::lock_guard<std::mutex> lock(shared_.mu);
-        shared_.result.int_arrays[name] = std::move(full);
-      }
-    }
+    });
     if (proc_.rank() == 0) {
       std::lock_guard<std::mutex> lock(shared_.mu);
       for (const auto& [name, v] : env_.scalars)

@@ -16,6 +16,7 @@ using exec::Op;
 using exec::RefPlan;
 using exec::Tape;
 using exec::Value;
+using compile::Access;
 using K = Value::K;
 
 /// Internal control flow: a decline unwinds the lowering.
@@ -67,21 +68,29 @@ void put64(std::string& k, std::uint64_t v) {
   k.append(b, 8);
 }
 
-/// A reference's storage class as the Lowerer sees it: real slabs read
-/// exactly like real storage (only the call-time pointer differs).
-char ref_class(RefPlan::Kind k) {
-  switch (k) {
-    case RefPlan::Kind::kRealDirect:
-    case RefPlan::Kind::kRealSlab: return 'd';
-    case RefPlan::Kind::kIntDirect: return 'i';
-    case RefPlan::Kind::kLogicalDirect: return 'l';
-    case RefPlan::Kind::kScalarSlot: return 's';
-    case RefPlan::Kind::kRealIterBuf:
-    case RefPlan::Kind::kIntIterBuf:
-    case RefPlan::Kind::kLogicalIterBuf: return 'x';
+/// A reference's storage class as the Lowerer sees it: the type letter of
+/// its elements ('d' REAL, 'i' INTEGER, 'l' LOGICAL) for storage and slabs
+/// alike (only the call-time pointer differs), 's' for a broadcast scalar
+/// slot and 'x' for an iteration buffer.
+char ref_class(const RefPlan& rp) {
+  switch (rp.access) {
+    case Access::kScalarSlot: return 's';
+    case Access::kIterBuf: return 'x';
+    default: break;
   }
-  return 'x';
+  switch (rp.ty) {
+    case ast::BaseType::kInteger: return 'i';
+    case ast::BaseType::kLogical: return 'l';
+    case ast::BaseType::kReal: break;
+  }
+  return 'd';
 }
+
+/// The C++ element type and value kind of a type letter.
+const char* ctype(char c) {
+  return c == 'i' ? "long long" : c == 'l' ? "unsigned char" : "double";
+}
+K kind_of(char c) { return c == 'i' ? K::kI : c == 'l' ? K::kB : K::kD; }
 
 bool tape_reads_var(const Tape& t, size_t level) {
   for (const Ins& ins : t.ins)
@@ -102,11 +111,11 @@ class ShapeWalk {
     const size_t nr = p_.refs.size();
     put8(k, 'P');
     put32(k, static_cast<long long>(nv));
-    put8(k, static_cast<unsigned>(p_.lhs.kind));
+    put8(k, static_cast<unsigned>(p_.lhs.access));
     put32(k, static_cast<long long>(nr));
     for (size_t r = 0; r <= nr; ++r) {
       const RefPlan& rp = r < nr ? p_.refs[r] : p_.lhs;
-      const char c = ref_class(rp.kind);
+      const char c = ref_class(rp);
       put8(k, static_cast<unsigned char>(c));
       if (c == 's' || c == 'x') continue;  // no offset recurrence emitted
       // Per level: 0 stride, 1 table, 2 unit stride (innermost only).
@@ -149,7 +158,7 @@ class ShapeWalk {
         case Op::kRef: {
           const size_t r = static_cast<size_t>(ins.a);
           if (r < p_.refs.size() &&
-              p_.refs[r].kind == RefPlan::Kind::kScalarSlot) {
+              p_.refs[r].access == Access::kScalarSlot) {
             // Printed exactly like a kScalar load of the same slot.
             scalar(&p_.refs[r].buf->scalar);
             break;
@@ -206,14 +215,7 @@ class Lowerer {
     // sinks feed a collective the node program runs after the nest.
     if (p_.sink != exec::Sink::kStore)
       fail("reduction, concatenation or scatter sink");
-    switch (p_.lhs.kind) {
-      case RefPlan::Kind::kRealDirect:
-      case RefPlan::Kind::kIntDirect:
-      case RefPlan::Kind::kLogicalDirect:
-        break;
-      default:
-        fail("non-direct lhs");
-    }
+    if (p_.lhs.access != Access::kDirect) fail("non-direct lhs");
     used_var_.assign(nv_, false);
 
     // Lower the tapes first (into side strings): this discovers which loop
@@ -252,21 +254,11 @@ class Lowerer {
     // Storage pointers: reads in plan order, then the lhs at index nr.
     const size_t nr = p_.refs.size();
     for (size_t r = 0; r <= nr; ++r) {
-      const RefPlan& rp = ref(r);
-      const char* ty = nullptr;
-      switch (rp.kind) {
-        case RefPlan::Kind::kRealDirect:
-        case RefPlan::Kind::kRealSlab: ty = "double"; break;
-        case RefPlan::Kind::kIntDirect: ty = "long long"; break;
-        case RefPlan::Kind::kLogicalDirect: ty = "unsigned char"; break;
-        case RefPlan::Kind::kScalarSlot: continue;  // value arrives via ds/is/ls
-        case RefPlan::Kind::kRealIterBuf:
-        case RefPlan::Kind::kIntIterBuf:
-        case RefPlan::Kind::kLogicalIterBuf:
-          fail("iteration buffer (PARTI gather)");
-      }
-      os << "  " << ty << "* b" << r << " = (" << ty << "*)base[" << r
-         << "];\n";
+      const char c = ref_class(ref(r));
+      if (c == 's') continue;  // value arrives via ds/is/ls
+      if (c == 'x') fail("iteration buffer (PARTI gather)");
+      os << "  " << ctype(c) << "* b" << r << " = (" << ctype(c) << "*)base["
+         << r << "];\n";
     }
     for (size_t k = 0; k < nv_; ++k)
       os << "  const long long n" << k << " = lp[" << 3 * k << "];\n";
@@ -286,7 +278,7 @@ class Lowerer {
           os << "lv[" << k << "][c" << k << "];\n";
       }
       for (size_t r = 0; r <= nr; ++r) {
-        if (ref(r).kind == RefPlan::Kind::kScalarSlot) continue;
+        if (ref(r).access == Access::kScalarSlot) continue;
         os << ind << "  const long long q" << r << "_" << k << " = "
            << (k == 0 ? std::string("rb[") + std::to_string(r) + "]"
                       : std::string("q") + std::to_string(r) + "_" +
@@ -354,15 +346,9 @@ class Lowerer {
 
   /// The store expression: Value::as_d/as_i/as_b by the lhs element type.
   std::string store(const Tmp& res) const {
-    switch (p_.lhs.kind) {
-      case RefPlan::Kind::kRealDirect: return cvt(res, K::kD);
-      case RefPlan::Kind::kIntDirect: return cvt(res, K::kI);
-      case RefPlan::Kind::kLogicalDirect:
-        return std::string("(unsigned char)(") + cvt(res, K::kB) +
-               " ? 1 : 0)";
-      default: break;
-    }
-    fail("non-direct lhs");
+    const K k = kind_of(ref_class(p_.lhs));
+    if (k != K::kB) return cvt(res, k);
+    return std::string("(unsigned char)(") + cvt(res, K::kB) + " ? 1 : 0)";
   }
 
   /// The ds/is/ls slot plan_shape() assigned to `src`; its kind is baked
@@ -431,32 +417,17 @@ class Lowerer {
         case Op::kRef: {
           const size_t r = static_cast<size_t>(ins.a);
           const RefPlan& rp = p_.refs[r];
-          switch (rp.kind) {
-            case RefPlan::Kind::kRealDirect:
-            case RefPlan::Kind::kRealSlab:
-              stack.push_back(mk(os, ind, K::kD,
-                                 std::string("b") + std::to_string(r) + "[" +
-                                     off(r) + "]"));
-              break;
-            case RefPlan::Kind::kIntDirect:
-              stack.push_back(mk(os, ind, K::kI,
-                                 std::string("b") + std::to_string(r) + "[" +
-                                     off(r) + "]"));
-              break;
-            case RefPlan::Kind::kLogicalDirect:
-              stack.push_back(mk(os, ind, K::kB,
-                                 std::string("(b") + std::to_string(r) + "[" +
-                                     off(r) + "] != 0)"));
-              break;
-            case RefPlan::Kind::kScalarSlot: {
-              const Value* src = &rp.buf->scalar;
-              stack.push_back(mk(os, ind, src->k, scalar_slot(src)));
-              break;
-            }
-            case RefPlan::Kind::kRealIterBuf:
-            case RefPlan::Kind::kIntIterBuf:
-            case RefPlan::Kind::kLogicalIterBuf:
-              fail("iteration buffer (PARTI gather)");
+          const char c = ref_class(rp);
+          if (c == 's') {
+            const Value* src = &rp.buf->scalar;
+            stack.push_back(mk(os, ind, src->k, scalar_slot(src)));
+          } else if (c == 'x') {
+            fail("iteration buffer (PARTI gather)");
+          } else {
+            const std::string load =
+                std::string("b") + std::to_string(r) + "[" + off(r) + "]";
+            stack.push_back(mk(os, ind, kind_of(c),
+                               c == 'l' ? "(" + load + " != 0)" : load));
           }
           break;
         }

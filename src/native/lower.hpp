@@ -36,8 +36,9 @@
 // holds exactly what the Lowerer reads:
 //   * nest depth; for each level whose loop variable the tapes read,
 //     whether its values are enumerated;
-//   * the lhs kind, and per reference its storage class (real, int or
-//     logical pointer, scalar slot, iteration buffer) and, per level,
+//   * the lhs access and element type, and per reference its storage
+//     class (the real, int or logical element type letter of storage and
+//     slabs alike, scalar slot, iteration buffer) and, per level,
 //     whether its offset term is a stride, a table or — innermost level
 //     only — a stride equal to 1;
 //   * the mask and rhs tapes instruction by instruction: op, the operand

@@ -82,7 +82,7 @@ Index NativeExec::try_run(const ExecPlan& plan,
   }
   // Slab payload vectors are replaced by every communication action;
   // their data pointers must be re-read at each call.
-  for (const auto& [idx, buf] : at.slabs) at.base[idx] = buf->dvals.data();
+  for (const auto& [idx, buf] : at.slabs) at.base[idx] = buf->col.data();
 
   at.fn(at.lp.data(), at.lv.data(), at.base.data(), at.rb.data(),
         at.st.data(), at.tb.data(), at.ds.data(), at.is.data(),
@@ -109,22 +109,11 @@ void NativeExec::attach(const ExecPlan& p, Attachment& at) {
   at.base.resize(nr + 1);
   for (size_t r = 0; r <= nr; ++r) {
     const RefPlan& rp = r < nr ? p.refs[r] : p.lhs;
-    switch (rp.kind) {
-      case RefPlan::Kind::kRealDirect: at.base[r] = rp.dbase; break;
-      case RefPlan::Kind::kIntDirect: at.base[r] = rp.ibase; break;
-      case RefPlan::Kind::kLogicalDirect: at.base[r] = rp.lbase; break;
-      case RefPlan::Kind::kRealSlab:
-        at.slabs.emplace_back(r, rp.buf);
-        break;
-      case RefPlan::Kind::kScalarSlot: break;  // value travels via ds/is/ls
-      case RefPlan::Kind::kRealIterBuf:
-      case RefPlan::Kind::kIntIterBuf:
-      case RefPlan::Kind::kLogicalIterBuf:
-        // Unreachable: the Lowerer declines iteration buffers, so such
-        // plans never compile, and attach only follows a compile.
-        at.base[r] = nullptr;
-        break;
-    }
+    // A scalar slot's value travels via ds/is/ls; iteration buffers never
+    // get here (the Lowerer declines them, and attach follows a compile).
+    at.base[r] = rp.data;
+    if (rp.access == compile::Access::kSlabBuf)
+      at.slabs.emplace_back(r, rp.buf);
   }
   pack(p, at);
 }

@@ -156,12 +156,21 @@ T element_of(double v) {
 }  // namespace detail
 
 /// Executor, read side: fills `out` (my iteration-ordered temporary buffer,
-/// owned by the caller so its capacity is reused) with out[k] =
-/// source(need k).  Typed over REAL (double), INTEGER (long long) and
-/// LOGICAL (unsigned char) storage.  Used by precomp_read and gather.
+/// sched.tmp_size elements owned by the caller so its storage is reused)
+/// with out[k] = source(need k).  Typed over REAL (double), INTEGER (long
+/// long) and LOGICAL (unsigned char) storage.  Used by precomp_read and
+/// gather.
 template <typename T>
 void execute_read(comm::GridComm& gc, const Schedule& sched,
-                  const rts::DistArray<T>& source, std::vector<T>& out);
+                  const rts::DistArray<T>& source, std::span<T> out);
+
+/// Same, sizing `out` to the schedule first.
+template <typename T>
+void execute_read(comm::GridComm& gc, const Schedule& sched,
+                  const rts::DistArray<T>& source, std::vector<T>& out) {
+  out.assign(static_cast<size_t>(sched.tmp_size), T{});
+  execute_read(gc, sched, source, std::span<T>(out));
+}
 
 /// Executor, write side: ships values[k] (my iteration order), converted to
 /// the destination's element type, to the owners of the destination
@@ -207,13 +216,14 @@ void scatter(comm::GridComm& gc, const Schedule& sched,
 
 template <typename T>
 void execute_read(comm::GridComm& gc, const Schedule& sched,
-                  const rts::DistArray<T>& source, std::vector<T>& out) {
+                  const rts::DistArray<T>& source, std::span<T> out) {
   machine::Proc& proc = gc.proc();
   const int p = gc.nprocs();
   const int me = gc.my_logical();
   require(sched.nprocs == p, "schedule built for this machine size");
   sched.require_localized_for(source);
-  out.assign(static_cast<size_t>(sched.tmp_size), T{});
+  require(out.size() == static_cast<size_t>(sched.tmp_size),
+          "gather buffer sized to the schedule");
   const T* src = source.storage().data();
 
   // Local traffic: elements I both own and need.

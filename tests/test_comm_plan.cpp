@@ -447,8 +447,10 @@ C$ ALIGN K(I) WITH T(I)
   (void)m.run([&](machine::Proc& proc) {
     comm::GridComm gc(proc, c.mapping.grid);
     exec::Env env(c, gc);
-    rts::DistArray<double>& a = env.dar.at("A");
-    rts::DistArray<long long>& k = env.iar.at("K");
+    rts::DistArray<double>& a =
+        env.array_as<double>("A", "test", "it is read as REAL");
+    rts::DistArray<long long>& k =
+        env.array_as<long long>("K", "test", "it is read as INTEGER");
     a.fill_global([](std::span<const Index> g) { return 100.0 + g[0]; });
     k.fill_global([](std::span<const Index> g) { return 7 * g[0] - 100; });
     const rts::Dad& dad = env.dads.at("A");

@@ -1406,5 +1406,100 @@ TEST(PlanCoverage, EveryAppSourceRunsNoStatementOnTheTreeWalk) {
   }
 }
 
+// --- the typed store ---------------------------------------------------------
+// Multicast and transfer slabs and broadcast elements travel in their
+// array's element type: an INTEGER element is 8 exact bytes on the wire, a
+// LOGICAL one 1 byte.  Every backend plans them, with the tree walk's
+// messages, bytes and times.
+
+/// `body` on INTEGER A and B and LOGICAL L and M, N = 8, on P(2, 2).
+std::string typed_slab_source(const char* dist, const std::string& body) {
+  return strformat(R"(PROGRAM TYPED
+      INTEGER N
+      PARAMETER (N = 8)
+      INTEGER A(N, N)
+      INTEGER B(N, N)
+      LOGICAL L(N, N)
+      LOGICAL M(N, N)
+C$ PROCESSORS P(2, 2)
+C$ TEMPLATE T(N, N)
+C$ DISTRIBUTE T(%s, %s)
+C$ ALIGN A(I, J) WITH T(I, J)
+C$ ALIGN B(I, J) WITH T(I, J)
+C$ ALIGN L(I, J) WITH T(I, J)
+C$ ALIGN M(I, J) WITH T(I, J)
+%s      END PROGRAM TYPED
+)",
+                   dist, dist, body.c_str());
+}
+
+/// B's elements lie beyond 2^53, so a detour through double would show.
+constexpr long long kBig = 1LL << 60;
+
+TEST(TypedStore, IntegerAndLogicalSlabsPlanOnEveryBackend) {
+  struct Case {
+    const char* what;
+    const char* body;
+    std::uint64_t messages;
+    std::uint64_t bytes;              ///< 8 per INTEGER, 1 per LOGICAL
+    long long (*want)(Index, Index);  ///< A(i, j), 0-based
+  };
+  // B(i, j) = 2^60 + 10 i + j + 1 and M(i, j) = (i + 2 j) mod 3 == 0,
+  // 0-based.  Each slab is 4 elements, sent by the 2 processors of the
+  // source line; a broadcast element reaches the 3 other processors.
+  const Case cases[] = {
+      {"integer multicast",
+       "      FORALL (I = 1:N, J = 1:N) A(I, J) = B(3, J)\n", 2, 2 * 4 * 8,
+       [](Index, Index j) { return kBig + 20 + j + 1; }},
+      {"integer transfer", "      FORALL (I = 1:N) A(I, 2) = B(I, 7)\n", 2,
+       2 * 4 * 8,
+       [](Index i, Index j) { return j == 1 ? kBig + 10 * i + 7 : 0; }},
+      {"integer broadcast",
+       "      FORALL (I = 1:N, J = 1:N) A(I, J) = B(3, 5)\n", 3, 3 * 8,
+       [](Index, Index) { return kBig + 25; }},
+      {"logical multicast",
+       "      FORALL (I = 1:N, J = 1:N) L(I, J) = M(3, J)\n"
+       "      WHERE (L) A = 1\n",
+       2, 2 * 4,
+       [](Index, Index j) { return (2 + 2 * j) % 3 == 0 ? 1LL : 0LL; }},
+      {"logical transfer",
+       "      FORALL (I = 1:N) L(I, 2) = M(I, 7)\n"
+       "      WHERE (L) A = 1\n",
+       2, 2 * 4,
+       [](Index i, Index j) {
+         return j == 1 && (i + 12) % 3 == 0 ? 1LL : 0LL;
+       }},
+      {"logical broadcast",
+       "      FORALL (I = 1:N, J = 1:N) L(I, J) = M(3, 6)\n"
+       "      WHERE (L) A = 1\n",
+       3, 3, [](Index, Index) { return 1LL; }},
+  };
+  interp::Init init;
+  init.ints["B"] = [](std::span<const Index> g) {
+    return kBig + 10 * g[0] + g[1] + 1;
+  };
+  init.logical["M"] = [](std::span<const Index> g) {
+    return (g[0] + 2 * g[1]) % 3 == 0;
+  };
+  for (const char* dist : {"BLOCK", "CYCLIC"}) {
+    for (const Case& c : cases) {
+      const std::string what = std::string(c.what) + " " + dist;
+      SCOPED_TRACE(what);
+      const Backends b = run_backends(typed_slab_source(dist, c.body), init);
+      EXPECT_GT(b.tree.tree_walk_stmts, 0);
+      EXPECT_EQ(b.plan.tree_walk_stmts, 0);
+      EXPECT_EQ(b.native.tree_walk_stmts, 0);
+      EXPECT_EQ(b.tree.machine.total_messages(), c.messages);
+      EXPECT_EQ(b.tree.machine.total_bytes(), c.bytes);
+      // A is the observed result: B's values, or 1 where L became true.
+      const std::vector<long long>& a = b.tree.int_arrays.at("A");
+      ASSERT_EQ(a.size(), 64u);
+      for (Index k = 0; k < 64; ++k)
+        EXPECT_EQ(a[static_cast<size_t>(k)], c.want(k / 8, k % 8))
+            << "A element " << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace f90d

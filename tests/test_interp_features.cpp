@@ -163,6 +163,71 @@ TEST(InterpFeatures, CompiledCshiftIntrinsic) {
                                              : 0));
 }
 
+TEST(InterpFeatures, IntegerShiftsAndTransposeRunInTheirType) {
+  const std::string src = R"(PROGRAM ISH
+      INTEGER N
+      PARAMETER (N = 6)
+      INTEGER A(N, N)
+      INTEGER B(N, N)
+      INTEGER C(N, N)
+      INTEGER D(N, N)
+C$ PROCESSORS P(2, 2)
+C$ TEMPLATE T(N, N)
+C$ DISTRIBUTE T(BLOCK, BLOCK)
+C$ ALIGN A(I, J) WITH T(I, J)
+C$ ALIGN B(I, J) WITH T(I, J)
+C$ ALIGN C(I, J) WITH T(I, J)
+C$ ALIGN D(I, J) WITH T(I, J)
+      A = CSHIFT(B, 2)
+      C = EOSHIFT(B, -1, 7, 2)
+      D = TRANSPOSE(B)
+      END PROGRAM ISH
+)";
+  auto compiled = compile::compile_source(src);
+  machine::SimMachine m = ideal(4);
+  interp::Init init;
+  // Beyond 2^53, so a detour through double would show.
+  const long long big = (1LL << 60) + 1;
+  init.ints["B"] = [big](std::span<const Index> g) {
+    return big + 100 * g[0] + g[1];
+  };
+  auto r = interp::run_compiled(compiled, m, init);
+  const auto& a = r.int_arrays.at("A");
+  const auto& c = r.int_arrays.at("C");
+  const auto& d = r.int_arrays.at("D");
+  auto b = [big](int i, int j) { return big + 100 * i + j; };
+  for (int i = 0; i < 6; ++i)
+    for (int j = 0; j < 6; ++j) {
+      const size_t k = static_cast<size_t>(i * 6 + j);
+      EXPECT_EQ(a[k], b((i + 2) % 6, j)) << i << "," << j;
+      EXPECT_EQ(c[k], j == 0 ? 7 : b(i, j - 1)) << i << "," << j;
+      EXPECT_EQ(d[k], b(j, i)) << i << "," << j;
+    }
+}
+
+TEST(InterpFeatures, PrintOfADistributedElementOnEveryBackend) {
+  // A(7) and B(20) live on processors 1 and 3: the PRINT reads them through
+  // scalar temporaries, broadcast like `X = A(7)`.
+  const std::string src = prelude("BLOCK") + R"(      FORALL (I = 1:N) A(I) = I
+      PRINT *, A(7), B(20) + 1.0, K
+      END PROGRAM FEAT
+)";
+  const auto compiled = compile::compile_source(src);
+  interp::Init init;
+  init.real["B"] = [](std::span<const Index> g) {
+    return static_cast<double>((g[0] * 5 + 2) % 9);
+  };
+  for (const char* backend : {"tree", "plan", "native"}) {
+    interp::RunOptions ro;
+    ro.exec_plans = std::string(backend) != "tree";
+    ro.native_backend = std::string(backend) == "native";
+    machine::SimMachine m = ideal(4);
+    const auto r = interp::run_compiled(compiled, m, init, ro);
+    ASSERT_EQ(r.printed.size(), 1u) << backend;
+    EXPECT_EQ(r.printed[0], " 7 8 0") << backend;
+  }
+}
+
 TEST(InterpFeatures, CompiledMatmulIntrinsic) {
   const std::string src = R"(PROGRAM MM
       INTEGER N

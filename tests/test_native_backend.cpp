@@ -714,7 +714,7 @@ TEST(NativeJit, LowerDeclinesGracefully) {
   // emit broken source.
   exec::ExecPlan p;
   p.loops.push_back(exec::PlanLoop{"I", 4, 0, 1, {}, {}});
-  p.lhs.kind = exec::RefPlan::Kind::kRealSlab;
+  p.lhs.access = compile::Access::kSlabBuf;
   std::string why;
   EXPECT_FALSE(native::lower_plan(p, &why).has_value());
   EXPECT_FALSE(why.empty());
@@ -775,19 +775,19 @@ struct HandPlan {
     p.loops.push_back(exec::PlanLoop{"I", 4, 1, 1, {}, {}});
     p.loops.push_back(exec::PlanLoop{"J", 3, 2, 2, {}, {}});
     RefPlan ra;
-    ra.kind = RefPlan::Kind::kRealDirect;
-    ra.dbase = a.data();
+    ra.access = compile::Access::kDirect;
+    ra.data = a.data();
     ra.base = 5;
     ra.terms = {stride(8), stride(1)};
     RefPlan rs;
-    rs.kind = RefPlan::Kind::kScalarSlot;
+    rs.access = compile::Access::kScalarSlot;
     rs.buf = &bcast;
     rs.terms = {stride(0), stride(0)};
     RefPlan rs2 = rs;
     rs2.buf = &bcast2;
     p.refs = {ra, rs, rs2};
-    p.lhs.kind = RefPlan::Kind::kRealDirect;
-    p.lhs.dbase = b.data();
+    p.lhs.access = compile::Access::kDirect;
+    p.lhs.data = b.data();
     p.lhs.base = 9;
     p.lhs.terms = {stride(8), stride(1)};
     p.rhs.ins = {op(Op::kRef, 0),          op(Op::kScalar),
@@ -838,7 +838,7 @@ TEST(NativeKey, NumbersKeepTheKeyAndTheText) {
   h.p.lhs.base = 0;
   h.p.lhs.terms[0].stride = 1;
   h.p.lhs.terms[1].stride = -3;
-  h.p.refs[0].dbase = h.b.data();
+  h.p.refs[0].data = h.b.data();
   h.s1.d = 99.0;
   h.s2.d = 0.125;
   h.bcast.scalar.d = -7.0;
@@ -865,8 +865,8 @@ TEST(NativeKey, EveryStructuralFieldChangesKeyAndText) {
        [](HandPlan& h) { h.p.refs[0].terms[1].table = {0, 1, 3}; }},
       {"ref class",
        [](HandPlan& h) {
-         h.p.refs[0].kind = RefPlan::Kind::kIntDirect;
-         h.p.refs[0].ibase = h.ia.data();
+         h.p.refs[0].ty = ast::BaseType::kInteger;
+         h.p.refs[0].data = h.ia.data();
        }},
       {"mask",
        [](HandPlan& h) {
@@ -929,7 +929,7 @@ TEST(NativeKey, DeclinedPlansStillGetKeys) {
   HandPlan h;
   native::KernelShape ok;
   native::plan_shape(h.p, ok);
-  h.p.lhs.kind = RefPlan::Kind::kRealSlab;
+  h.p.lhs.access = compile::Access::kSlabBuf;
   native::KernelShape slab;
   native::plan_shape(h.p, slab);
   EXPECT_NE(ok.key, slab.key);
@@ -974,12 +974,12 @@ exec::ExecPlan random_plan(std::mt19937& structure, std::mt19937& noise,
   for (int r = 0; r < nr; ++r) {
     RefPlan rp;
     switch (pick(5)) {
-      case 0: rp.kind = RefPlan::Kind::kRealDirect; break;
-      case 1: rp.kind = RefPlan::Kind::kRealSlab; break;
-      case 2: rp.kind = RefPlan::Kind::kIntDirect; break;
-      case 3: rp.kind = RefPlan::Kind::kLogicalDirect; break;
+      case 0: break;  // REAL storage
+      case 1: rp.access = compile::Access::kSlabBuf; break;
+      case 2: rp.ty = ast::BaseType::kInteger; break;
+      case 3: rp.ty = ast::BaseType::kLogical; break;
       default:
-        rp.kind = RefPlan::Kind::kScalarSlot;
+        rp.access = compile::Access::kScalarSlot;
         bufs.emplace_back();
         bufs.back().scalar =
             pick(2) == 0 ? Value::real(num(0, 5)) : Value::integer(num(0, 5));
@@ -987,12 +987,11 @@ exec::ExecPlan random_plan(std::mt19937& structure, std::mt19937& noise,
         break;
     }
     rp.base = num(0, 20);
-    make_terms(rp, rp.kind == RefPlan::Kind::kScalarSlot ? maybe(2)
-                                                         : pick(4) == 0);
+    make_terms(rp, rp.access == compile::Access::kScalarSlot ? maybe(2)
+                                                             : pick(4) == 0);
     p.refs.push_back(rp);
   }
-  p.lhs.kind = pick(2) == 0 ? RefPlan::Kind::kRealDirect
-                            : RefPlan::Kind::kIntDirect;
+  p.lhs.ty = pick(2) == 0 ? ast::BaseType::kReal : ast::BaseType::kInteger;
   p.lhs.base = num(0, 20);
   make_terms(p.lhs, pick(4) == 0);
   // Two scalar variables; the skeleton decides their kinds and which one

@@ -257,6 +257,45 @@ C$ ALIGN B(I, J) WITH T(I, J)
   EXPECT_EQ(core.failures(), 6);
 }
 
+TEST(ServiceCoreTest, MistypedArrayIntrinsicsNameTheArray) {
+  // A whole-array intrinsic runs in its destination's element type; an
+  // argument of another type ends in a diagnostic naming it.
+  const std::string prelude = R"(PROGRAM MIXED
+      INTEGER N
+      PARAMETER (N = 8)
+      REAL A(N)
+      REAL B(N)
+      INTEGER K(N)
+      INTEGER M(N)
+      REAL X(N, N)
+      INTEGER Y(N, N)
+C$ PROCESSORS P(2)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN K(I) WITH T(I)
+)";
+  const std::pair<const char*, const char*> cases[] = {
+      {"      A = CSHIFT(K, 1)\n",
+       "CSHIFT: K is INTEGER, but the destination A is REAL"},
+      {"      K = EOSHIFT(A, 1)\n",
+       "EOSHIFT: A is REAL, but the destination K is INTEGER"},
+      {"      B = PACK(A, M)\n",
+       "PACK: M is INTEGER, but a mask must be LOGICAL"},
+      {"      Y = MATMUL(Y, Y)\n",
+       "MATMUL: the destination Y is INTEGER, but MATMUL takes REAL arrays"},
+  };
+  ServiceCore core;
+  for (const auto& [body, diag] : cases) {
+    const Outcome out =
+        core.submit(prelude + body + "      END PROGRAM MIXED\n", RunSpec{});
+    EXPECT_FALSE(out.ok) << body;
+    EXPECT_NE(out.error.find(diag), std::string::npos) << out.error;
+    EXPECT_EQ(out.error.find("internal error"), std::string::npos)
+        << out.error;
+  }
+}
+
 TEST(ServiceStats, RunStatsJsonCarriesTheRunCounters) {
   const Outcome out =
       service::compile_and_run(self_init_source(96, 4), RunSpec{});
